@@ -189,23 +189,25 @@ def lasso_pool(rng: random.Random, per_sig: int) -> list[dict]:
 def growth_pool(rng: random.Random, trace_fuel: int, join_fuel: int) -> list[dict]:
     """Church arithmetic traces and stream joins.
 
-    Items come in cells that differ only in the signature.  No term holds
-    a bottom, so no strictness rule fires and the signature changes only
-    the recorded depths and contexts: the items of a cell cost about the
-    same, and a round takes one item per cell.
+    Each m, n <= 6 gives two church cells, ``m n g z`` and ``m n``, whose
+    items differ only in the signature.  No term holds a bottom, so no strictness rule fires and the signature changes
+    only the recorded depths and contexts: the items of a cell cost about
+    the same, and a round takes one item per cell.  Each join is a cell of
+    its own, so that a round holds more than 100 ops and its 90th latency
+    percentile has more than ten ops beyond it.
     """
     out = []
     for m in range(1, 7):
         for n in range(1, 7):
-            shape = rng.choice(["m n g z", "m n"])
-            term = f"{church(m)} {church(n)}" + (" g z" if shape == "m n g z" else "")
-            rules = rng.choice(["beta", "betas"])
-            strategy = rng.choice(STRATEGIES)
-            for sig in rng.sample(SIGS, 2):
-                out.append(_item("church", [
-                    "trace", "--format", "json", "--ascii", "--rules", rules,
-                    "--fuel", str(trace_fuel), "--sig", sig, "--strategy", strategy, term,
-                ], cell=f"church {m} {n}"))
+            for shape in (" g z", ""):
+                term = f"{church(m)} {church(n)}{shape}"
+                rules = rng.choice(["beta", "betas"])
+                strategy = rng.choice(STRATEGIES)
+                for sig in rng.sample(SIGS, 2):
+                    out.append(_item("church", [
+                        "trace", "--format", "json", "--ascii", "--rules", rules,
+                        "--fuel", str(trace_fuel), "--sig", sig, "--strategy", strategy, term,
+                    ], cell=f"church {m} {n}{shape}"))
     streams = [
         rf"{Y} (\s.c a s)",
         rf"{Y} (\s.\c.c a s)",
@@ -220,7 +222,7 @@ def growth_pool(rng: random.Random, trace_fuel: int, join_fuel: int) -> list[dic
                 out.append(_item("stream", [
                     "join", "--format", "json", "--ascii", "--rules", rules,
                     "--fuel", str(join_fuel), "--sig", sig, term,
-                ], cell=f"stream {j} {rules}"))
+                ], cell=f"stream {j} {rules} {sig}"))
     return out
 
 

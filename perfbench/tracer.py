@@ -186,14 +186,14 @@ class Tracer:
 
     # -- results -----------------------------------------------------------
 
-    def self_times(self, first: int = 0) -> dict[str, float]:
-        """Self time per metric over spans[first:], which must be closed."""
-        child = [0.0] * (len(self.spans) - first)
-        for op, name, start, end, parent, eff in self.spans[first:]:
-            if parent is not None and parent >= first:
-                child[parent - first] += eff
+    def self_times(self) -> dict[str, float]:
+        """Self time per metric; every span must be closed."""
+        child = [0.0] * len(self.spans)
+        for op, name, start, end, parent, eff in self.spans:
+            if parent is not None:
+                child[parent] += eff
         out: dict[str, float] = defaultdict(float)
-        for k, (op, name, start, end, parent, eff) in enumerate(self.spans[first:]):
+        for k, (op, name, start, end, parent, eff) in enumerate(self.spans):
             out[name] += eff - child[k]
         return out
 
