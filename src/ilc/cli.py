@@ -4,7 +4,8 @@ Subcommands: tree (infinitary normal form), trace (run a strategy and report
 convergence), dist (tree metric), order (comparison and glb), join
 (confluence check for a peak), dev (complete development, both routes).
 Exit codes: 0 success, 1 parse error, 2 an Unknown or Cut leaf in the
-output, 3 bad configuration.
+output, 3 bad configuration or an input too large or too deeply nested to
+process.
 """
 
 from __future__ import annotations
@@ -99,7 +100,7 @@ def _build_parser() -> _Parser:
     return p
 
 
-def _rules_for(name: str, sig):
+def _rules_for(name: str, sig, fuel: int):
     if name == "beta":
         return Beta()
     if name == "eta":
@@ -109,7 +110,7 @@ def _rules_for(name: str, sig):
     if name == "betas":
         return BetaStrict(sig)
     if name == "bohm":
-        return BohmBot(sig, lambda n: meaningless.in_bot_instances(sig, n, 10_000).is_yes)
+        return BohmBot(sig, lambda n: meaningless.in_bot_instances(sig, n, fuel).is_yes)
     raise ValueError(name)
 
 
@@ -190,7 +191,7 @@ def main(argv: list[str] | None = None, out=None, err=None) -> int:
 
         if args.command == "trace":
             t = load(args.term)
-            rules = _rules_for(args.rules, sig)
+            rules = _rules_for(args.rules, sig, args.fuel)
             trace = run_strategy(rules, args.strategy, t, args.fuel, sig=sig)
             report = convergence.report_json(trace, args.depth)
             exported = trace_export(trace, report)
@@ -240,7 +241,7 @@ def main(argv: list[str] | None = None, out=None, err=None) -> int:
 
         if args.command == "join":
             t = load(args.term)
-            rules = _rules_for(args.rules, sig)
+            rules = _rules_for(args.rules, sig, args.fuel)
             tr1 = run_strategy(rules, "lmo", t, args.fuel, sig=sig)
             tr2 = run_strategy(rules, "d0", t, args.fuel, sig=sig)
             res = developments.joinability(sig, t, tr1, tr2, args.fuel, args.depth)
@@ -288,6 +289,9 @@ def main(argv: list[str] | None = None, out=None, err=None) -> int:
         return EXIT_PARSE
     except ValueError as e:
         print(f"ilc: {e}", file=err)
+        return EXIT_CONFIG
+    except (RecursionError, MemoryError) as e:
+        print(f"ilc: the input is too large or too deeply nested ({type(e).__name__})", file=err)
         return EXIT_CONFIG
 
 

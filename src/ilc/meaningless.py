@@ -41,6 +41,7 @@ from .trees import (
     map_graph,
     node_at,
     reachable,
+    reaching,
     tree_of_term,
     unknown,
 )
@@ -244,11 +245,12 @@ def is_active(sig: Sig, t: Node, fuel: int = 10_000, order: str = "leftmost") ->
     loop runs forever: Yes, with a destructive trace as witness.  Reaching a
     stable reduct gives No with that reduct.
     """
-    key = (sig, canon(t))
+    start = canon(t)
+    key = (sig, order, start)
     if key in _active_cache:
         return _active_cache[key]
     steps = []
-    seen = {canon(t): 0}
+    seen = {start: 0}
     det = _ShiftDetector()
     cur = t
     spent = 0
@@ -305,23 +307,10 @@ def in_bot_instances(sig: Sig, t: Node, fuel: int = 10_000) -> TriVerdict:
 # ---------------------------------------------------------------------------
 # S-normal forms
 
-def _collapsible(sig: Sig, t: Node) -> set[int]:
-    """ids of nodes whose subtree S-rewrites to bottom: least fixpoint of
-    "is a Hole, or has a strict child that collapses"."""
-    nodes = reachable(t)
-    nu = {id(n) for n in nodes if n.kind == HOLE}
-    changed = True
-    while changed:
-        changed = False
-        for n in nodes:
-            if id(n) in nu:
-                continue
-            for i, c in children(n):
-                if sig[i] == 0 and id(c) in nu:
-                    nu.add(id(n))
-                    changed = True
-                    break
-    return nu
+def _collapsible(sig: Sig, t: Node) -> set[Node]:
+    """The nodes whose subtree S-rewrites to bottom: those that reach a Hole
+    through strict edges alone."""
+    return reaching(reachable(t), lambda n: n.kind == HOLE, lambda i: sig[i] == 0)
 
 
 def strict_nf(sig: Sig, t: Node) -> Node:
@@ -336,7 +325,7 @@ def strict_nf(sig: Sig, t: Node) -> Node:
     nu = _collapsible(sig, t)
     if not nu:
         return t
-    return map_graph(t, lambda n: hole() if id(n) in nu else None)
+    return map_graph(t, lambda n: hole() if n in nu else None)
 
 
 # ---------------------------------------------------------------------------

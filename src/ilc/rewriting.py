@@ -32,6 +32,7 @@ from .trees import (
     max_bvar_index,
     node_at,
     reachable,
+    reaching,
     render_tree,
     parse_tree,
 )
@@ -245,20 +246,9 @@ def _strict_tag(sig: Sig, n: Node) -> str | None:
     return None
 
 
-def _redex_reachability(rules: RuleSystem, t: Node) -> set[int]:
-    """ids of nodes from which some redex node is reachable."""
-    nodes = reachable(t)
-    good = {id(n) for n in nodes if _node_redex_tag(rules, n) is not None}
-    changed = True
-    while changed:
-        changed = False
-        for n in nodes:
-            if id(n) in good:
-                continue
-            if any(id(c) in good for _, c in children(n)):
-                good.add(id(n))
-                changed = True
-    return good
+def _redex_reachability(rules: RuleSystem, t: Node) -> set[Node]:
+    """The nodes from which some redex node is reachable."""
+    return reaching(reachable(t), lambda n: _node_redex_tag(rules, n) is not None)
 
 
 def redexes(
@@ -288,14 +278,14 @@ def redexes(
             if n.kind != HOLE and rules.oracle(n):
                 out.add((p, "bot"))
         else:
-            if id(n) not in good:
+            if n not in good:
                 continue
             tag = _node_redex_tag(rules, n)
             if tag:
                 out.add((p, tag))
         if len(p) < max_len:
             for i, c in reversed(children(n)):
-                if bohm or id(c) in good:
+                if bohm or c in good:
                     stack.append((c, p + (i,)))
     return out
 
@@ -307,7 +297,7 @@ def first_redex(rules: RuleSystem, t: Node, max_len: int = 64) -> tuple[Position
     stack: list[tuple[Node, Position]] = [(t, ())]
     while stack:
         n, p = stack.pop()
-        if not bohm and id(n) not in good:
+        if not bohm and n not in good:
             continue
         tag = _node_redex_tag(rules, n)
         if bohm and tag is None and n.kind != HOLE and rules.oracle(n):
@@ -328,7 +318,7 @@ def outermost_redexes(rules: RuleSystem, t: Node, max_len: int = 64) -> list[tup
     stack: list[tuple[Node, Position]] = [(t, ())]
     while stack:
         n, p = stack.pop()
-        if not bohm and id(n) not in good:
+        if not bohm and n not in good:
             continue
         tag = _node_redex_tag(rules, n)
         if bohm and tag is None and n.kind != HOLE and rules.oracle(n):

@@ -111,17 +111,20 @@ def child_at(n: Node, i: int) -> Node | None:
 
 def reachable(root: Node) -> list[Node]:
     """All nodes reachable from the root, in DFS preorder."""
-    seen: dict[int, Node] = {}
+    seen: set[Node] = set()
     order: list[Node] = []
     stack = [root]
     while stack:
         n = stack.pop()
-        if id(n) in seen:
+        if n in seen:
             continue
-        seen[id(n)] = n
+        seen.add(n)
         order.append(n)
-        for _, c in reversed(children(n)):
-            stack.append(c)
+        if n.kind == APP:
+            stack.append(n.b)
+            stack.append(n.a)
+        elif n.kind == LAM:
+            stack.append(n.a)
     return order
 
 
@@ -144,6 +147,35 @@ def is_finite(root: Node) -> bool:
     return visit(root)
 
 
+def reaching(nodes: list[Node], seed, edge=None) -> set[Node]:
+    """The nodes that reach a node satisfying ``seed``.
+
+    ``nodes`` must be closed under children, as ``reachable`` returns them.
+    A path counts only if ``edge(i)`` allows each edge index ``i`` on it (all
+    edges by default).  One pass collects the allowed parent edges; a
+    breadth-first search from the seeds then follows them backwards, so the
+    cost is linear in the graph.
+    """
+    body, fun, arg = (True, True, True) if edge is None else (edge(0), edge(1), edge(2))
+    parents: dict[Node, list[Node]] = {}
+    for n in nodes:
+        if n.kind == APP:
+            if fun:
+                parents.setdefault(n.a, []).append(n)
+            if arg:
+                parents.setdefault(n.b, []).append(n)
+        elif n.kind == LAM and body:
+            parents.setdefault(n.a, []).append(n)
+    found = {n for n in nodes if seed(n)}
+    queue = deque(found)
+    while queue:
+        for p in parents.get(queue.popleft(), ()):
+            if p not in found:
+                found.add(p)
+                queue.append(p)
+    return found
+
+
 def has_kind(root: Node, *kinds: str) -> bool:
     return any(n.kind in kinds for n in reachable(root))
 
@@ -161,47 +193,115 @@ def max_bvar_index(root: Node) -> int:
 # Canonical forms and bisimulation
 
 
+_OPEN = -1  # canon: the node is on the depth-first path
+_CYCLIC = -2  # canon: the node reaches a cycle
+
+
 def canon(root: Node) -> tuple:
     """A canonical key: two trees get equal keys iff they are bisimilar.
 
-    Computed by partition refinement (merging bisimilar nodes) followed by a
-    canonical preorder serialization of the minimized graph.
+    The key is a preorder serialization of the minimized graph (bisimilar
+    nodes merged), so it depends on the unfolded tree alone.  One iterative
+    depth-first pass finishes the nodes in postorder.  A node that reaches no
+    cycle has a finite unfolding; its class is interned from its label and
+    its children's classes when it finishes.  Such a node is never bisimilar
+    to one that reaches a cycle, whose unfolding is infinite, so partition
+    refinement then runs only over the nodes that reach a cycle, with the
+    finite classes held fixed.  The refinement spans that whole part, not one
+    strongly connected component at a time: ``X = X X`` and ``C = C X`` lie
+    in different components, yet ``C`` and ``X`` are bisimilar.  The
+    serialization walks the minimized graph with an explicit stack, so deep
+    graphs cost no Python recursion.
     """
-    nodes = reachable(root)
-    block: dict[int, int] = {}
-    # initial partition by label
-    key_ids: dict[tuple, int] = {}
-    for n in nodes:
-        k = label(n)
-        block[id(n)] = key_ids.setdefault(k, len(key_ids))
-    while True:
-        key_ids = {}
-        new: dict[int, int] = {}
-        for n in nodes:
-            k = (block[id(n)], tuple(block[id(c)] for _, c in children(n)))
-            new[id(n)] = key_ids.setdefault(k, len(key_ids))
-        stable = len(key_ids) == len(set(block.values()))
-        block = new
-        if stable:  # refinement only ever splits blocks
-            break
-    # canonical serialization: visit representative graph in preorder
-    reps: dict[int, Node] = {}
-    for n in nodes:
-        reps.setdefault(block[id(n)], n)
-    serial: dict[int, int] = {}
+    # cls: node -> class; _OPEN while the node is on the DFS path, _CYCLIC
+    # once it is known to reach a cycle
+    cls: dict[Node, int] = {}
+    finite: dict[tuple, int] = {}
+    rep: list[Node] = []  # class -> a member
+    cyclic: list[Node] = []
+    stack = [root]
+    while stack:
+        n = stack[-1]
+        state = cls.get(n)
+        if state is None:  # first visit: open it and push unseen children
+            cls[n] = _OPEN
+            k = n.kind
+            if k == APP:
+                if n.b not in cls:
+                    stack.append(n.b)
+                if n.a not in cls:
+                    stack.append(n.a)
+            elif k == LAM and n.a not in cls:
+                stack.append(n.a)
+            continue
+        stack.pop()
+        if state != _OPEN:  # a second entry of a finished node
+            continue
+        # every child is finished or still open (a back edge)
+        k = n.kind
+        if k == APP:
+            x, y = cls[n.a], cls[n.b]
+            if x < 0 or y < 0:
+                cls[n] = _CYCLIC
+                cyclic.append(n)
+                continue
+            key = (k, x, y)
+        elif k == LAM:
+            x = cls[n.a]
+            if x < 0:
+                cls[n] = _CYCLIC
+                cyclic.append(n)
+                continue
+            key = (k, x)
+        else:
+            key = label(n)
+        c = finite.get(key)
+        if c is None:
+            c = finite[key] = len(rep)
+            rep.append(n)
+        cls[n] = c
+    if cyclic:
+        base = len(rep)  # cyclic blocks are numbered from here
+        blocks: dict[tuple, int] = {}
+        for n in cyclic:
+            cls[n] = blocks.setdefault(label(n), base + len(blocks))
+        while True:
+            count = len(blocks)
+            blocks = {}
+            new = [
+                blocks.setdefault(
+                    (cls[n], cls[n.a], cls[n.b]) if n.kind == APP else (cls[n], cls[n.a]),
+                    base + len(blocks),
+                )
+                for n in cyclic
+            ]
+            for n, b in zip(cyclic, new):
+                cls[n] = b
+            if len(blocks) == count:  # refinement only ever splits blocks
+                break
+        rep.extend([None] * len(blocks))  # every block has a member below
+        for n in cyclic:
+            rep[cls[n]] = n
+    # canonical serialization: visit the minimized graph in preorder
+    serial = [-1] * len(rep)
+    visited = 0
     out: list[tuple] = []
-
-    def visit(b: int):
-        if b in serial:
-            out.append(("ref", serial[b]))
-            return
-        serial[b] = len(serial)
-        n = reps[b]
+    todo = [cls[root]]
+    while todo:
+        b = todo.pop()
+        s = serial[b]
+        if s >= 0:
+            out.append(("ref", s))
+            continue
+        serial[b] = visited
+        visited += 1
+        n = rep[b]
         out.append(("node", label(n)))
-        for _, c in children(n):
-            visit(block[id(c)])
-
-    visit(block[id(root)])
+        if n.kind == APP:
+            todo.append(cls[n.b])
+            todo.append(cls[n.a])
+        elif n.kind == LAM:
+            todo.append(cls[n.a])
     return tuple(out)
 
 
@@ -435,24 +535,13 @@ def bind_fvars(root: Node, mapping: dict[str, int]) -> Node:
     if not mapping:
         return root
     # nodes that cannot reach a mapped free variable are shared untouched
-    relevant: set[int] = set()
-    changed = True
     nodes = reachable(root)
-    while changed:
-        changed = False
-        for n in nodes:
-            if id(n) in relevant:
-                continue
-            if (n.kind == FVAR and n.a in mapping) or any(
-                id(c) in relevant for _, c in children(n)
-            ):
-                relevant.add(id(n))
-                changed = True
+    relevant = reaching(nodes, lambda n: n.kind == FVAR and n.a in mapping)
     memo: dict[tuple[int, int], Node] = {}
     limit = 4 * len(nodes) + max(mapping.values(), default=0) + 8
 
     def go(m: Node, d: int) -> Node:
-        if id(m) not in relevant:
+        if m not in relevant:
             return m
         if d > limit:
             raise ValueError("cannot rebind a variable occurring at unbounded depth")

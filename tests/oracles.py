@@ -1,14 +1,18 @@
 """Independent oracles and generators for the test suite.
 
-Everything here is implemented from first principles on the finite term
-syntax (or by brute-force enumeration), deliberately avoiding the library's
-graph algorithms, so that agreement is meaningful.
+Most of this is implemented from first principles on the finite term syntax
+(or by brute-force enumeration), deliberately avoiding the library's graph
+algorithms, so that agreement is meaningful.  The round-by-round graph
+fixpoints at the end are the library's earlier implementations of ``canon``
+and of the backward-reachability sets, kept as references for the linear
+versions that replaced them.
 """
 
 from __future__ import annotations
 
 import random
 
+from ilc.rewriting import _node_redex_tag
 from ilc.terms import Abs, App, Bot, Sig, Term, Var
 from ilc.trees import (
     APP,
@@ -19,9 +23,12 @@ from ilc.trees import (
     Node,
     app,
     bvar,
+    children,
     fvar,
     hole,
+    label,
     lam,
+    reachable,
 )
 
 # ---------------------------------------------------------------------------
@@ -241,3 +248,141 @@ def _use_v0(rng: random.Random, t: Term) -> Term:
         case App(f, a):
             return App(_use_v0(rng, f), _use_v0(rng, a))
     return t
+
+
+def random_graph(rng: random.Random, size: int, cyclic: bool = True) -> Node:
+    """A random node graph over a small label alphabet, so that bisimilar
+    nodes are common.  With ``cyclic`` every edge may point anywhere;
+    otherwise edges point only to later nodes, giving a DAG with sharing."""
+    nodes = [Node(HOLE) for _ in range(size)]
+    for k, n in enumerate(nodes):
+        targets = nodes if cyclic else nodes[k + 1 :]
+        kinds = ["lam", "app", "app"] if targets else []
+        if k > 0 or not targets:  # the root is interior whenever it can be
+            kinds += ["bvar", "fvar", "hole"]
+        kind = rng.choice(kinds)
+        if kind == "lam":
+            n.kind, n.a = LAM, rng.choice(targets)
+        elif kind == "app":
+            n.kind, n.a, n.b = APP, rng.choice(targets), rng.choice(targets)
+        elif kind == "bvar":
+            n.kind, n.a = BVAR, rng.randrange(2)
+        elif kind == "fvar":
+            n.kind, n.a = FVAR, rng.choice("xy")
+    return nodes[0]
+
+
+def unroll(root: Node, depth: int) -> Node:
+    """A bisimilar copy: fresh nodes for the unfolding down to ``depth``,
+    whose deepest edges lead back into the original graph."""
+    if depth == 0:
+        return root
+    if root.kind == LAM:
+        return lam(unroll(root.a, depth - 1))
+    if root.kind == APP:
+        return app(unroll(root.a, depth - 1), unroll(root.b, depth - 1))
+    return Node(root.kind, root.a, root.b)
+
+
+# ---------------------------------------------------------------------------
+# Round-by-round graph fixpoints (the earlier library implementations)
+
+
+def canon_by_refinement(root: Node) -> tuple:
+    """Partition refinement over the whole graph, one round per pass, then a
+    recursive preorder serialization of the minimized graph."""
+    nodes = reachable(root)
+    block: dict[int, int] = {}
+    key_ids: dict[tuple, int] = {}
+    for n in nodes:
+        block[id(n)] = key_ids.setdefault(label(n), len(key_ids))
+    while True:
+        key_ids = {}
+        new: dict[int, int] = {}
+        for n in nodes:
+            k = (block[id(n)], tuple(block[id(c)] for _, c in children(n)))
+            new[id(n)] = key_ids.setdefault(k, len(key_ids))
+        stable = len(key_ids) == len(set(block.values()))
+        block = new
+        if stable:
+            break
+    reps: dict[int, Node] = {}
+    for n in nodes:
+        reps.setdefault(block[id(n)], n)
+    serial: dict[int, int] = {}
+    out: list[tuple] = []
+
+    def visit(b: int):
+        if b in serial:
+            out.append(("ref", serial[b]))
+            return
+        serial[b] = len(serial)
+        n = reps[b]
+        out.append(("node", label(n)))
+        for _, c in children(n):
+            visit(block[id(c)])
+
+    visit(block[id(root)])
+    return tuple(out)
+
+
+def reaching_by_rounds(root: Node, seed, edge=lambda i: True) -> set[int]:
+    """ids of the nodes that reach a node satisfying ``seed`` along edges
+    whose index satisfies ``edge``: the least fixpoint, one round per pass."""
+    nodes = reachable(root)
+    good = {id(n) for n in nodes if seed(n)}
+    changed = True
+    while changed:
+        changed = False
+        for n in nodes:
+            if id(n) in good:
+                continue
+            if any(edge(i) and id(c) in good for i, c in children(n)):
+                good.add(id(n))
+                changed = True
+    return good
+
+
+def redex_reachability_by_rounds(rules, t: Node) -> set[int]:
+    """ids of the nodes from which some redex node is reachable."""
+    return reaching_by_rounds(t, lambda n: _node_redex_tag(rules, n) is not None)
+
+
+def collapsible_by_rounds(sig: Sig, t: Node) -> set[int]:
+    """ids of the nodes whose subtree S-rewrites to bottom: those that reach
+    a Hole through strict edges."""
+    return reaching_by_rounds(t, lambda n: n.kind == HOLE, lambda i: sig[i] == 0)
+
+
+def bind_fvars_by_rounds(root: Node, mapping: dict[str, int]) -> Node:
+    """``trees.bind_fvars`` with its set of rebound nodes computed as a
+    round-by-round fixpoint."""
+    if not mapping:
+        return root
+    nodes = reachable(root)
+    relevant = reaching_by_rounds(root, lambda n: n.kind == FVAR and n.a in mapping)
+    memo: dict[tuple[int, int], Node] = {}
+    limit = 4 * len(nodes) + max(mapping.values(), default=0) + 8
+
+    def go(m: Node, d: int) -> Node:
+        if id(m) not in relevant:
+            return m
+        if d > limit:
+            raise ValueError("cannot rebind a variable occurring at unbounded depth")
+        key = (id(m), d)
+        if key in memo:
+            return memo[key]
+        if m.kind == FVAR:
+            out = bvar(mapping[m.a] + d) if m.a in mapping else m
+            memo[key] = out
+            return out
+        new = Node(m.kind, m.a, m.b)
+        memo[key] = new
+        if m.kind == LAM:
+            new.a = go(m.a, d + 1)
+        elif m.kind == APP:
+            new.a = go(m.a, d)
+            new.b = go(m.b, d)
+        return new
+
+    return go(root, 0)

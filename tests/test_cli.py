@@ -1,6 +1,7 @@
 import io
 import json
 
+from ilc import meaningless
 from ilc.cli import main
 
 
@@ -101,3 +102,36 @@ def test_schema_ships_with_the_package():
     text = resources.files("ilc").joinpath("schema/trace.schema.json").read_text()
     schema = json.loads(text)
     assert schema["properties"]["sig"]["pattern"] == "^[01]{3}$"
+
+
+def test_trace_bohm_oracle_uses_the_fuel_flag(monkeypatch):
+    fuels = []
+    real = meaningless.in_bot_instances
+
+    def spy(sig, t, fuel=10_000):
+        fuels.append(fuel)
+        return real(sig, t, fuel)
+
+    monkeypatch.setattr(meaningless, "in_bot_instances", spy)
+    code, out, _ = run("trace", "--ascii", "--rules", "bohm", "--fuel", "7", "x y")
+    assert code == 0 and "stopped: normal_form" in out
+    assert fuels and set(fuels) == {7}
+
+
+def test_stack_and_memory_exhaustion_exit_with_code_3(monkeypatch):
+    for error in (RecursionError, MemoryError):
+        def fail(*args, **kwargs):
+            raise error("too deep")
+
+        monkeypatch.setattr(meaningless, "bohm_tree", fail)
+        code, out, err = run("tree", "x")
+        assert code == 3 and out == ""
+        assert err.startswith("ilc: ") and error.__name__ in err
+
+
+def test_deeply_nested_input_never_escapes_the_exit_codes():
+    # 400 nested parentheses overflow the recursive parser
+    code, _, err = run("tree", "(" * 400 + "x" + ")" * 400)
+    assert code in (0, 3)
+    if code == 3:
+        assert err.startswith("ilc: ")

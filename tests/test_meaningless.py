@@ -3,6 +3,7 @@ import pytest
 from ilc.convergence import p_limit
 from ilc.meaningless import (
     bohm_tree,
+    clear_caches,
     in_bot_instances,
     is_active,
     is_stable,
@@ -75,6 +76,18 @@ def test_is_active_shifted_recurrence():
     # under 111 one step reaches the stable tree (grower) y
     v2 = is_active((1, 1, 1), T(GROWER))
     assert v2.is_no
+
+
+def test_is_active_cache_keeps_orders_apart():
+    t = T(f"({OMEGA}) ({OMEGA})")
+    sig = (0, 0, 0)
+    clear_caches()
+    fresh = is_active(sig, t, order="rightmost").witness.steps[0].position
+    assert fresh == (2,)
+    clear_caches()
+    assert is_active(sig, t, order="leftmost").witness.steps[0].position == (1,)
+    # a leftmost witness in the cache must not answer a rightmost query
+    assert is_active(sig, t, order="rightmost").witness.steps[0].position == fresh
 
 
 def test_in_bot_instances():
