@@ -11,6 +11,7 @@ process.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -59,6 +60,7 @@ def _common_flags(p: _Parser) -> None:
     enc.add_argument("--unicode", dest="ascii_only", action="store_false")
 
 
+@functools.cache  # built on first use, then shared by every call
 def _build_parser() -> _Parser:
     p = _Parser(prog="ilc", description="partial-order infinitary lambda calculi")
     sub = p.add_subparsers(dest="command", required=True)
@@ -137,15 +139,13 @@ def _parse_positions(text: str) -> list[tuple[int, ...]]:
 
 
 def _emit(doc, args, out) -> int:
-    """Print a result and derive the exit code from its honesty markers."""
-    code = EXIT_OK
+    """Print a result and derive the exit code from its honesty markers.
+    ``doc`` holds the form the format asks for, under "json" or "text"."""
     if args.format == "json":
         print(json.dumps(doc["json"], ensure_ascii=True, sort_keys=True), file=out)
     else:
         print(doc["text"], file=out)
-    if doc.get("unknown"):
-        code = EXIT_UNKNOWN
-    return code
+    return EXIT_UNKNOWN if doc.get("unknown") else EXIT_OK
 
 
 def main(argv: list[str] | None = None, out=None, err=None) -> int:
@@ -164,7 +164,13 @@ def main(argv: list[str] | None = None, out=None, err=None) -> int:
     if args.depth < 0 or args.fuel < 0:
         print("ilc: depth and fuel must be nonnegative", file=err)
         return EXIT_CONFIG
+    as_json = args.format == "json"
     ascii_only = _ascii_only(args)
+
+    def show(t):
+        """The one rendering of a tree that this call prints: ASCII in
+        JSON output, the chosen encoding in text output."""
+        return render_tree(t, ascii_only=as_json or ascii_only)
 
     def load(text):
         t = parse_tree(text)
@@ -176,12 +182,12 @@ def main(argv: list[str] | None = None, out=None, err=None) -> int:
         if args.command == "tree":
             t = load(args.term)
             ap = meaningless.bohm_tree(sig, t, args.depth, args.fuel)
-            rendered = render_tree(ap.tree, ascii_only=ascii_only)
+            rendered = show(ap.tree)
             doc = {
                 "text": rendered,
                 "json": {
                     "sig": sig_str(sig),
-                    "tree": render_tree(ap.tree, ascii_only=True),
+                    "tree": rendered,
                     "fuel_exhausted": ap.fuel_exhausted,
                     "non_canonical": ap.non_canonical,
                 },
@@ -193,23 +199,22 @@ def main(argv: list[str] | None = None, out=None, err=None) -> int:
             t = load(args.term)
             rules = _rules_for(args.rules, sig, args.fuel)
             trace = run_strategy(rules, args.strategy, t, args.fuel, sig=sig)
-            report = convergence.report_json(trace, args.depth)
-            exported = trace_export(trace, report)
+            analysis = convergence.analyze(trace, args.depth)
+            report = convergence.report_json(trace, args.depth, analysis=analysis)
+            unknown = report["m"] == "unknown" or has_kind(analysis.p_limit.tree, UNKNOWN, CUT)
+            if as_json:
+                return _emit({"json": trace_export(trace, report), "unknown": unknown}, args, out)
             lines = []
             for i, s in enumerate(trace.steps):
                 lines.append(
                     f"{i:4d}  {s.rule:4s} at {''.join(map(str, s.position)) or 'e'}"
-                    f"  -> {render_tree(s.after, ascii_only=ascii_only)}"
+                    f"  -> {show(s.after)}"
                 )
             lines.append(f"stopped: {trace.metadata['stopped']}"
                          + (f" (cycle at {trace.cycle_at})" if trace.cycle_at is not None else ""))
             lines.append(f"m-convergence: {report['m']}")
             lines.append(f"p-limit: {report['p_limit']}")
-            unknown = report["m"] == "unknown" or has_kind(
-                convergence.p_limit(trace, args.depth).tree, UNKNOWN, CUT
-            )
-            doc = {"text": "\n".join(lines), "json": exported, "unknown": unknown}
-            return _emit(doc, args, out)
+            return _emit({"text": "\n".join(lines), "unknown": unknown}, args, out)
 
         if args.command == "dist":
             a, b = load(args.left), load(args.right)
@@ -221,8 +226,7 @@ def main(argv: list[str] | None = None, out=None, err=None) -> int:
             a, b = load(args.left), load(args.right)
             ab = tree_leq(sig, a, b)
             ba = tree_leq(sig, b, a)
-            g = glb(sig, [a, b])
-            gs = render_tree(g, ascii_only=ascii_only)
+            gs = show(glb(sig, [a, b]))
             text = (
                 f"left <= right: {bool(ab)}\n"
                 f"right <= left: {bool(ba)}\n"
@@ -233,7 +237,7 @@ def main(argv: list[str] | None = None, out=None, err=None) -> int:
                 "json": {
                     "leq": bool(ab),
                     "geq": bool(ba),
-                    "glb": render_tree(g, ascii_only=True),
+                    "glb": gs,
                 },
                 "unknown": False,
             }
@@ -267,16 +271,13 @@ def main(argv: list[str] | None = None, out=None, err=None) -> int:
             _, result = developments.develop(sig, rs, args.fuel)
             labs = developments.path_labels(sig, rs)
             agree = bisimilar(result, labs)
-            text = (
-                f"develop: {render_tree(result, ascii_only=ascii_only)}\n"
-                f"path labels: {render_tree(labs, ascii_only=ascii_only)}\n"
-                f"agree: {agree}"
-            )
+            result_s, labs_s = show(result), show(labs)
+            text = f"develop: {result_s}\npath labels: {labs_s}\nagree: {agree}"
             doc = {
                 "text": text,
                 "json": {
-                    "develop": render_tree(result, ascii_only=True),
-                    "path_labels": render_tree(labs, ascii_only=True),
+                    "develop": result_s,
+                    "path_labels": labs_s,
                     "agree": agree,
                 },
                 "unknown": False,

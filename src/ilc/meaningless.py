@@ -34,7 +34,6 @@ from .trees import (
     bvar,
     cut,
     fvar,
-    has_kind,
     hole,
     is_guarded,
     lam,
@@ -80,9 +79,11 @@ OMEGA = tree_of_term(parse_term(r"(\x.x x) (\x.x x)"))
 
 
 def _check_tree(sig: Sig, t: Node) -> None:
-    if has_kind(t, CUT, UNKNOWN):
-        raise ValueError("analysis rejects Cut/Unknown leaves")
-    if not is_guarded(sig, t):
+    try:
+        guarded = is_guarded(sig, t)
+    except ValueError:  # a Cut or Unknown leaf
+        raise ValueError("analysis rejects Cut/Unknown leaves") from None
+    if not guarded:
         raise ValueError("analysis requires a guarded tree")
 
 

@@ -16,10 +16,8 @@ from typing import Iterable, Iterator, Sequence
 from .terms import Position, Sig
 from .trees import (
     APP,
-    CUT,
     HOLE,
     LAM,
-    UNKNOWN,
     Approximant,
     Node,
     app,
@@ -27,7 +25,6 @@ from .trees import (
     canon,
     child_at,
     children,
-    has_kind,
     hole,
     is_guarded,
     label,
@@ -48,9 +45,11 @@ class OrderVerdict:
 
 def _check_inputs(sig: Sig, *ts: Node) -> None:
     for t in ts:
-        if has_kind(t, CUT, UNKNOWN):
-            raise ValueError("order operations reject Cut/Unknown leaves")
-        if not is_guarded(sig, t):
+        try:
+            guarded = is_guarded(sig, t)
+        except ValueError:  # a Cut or Unknown leaf
+            raise ValueError("order operations reject Cut/Unknown leaves") from None
+        if not guarded:
             raise ValueError("order operations require guarded trees")
 
 

@@ -345,16 +345,6 @@ class Step:
     context: Node  # the step's reduction context
     depth: int
 
-    def to_json(self, sig: Sig | None = None) -> dict:
-        return {
-            "pos": list(self.position),
-            "rule": self.rule,
-            "depth": self.depth,
-            "before": render_tree(self.before, ascii_only=True),
-            "after": render_tree(self.after, ascii_only=True),
-            "context": render_tree(self.context, ascii_only=True),
-        }
-
 
 class NotARedex(ValueError):
     pass
@@ -539,13 +529,33 @@ def run_strategy(
 
 
 def trace_export(trace: Trace, report: dict | None = None) -> dict:
+    # each distinct node is rendered once: a step's ``before`` is the previous
+    # step's ``after``, and the first step's is the start
+    rendered: dict[Node, str] = {}
+
+    def show(n: Node) -> str:
+        s = rendered.get(n)
+        if s is None:
+            s = rendered[n] = render_tree(n, ascii_only=True)
+        return s
+
     doc = {
         "sig": sig_str(trace.sig),
         "rules": rule_tags(trace.rules)[0] if not isinstance(trace.rules, (BetaStrict, BohmBot)) else (
             "betas" if isinstance(trace.rules, BetaStrict) else "bohm"
         ),
-        "start": render_tree(trace.start, ascii_only=True),
-        "steps": [s.to_json(trace.sig) for s in trace.steps],
+        "start": show(trace.start),
+        "steps": [
+            {
+                "pos": list(s.position),
+                "rule": s.rule,
+                "depth": s.depth,
+                "before": show(s.before),
+                "after": show(s.after),
+                "context": show(s.context),
+            }
+            for s in trace.steps
+        ],
         "tail": None if trace.cycle_at is None else {"cycle_at": trace.cycle_at},
         "metadata": {
             k: v for k, v in trace.metadata.items() if isinstance(v, (str, int, bool))

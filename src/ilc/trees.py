@@ -570,26 +570,40 @@ def bind_fvars(root: Node, mapping: dict[str, int]) -> Node:
 
 def is_guarded(sig: Sig, t: Node) -> bool:
     """True iff every cycle in the graph crosses a non-strict edge;
-    equivalently, no infinite branch of bounded depth exists."""
-    if has_kind(t, CUT, UNKNOWN):
-        raise ValueError("guardedness is undefined for Cut/Unknown leaves")
-    # cycle search in the subgraph of strict edges
-    state: dict[int, int] = {}
+    equivalently, no infinite branch of bounded depth exists.
 
-    def visit(n: Node) -> bool:
-        st = state.get(id(n))
-        if st == 1:
-            return False
-        if st == 2:
-            return True
-        state[id(n)] = 1
-        for i, c in children(n):
-            if sig[i] == 0 and not visit(c):
-                return False
-        state[id(n)] = 2
-        return True
-
-    return all(visit(n) for n in reachable(t))
+    One explicit-stack walk: a depth-first search along strict edges, started
+    again from each node first reached over a non-strict edge, finds the
+    cycles of strict edges and checks every node for Cut/Unknown leaves.
+    """
+    body, fun, arg = sig[0] == 0, sig[1] == 0, sig[2] == 0  # strict edges
+    state: dict[Node, bool] = {}  # True while on the strict path, False when done
+    starts = [t]  # nodes reached over a non-strict edge, and the root
+    stack: list = []  # strict search; a popped pair ``(n,)`` finishes n
+    guarded = True
+    while starts:
+        stack.append(starts.pop())
+        while stack:
+            n = stack.pop()
+            if type(n) is tuple:
+                state[n[0]] = False
+                continue
+            st = state.get(n)
+            if st is not None:
+                if st:
+                    guarded = False
+                continue
+            kind = n.kind
+            if kind == CUT or kind == UNKNOWN:
+                raise ValueError("guardedness is undefined for Cut/Unknown leaves")
+            state[n] = True
+            stack.append((n,))
+            if kind == APP:
+                (stack if fun else starts).append(n.a)
+                (stack if arg else starts).append(n.b)
+            elif kind == LAM:
+                (stack if body else starts).append(n.a)
+    return guarded
 
 
 def truncate(sig: Sig, t: Node, d: int) -> Node:
@@ -726,80 +740,100 @@ def parse_tree(text: str) -> Node:
     return t
 
 
-def render_tree(t: Node, ascii_only: bool = False, unfold: int | None = None) -> str:
-    """Print a tree.  Cyclic trees print as ``rec`` literals; with ``unfold``
-    set, cycles are unrolled that many times and then marked ``NAME...``."""
+def render_tree(t: Node, ascii_only: bool = False) -> str:
+    """Print a tree; cyclic trees print as ``rec`` literals.
+
+    One iterative pass, with no depth limit: an explicit-stack depth-first
+    search marks the nodes entered twice on some path (back-edge targets),
+    then an explicit work stack prints the unfolding into a list of parts,
+    naming each marked node ``M0``, ``M1``, ... where its ``rec`` opens.
+    Binders are named from the lambda depth, ``x0`` outermost.
+    """
     bot = "bot" if ascii_only else "⊥"
     cut_s = "..." if ascii_only else "…"
-    unk_s = "?"
+    leaf = {HOLE: bot, CUT: cut_s, UNKNOWN: "?"}
 
-    # nodes that are entered twice on some path (back-edge targets)
-    loops: set[int] = set()
-    state: dict[int, int] = {}
-
-    def find(n: Node):
-        st = state.get(id(n))
-        if st == 1:
-            loops.add(id(n))
-            return
-        if st == 2:
-            return
-        state[id(n)] = 1
-        for _, c in children(n):
-            find(c)
-        state[id(n)] = 2
-
-    find(t)
-    rec_names: dict[int, str] = {}
-    counter = [0]
-
-    def go(n: Node, binders: list[str], ctx: str, budget: dict[int, int]) -> str:
-        if id(n) in rec_names:
-            if unfold is None:
-                return rec_names[id(n)]
-            if budget.get(id(n), 0) <= 0:
-                return rec_names[id(n)] + cut_s
-            budget = dict(budget)
-            budget[id(n)] -= 1
-            return body(n, binders, ctx, budget, named=False)
-        if id(n) in loops:
-            name = f"M{counter[0]}"
-            counter[0] += 1
-            rec_names[id(n)] = name
-            if unfold is not None:
-                budget = dict(budget)
-                budget[id(n)] = unfold
-                s = body(n, binders, "top", budget, named=False)
-                del rec_names[id(n)]
-                return s if ctx == "top" else f"({s})"
-            s = f"rec {name}. {body(n, binders, 'top', budget, named=True)}"
-            del rec_names[id(n)]
-            return s if ctx == "top" else f"({s})"
-        return body(n, binders, ctx, budget, named=False)
-
-    def body(n: Node, binders: list[str], ctx: str, budget, named: bool) -> str:
-        if n.kind == HOLE:
-            return bot
-        if n.kind == CUT:
-            return cut_s
-        if n.kind == UNKNOWN:
-            return unk_s
-        if n.kind == FVAR:
-            return n.a
-        if n.kind == BVAR:
-            if n.a < len(binders):
-                return binders[-1 - n.a]
-            return f"_e{n.a - len(binders)}"
-        if n.kind == LAM:
-            name = f"x{len(binders)}"
-            s = f"\\{name}.{go(n.a, binders + [name], 'top', budget)}"
-            return s if ctx == "top" else f"({s})"
+    # back-edge targets; a popped node is entered unless it is on the path
+    # (a back edge) or finished, and a popped pair ``(n,)`` finishes n
+    loops: set[Node] = set()
+    state: dict[Node, bool] = {}  # True while on the path, False when done
+    stack: list = [t]
+    while stack:
+        n = stack.pop()
+        if type(n) is tuple:
+            state[n[0]] = False
+            continue
+        st = state.get(n)
+        if st is not None:
+            if st:
+                loops.add(n)
+            continue
         if n.kind == APP:
-            s = f"{go(n.a, binders, 'fun', budget)} {go(n.b, binders, 'arg', budget)}"
-            return s if ctx in ("top", "fun") else f"({s})"
-        raise TypeError(n.kind)
+            state[n] = True
+            stack += ((n,), n.b, n.a)
+        elif n.kind == LAM:
+            state[n] = True
+            stack += ((n,), n.a)
+        else:
+            state[n] = False
 
-    return go(t, [], "top", {})
+    # work items: a string is printed as is, a Node closes its rec binding,
+    # a triple (node, lambda depth, context) prints the node's unfolding;
+    # contexts: 0 top (no parentheses), 1 function side, 2 argument side.
+    # The inner loop walks down function sides and lambda bodies directly
+    # and defers only the argument sides.
+    parts: list[str] = []
+    rec_names: dict[Node, str] = {}
+    counter = 0
+    work: list = [(t, 0, 0)]
+    while work:
+        item = work.pop()
+        if type(item) is str:
+            parts.append(item)
+            continue
+        if type(item) is Node:
+            del rec_names[item]
+            continue
+        n, d, ctx = item
+        while True:
+            kind = n.kind
+            if kind == APP or kind == LAM:
+                if n in loops:
+                    name = rec_names.get(n)
+                    if name is not None:
+                        parts.append(name)
+                        break
+                    name = rec_names[n] = f"M{counter}"
+                    counter += 1
+                    if ctx:
+                        parts.append("(")
+                        work.append(")")
+                    work.append(n)
+                    parts.append(f"rec {name}. ")
+                    ctx = 0
+                if kind == APP:
+                    if ctx == 2:
+                        parts.append("(")
+                        work.append(")")
+                    work += ((n.b, d, 2), " ")
+                    n, ctx = n.a, 1
+                else:
+                    if ctx:
+                        parts.append("(")
+                        work.append(")")
+                    parts.append(f"\\x{d}.")
+                    n, d, ctx = n.a, d + 1, 0
+                continue
+            if kind == FVAR:
+                parts.append(n.a)
+            elif kind == BVAR:
+                parts.append(f"x{d - 1 - n.a}" if n.a < d else f"_e{n.a - d}")
+            elif kind in leaf:
+                parts.append(leaf[kind])
+            else:
+                raise TypeError(kind)
+            break
+    return "".join(parts)
 
 
 # ---------------------------------------------------------------------------

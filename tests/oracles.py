@@ -3,9 +3,10 @@
 Most of this is implemented from first principles on the finite term syntax
 (or by brute-force enumeration), deliberately avoiding the library's graph
 algorithms, so that agreement is meaningful.  The round-by-round graph
-fixpoints at the end are the library's earlier implementations of ``canon``
-and of the backward-reachability sets, kept as references for the linear
-versions that replaced them.
+fixpoints and the recursive walkers at the end are the library's earlier
+implementations of ``canon``, of the backward-reachability sets, of
+``is_guarded`` and of ``render_tree``, kept as references for the linear,
+iterative versions that replaced them.
 """
 
 from __future__ import annotations
@@ -17,14 +18,17 @@ from ilc.terms import Abs, App, Bot, Sig, Term, Var
 from ilc.trees import (
     APP,
     BVAR,
+    CUT,
     FVAR,
     HOLE,
     LAM,
+    UNKNOWN,
     Node,
     app,
     bvar,
     children,
     fvar,
+    has_kind,
     hole,
     label,
     lam,
@@ -386,3 +390,93 @@ def bind_fvars_by_rounds(root: Node, mapping: dict[str, int]) -> Node:
         return new
 
     return go(root, 0)
+
+
+# ---------------------------------------------------------------------------
+# Recursive walkers (the earlier library implementations)
+
+
+def is_guarded_by_walks(sig: Sig, t: Node) -> bool:
+    """``trees.is_guarded`` as three walks: a Cut/Unknown check, the
+    reachable nodes, and a recursive cycle search along strict edges from
+    each of them."""
+    if has_kind(t, CUT, UNKNOWN):
+        raise ValueError("guardedness is undefined for Cut/Unknown leaves")
+    state: dict[int, int] = {}
+
+    def visit(n: Node) -> bool:
+        st = state.get(id(n))
+        if st == 1:
+            return False
+        if st == 2:
+            return True
+        state[id(n)] = 1
+        for i, c in children(n):
+            if sig[i] == 0 and not visit(c):
+                return False
+        state[id(n)] = 2
+        return True
+
+    return all(visit(n) for n in reachable(t))
+
+
+def render_tree_recursive(t: Node, ascii_only: bool = False) -> str:
+    """``trees.render_tree`` as a recursive back-edge search and a recursive
+    printer that concatenates nested strings and copies the binder list at
+    every lambda."""
+    bot = "bot" if ascii_only else "⊥"
+    cut_s = "..." if ascii_only else "…"
+    loops: set[int] = set()
+    state: dict[int, int] = {}
+
+    def find(n: Node):
+        st = state.get(id(n))
+        if st == 1:
+            loops.add(id(n))
+            return
+        if st == 2:
+            return
+        state[id(n)] = 1
+        for _, c in children(n):
+            find(c)
+        state[id(n)] = 2
+
+    find(t)
+    rec_names: dict[int, str] = {}
+    counter = [0]
+
+    def go(n: Node, binders: list[str], ctx: str) -> str:
+        if id(n) in rec_names:
+            return rec_names[id(n)]
+        if id(n) in loops:
+            name = f"M{counter[0]}"
+            counter[0] += 1
+            rec_names[id(n)] = name
+            s = f"rec {name}. {body(n, binders, 'top')}"
+            del rec_names[id(n)]
+            return s if ctx == "top" else f"({s})"
+        return body(n, binders, ctx)
+
+    def body(n: Node, binders: list[str], ctx: str) -> str:
+        if n.kind == HOLE:
+            return bot
+        if n.kind == CUT:
+            return cut_s
+        if n.kind == UNKNOWN:
+            return "?"
+        if n.kind == FVAR:
+            return n.a
+        if n.kind == BVAR:
+            if n.a < len(binders):
+                return binders[-1 - n.a]
+            return f"_e{n.a - len(binders)}"
+        if n.kind == LAM:
+            name = f"x{len(binders)}"
+            s = f"\\{name}.{go(n.a, binders + [name], 'top')}"
+            return s if ctx == "top" else f"({s})"
+        if n.kind == APP:
+            s = f"{go(n.a, binders, 'fun')} {go(n.b, binders, 'arg')}"
+            return s if ctx in ("top", "fun") else f"({s})"
+        raise TypeError(n.kind)
+
+    return go(t, [], "top")

@@ -1,7 +1,7 @@
 import io
 import json
 
-from ilc import meaningless
+from ilc import convergence, meaningless
 from ilc.cli import main
 
 
@@ -135,3 +135,105 @@ def test_deeply_nested_input_never_escapes_the_exit_codes():
     assert code in (0, 3)
     if code == 3:
         assert err.startswith("ilc: ")
+
+
+# The parser is built once per process and shared by every call; each
+# subcommand renders only the form it prints.
+
+LOOP = r"rec M. (\x.x bot) (\y.M)"
+
+
+def test_a_rejected_call_leaves_the_shared_parser_usable():
+    code, out, err = run("trace", "--strategy", "xx", "x")
+    assert code == 3 and out == ""
+    code, out, _ = run("trace", "--ascii", "--strategy", "po", OMEGA)
+    assert code == 0 and "stopped: cycle" in out
+    code, out, _ = run("tree", "--ascii", r"(\x.x) y")
+    assert code == 0 and out == "y\n"
+
+
+def test_trace_text_output_is_unchanged():
+    code, out, _ = run(
+        "trace", "--unicode", "--sig", "101", "--rules", "betas", "--fuel", "4", LOOP
+    )
+    assert code == 0
+    assert out == (
+        "   0  beta at e  -> (rec M0. \\x0.(\\x1.x1 ⊥) M0) ⊥\n"
+        "   1  beta at e  -> (\\x0.x0 ⊥) (\\x0.rec M0. (\\x1.x1 ⊥) (\\x1.M0))\n"
+        "stopped: cycle (cycle at 0)\n"
+        "m-convergence: no\n"
+        "p-limit: bot\n"
+    )
+
+
+def test_trace_json_output_is_unchanged():
+    code, out, _ = run(
+        "trace", "--format", "json", "--sig", "101", "--rules", "betas", "--fuel", "4", LOOP
+    )
+    assert code == 0
+    assert json.loads(out) == {
+        "metadata": {"fuel_spent": 2, "stopped": "cycle", "strategy": "leftmost-outermost"},
+        "report": {
+            "destructive": True,
+            "m": "no",
+            "outermost_volatile": [[]],
+            "p_limit": "bot",
+            "sig": "101",
+            "stopped": "cycle",
+            "volatile": [[]],
+            "witness_depth": 0,
+        },
+        "rules": "betas",
+        "sig": "101",
+        "start": "rec M0. (\\x0.x0 bot) (\\x0.M0)",
+        "steps": [
+            {
+                "after": "(rec M0. \\x0.(\\x1.x1 bot) M0) bot",
+                "before": "rec M0. (\\x0.x0 bot) (\\x0.M0)",
+                "context": "bot",
+                "depth": 0,
+                "pos": [],
+                "rule": "beta",
+            },
+            {
+                "after": "(\\x0.x0 bot) (\\x0.rec M0. (\\x1.x1 bot) (\\x1.M0))",
+                "before": "(rec M0. \\x0.(\\x1.x1 bot) M0) bot",
+                "context": "bot",
+                "depth": 0,
+                "pos": [],
+                "rule": "beta",
+            },
+        ],
+        "tail": {"cycle_at": 0},
+    }
+
+
+def test_trace_computes_the_p_limit_once(monkeypatch):
+    calls = []
+    real = convergence.p_limit
+
+    def spy(trace, depth=16):
+        calls.append(depth)
+        return real(trace, depth)
+
+    monkeypatch.setattr(convergence, "p_limit", spy)
+    for fmt in ("text", "json"):
+        calls.clear()
+        code, _, _ = run("trace", "--format", fmt, "--depth", "9", "--rules", "betas", LOOP)
+        assert code == 0 and calls == [9]
+    # fuel runs out before a cycle: m-convergence and the p-limit are unknown
+    code, out, _ = run("trace", "--ascii", "--fuel", "5", r"(\x.\y.y (x x y)) (\x.\y.y (x x y)) z")
+    assert code == 2 and calls == [9, 16]
+    assert out.endswith("stopped: fuel\nm-convergence: unknown\np-limit: ?\n")
+
+
+def test_tree_text_and_json_render_the_same_tree():
+    term = r"(\x.\y.y (x x y)) (\x.\y.y (x x y))"
+    code, out, _ = run("tree", "--unicode", "--depth", "3", term)
+    assert code == 2 and out == "\\x0.x0 (… …)\n"
+    code, out, _ = run("tree", "--format", "json", "--unicode", "--depth", "3", term)
+    assert code == 2
+    assert out == (
+        '{"fuel_exhausted": false, "non_canonical": false, "sig": "111", '
+        '"tree": "\\\\x0.x0 (... ...)"}\n'
+    )

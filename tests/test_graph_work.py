@@ -1,30 +1,44 @@
 """The linear per-step graph work agrees with the round-by-round fixpoints
-it replaced, and finishes on graphs far deeper than Python's stack."""
+it replaced, the iterative ``is_guarded`` and ``render_tree`` agree with the
+recursive walkers they replaced, and all of them finish on graphs far deeper
+than Python's stack."""
 
 import random
 
 import pytest
 
-from ilc.meaningless import _collapsible
+from ilc.meaningless import _collapsible, is_stable
+from ilc.order import tree_leq
 from ilc.rewriting import Beta, BetaStrict, Eta, Strict, _redex_reachability, first_redex, redexes
 from ilc.terms import ALL_SIGS
 from ilc.trees import (
+    APP,
+    BVAR,
+    CUT,
     FVAR,
+    HOLE,
+    UNKNOWN,
     app,
     bind_fvars,
     bisimilar,
     bvar,
     canon,
+    cut,
     fvar,
+    is_guarded,
     lam,
     reachable,
+    render_tree,
+    unknown,
 )
 from oracles import (
     bind_fvars_by_rounds,
     canon_by_refinement,
     collapsible_by_rounds,
+    is_guarded_by_walks,
     random_graph,
     redex_reachability_by_rounds,
+    render_tree_recursive,
     unroll,
 )
 
@@ -158,3 +172,94 @@ def test_deep_argument_spine():
     assert first_redex(Beta(), t) == ((1,) * 63 + (2,), "beta")
     found = redexes(BetaStrict((1, 1, 1)), t)
     assert found == {((1,) * k + (2,), "beta") for k in range(64)}
+
+
+# ---------------------------------------------------------------------------
+# The iterative walkers: is_guarded and render_tree
+
+
+def with_marker_leaves(rng: random.Random, g):
+    """Sometimes turn one leaf into a Cut or Unknown leaf."""
+    leaves = [n for n in reachable(g) if n.kind in (BVAR, FVAR, HOLE)]
+    if leaves and rng.random() < 0.25:
+        rng.choice(leaves).kind = rng.choice([CUT, UNKNOWN])
+    return g
+
+
+def guarded_or_error(walk, sig, g):
+    try:
+        return walk(sig, g)
+    except ValueError as e:
+        return str(e)
+
+
+def test_is_guarded_equals_the_three_walk_version():
+    rng = random.Random(21)
+    verdicts = set()
+    for g in graphs(22, 1000):
+        g = with_marker_leaves(rng, g)
+        for sig in ALL_SIGS:
+            got = guarded_or_error(is_guarded, sig, g)
+            assert got == guarded_or_error(is_guarded_by_walks, sig, g)
+            verdicts.add(got)
+    assert verdicts == {True, False, "guardedness is undefined for Cut/Unknown leaves"}
+
+
+def test_is_guarded_on_a_long_strict_chain():
+    # x0 x1 ... xN: a chain of DEPTH application nodes along function edges
+    t = fvar("f")
+    for _ in range(DEPTH):
+        t = app(t, fvar("z"))
+    assert all(is_guarded(sig, t) for sig in ALL_SIGS)
+    # close the chain into one cycle of DEPTH function edges
+    bottom = t
+    while bottom.a.kind == APP:
+        bottom = bottom.a
+    bottom.a = t
+    for sig in ALL_SIGS:
+        assert is_guarded(sig, t) == (sig[1] == 1)
+    bottom.b = cut()
+    with pytest.raises(ValueError, match="Cut/Unknown"):
+        is_guarded((0, 0, 0), t)
+
+
+def test_callers_keep_their_error_messages():
+    # a cycle of function edges, unguarded under 000; with a marker leaf
+    # below it, the marker check fires first
+    looped = app(None, fvar("y"))
+    looped.a = looped
+    with pytest.raises(ValueError, match="order operations reject Cut/Unknown leaves"):
+        tree_leq((0, 0, 0), app(looped, cut()), fvar("y"))
+    with pytest.raises(ValueError, match="order operations require guarded trees"):
+        tree_leq((0, 0, 0), looped, fvar("y"))
+    with pytest.raises(ValueError, match="analysis rejects Cut/Unknown leaves"):
+        is_stable((0, 0, 0), app(looped, unknown()))
+    with pytest.raises(ValueError, match="analysis requires a guarded tree"):
+        is_stable((0, 0, 0), looped)
+
+
+def test_render_tree_equals_the_recursive_printer():
+    rng = random.Random(23)
+    for g in graphs(24, 3000):
+        g = with_marker_leaves(rng, g)
+        for ascii_only in (True, False):
+            assert render_tree(g, ascii_only=ascii_only) == render_tree_recursive(g, ascii_only)
+
+
+def test_render_deep_lam_nesting():
+    binders = "".join(f"\\x{d}." for d in range(DEPTH))
+    want = binders + f"(\\x{DEPTH}.x{DEPTH}) x0"
+    assert render_tree(lam_nesting(DEPTH), ascii_only=True) == want
+    # the same nesting closed into one long cycle
+    top = lam(None)
+    t = top
+    for _ in range(DEPTH - 1):
+        t.a = lam(None)
+        t = t.a
+    t.a = top
+    assert render_tree(top) == "rec M0. " + binders + "M0"
+
+
+def test_render_deep_argument_spine():
+    want = "f" + " ((\\x0.x0) z)" * DEPTH
+    assert render_tree(arg_spine(DEPTH), ascii_only=True) == want
