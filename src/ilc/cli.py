@@ -11,7 +11,6 @@ process.
 from __future__ import annotations
 
 import argparse
-import functools
 import json
 import sys
 
@@ -60,7 +59,6 @@ def _common_flags(p: _Parser) -> None:
     enc.add_argument("--unicode", dest="ascii_only", action="store_false")
 
 
-@functools.cache  # built on first use, then shared by every call
 def _build_parser() -> _Parser:
     p = _Parser(prog="ilc", description="partial-order infinitary lambda calculi")
     sub = p.add_subparsers(dest="command", required=True)
@@ -200,7 +198,7 @@ def main(argv: list[str] | None = None, out=None, err=None) -> int:
             rules = _rules_for(args.rules, sig, args.fuel)
             trace = run_strategy(rules, args.strategy, t, args.fuel, sig=sig)
             analysis = convergence.analyze(trace, args.depth)
-            report = convergence.report_json(trace, args.depth, analysis=analysis)
+            report = convergence.report_json(trace, analysis)
             unknown = report["m"] == "unknown" or has_kind(analysis.p_limit.tree, UNKNOWN, CUT)
             if as_json:
                 return _emit({"json": trace_export(trace, report), "unknown": unknown}, args, out)

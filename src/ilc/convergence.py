@@ -197,13 +197,10 @@ def context_via_glb(sig: Sig, step: Step) -> Node:
     return out
 
 
-def report_json(
-    trace: Trace, depth: int = 16, bound: int = 64, analysis: ConvergenceReport | None = None
-) -> dict:
-    """The trace's convergence report as JSON; ``analysis``, when given, is
-    ``analyze(trace, depth, bound)`` already computed."""
-    r = analysis if analysis is not None else analyze(trace, depth, bound)
-    doc = r.to_json()
+def report_json(trace: Trace, analysis: ConvergenceReport) -> dict:
+    """The trace's convergence report as JSON; ``analysis`` is
+    ``analyze(trace, ...)``."""
+    doc = analysis.to_json()
     doc["sig"] = sig_str(trace.sig)
     doc["stopped"] = trace.metadata.get("stopped")
     return doc

@@ -130,21 +130,51 @@ def reachable(root: Node) -> list[Node]:
 
 def is_finite(root: Node) -> bool:
     """True iff the unfolding is a finite tree (no reachable cycle)."""
-    state: dict[int, int] = {}  # 1 = on stack, 2 = done
+    return not back_edges(root)[0]
 
-    def visit(n: Node) -> bool:
-        if state.get(id(n)) == 1:
-            return False
-        if state.get(id(n)) == 2:
-            return True
-        state[id(n)] = 1
-        for _, c in children(n):
-            if not visit(c):
-                return False
-        state[id(n)] = 2
-        return True
 
-    return visit(root)
+def back_edges(root: Node, edge=None) -> tuple[set[Node], dict[Node, bool]]:
+    """A depth-first search from the root along the edges that ``edge(i)``
+    allows (all edges by default); a node first reached over another edge
+    starts a search of its own.
+
+    Returns the back-edge targets, the nodes entered again while on the
+    search path (so the allowed edges close a cycle iff there is one), and
+    the visited nodes: every node reachable from the root.  The search
+    enters function sides before argument sides, as ``render_tree`` prints
+    them.  Explicit stacks, so no depth
+    limit: a popped pair ``(n,)`` finishes n.
+    """
+    body, fun, arg = (True, True, True) if edge is None else (edge(0), edge(1), edge(2))
+    targets: set[Node] = set()
+    state: dict[Node, bool] = {}  # True while on the search path, False when done
+    starts = [root]
+    stack: list = []
+    while starts:
+        stack.append(starts.pop())
+        while stack:
+            n = stack.pop()
+            if type(n) is tuple:
+                state[n[0]] = False
+                continue
+            st = state.get(n)
+            if st is not None:
+                if st:
+                    targets.add(n)
+                continue
+            kind = n.kind
+            if kind == APP:
+                state[n] = True
+                stack.append((n,))
+                (stack if arg else starts).append(n.b)
+                (stack if fun else starts).append(n.a)
+            elif kind == LAM:
+                state[n] = True
+                stack.append((n,))
+                (stack if body else starts).append(n.a)
+            else:
+                state[n] = False
+    return targets, state
 
 
 def reaching(nodes: list[Node], seed, edge=None) -> set[Node]:
@@ -572,38 +602,13 @@ def is_guarded(sig: Sig, t: Node) -> bool:
     """True iff every cycle in the graph crosses a non-strict edge;
     equivalently, no infinite branch of bounded depth exists.
 
-    One explicit-stack walk: a depth-first search along strict edges, started
-    again from each node first reached over a non-strict edge, finds the
-    cycles of strict edges and checks every node for Cut/Unknown leaves.
+    One ``back_edges`` search along the strict edges finds their cycles and
+    visits every node, which is then checked for Cut/Unknown leaves.
     """
-    body, fun, arg = sig[0] == 0, sig[1] == 0, sig[2] == 0  # strict edges
-    state: dict[Node, bool] = {}  # True while on the strict path, False when done
-    starts = [t]  # nodes reached over a non-strict edge, and the root
-    stack: list = []  # strict search; a popped pair ``(n,)`` finishes n
-    guarded = True
-    while starts:
-        stack.append(starts.pop())
-        while stack:
-            n = stack.pop()
-            if type(n) is tuple:
-                state[n[0]] = False
-                continue
-            st = state.get(n)
-            if st is not None:
-                if st:
-                    guarded = False
-                continue
-            kind = n.kind
-            if kind == CUT or kind == UNKNOWN:
-                raise ValueError("guardedness is undefined for Cut/Unknown leaves")
-            state[n] = True
-            stack.append((n,))
-            if kind == APP:
-                (stack if fun else starts).append(n.a)
-                (stack if arg else starts).append(n.b)
-            elif kind == LAM:
-                (stack if body else starts).append(n.a)
-    return guarded
+    cycles, seen = back_edges(t, lambda i: sig[i] == 0)
+    if any(n.kind == CUT or n.kind == UNKNOWN for n in seen):
+        raise ValueError("guardedness is undefined for Cut/Unknown leaves")
+    return not cycles
 
 
 def truncate(sig: Sig, t: Node, d: int) -> Node:
@@ -743,39 +748,17 @@ def parse_tree(text: str) -> Node:
 def render_tree(t: Node, ascii_only: bool = False) -> str:
     """Print a tree; cyclic trees print as ``rec`` literals.
 
-    One iterative pass, with no depth limit: an explicit-stack depth-first
-    search marks the nodes entered twice on some path (back-edge targets),
-    then an explicit work stack prints the unfolding into a list of parts,
-    naming each marked node ``M0``, ``M1``, ... where its ``rec`` opens.
-    Binders are named from the lambda depth, ``x0`` outermost.
+    One iterative pass, with no depth limit: ``back_edges`` marks the nodes
+    entered twice on some path, then an explicit work stack prints the
+    unfolding into a list of parts, naming each marked node ``M0``, ``M1``,
+    ... where its ``rec`` opens.  Binders are named from the lambda depth,
+    ``x0`` outermost.
     """
     bot = "bot" if ascii_only else "⊥"
     cut_s = "..." if ascii_only else "…"
     leaf = {HOLE: bot, CUT: cut_s, UNKNOWN: "?"}
 
-    # back-edge targets; a popped node is entered unless it is on the path
-    # (a back edge) or finished, and a popped pair ``(n,)`` finishes n
-    loops: set[Node] = set()
-    state: dict[Node, bool] = {}  # True while on the path, False when done
-    stack: list = [t]
-    while stack:
-        n = stack.pop()
-        if type(n) is tuple:
-            state[n[0]] = False
-            continue
-        st = state.get(n)
-        if st is not None:
-            if st:
-                loops.add(n)
-            continue
-        if n.kind == APP:
-            state[n] = True
-            stack += ((n,), n.b, n.a)
-        elif n.kind == LAM:
-            state[n] = True
-            stack += ((n,), n.a)
-        else:
-            state[n] = False
+    loops = back_edges(t)[0]
 
     # work items: a string is printed as is, a Node closes its rec binding,
     # a triple (node, lambda depth, context) prints the node's unfolding;

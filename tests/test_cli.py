@@ -137,13 +137,13 @@ def test_deeply_nested_input_never_escapes_the_exit_codes():
         assert err.startswith("ilc: ")
 
 
-# The parser is built once per process and shared by every call; each
-# subcommand renders only the form it prints.
+# Each subcommand renders only the form it prints; one process may call
+# main() many times.
 
 LOOP = r"rec M. (\x.x bot) (\y.M)"
 
 
-def test_a_rejected_call_leaves_the_shared_parser_usable():
+def test_a_rejected_call_does_not_affect_the_next_call():
     code, out, err = run("trace", "--strategy", "xx", "x")
     assert code == 3 and out == ""
     code, out, _ = run("trace", "--ascii", "--strategy", "po", OMEGA)

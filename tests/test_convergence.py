@@ -99,7 +99,7 @@ def test_context_via_glb_matches_recorded_context():
 
 def test_report_json_shape():
     tr = run_strategy(Beta(), "lmo", T(OMEGA), 100)
-    doc = report_json(tr)
+    doc = report_json(tr, analyze(tr))
     assert doc["m"] == "no"
     assert doc["p_limit"] == "bot"
     assert doc["destructive"] is True

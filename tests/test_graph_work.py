@@ -25,6 +25,7 @@ from ilc.trees import (
     canon,
     cut,
     fvar,
+    is_finite,
     is_guarded,
     lam,
     reachable,
@@ -206,7 +207,7 @@ def test_is_guarded_equals_the_three_walk_version():
 
 
 def test_is_guarded_on_a_long_strict_chain():
-    # x0 x1 ... xN: a chain of DEPTH application nodes along function edges
+    # f z z ... z: a chain of DEPTH application nodes along function edges
     t = fvar("f")
     for _ in range(DEPTH):
         t = app(t, fvar("z"))
@@ -244,6 +245,12 @@ def test_render_tree_equals_the_recursive_printer():
         g = with_marker_leaves(rng, g)
         for ascii_only in (True, False):
             assert render_tree(g, ascii_only=ascii_only) == render_tree_recursive(g, ascii_only)
+
+
+def test_is_finite_iff_the_recursive_printer_opens_no_rec():
+    for g in graphs(25, 1000):
+        assert is_finite(g) == ("rec " not in render_tree_recursive(g, True))
+    assert is_finite(arg_spine(DEPTH))
 
 
 def test_render_deep_lam_nesting():
