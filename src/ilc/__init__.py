@@ -16,7 +16,6 @@ from .convergence import (
     context_via_glb,
     p_limit,
     volatile_positions,
-    weak_limit,
 )
 from .developments import (
     JoinResult,

@@ -6,6 +6,12 @@ convergence), dist (tree metric), order (comparison and glb), join
 Exit codes: 0 success, 1 parse error, 2 an Unknown or Cut leaf in the
 output, 3 bad configuration or an input too large or too deeply nested to
 process.
+
+Each call builds the argument parser anew, and argparse pays for every
+argument it adds, so ``main`` builds only the subparser that ``argv[0]``
+names.  The full parser, with all six, serves everything else: no
+arguments, ``--help``, an unknown or abbreviated command, an option before
+the command, and any error of the top-level parser.
 """
 
 from __future__ import annotations
@@ -49,6 +55,15 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_CONFIG, f"{self.prog}: error: {message}\n")
 
 
+class _Reparse(Exception):
+    """Raised by a narrow top-level parser instead of printing an error."""
+
+
+class _NarrowParser(_Parser):
+    def error(self, message):
+        raise _Reparse
+
+
 def _common_flags(p: _Parser) -> None:
     p.add_argument("--sig", default="111", help="strictness signature, three digits (default 111)")
     p.add_argument("--depth", type=int, default=16, help="depth bound (default 16)")
@@ -59,45 +74,80 @@ def _common_flags(p: _Parser) -> None:
     enc.add_argument("--unicode", dest="ascii_only", action="store_false")
 
 
-def _build_parser() -> _Parser:
-    p = _Parser(prog="ilc", description="partial-order infinitary lambda calculi")
-    sub = p.add_subparsers(dest="command", required=True)
+def _term_arg(p: _Parser) -> None:
+    p.add_argument("term")
 
-    t = sub.add_parser("tree", parents=[], help="infinitary normal form")
-    _common_flags(t)
-    t.add_argument("term")
 
-    tr = sub.add_parser("trace", help="run a reduction strategy")
-    _common_flags(tr)
-    tr.add_argument("--rules", choices=["beta", "eta", "strict", "betas", "bohm"], default="beta")
-    tr.add_argument("--strategy", choices=["lmo", "po", "d0"], default="lmo")
-    tr.add_argument("term")
+def _pair_args(p: _Parser) -> None:
+    p.add_argument("left")
+    p.add_argument("right")
 
-    d = sub.add_parser("dist", help="tree distance")
-    _common_flags(d)
-    d.add_argument("left")
-    d.add_argument("right")
 
-    o = sub.add_parser("order", help="order comparison and glb")
-    _common_flags(o)
-    o.add_argument("left")
-    o.add_argument("right")
+def _trace_args(p: _Parser) -> None:
+    p.add_argument("--rules", choices=["beta", "eta", "strict", "betas", "bohm"], default="beta")
+    p.add_argument("--strategy", choices=["lmo", "po", "d0"], default="lmo")
+    p.add_argument("term")
 
-    j = sub.add_parser("join", help="joinability of two strategies' reductions")
-    _common_flags(j)
-    j.add_argument("--rules", choices=["beta", "betas"], default="betas")
-    j.add_argument("term")
 
-    dv = sub.add_parser("dev", help="complete development of a redex set")
-    _common_flags(dv)
-    dv.add_argument(
+def _join_args(p: _Parser) -> None:
+    p.add_argument("--rules", choices=["beta", "betas"], default="betas")
+    p.add_argument("term")
+
+
+def _dev_args(p: _Parser) -> None:
+    p.add_argument(
         "--redexes",
         default="",
         help="positions as digit strings joined by commas, e.g. 'e' for the root, '1,102'",
     )
-    dv.add_argument("--all", action="store_true", help="develop every beta redex")
-    dv.add_argument("term")
+    p.add_argument("--all", action="store_true", help="develop every beta redex")
+    p.add_argument("term")
+
+
+# subcommand -> (help, the function adding its own arguments after the common flags)
+_COMMANDS = {
+    "tree": ("infinitary normal form", _term_arg),
+    "trace": ("run a reduction strategy", _trace_args),
+    "dist": ("tree distance", _pair_args),
+    "order": ("order comparison and glb", _pair_args),
+    "join": ("joinability of two strategies' reductions", _join_args),
+    "dev": ("complete development of a redex set", _dev_args),
+}
+
+
+def _build_parser(only: str | None = None) -> _Parser:
+    """The argument parser: every subcommand, or only the one named ``only``.
+
+    A parser with one subparser costs about a fifth of the full one, because
+    argparse creates a help formatter, and so reads the terminal size, in
+    every ``add_argument``.  The subparsers are the same either way, so
+    their help, usage lines and errors are too.  The top-level parser is
+    not: its help, and any message that names the subcommands, would list
+    only ``only``.  So the narrow top-level parser prints no error of its
+    own (such as unrecognized arguments after the subcommand's): it raises
+    ``_Reparse``, and the caller parses again with the full parser, which
+    reports the error as it always has.
+    """
+    top = _Parser if only is None else _NarrowParser
+    p = top(prog="ilc", description="partial-order infinitary lambda calculi")
+    sub = p.add_subparsers(dest="command", required=True, parser_class=_Parser)
+    for name, (help_text, add_args) in _COMMANDS.items():
+        if only is None or name == only:
+            s = sub.add_parser(name, help=help_text)
+            _common_flags(s)
+            add_args(s)
     return p
+
+
+def _parse_args(argv: list[str]):
+    """Parse with the narrow parser when ``argv[0]`` names a subcommand,
+    and with the full parser otherwise or when the narrow one fails."""
+    if argv and argv[0] in _COMMANDS:
+        try:
+            return _build_parser(argv[0]).parse_args(argv)
+        except _Reparse:
+            pass
+    return _build_parser().parse_args(argv)
 
 
 def _rules_for(name: str, sig, fuel: int):
@@ -149,9 +199,8 @@ def _emit(doc, args, out) -> int:
 def main(argv: list[str] | None = None, out=None, err=None) -> int:
     out = out if out is not None else sys.stdout
     err = err if err is not None else sys.stderr
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parse_args(sys.argv[1:] if argv is None else argv)
     except SystemExit as e:
         return int(e.code or 0)
     try:

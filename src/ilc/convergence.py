@@ -151,13 +151,6 @@ def analyze_m_convergence(trace: Trace) -> MVerdict:
     return MVerdict("unknown", diagnostic=diag)
 
 
-def weak_limit(trees, sig: Sig, depth: int = 16, fuel: int = 10_000) -> Approximant:
-    """Limit inferior of a sequence of trees (not of reduction contexts)."""
-    from .order import liminf_approx
-
-    return liminf_approx(sig, trees, depth, fuel)
-
-
 def analyze(trace: Trace, depth: int = 16, bound: int = 64) -> ConvergenceReport:
     m = analyze_m_convergence(trace)
     pl = p_limit(trace, depth)

@@ -2,8 +2,8 @@
 
 All computations run on the finite node graphs of regular trees.  Comparison
 and greatest lower bounds are greatest fixpoints on product graphs; least
-upper bounds of chains reduce to the maximal element (the union-of-domains
-characterisation is validated against it); limits inferior are exact for
+upper bounds of chains reduce to the maximal element (the tests check it
+against the union-of-domains construction); limits inferior are exact for
 eventually periodic sequences and honestly approximated otherwise.
 """
 
@@ -101,75 +101,81 @@ def glb(sig: Sig, ts: Sequence[Node]) -> Node:
     prefix closed and closed under taking children at strict edges whenever
     any member has them; computed as a greatest fixpoint on the product
     graph, with labels inherited from the members.
+
+    One pass collects the reachable product states; a state with a hole or
+    disagreeing labels fails.  A breadth-first search then follows the
+    forced strict edges backwards from the failing states, so every state
+    that reaches one fails too, and the cost is linear in the product graph.
+    The result is built with an explicit stack, each copy allocated before
+    its children so that cycles close, and so has no depth limit.
     """
     ts = list(ts)
     if not ts:
         raise ValueError("glb of an empty set")
     _check_inputs(sig, *ts)
 
+    def key(st: tuple[Node, ...]) -> tuple[int, ...]:
+        return tuple(map(id, st))
+
     root = tuple(ts)
-    # collect reachable product states
-    states: dict[tuple[int, ...], tuple[Node, ...]] = {}
+    seen = {key(root)}
     stack = [root]
+    failing: list[tuple[int, ...]] = []
+    forced_by: dict[tuple[int, ...], list[tuple[int, ...]]] = {}  # strict child -> parents
     while stack:
         st = stack.pop()
-        key = tuple(id(n) for n in st)
-        if key in states:
+        k = key(st)
+        n0 = st[0]
+        if any(n.kind == HOLE for n in st) or len({label(n) for n in st}) != 1:
+            failing.append(k)
             continue
-        states[key] = st
-        if all(n.kind not in (HOLE,) for n in st) and len({label(n) for n in st}) == 1:
-            n0 = st[0]
-            for i, _ in children(n0):
-                stack.append(_tuple_children(st, i))
+        for i, _ in children(n0):
+            cs = _tuple_children(st, i)
+            ck = key(cs)
+            if ck not in seen:
+                seen.add(ck)
+                stack.append(cs)
+            if sig[i] == 0 and any(c.kind != HOLE for c in cs):
+                forced_by.setdefault(ck, []).append(k)
 
-    def locally_ok(st: tuple[Node, ...]) -> bool:
-        if any(n.kind == HOLE for n in st):
-            return False
-        return len({label(n) for n in st}) == 1
-
-    ok = {key for key, st in states.items() if locally_ok(st)}
-    # greatest fixpoint: a state stays only while all forced strict children stay
-    changed = True
-    while changed:
-        changed = False
-        for key in list(ok):
-            st = states[key]
-            for i, _ in children(st[0]):
-                cs = _tuple_children(st, i)
-                if sig[i] == 0 and any(c.kind != HOLE for c in cs):
-                    ckey = tuple(id(n) for n in cs)
-                    if ckey not in ok:
-                        ok.discard(key)
-                        changed = True
-                        break
+    failed = set(failing)
+    queue = deque(failing)
+    while queue:
+        for k in forced_by.get(queue.popleft(), ()):
+            if k not in failed:
+                failed.add(k)
+                queue.append(k)
 
     memo: dict[tuple[int, ...], Node] = {}
+    todo: list[tuple[Node, tuple[Node, ...]]] = []
 
-    def build(st: tuple[Node, ...]) -> Node:
-        key = tuple(id(n) for n in st)
-        if key not in ok:
+    def copy(st: tuple[Node, ...]) -> Node:
+        k = key(st)
+        if k in failed:
             return hole()
-        if key in memo:
-            return memo[key]
-        n0 = st[0]
-        new = Node(n0.kind, n0.a, n0.b)
-        memo[key] = new
-        if n0.kind == LAM:
-            new.a = build(_tuple_children(st, 0))
-        elif n0.kind == APP:
-            new.a = build(_tuple_children(st, 1))
-            new.b = build(_tuple_children(st, 2))
+        new = memo.get(k)
+        if new is None:
+            n0 = st[0]
+            new = memo[k] = Node(n0.kind, n0.a, n0.b)
+            todo.append((new, st))
         return new
 
-    return build(root)
+    result = copy(root)
+    while todo:
+        new, st = todo.pop()
+        if new.kind == LAM:
+            new.a = copy(_tuple_children(st, 0))
+        elif new.kind == APP:
+            new.a = copy(_tuple_children(st, 1))
+            new.b = copy(_tuple_children(st, 2))
+    return result
 
 
 def lub_chain(sig: Sig, ts: Sequence[Node]) -> Node:
     """Least upper bound of a finite ascending chain.
 
     The result is the union of the domains with inherited labels; for a
-    finite chain that union is realised by the last element, which is
-    cross-checked against the explicit union construction.
+    finite chain that union is realised by the last element.
     """
     ts = list(ts)
     if not ts:
@@ -179,30 +185,6 @@ def lub_chain(sig: Sig, ts: Sequence[Node]) -> Node:
         v = tree_leq(sig, ts[k], ts[k + 1])
         if not v:
             raise ValueError(f"not a chain: element {k} is not below element {k + 1}")
-
-    # explicit union-of-domains construction over the product graph
-    memo: dict[tuple[int, ...], Node] = {}
-
-    def build(st: tuple[Node, ...]) -> Node:
-        key = tuple(id(n) for n in st)
-        if key in memo:
-            return memo[key]
-        defined = [n for n in st if n.kind != HOLE]
-        if not defined:
-            return hole()
-        n0 = defined[-1]
-        new = Node(n0.kind, n0.a, n0.b)
-        memo[key] = new
-        if n0.kind == LAM:
-            new.a = build(_tuple_children(st, 0))
-        elif n0.kind == APP:
-            new.a = build(_tuple_children(st, 1))
-            new.b = build(_tuple_children(st, 2))
-        return new
-
-    union = build(tuple(ts))
-    if not bisimilar(union, ts[-1]):
-        raise AssertionError("union of chain domains disagrees with the maximum")
     return ts[-1]
 
 

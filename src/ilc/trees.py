@@ -409,11 +409,6 @@ def term_of_tree(t: Node) -> Term:
     return go(t, [])
 
 
-def tree_of_source(text: str) -> Node:
-    """Parse either a plain term or a ``rec`` tree literal."""
-    return parse_tree(text)
-
-
 # ---------------------------------------------------------------------------
 # Positions
 

@@ -4,15 +4,17 @@ Most of this is implemented from first principles on the finite term syntax
 (or by brute-force enumeration), deliberately avoiding the library's graph
 algorithms, so that agreement is meaningful.  The round-by-round graph
 fixpoints and the recursive walkers at the end are the library's earlier
-implementations of ``canon``, of the backward-reachability sets, of
-``is_guarded`` and of ``render_tree``, kept as references for the linear,
-iterative versions that replaced them.
+implementations of ``canon``, of the backward-reachability sets, of ``glb``,
+of ``is_guarded`` and of ``render_tree``, kept as references for the linear,
+iterative versions that replaced them, and the union-of-domains
+construction that ``lub_chain`` once ran on every call as a self-check.
 """
 
 from __future__ import annotations
 
 import random
 
+from ilc.order import _check_inputs, _tuple_children
 from ilc.rewriting import _node_redex_tag
 from ilc.terms import Abs, App, Bot, Sig, Term, Var
 from ilc.trees import (
@@ -390,6 +392,96 @@ def bind_fvars_by_rounds(root: Node, mapping: dict[str, int]) -> Node:
         return new
 
     return go(root, 0)
+
+
+# ---------------------------------------------------------------------------
+# Product-graph constructions (the earlier library implementations)
+
+
+def glb_by_rounds(sig: Sig, ts: list[Node]) -> Node:
+    """``order.glb`` as a greatest fixpoint that drops failing product
+    states one pass over all states at a time, and a recursive build."""
+    ts = list(ts)
+    if not ts:
+        raise ValueError("glb of an empty set")
+    _check_inputs(sig, *ts)
+
+    root = tuple(ts)
+    states: dict[tuple[int, ...], tuple[Node, ...]] = {}
+    stack = [root]
+    while stack:
+        st = stack.pop()
+        key = tuple(id(n) for n in st)
+        if key in states:
+            continue
+        states[key] = st
+        if all(n.kind != HOLE for n in st) and len({label(n) for n in st}) == 1:
+            for i, _ in children(st[0]):
+                stack.append(_tuple_children(st, i))
+
+    def locally_ok(st: tuple[Node, ...]) -> bool:
+        if any(n.kind == HOLE for n in st):
+            return False
+        return len({label(n) for n in st}) == 1
+
+    ok = {key for key, st in states.items() if locally_ok(st)}
+    changed = True
+    while changed:
+        changed = False
+        for key in list(ok):
+            st = states[key]
+            for i, _ in children(st[0]):
+                cs = _tuple_children(st, i)
+                if sig[i] == 0 and any(c.kind != HOLE for c in cs):
+                    if tuple(id(n) for n in cs) not in ok:
+                        ok.discard(key)
+                        changed = True
+                        break
+
+    memo: dict[tuple[int, ...], Node] = {}
+
+    def build(st: tuple[Node, ...]) -> Node:
+        key = tuple(id(n) for n in st)
+        if key not in ok:
+            return hole()
+        if key in memo:
+            return memo[key]
+        n0 = st[0]
+        new = Node(n0.kind, n0.a, n0.b)
+        memo[key] = new
+        if n0.kind == LAM:
+            new.a = build(_tuple_children(st, 0))
+        elif n0.kind == APP:
+            new.a = build(_tuple_children(st, 1))
+            new.b = build(_tuple_children(st, 2))
+        return new
+
+    return build(root)
+
+
+def lub_union(ts: list[Node]) -> Node:
+    """The union of the domains of a chain, each position labelled as in
+    the last member defined there."""
+    memo: dict[tuple[int, ...], Node] = {}
+
+    def build(st: tuple[Node, ...]) -> Node:
+        key = tuple(id(n) for n in st)
+        if key in memo:
+            return memo[key]
+        defined = [n for n in st if n.kind != HOLE]
+        if not defined:
+            return hole()
+        n0 = defined[-1]
+        new = Node(n0.kind, n0.a, n0.b)
+        memo[key] = new
+        if n0.kind == LAM:
+            new.a = build(_tuple_children(st, 0))
+        elif n0.kind == APP:
+            new.a = build(_tuple_children(st, 1))
+            new.b = build(_tuple_children(st, 2))
+        return new
+
+    return build(tuple(ts))
 
 
 # ---------------------------------------------------------------------------

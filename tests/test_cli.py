@@ -1,7 +1,11 @@
+import argparse
 import io
 import json
+import sys
 
-from ilc import convergence, meaningless
+import pytest
+
+from ilc import cli, convergence, meaningless
 from ilc.cli import main
 
 
@@ -237,3 +241,113 @@ def test_tree_text_and_json_render_the_same_tree():
         '{"fuel_exhausted": false, "non_canonical": false, "sig": "111", '
         '"tree": "\\\\x0.x0 (... ...)"}\n'
     )
+
+
+def cyclic_tree(period: int, leaf: str) -> str:
+    """``rec M. \\a0.a0 leaf (\\a1.a1 leaf (... M))``: period lambdas per cycle."""
+    inner = "M"
+    for i in reversed(range(period)):
+        inner = rf"(\a{i}.a{i} {leaf} {inner})"
+    return f"rec M. {inner}"
+
+
+def test_order_on_a_long_glb_cycle():
+    # coprime periods 23 and 29: the glb is one cycle of 667 lambdas
+    code, out, err = run("order", "--ascii", "--sig", "111", cyclic_tree(23, "y"), cyclic_tree(29, "z"))
+    assert code == 0 and err == ""
+    cycle = "".join(f"\\x{i}.x{i} bot (" for i in range(666)) + "\\x666.x666 bot M0" + ")" * 666
+    assert out == f"left <= right: False\nright <= left: False\nglb: rec M0. {cycle}\n"
+
+
+# Each call builds only the subparser that argv[0] names; everything else,
+# and every error of the top-level parser, goes through the full parser.
+
+ARGV_CASES = [
+    [],
+    ["--help"],
+    ["-h"],
+    *([name, "--help"] for name in cli._COMMANDS),
+    ["frobnicate", "x"],
+    ["tre", "x"],
+    ["tree", "x", "--bogus"],
+    ["dist", "x", "y", "z"],
+    ["trace", "--rules", "nope", "x"],
+    ["join", "--rules", "eta", "x"],
+    ["order", "x"],
+    ["tree"],
+    ["tree", "--sig", "1x1", "x"],
+    ["tree", "--depth", "q", "x"],
+    ["tree", "--ascii", "--unicode", "x"],
+    ["tree", "x", "--he"],
+    ["--ascii", "tree", "x"],
+    ["--", "tree", "x"],
+    ["tree", "--ascii", r"(\x.x) y"],
+    ["trace", "--strat", "po", "--ascii", OMEGA],
+    ["dev", "--ascii", "--all", r"(\x.x) ((\z.z) a)"],
+]
+
+
+def captured(capsys, argv):
+    code = main(argv)
+    out, err = capsys.readouterr()
+    return code, out, err
+
+
+@pytest.mark.parametrize("argv", ARGV_CASES, ids=lambda argv: " ".join(argv) or "(none)")
+def test_output_equals_a_parse_by_the_full_parser(argv, monkeypatch, capsys):
+    monkeypatch.setenv("COLUMNS", "100")
+    got = captured(capsys, argv)
+    monkeypatch.setattr(cli, "_parse_args", lambda argv: cli._build_parser().parse_args(argv))
+    assert got == captured(capsys, argv)
+
+
+def test_parser_messages_are_unchanged(monkeypatch, capsys):
+    monkeypatch.setenv("COLUMNS", "100")
+    assert captured(capsys, ["tree", "x", "--bogus"]) == (
+        3, "", "ilc: error: unrecognized arguments: --bogus\n"
+    )
+    assert captured(capsys, ["tre", "x"]) == (
+        3,
+        "",
+        "ilc: error: argument command: invalid choice: 'tre' "
+        "(choose from 'tree', 'trace', 'dist', 'order', 'join', 'dev')\n",
+    )
+    code, out, err = captured(capsys, ["order", "--help"])
+    assert code == 0 and err == ""
+    assert out.startswith(
+        "usage: ilc order [-h] [--sig SIG] [--depth DEPTH] [--fuel FUEL] [--format {text,json}]\n"
+        "                 [--ascii | --unicode]\n"
+        "                 left right\n"
+    )
+
+
+def test_a_valid_command_builds_one_subparser(monkeypatch):
+    added = []
+    real = argparse._SubParsersAction.add_parser
+
+    def spy(self, name, **kwargs):
+        added.append(name)
+        return real(self, name, **kwargs)
+
+    monkeypatch.setattr(argparse._SubParsersAction, "add_parser", spy)
+    assert main(["tree", "--ascii", "x"]) == 0
+    assert added == ["tree"]
+    for name in cli._COMMANDS:
+        added.clear()
+        assert main([name, "--help"]) == 0
+        assert added == [name]
+    everything = list(cli._COMMANDS)
+    assert len(everything) == 6
+    for argv in (["--help"], ["frobnicate", "x"], []):
+        added.clear()
+        main(argv)
+        assert added == everything
+    added.clear()
+    main(["tree", "x", "--bogus"])  # the narrow parse fails, the full one reports
+    assert added == ["tree"] + everything
+
+
+def test_main_without_argv_reads_sys_argv(monkeypatch):
+    monkeypatch.setattr(sys, "argv", ["ilc", "tree", "--ascii", r"(\x.x) y"])
+    out = io.StringIO()
+    assert main(out=out) == 0 and out.getvalue() == "y\n"

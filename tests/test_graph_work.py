@@ -1,14 +1,14 @@
-"""The linear per-step graph work agrees with the round-by-round fixpoints
-it replaced, the iterative ``is_guarded`` and ``render_tree`` agree with the
-recursive walkers they replaced, and all of them finish on graphs far deeper
-than Python's stack."""
+"""The linear per-step graph work and ``glb`` agree with the round-by-round
+fixpoints they replaced, the iterative ``is_guarded`` and ``render_tree``
+agree with the recursive walkers they replaced, and all of them finish on
+graphs far deeper than Python's stack."""
 
 import random
 
 import pytest
 
 from ilc.meaningless import _collapsible, is_stable
-from ilc.order import tree_leq
+from ilc.order import glb, tree_leq
 from ilc.rewriting import Beta, BetaStrict, Eta, Strict, _redex_reachability, first_redex, redexes
 from ilc.terms import ALL_SIGS
 from ilc.trees import (
@@ -36,6 +36,7 @@ from oracles import (
     bind_fvars_by_rounds,
     canon_by_refinement,
     collapsible_by_rounds,
+    glb_by_rounds,
     is_guarded_by_walks,
     random_graph,
     redex_reachability_by_rounds,
@@ -173,6 +174,69 @@ def test_deep_argument_spine():
     assert first_redex(Beta(), t) == ((1,) * 63 + (2,), "beta")
     found = redexes(BetaStrict((1, 1, 1)), t)
     assert found == {((1,) * k + (2,), "beta") for k in range(64)}
+
+
+# ---------------------------------------------------------------------------
+# glb: a backward worklist and an iterative build
+
+
+def glb_inputs(seed: int, count: int):
+    """A random graph with an unrolled copy in which one fresh leaf may
+    change, the graph with an unrelated one, and all three together."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        g = random_graph(rng, rng.randrange(1, 12), cyclic=rng.random() < 0.7)
+        copy = unroll(g, rng.randrange(1, 4))
+        old = set(reachable(g))
+        fresh = [n for n in reachable(copy) if n not in old and n.kind in (BVAR, FVAR, HOLE)]
+        if fresh and rng.random() < 0.7:
+            n = rng.choice(fresh)
+            n.kind, n.a = rng.choice([(FVAR, "z"), (BVAR, 1), (HOLE, None)])
+        other = random_graph(rng, rng.randrange(1, 12), cyclic=rng.random() < 0.5)
+        yield [g, copy]
+        yield [g, other]
+        yield [g, copy, other]
+
+
+def test_glb_equals_the_round_by_round_version():
+    outcomes = set()
+    for ts in glb_inputs(26, 600):
+        for sig in ALL_SIGS:
+            try:
+                want = glb_by_rounds(sig, ts)
+            except ValueError as e:
+                with pytest.raises(ValueError, match=str(e)):
+                    glb(sig, ts)
+                outcomes.add("rejected")
+                continue
+            got = glb(sig, ts)
+            assert bisimilar(got, want)
+            rendered = render_tree(got, ascii_only=True)
+            assert rendered == render_tree(want, ascii_only=True)
+            outcomes.add("bot" if got.kind == HOLE else "partial" if "bot" in rendered else "total")
+    assert outcomes == {"rejected", "bot", "partial", "total"}
+
+
+def fun_chain(length: int, leaf: str):
+    """``f (f (... leaf))`` with ``length`` applications of ``f``."""
+    t = fvar(leaf)
+    for _ in range(length):
+        t = app(fvar("f"), t)
+    return t
+
+
+def test_glb_of_a_long_chain():
+    n = 10**4
+    # under 000 every argument edge is strict, so the x/y disagreement at
+    # the bottom removes every state above it
+    assert glb((0, 0, 0), [fun_chain(n, "x"), fun_chain(n, "y")]).kind == HOLE
+    # under 111 nothing is forced: the glb is the chain ending in bot
+    g = glb((1, 1, 1), [fun_chain(n, "x"), fun_chain(n, "y")])
+    length = 0
+    while g.kind == APP:
+        assert (g.a.kind, g.a.a) == (FVAR, "f")
+        g, length = g.b, length + 1
+    assert length == n and g.kind == HOLE
 
 
 # ---------------------------------------------------------------------------

@@ -7,13 +7,14 @@ from ilc.terms import ALL_SIGS, parse_sig, parse_term, term_leq
 from ilc.trees import (
     bisimilar,
     hole,
+    is_guarded,
     parse_tree,
     render_tree,
     term_of_tree,
     tree_of_term,
     truncate,
 )
-from oracles import lower_bounds, random_term
+from oracles import lower_bounds, lub_union, random_graph, random_term
 
 
 def T(src):
@@ -85,6 +86,21 @@ def test_lub_chain():
     assert bisimilar(lub_chain(sig, chain), chain[-1])
     with pytest.raises(ValueError):
         lub_chain(sig, [T("x"), T("y")])
+
+
+def test_lub_chain_is_the_union_of_the_domains():
+    rng = random.Random(27)
+    chains = 0
+    for _ in range(300):
+        g = random_graph(rng, rng.randrange(1, 12))
+        for sig in ALL_SIGS:
+            if not is_guarded(sig, g):
+                continue
+            depths = sorted(rng.sample(range(8), 3))
+            chain = [truncate(sig, g, d) for d in depths] + [g]
+            assert bisimilar(lub_union(chain), lub_chain(sig, chain))
+            chains += 1
+    assert chains > 1000
 
 
 def test_liminf_of_lasso_and_list():
