@@ -35,6 +35,7 @@ from .trees import (
     LAM,
     UNKNOWN,
     Node,
+    agree_where_defined,
     bisimilar,
     bvar,
     canon,
@@ -43,7 +44,6 @@ from .trees import (
     hole,
     in_dom,
     is_guarded,
-    label,
     max_bvar_index,
     node_at,
 )
@@ -362,39 +362,44 @@ def path_labels(sig: Sig, rs: RedexSet, state_limit: int = 100_000) -> Node:
                 return ("leaf", bvar(above))
             return ("emit", mk_state(n, env, rel))
 
+    # the result is built with an explicit stack, each node allocated as a
+    # Hole before its state is resolved, so that result cycles close
     memo: dict[tuple, Node] = {}
+    todo: list[tuple[Node, tuple]] = []
 
-    def build(st: tuple) -> Node:
+    def node_for(st: tuple) -> Node:
         st = mk_state(*st)
         k = key(st)
-        if k in memo:
-            return memo[k]
-        if len(memo) > state_limit:
-            raise RuntimeError("path-state graph exceeded its size limit")
-        out = Node(HOLE)
-        memo[k] = out
+        out = memo.get(k)
+        if out is None:
+            if len(memo) > state_limit:
+                raise RuntimeError("path-state graph exceeded its size limit")
+            out = memo[k] = Node(HOLE)
+            todo.append((out, st))
+        return out
+
+    result = node_for((rs.tree, (), us))
+    while todo:
+        out, st = todo.pop()
         r = resolve(st)
         if r[0] == "div":
-            return out  # a diverging silent cycle: bottom
+            continue  # a diverging silent cycle: bottom
         if r[0] == "leaf":
             leaf = r[1]
             out.kind, out.a, out.b = leaf.kind, leaf.a, leaf.b
-            return out
+            continue
         n, env, rel = r[1]
         if n.kind in (FVAR, HOLE, BVAR):
             out.kind, out.a, out.b = n.kind, n.a, n.b
         elif n.kind == LAM:
             out.kind = LAM
-            out.a = build((n.a, env + (("b",),), suffixes(rel, 0)))
+            out.a = node_for((n.a, env + (("b",),), suffixes(rel, 0)))
         elif n.kind == APP:
             out.kind = APP
-            out.a = build((n.a, env, suffixes(rel, 1)))
-            out.b = build((n.b, env, suffixes(rel, 2)))
+            out.a = node_for((n.a, env, suffixes(rel, 1)))
+            out.b = node_for((n.b, env, suffixes(rel, 2)))
         else:
             raise TypeError(n.kind)
-        return out
-
-    result = build((rs.tree, (), us))
     result = _unguarded_to_hole(sig, result)
     return strict_nf(sig, result)
 
@@ -556,27 +561,6 @@ def _beta_normalize(sig: Sig, tree: Node, fuel: int, depth: int) -> Node:
     return cur
 
 
-def _compare(a: Node, b: Node) -> JoinResult:
-    incomplete = False
-    seen: set[tuple[int, int]] = set()
-    stack = [(a, b)]
-    while stack:
-        x, y = stack.pop()
-        if (id(x), id(y)) in seen:
-            continue
-        seen.add((id(x), id(y)))
-        if x.kind in (CUT, UNKNOWN) or y.kind in (CUT, UNKNOWN):
-            incomplete = True
-            continue
-        if label(x) != label(y):
-            return JoinResult("failed", detail="the normal forms disagree")
-        for (_, cx), (_, cy) in zip(children(x), children(y)):
-            stack.append((cx, cy))
-    if incomplete:
-        return JoinResult("unknown", detail="undetermined leaves prevent a verdict")
-    return JoinResult("joined", a)
-
-
 def joinability(
     sig: Sig,
     t: Node,
@@ -605,4 +589,9 @@ def joinability(
                 return JoinResult("unknown", detail="an endpoint limit is undetermined")
             ap = bohm_tree(sig, end, depth, fuel)
             norms.append(ap.tree)
-    return _compare(norms[0], norms[1])
+    agree = agree_where_defined(norms[0], norms[1])
+    if agree is False:
+        return JoinResult("failed", detail="the normal forms disagree")
+    if agree is None:
+        return JoinResult("unknown", detail="undetermined leaves prevent a verdict")
+    return JoinResult("joined", norms[0])

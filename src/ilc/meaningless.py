@@ -29,7 +29,6 @@ from .trees import (
     bisimilar,
     canon,
     children,
-    close_subtree,
     bind_fvars,
     bvar,
     cut,
@@ -38,9 +37,11 @@ from .trees import (
     is_guarded,
     lam,
     map_graph,
+    max_bvar_index,
     node_at,
     reachable,
     reaching,
+    transform,
     tree_of_term,
     unknown,
 )
@@ -363,17 +364,16 @@ def bohm_tree(
         return emit(v.witness, d, [])
 
     def extract(c: Node, local: list[int], d: int) -> Node:
-        cc = close_subtree(c, "__t")
-
-        def rename(n: Node) -> Node | None:
-            if n.kind == FVAR and n.a.startswith("__t"):
-                e = int(n.a[3:])
+        # an index escaping c names the binder local[-1 - e]
+        def escape(n: Node, k: int) -> Node | None:
+            if n.kind == BVAR and n.a >= k:
+                e = n.a - k
                 if e >= len(local):
                     raise ValueError("a bound variable escapes the input tree")
                 return fvar(f"__b{local[-1 - e]}")
             return None
 
-        return norm(map_graph(cc, rename), d + 1)
+        return norm(transform(c, escape, cap=max_bvar_index(c) + 1), d + 1)
 
     def emit(n: Node, d: int, local: list[int]) -> Node:
         if n.kind in (HOLE, BVAR, FVAR):

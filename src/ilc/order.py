@@ -253,19 +253,32 @@ def _liminf_window(sig: Sig, it: Iterator[Node], depth: int, fuel: int) -> Appro
 
 
 def _mark_unstable(cur: Node, prev: Node | None) -> Node:
-    """Replace subtrees where the last two candidates disagreed by Unknown."""
+    """Replace subtrees where the last two candidates disagreed by Unknown.
+
+    The copy walks pairs of nodes with an explicit stack, each pair once,
+    allocating each copy before its children as ``glb`` does.
+    """
     if prev is None:
         return unknown()
+    memo: dict[tuple[Node, Node], Node] = {}
+    todo: list[tuple[Node, Node, Node]] = []
 
-    def go(x: Node, y: Node) -> Node:
-        if label(x) != label(y):
-            return unknown()
-        new = Node(x.kind, x.a, x.b)
-        if x.kind == LAM:
-            new.a = go(x.a, y.a)
-        elif x.kind == APP:
-            new.a = go(x.a, y.a)
-            new.b = go(x.b, y.b)
+    def copy(x: Node, y: Node) -> Node:
+        new = memo.get((x, y))
+        if new is None:
+            if label(x) != label(y):
+                new = unknown()
+            else:
+                new = Node(x.kind, x.a, x.b)
+                if x.kind == LAM or x.kind == APP:
+                    todo.append((new, x, y))
+            memo[x, y] = new
         return new
 
-    return go(cur, prev)
+    result = copy(cur, prev)
+    while todo:
+        new, x, y = todo.pop()
+        new.a = copy(x.a, y.a)
+        if new.kind == APP:
+            new.b = copy(x.b, y.b)
+    return result

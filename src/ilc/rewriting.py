@@ -35,6 +35,7 @@ from .trees import (
     reaching,
     render_tree,
     parse_tree,
+    transform,
 )
 
 
@@ -102,108 +103,49 @@ def shift(root: Node, by: int, cutoff: int = 0) -> Node:
     """Add ``by`` to all de Bruijn indices >= cutoff."""
     if by == 0:
         return root
-    cap = max_bvar_index(root) + 1
-    memo: dict[tuple[int, int], Node] = {}
 
-    def go(n: Node, c: int) -> Node:
-        c = min(c, cap)
-        key = (id(n), c)
-        if key in memo:
-            return memo[key]
-        if n.kind == BVAR:
-            out = bvar(n.a + by) if n.a >= c else n
-            memo[key] = out
-            return out
-        new = Node(n.kind, n.a, n.b)
-        memo[key] = new
-        if n.kind == LAM:
-            new.a = go(n.a, c + 1)
-        elif n.kind == APP:
-            new.a = go(n.a, c)
-            new.b = go(n.b, c)
-        return new
+    def up(n: Node, c: int) -> Node | None:
+        return bvar(n.a + by) if n.kind == BVAR and n.a >= c else None
 
-    return go(root, cutoff)
+    return transform(root, up, cap=max_bvar_index(root) + 1, depth=cutoff)
 
 
 def substitute(body: Node, arg: Node) -> Node:
     """Replace index 0 of ``body`` by ``arg`` (and shift the rest down)."""
-    cap = max_bvar_index(body) + 1
-    memo: dict[tuple[int, int], Node] = {}
 
-    def go(n: Node, d: int) -> Node:
-        d = min(d, cap)
-        key = (id(n), d)
-        if key in memo:
-            return memo[key]
+    def put(n: Node, d: int) -> Node | None:
         if n.kind == BVAR:
             if n.a == d:
-                out = shift(arg, d)
-            elif n.a > d:
-                out = bvar(n.a - 1)
-            else:
-                out = n
-            memo[key] = out
-            return out
-        new = Node(n.kind, n.a, n.b)
-        memo[key] = new
-        if n.kind == LAM:
-            new.a = go(n.a, d + 1)
-        elif n.kind == APP:
-            new.a = go(n.a, d)
-            new.b = go(n.b, d)
-        return new
+                return shift(arg, d)
+            if n.a > d:
+                return bvar(n.a - 1)
+        return None
 
-    return go(body, 0)
+    return transform(body, put, cap=max_bvar_index(body) + 1)
 
 
 def unshift_free(root: Node) -> Node:
     """Shift free indices down by one (used by eta; index 0 must not occur)."""
-    cap = max_bvar_index(root) + 1
-    memo: dict[tuple[int, int], Node] = {}
 
-    def go(n: Node, c: int) -> Node:
-        c = min(c, cap)
-        key = (id(n), c)
-        if key in memo:
-            return memo[key]
+    def down(n: Node, c: int) -> Node | None:
         if n.kind == BVAR:
             if n.a == c:
                 raise ValueError("eta: the bound variable occurs in the function")
-            out = bvar(n.a - 1) if n.a > c else n
-            memo[key] = out
-            return out
-        new = Node(n.kind, n.a, n.b)
-        memo[key] = new
-        if n.kind == LAM:
-            new.a = go(n.a, c + 1)
-        elif n.kind == APP:
-            new.a = go(n.a, c)
-            new.b = go(n.b, c)
-        return new
+            if n.a > c:
+                return bvar(n.a - 1)
+        return None
 
-    return go(root, 0)
+    return transform(root, down, cap=max_bvar_index(root) + 1)
 
 
 def occurs_index(root: Node, index: int) -> bool:
     """Does de Bruijn index ``index`` (relative to the root) occur free?"""
-    cap = max_bvar_index(root) + 1
-    seen: set[tuple[int, int]] = set()
 
-    def go(n: Node, k: int) -> bool:
-        k = min(k, cap)
-        if (id(n), k) in seen:
-            return False
-        seen.add((id(n), k))
-        if n.kind == BVAR:
-            return n.a == k
-        if n.kind == LAM:
-            return go(n.a, k + 1)
-        if n.kind == APP:
-            return go(n.a, k) or go(n.b, k)
-        return False
+    def hit(n: Node, k: int) -> Node | None:
+        return n if n.kind == BVAR and n.a == k else None
 
-    return go(root, index)
+    found = transform(root, hit, cap=max_bvar_index(root) + 1, depth=index, copy=False)
+    return found is not None
 
 
 # ---------------------------------------------------------------------------

@@ -12,6 +12,7 @@ metric, or rewrite operations.
 
 from __future__ import annotations
 
+import math
 from collections import deque
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -352,6 +353,32 @@ def bisimilar(s: Node, t: Node) -> bool:
     return True
 
 
+def agree_where_defined(s: Node, t: Node) -> bool | None:
+    """Do the unfoldings agree wherever neither has a Cut or Unknown leaf?
+
+    False if some position reached through agreeing labels disagrees; None
+    if none does but a Cut or Unknown leaf left a position undecided; True
+    otherwise, when the trees are bisimilar.
+    """
+    undecided = False
+    seen: set[tuple[Node, Node]] = set()
+    stack = [(s, t)]
+    while stack:
+        pair = stack.pop()
+        if pair in seen:
+            continue
+        seen.add(pair)
+        x, y = pair
+        if x.kind in (CUT, UNKNOWN) or y.kind in (CUT, UNKNOWN):
+            undecided = True
+            continue
+        if label(x) != label(y):
+            return False
+        for (_, a), (_, b) in zip(children(x), children(y)):
+            stack.append((a, b))
+    return None if undecided else True
+
+
 # ---------------------------------------------------------------------------
 # Conversions to and from terms
 
@@ -490,30 +517,69 @@ def dom_positions(t: Node, max_len: int) -> list[Position]:
 # Graph transformations
 
 
-def map_graph(root: Node, leaf_fn) -> Node:
-    """Copy the graph, letting ``leaf_fn(node)`` replace leaves (or return
-    None to keep them).  Interior structure and cycles are preserved."""
-    memo: dict[int, Node] = {}
+def transform(root: Node, leaf, step=(1, 0, 0), cap=None, depth=0, copy=True):
+    """Copy the graph below ``root``, walking (node, depth) states.
 
-    def go(n: Node) -> Node:
-        if id(n) in memo:
-            return memo[id(n)]
-        r = leaf_fn(n)
-        if r is not None:
-            memo[id(n)] = r
-            return r
-        new = Node(n.kind)
-        memo[id(n)] = new
-        if n.kind == LAM:
-            new.a = go(n.a)
-        elif n.kind == APP:
-            new.a = go(n.a)
-            new.b = go(n.b)
+    The walk starts in state ``(root, depth)`` and crosses edge ``i`` with
+    the depth raised by ``step[i]``: ``(1, 0, 0)`` counts the binders
+    crossed, as de Bruijn indices need.  A depth above ``cap`` counts as
+    ``cap``, which bounds the states of a cyclic graph.  Each state is
+    visited once: ``leaf(n, d)`` returns the node that replaces it, or None
+    to share a leaf and to copy an interior node, whose children's states
+    are walked in turn.  A copy is allocated before its children are filled
+    in, so cycles close, and the walk keeps an explicit stack, so it has no
+    depth limit.
+
+    With ``copy`` false nothing is built: the walk returns the first
+    replacement that ``leaf`` offers, or None if it offers none.
+    """
+    body, fun, arg = step
+    top = math.inf if cap is None else cap
+    start = (root, min(depth, top))
+    memo: dict[tuple[Node, int], Node] = {}
+    interior: list[tuple[Node, Node, int]] = []  # copies whose children are unset
+    stack = [start]
+    while stack:
+        state = stack.pop()
+        if state in memo:
+            continue
+        n, d = state
+        out = leaf(n, d)
+        if out is None:
+            out = n
+            kind = n.kind
+            if kind == APP or kind == LAM:
+                if kind == APP:
+                    e = d + arg
+                    stack.append((n.b, e if e < top else top))
+                    e = d + fun
+                else:
+                    e = d + body
+                stack.append((n.a, e if e < top else top))
+                if copy:
+                    out = Node(kind)
+                    interior.append((out, n, d))
+        elif not copy:
+            return out
+        memo[state] = out
+    if not copy:
+        return None
+    for out, n, d in interior:
+        if out.kind == APP:
+            e = d + fun
+            out.a = memo[n.a, e if e < top else top]
+            e = d + arg
+            out.b = memo[n.b, e if e < top else top]
         else:
-            new.a, new.b = n.a, n.b
-        return new
+            e = d + body
+            out.a = memo[n.a, e if e < top else top]
+    return memo[start]
 
-    return go(root)
+
+def map_graph(root: Node, leaf_fn) -> Node:
+    """Copy the graph, letting ``leaf_fn(node)`` replace nodes (or return
+    None to keep leaves).  Interior structure and cycles are preserved."""
+    return transform(root, lambda n, d: leaf_fn(n), (0, 0, 0))
 
 
 def subtree_at(t: Node, p: Position, escape_prefix: str = "_e") -> Node:
@@ -525,33 +591,13 @@ def subtree_at(t: Node, p: Position, escape_prefix: str = "_e") -> Node:
 
 def close_subtree(n: Node, escape_prefix: str = "_e") -> Node:
     """Replace de Bruijn indices escaping ``n`` by fresh free variables."""
-    cap = max_bvar_index(n) + 1
-    memo: dict[tuple[int, int], Node] = {}
 
-    def go(m: Node, d: int) -> Node:
-        d = min(d, cap)
-        key = (id(m), d)
-        if key in memo:
-            return memo[key]
-        if m.kind == BVAR:
-            out = m if m.a < d else fvar(f"{escape_prefix}{m.a - d}")
-            memo[key] = out
-            return out
-        if m.kind == LAM:
-            new = Node(LAM)
-            memo[key] = new
-            new.a = go(m.a, d + 1)
-            return new
-        if m.kind == APP:
-            new = Node(APP)
-            memo[key] = new
-            new.a = go(m.a, d)
-            new.b = go(m.b, d)
-            return new
-        memo[key] = m
-        return m
+    def escape(m: Node, d: int) -> Node | None:
+        if m.kind == BVAR and m.a >= d:
+            return fvar(f"{escape_prefix}{m.a - d}")
+        return None
 
-    return go(n, 0)
+    return transform(n, escape, cap=max_bvar_index(n) + 1)
 
 
 def bind_fvars(root: Node, mapping: dict[str, int]) -> Node:
@@ -562,31 +608,20 @@ def bind_fvars(root: Node, mapping: dict[str, int]) -> Node:
     # nodes that cannot reach a mapped free variable are shared untouched
     nodes = reachable(root)
     relevant = reaching(nodes, lambda n: n.kind == FVAR and n.a in mapping)
-    memo: dict[tuple[int, int], Node] = {}
-    limit = 4 * len(nodes) + max(mapping.values(), default=0) + 8
+    # a path that crosses more lambdas than there are repeats one, and so
+    # runs around a cycle that raises the depth without bound
+    lambdas = sum(n.kind == LAM for n in relevant)
 
-    def go(m: Node, d: int) -> Node:
+    def rebind(m: Node, d: int) -> Node | None:
         if m not in relevant:
             return m
-        if d > limit:
+        if d > lambdas:
             raise ValueError("cannot rebind a variable occurring at unbounded depth")
-        key = (id(m), d)
-        if key in memo:
-            return memo[key]
-        if m.kind == FVAR:
-            out = bvar(mapping[m.a] + d) if m.a in mapping else m
-            memo[key] = out
-            return out
-        new = Node(m.kind, m.a, m.b)
-        memo[key] = new
-        if m.kind == LAM:
-            new.a = go(m.a, d + 1)
-        elif m.kind == APP:
-            new.a = go(m.a, d)
-            new.b = go(m.b, d)
-        return new
+        if m.kind == FVAR:  # a relevant leaf is a mapped free variable
+            return bvar(mapping[m.a] + d)
+        return None
 
-    return go(root, 0)
+    return transform(root, rebind)
 
 
 # ---------------------------------------------------------------------------
@@ -607,20 +642,14 @@ def is_guarded(sig: Sig, t: Node) -> bool:
 
 
 def truncate(sig: Sig, t: Node, d: int) -> Node:
-    """Restriction of the tree to positions of depth < d (a finite tree)."""
+    """Restriction of the tree to positions of depth < d (a finite tree).
+
+    Guardedness makes every cycle raise the depth, so the walk's depth cap
+    ``d``, where every state becomes a Hole, leaves no cycle in the copy.
+    """
     if not is_guarded(sig, t):
         raise ValueError("cannot truncate an unguarded tree")
-
-    def go(n: Node, depth: int) -> Node:
-        if depth >= d:
-            return hole()
-        if n.kind == LAM:
-            return lam(go(n.a, depth + sig[0]))
-        if n.kind == APP:
-            return app(go(n.a, depth + sig[1]), go(n.b, depth + sig[2]))
-        return Node(n.kind, n.a, n.b)
-
-    return go(t, 0)
+    return transform(t, lambda n, k: hole() if k >= d else None, sig, cap=d)
 
 
 def tree_distance(sig: Sig, s: Node, t: Node) -> Fraction:

@@ -5,9 +5,11 @@ Most of this is implemented from first principles on the finite term syntax
 algorithms, so that agreement is meaningful.  The round-by-round graph
 fixpoints and the recursive walkers at the end are the library's earlier
 implementations of ``canon``, of the backward-reachability sets, of ``glb``,
-of ``is_guarded`` and of ``render_tree``, kept as references for the linear,
-iterative versions that replaced them, and the union-of-domains
-construction that ``lub_chain`` once ran on every call as a self-check.
+of ``is_guarded``, of ``render_tree``, of the eight de Bruijn and copying
+walkers (``bind_fvars`` among the fixpoints) and of ``_mark_unstable``, kept
+as references for the linear, iterative versions that replaced them, and the
+union-of-domains construction that ``lub_chain`` once ran on every call as a
+self-check.
 """
 
 from __future__ import annotations
@@ -32,9 +34,12 @@ from ilc.trees import (
     fvar,
     has_kind,
     hole,
+    is_guarded,
     label,
     lam,
+    max_bvar_index,
     reachable,
+    unknown,
 )
 
 # ---------------------------------------------------------------------------
@@ -572,3 +577,204 @@ def render_tree_recursive(t: Node, ascii_only: bool = False) -> str:
         raise TypeError(n.kind)
 
     return go(t, [], "top")
+
+
+def map_graph_recursive(root: Node, leaf_fn) -> Node:
+    """``trees.map_graph`` as a recursive copy memoised on node ids."""
+    memo: dict[int, Node] = {}
+
+    def go(n: Node) -> Node:
+        if id(n) in memo:
+            return memo[id(n)]
+        r = leaf_fn(n)
+        if r is not None:
+            memo[id(n)] = r
+            return r
+        new = Node(n.kind)
+        memo[id(n)] = new
+        if n.kind == LAM:
+            new.a = go(n.a)
+        elif n.kind == APP:
+            new.a = go(n.a)
+            new.b = go(n.b)
+        else:
+            new.a, new.b = n.a, n.b
+        return new
+
+    return go(root)
+
+
+def close_subtree_recursive(n: Node, escape_prefix: str = "_e") -> Node:
+    """``trees.close_subtree`` as a recursive copy."""
+    cap = max_bvar_index(n) + 1
+    memo: dict[tuple[int, int], Node] = {}
+
+    def go(m: Node, d: int) -> Node:
+        d = min(d, cap)
+        key = (id(m), d)
+        if key in memo:
+            return memo[key]
+        if m.kind == BVAR:
+            out = m if m.a < d else fvar(f"{escape_prefix}{m.a - d}")
+            memo[key] = out
+            return out
+        if m.kind == LAM:
+            new = Node(LAM)
+            memo[key] = new
+            new.a = go(m.a, d + 1)
+            return new
+        if m.kind == APP:
+            new = Node(APP)
+            memo[key] = new
+            new.a = go(m.a, d)
+            new.b = go(m.b, d)
+            return new
+        memo[key] = m
+        return m
+
+    return go(n, 0)
+
+
+def truncate_recursive(sig: Sig, t: Node, d: int) -> Node:
+    """``trees.truncate`` as a recursive copy of the unfolding."""
+    if not is_guarded(sig, t):
+        raise ValueError("cannot truncate an unguarded tree")
+
+    def go(n: Node, depth: int) -> Node:
+        if depth >= d:
+            return hole()
+        if n.kind == LAM:
+            return lam(go(n.a, depth + sig[0]))
+        if n.kind == APP:
+            return app(go(n.a, depth + sig[1]), go(n.b, depth + sig[2]))
+        return Node(n.kind, n.a, n.b)
+
+    return go(t, 0)
+
+
+def shift_recursive(root: Node, by: int, cutoff: int = 0) -> Node:
+    """``rewriting.shift`` as a recursive copy."""
+    if by == 0:
+        return root
+    cap = max_bvar_index(root) + 1
+    memo: dict[tuple[int, int], Node] = {}
+
+    def go(n: Node, c: int) -> Node:
+        c = min(c, cap)
+        key = (id(n), c)
+        if key in memo:
+            return memo[key]
+        if n.kind == BVAR:
+            out = bvar(n.a + by) if n.a >= c else n
+            memo[key] = out
+            return out
+        new = Node(n.kind, n.a, n.b)
+        memo[key] = new
+        if n.kind == LAM:
+            new.a = go(n.a, c + 1)
+        elif n.kind == APP:
+            new.a = go(n.a, c)
+            new.b = go(n.b, c)
+        return new
+
+    return go(root, cutoff)
+
+
+def substitute_recursive(body: Node, arg: Node) -> Node:
+    """``rewriting.substitute`` as a recursive copy."""
+    cap = max_bvar_index(body) + 1
+    memo: dict[tuple[int, int], Node] = {}
+
+    def go(n: Node, d: int) -> Node:
+        d = min(d, cap)
+        key = (id(n), d)
+        if key in memo:
+            return memo[key]
+        if n.kind == BVAR:
+            if n.a == d:
+                out = shift_recursive(arg, d)
+            elif n.a > d:
+                out = bvar(n.a - 1)
+            else:
+                out = n
+            memo[key] = out
+            return out
+        new = Node(n.kind, n.a, n.b)
+        memo[key] = new
+        if n.kind == LAM:
+            new.a = go(n.a, d + 1)
+        elif n.kind == APP:
+            new.a = go(n.a, d)
+            new.b = go(n.b, d)
+        return new
+
+    return go(body, 0)
+
+
+def unshift_free_recursive(root: Node) -> Node:
+    """``rewriting.unshift_free`` as a recursive copy."""
+    cap = max_bvar_index(root) + 1
+    memo: dict[tuple[int, int], Node] = {}
+
+    def go(n: Node, c: int) -> Node:
+        c = min(c, cap)
+        key = (id(n), c)
+        if key in memo:
+            return memo[key]
+        if n.kind == BVAR:
+            if n.a == c:
+                raise ValueError("eta: the bound variable occurs in the function")
+            out = bvar(n.a - 1) if n.a > c else n
+            memo[key] = out
+            return out
+        new = Node(n.kind, n.a, n.b)
+        memo[key] = new
+        if n.kind == LAM:
+            new.a = go(n.a, c + 1)
+        elif n.kind == APP:
+            new.a = go(n.a, c)
+            new.b = go(n.b, c)
+        return new
+
+    return go(root, 0)
+
+
+def occurs_index_recursive(root: Node, index: int) -> bool:
+    """``rewriting.occurs_index`` as a recursive search."""
+    cap = max_bvar_index(root) + 1
+    seen: set[tuple[int, int]] = set()
+
+    def go(n: Node, k: int) -> bool:
+        k = min(k, cap)
+        if (id(n), k) in seen:
+            return False
+        seen.add((id(n), k))
+        if n.kind == BVAR:
+            return n.a == k
+        if n.kind == LAM:
+            return go(n.a, k + 1)
+        if n.kind == APP:
+            return go(n.a, k) or go(n.b, k)
+        return False
+
+    return go(root, index)
+
+
+def mark_unstable_recursive(cur: Node, prev: Node | None) -> Node:
+    """``order._mark_unstable`` as a recursive copy of the unfolding, for
+    finite trees."""
+    if prev is None:
+        return unknown()
+
+    def go(x: Node, y: Node) -> Node:
+        if label(x) != label(y):
+            return unknown()
+        new = Node(x.kind, x.a, x.b)
+        if x.kind == LAM:
+            new.a = go(x.a, y.a)
+        elif x.kind == APP:
+            new.a = go(x.a, y.a)
+            new.b = go(x.b, y.b)
+        return new
+
+    return go(cur, prev)

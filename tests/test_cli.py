@@ -141,6 +141,22 @@ def test_deeply_nested_input_never_escapes_the_exit_codes():
         assert err.startswith("ilc: ")
 
 
+def test_dev_all_on_a_long_argument_spine():
+    # the S-normalization and the path-label build copy the whole spine
+    spine = "f" + " z" * 1000
+    code, out, err = run("dev", "--all", "--ascii", spine)
+    assert code == 0 and err == ""
+    assert out == f"develop: {spine}\npath labels: {spine}\nagree: True\n"
+
+
+def test_tree_on_a_long_argument_spine():
+    # under 111 every function side is closed off and normalized one level
+    # down, so the spine is copied at each of the 16 levels
+    code, out, err = run("tree", "--ascii", "f" + " z" * 10**4)
+    assert code == 2 and err == ""
+    assert out == "... ..." + " z" * 15 + "\n"
+
+
 # Each subcommand renders only the form it prints; one process may call
 # main() many times.
 

@@ -1,15 +1,29 @@
 """The linear per-step graph work and ``glb`` agree with the round-by-round
-fixpoints they replaced, the iterative ``is_guarded`` and ``render_tree``
-agree with the recursive walkers they replaced, and all of them finish on
-graphs far deeper than Python's stack."""
+fixpoints they replaced; the iterative ``is_guarded`` and ``render_tree``,
+the eight walkers built on ``trees.transform`` and ``_mark_unstable`` agree
+with the recursive versions they replaced; and all of them finish on graphs
+far deeper than Python's stack, open and closed into cycles."""
 
 import random
+import sys
 
 import pytest
 
 from ilc.meaningless import _collapsible, is_stable
-from ilc.order import glb, tree_leq
-from ilc.rewriting import Beta, BetaStrict, Eta, Strict, _redex_reachability, first_redex, redexes
+from ilc.order import _mark_unstable, glb, liminf_approx, tree_leq
+from ilc.rewriting import (
+    Beta,
+    BetaStrict,
+    Eta,
+    Strict,
+    _redex_reachability,
+    first_redex,
+    occurs_index,
+    redexes,
+    shift,
+    substitute,
+    unshift_free,
+)
 from ilc.terms import ALL_SIGS
 from ilc.trees import (
     APP,
@@ -23,25 +37,37 @@ from ilc.trees import (
     bisimilar,
     bvar,
     canon,
+    close_subtree,
     cut,
     fvar,
+    hole,
     is_finite,
     is_guarded,
     lam,
+    map_graph,
     reachable,
     render_tree,
+    truncate,
     unknown,
 )
 from oracles import (
     bind_fvars_by_rounds,
     canon_by_refinement,
+    close_subtree_recursive,
     collapsible_by_rounds,
     glb_by_rounds,
     is_guarded_by_walks,
+    map_graph_recursive,
+    mark_unstable_recursive,
+    occurs_index_recursive,
     random_graph,
     redex_reachability_by_rounds,
     render_tree_recursive,
+    shift_recursive,
+    substitute_recursive,
+    truncate_recursive,
     unroll,
+    unshift_free_recursive,
 )
 
 RULES = [Beta(), Eta()] + [r(sig) for sig in ALL_SIGS for r in (Strict, BetaStrict)]
@@ -112,17 +138,18 @@ def test_collapsible_equals_the_fixpoint():
 
 def test_bind_fvars_equals_the_fixpoint_version():
     originals = 0
-    for g in graphs(13, 300):
+    for g in graphs(13, 1000):
         before = ids(reachable(g))
         for mapping in ({"x": 0}, {"x": 1, "y": 0}):
             try:
                 want = bind_fvars_by_rounds(g, mapping)
-            except ValueError:
-                with pytest.raises(ValueError):
+            except ValueError as e:
+                with pytest.raises(ValueError, match=str(e)):
                     bind_fvars(g, mapping)
                 continue
             got = bind_fvars(g, mapping)
             assert canon(got) == canon(want)
+            assert render_tree(got, ascii_only=True) == render_tree(want, ascii_only=True)
             # the same untouched nodes are shared with the input
             shared = ids(reachable(got)) & before
             assert shared == ids(reachable(want)) & before
@@ -334,3 +361,246 @@ def test_render_deep_lam_nesting():
 def test_render_deep_argument_spine():
     want = "f" + " ((\\x0.x0) z)" * DEPTH
     assert render_tree(arg_spine(DEPTH), ascii_only=True) == want
+
+
+# ---------------------------------------------------------------------------
+# The walkers built on trees.transform, and _mark_unstable, against the
+# recursive versions they replaced
+
+
+def outcome(walk, *args):
+    """The walk's result, or the type and message of its ValueError."""
+    try:
+        return walk(*args)
+    except ValueError as e:
+        return type(e), str(e)
+
+
+def agree(walk, oracle, *args) -> str:
+    """Assert the same outcome: a bisimilar result that renders the same, or
+    the same error; returns which it was."""
+    want, got = outcome(oracle, *args), outcome(walk, *args)
+    if isinstance(want, tuple):
+        assert got == want
+        return "error"
+    assert not isinstance(got, tuple), got
+    assert bisimilar(got, want)
+    assert render_tree(got, ascii_only=True) == render_tree(want, ascii_only=True)
+    return "tree"
+
+
+def test_de_bruijn_walkers_equal_the_recursive_versions():
+    rng = random.Random(31)
+    seen = set()
+    for g in graphs(32, 1000):
+        arg = random_graph(rng, rng.randrange(1, 6), cyclic=rng.random() < 0.5)
+        by, k = rng.randrange(3), rng.randrange(3)
+        agree(shift, shift_recursive, g, by, k)
+        agree(substitute, substitute_recursive, g, arg)
+        agree(close_subtree, close_subtree_recursive, g)
+        seen.add(("unshift_free", agree(unshift_free, unshift_free_recursive, g)))
+        found = occurs_index(g, k)
+        assert found == occurs_index_recursive(g, k)
+        seen.add(("occurs_index", found))
+    assert seen == {
+        ("unshift_free", "tree"),
+        ("unshift_free", "error"),
+        ("occurs_index", True),
+        ("occurs_index", False),
+    }
+
+
+def test_map_graph_equals_the_recursive_version():
+    rng = random.Random(33)
+    for g in graphs(34, 1000):
+        nodes = reachable(g)
+        swapped = set(rng.sample(nodes, rng.randrange(len(nodes) + 1)))
+
+        def leaf_fn(n):
+            if n in swapped:
+                return hole()
+            return fvar("w") if n.kind == FVAR else None
+
+        agree(map_graph, map_graph_recursive, g, leaf_fn)
+
+
+def test_truncate_equals_the_recursive_version():
+    rng = random.Random(35)
+    outcomes = set()
+    for g in graphs(36, 1000):
+        for sig in ALL_SIGS:
+            d = rng.randrange(5)
+            result = agree(truncate, truncate_recursive, sig, g, d)
+            outcomes.add(result if result == "error" else f"depth {d}")
+    assert outcomes == {"error"} | {f"depth {d}" for d in range(5)}
+
+
+def finite_pairs(seed: int, count: int):
+    """A shared DAG and an unrolled copy in which one fresh leaf may
+    change: the two last candidates of a sliding-window liminf."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        g = random_graph(rng, rng.randrange(1, 16), cyclic=False)
+        copy = unroll(g, rng.randrange(1, 4))
+        old = set(reachable(g))
+        fresh = [n for n in reachable(copy) if n not in old and n.kind in (BVAR, FVAR, HOLE)]
+        if fresh and rng.random() < 0.7:
+            n = rng.choice(fresh)
+            n.kind, n.a = rng.choice([(FVAR, "z"), (BVAR, 1), (HOLE, None)])
+        yield g, copy
+
+
+def test_mark_unstable_equals_the_recursive_version():
+    marked = 0
+    for cur, prev in finite_pairs(37, 1500):
+        for pair in ((cur, prev), (prev, cur)):
+            agree(_mark_unstable, mark_unstable_recursive, *pair)
+            marked += "?" in render_tree(_mark_unstable(*pair), ascii_only=True)
+    assert 0 < marked < 3000
+    assert _mark_unstable(fvar("x"), None).kind == UNKNOWN
+
+
+def alternating_chains(length: int):
+    """``f^length x``, ``f^length y``, ``f^length x``, ... forever."""
+    while True:
+        yield fun_chain(length, "x")
+        yield fun_chain(length, "y")
+
+
+def test_liminf_window_on_long_chains():
+    n = 2000
+    # under 000 every edge is strict: truncation copies whole chains, and the
+    # glb of an x chain and a y chain is bot
+    assert liminf_approx((0, 0, 0), alternating_chains(n), 1, 5).tree.kind == HOLE
+    # under 111 with depth n + 1, the last two candidates (the x chain, then
+    # the chain ending in bot) agree n deep, and fuel runs out
+    got = liminf_approx((1, 1, 1), alternating_chains(n), n + 1, 2)
+    assert got.fuel_exhausted
+    sig = (1, 1, 1)
+    x, y = fun_chain(n, "x"), fun_chain(n, "y")
+    prev, cur = truncate(sig, x, n + 1), truncate(sig, glb(sig, [x, y]), n + 1)
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(limit + 2 * n)  # room for the oracle's recursion
+    try:
+        want = mark_unstable_recursive(cur, prev)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert bisimilar(got.tree, want)
+    assert render_tree(got.tree, ascii_only=True) == "f (" * (n - 1) + "f ?" + ")" * (n - 1)
+
+
+# ---------------------------------------------------------------------------
+# Deep inputs for the walkers: a DEPTH-argument spine and a DEPTH-deep
+# lambda nesting, open and closed into a cycle
+
+
+def spine(n: int, leaf, closed: bool = False):
+    """``f a1 ... an`` with every argument ``leaf``; closed, ``a1`` is the
+    whole spine, one cycle of n - 1 function edges and an argument edge."""
+    first = t = app(fvar("f"), leaf)
+    for _ in range(n - 1):
+        t = app(t, leaf)
+    if closed:
+        first.b = t
+    return t
+
+
+def nesting(n: int, leaf, head=None):
+    """``\\x1. ... \\xn. h leaf``; without a head ``h``, the head is the
+    whole nesting, one cycle of n lambda edges and a function edge."""
+    body = t = app(head, leaf)
+    for _ in range(n):
+        t = lam(t)
+    if head is None:
+        body.a = t
+    return t
+
+
+def open_nesting(n: int, leaf):
+    return nesting(n, leaf, fvar("f"))
+
+
+def closed_then(n: int, first_leaf, later_leaf):
+    """The closed nesting whose first unfolding has ``first_leaf`` and
+    every later one ``later_leaf``: on a cycle a de Bruijn walk sees an
+    escaping index only in the first round, before the depth cap."""
+    return nesting(n, first_leaf, nesting(n, later_leaf))
+
+
+N = DEPTH
+
+
+def truncate_chain(sig):
+    return lambda g: truncate(sig, g, 1)
+
+
+# walker -> (the walk, a function returning (input, expected result) pairs,
+# with None where the walk raises the ValueError its recursive version
+# raises too)
+DEEP_CASES = {
+    "shift": (lambda g: shift(g, 1), lambda: [
+        (spine(N, bvar(1)), spine(N, bvar(2))),
+        (spine(N, bvar(1), True), spine(N, bvar(2), True)),
+        (open_nesting(N, bvar(N + 1)), open_nesting(N, bvar(N + 2))),
+        (nesting(N, bvar(N + 1)), closed_then(N, bvar(N + 2), bvar(N + 1))),
+    ]),
+    "substitute": (lambda g: substitute(g, fvar("w")), lambda: [
+        (spine(N, bvar(0)), spine(N, fvar("w"))),
+        (spine(N, bvar(0), True), spine(N, fvar("w"), True)),
+        (open_nesting(N, bvar(N)), open_nesting(N, fvar("w"))),
+        (nesting(N, bvar(N)), closed_then(N, fvar("w"), bvar(N))),
+    ]),
+    "unshift_free": (unshift_free, lambda: [
+        (spine(N, bvar(1)), spine(N, bvar(0))),
+        (spine(N, bvar(1), True), spine(N, bvar(0), True)),
+        (open_nesting(N, bvar(N + 1)), open_nesting(N, bvar(N))),
+        (nesting(N, bvar(N + 1)), closed_then(N, bvar(N), bvar(N + 1))),
+    ]),
+    "close_subtree": (close_subtree, lambda: [
+        (spine(N, bvar(1)), spine(N, fvar("_e1"))),
+        (spine(N, bvar(1), True), spine(N, fvar("_e1"), True)),
+        (open_nesting(N, bvar(N + 1)), open_nesting(N, fvar("_e1"))),
+        (nesting(N, bvar(N + 1)), closed_then(N, fvar("_e1"), bvar(N + 1))),
+    ]),
+    "map_graph": (lambda g: map_graph(g, lambda n: hole() if n.kind == BVAR else None), lambda: [
+        (spine(N, bvar(1)), spine(N, hole())),
+        (spine(N, bvar(1), True), spine(N, hole(), True)),
+        (open_nesting(N, bvar(1)), open_nesting(N, hole())),
+        (nesting(N, bvar(1)), nesting(N, hole())),
+    ]),
+    "bind_fvars": (lambda g: bind_fvars(g, {"v": 0}), lambda: [
+        (spine(N, fvar("v")), spine(N, bvar(0))),
+        (spine(N, fvar("v"), True), spine(N, bvar(0), True)),
+        (open_nesting(N, fvar("v")), open_nesting(N, bvar(N))),
+        (nesting(N, fvar("v")), None),  # the variable occurs at unbounded depth
+    ]),
+    # under 101 the spine's function edges are strict, and under 011 the
+    # lambda edges, so the truncation walks the whole chain at depth 0
+    "truncate 101": (truncate_chain((1, 0, 1)), lambda: [
+        (spine(N, bvar(1)), spine(N, hole())),
+        (spine(N, bvar(1), True), spine(N, hole())),
+    ]),
+    "truncate 011": (truncate_chain((0, 1, 1)), lambda: [
+        (open_nesting(N, bvar(1)), nesting(N, hole(), hole())),
+        (nesting(N, bvar(1)), nesting(N, hole(), hole())),
+    ]),
+}
+
+
+@pytest.mark.parametrize("walker", sorted(DEEP_CASES))
+def test_walkers_on_deep_inputs(walker):
+    walk, cases = DEEP_CASES[walker]
+    for g, want in cases():
+        if want is None:
+            with pytest.raises(ValueError, match="unbounded depth"):
+                walk(g)
+        else:
+            assert bisimilar(walk(g), want)
+
+
+def test_occurs_index_on_deep_inputs():
+    for g in (spine(N, bvar(1)), spine(N, bvar(1), True)):
+        assert occurs_index(g, 1) and not occurs_index(g, 0)
+    # the index is found at the bottom only, after the whole nesting
+    for g in (open_nesting(N, bvar(N + 1)), nesting(N, bvar(N + 1))):
+        assert occurs_index(g, 1) and not occurs_index(g, 0)

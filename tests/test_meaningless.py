@@ -131,6 +131,13 @@ def test_bohm_tree_goldens():
     assert bt((0, 0, 1), r"\x.x ((\z.z) y)") == "\\x0.x0 y"
 
 
+def test_bohm_tree_keeps_free_variables_that_look_internal():
+    # an index escaping a subtree is renamed straight to its binder, so a
+    # free variable of the input named like a renamed index stays free
+    ap = bohm_tree((1, 1, 1), parse_tree(r"\x. y (__t0 x)"))
+    assert render_tree(ap.tree, ascii_only=True) == "\\x0.y (__t0 x0)"
+
+
 def test_bohm_tree_of_grower_is_the_y_spine():
     # (grower) beta-reduces to itself applied to y: the 111 normal form is
     # the infinite left spine of y applications, cut at the depth bound
