@@ -351,6 +351,12 @@ def bohm_tree(
     _check_tree(sig, t)
     flags = {"fuel": False}
     binder_ids = itertools.count()
+    # a binder that emit opens is named prefix<k> while it is free; no free
+    # variable of the input starts with the prefix, so none is captured
+    prefix = "__b"
+    free = {n.a for n in reachable(t) if n.kind == FVAR}
+    while any(name.startswith(prefix) for name in free):
+        prefix += "_"
 
     def norm(sub: Node, d: int) -> Node:
         if d >= depth:
@@ -361,7 +367,7 @@ def bohm_tree(
         if v.is_unknown:
             flags["fuel"] = True
             return unknown()
-        return emit(v.witness, d, [])
+        return emit(v.witness, d)
 
     def extract(c: Node, local: list[int], d: int) -> Node:
         # an index escaping c names the binder local[-1 - e]
@@ -370,26 +376,43 @@ def bohm_tree(
                 e = n.a - k
                 if e >= len(local):
                     raise ValueError("a bound variable escapes the input tree")
-                return fvar(f"__b{local[-1 - e]}")
+                return fvar(f"{prefix}{local[-1 - e]}")
             return None
 
         return norm(transform(c, escape, cap=max_bvar_index(c) + 1), d + 1)
 
-    def emit(n: Node, d: int, local: list[int]) -> Node:
-        if n.kind in (HOLE, BVAR, FVAR):
-            return Node(n.kind, n.a)
-        if n.kind == LAM:
-            b = next(binder_ids)
-            if sig[0] == 0:
-                body = emit(n.a, d, local + [b])
+    def emit(root: Node, d: int) -> Node:
+        # Copies the depth-0 region, which strict edges reach, and extracts
+        # the children under non-strict edges.  The explicit stack holds
+        # (node, edge is strict) pairs, the binder id of a lambda to close,
+        # and None for an application to close; finished copies go to done.
+        local: list[int] = []  # the binder ids of the open lambdas
+        done: list[Node] = []
+        stack: list = [(root, True)]
+        while stack:
+            item = stack.pop()
+            if item is None:
+                arg = done.pop()
+                done.append(app(done.pop(), arg))
+                continue
+            if type(item) is int:
+                local.pop()
+                done.append(lam(bind_fvars(done.pop(), {f"{prefix}{item}": 0})))
+                continue
+            n, strict = item
+            if not strict:
+                done.append(extract(n, local, d))
+            elif n.kind in (HOLE, BVAR, FVAR):
+                done.append(Node(n.kind, n.a))
+            elif n.kind == LAM:
+                b = next(binder_ids)
+                local.append(b)
+                stack += (b, (n.a, sig[0] == 0))
+            elif n.kind == APP:
+                stack += (None, (n.b, sig[2] == 0), (n.a, sig[1] == 0))
             else:
-                body = extract(n.a, local + [b], d)
-            return lam(bind_fvars(body, {f"__b{b}": 0}))
-        if n.kind == APP:
-            fun = emit(n.a, d, local) if sig[1] == 0 else extract(n.a, local, d)
-            arg = emit(n.b, d, local) if sig[2] == 0 else extract(n.b, local, d)
-            return app(fun, arg)
-        raise TypeError(n.kind)
+                raise TypeError(n.kind)
+        return done[0]
 
     assembled = norm(t, 0)
     result = strict_nf(sig, assembled)

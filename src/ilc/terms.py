@@ -81,8 +81,6 @@ class App(Term):
 
 BOT = Bot()
 
-KEYWORDS = frozenset({"bot", "rec"})
-
 
 def fresh_names(prefix: str = "_c"):
     """A deterministic supply of identifiers: _c0, _c1, ..."""
@@ -146,77 +144,95 @@ def tokenize(text: str) -> list[tuple[str, str, int]]:
     return toks
 
 
-class _TermParser:
-    """Recursive descent for TERM ::= '\\' IDENT '.' TERM | APP."""
+def _expect(tok: tuple[str, str, int], kind: str, value: str | None = None) -> str:
+    if tok[0] != kind or (value is not None and tok[1] != value):
+        raise ParseError(f"expected {value or kind}, found {tok[1] or 'end of input'}", tok[2])
+    return tok[1]
 
-    def __init__(self, toks):
-        self.toks = toks
-        self.k = 0
 
-    def peek(self):
-        return self.toks[self.k]
+def _parse(toks, var, bot, lam, app, tie=None):
+    """Parse TERM ::= '\\' IDENT '.' TERM | 'rec' IDENT '.' TERM | ATOM ATOM*,
+    ATOM ::= IDENT | 'bot' | '(' TERM ')', building with the constructors.
 
-    def next(self):
-        t = self.toks[self.k]
-        self.k += 1
-        return t
-
-    def expect(self, kind, value=None):
-        t = self.next()
-        if t[0] != kind or (value is not None and t[1] != value):
-            raise ParseError(f"expected {value or kind}, found {t[1] or 'end of input'}", t[2])
-        return t
-
-    def term(self) -> Term:
-        kind, value, off = self.peek()
-        if kind == "punct" and value == "\\":
-            self.next()
-            name = self.expect("ident")[1]
-            self.expect("punct", ".")
-            return Abs(name, self.term())
-        return self.app()
-
-    def app(self) -> Term:
-        t = self.atom()
-        if t is None:
-            kind, value, off = self.peek()
-            raise ParseError(f"expected a term, found {value or 'end of input'}", off)
-        while True:
-            u = self.atom()
-            if u is None:
-                return t
-            t = App(t, u)
-
-    def atom(self) -> Term | None:
-        kind, value, off = self.peek()
+    ``var(name, index)`` builds an identifier, ``index`` being its de Bruijn
+    index, or None when it is free; ``lam(name, body)`` closes a lambda.
+    ``rec`` is accepted only when ``tie`` is given: its placeholder is a
+    ``bot()``, an identifier naming it denotes the placeholder itself (before
+    any lambda binder of that name), and ``tie(placeholder, body)`` closes
+    it.  Application is left-associative and binders scope as far right as
+    they can.  Open lambdas, recs and parentheses are frames on an explicit
+    stack, so nesting has no depth limit, and each name is looked up in
+    constant time.
+    """
+    scope: dict[str, list[int]] = {}  # lambda binder -> the depths binding it, if any
+    recs: dict[str, list] = {}  # rec name -> its open placeholders, if any
+    # ("(", the application before it) | ("\\", name) | ("rec", name, placeholder, offset)
+    frames: list[tuple] = []
+    depth = 0  # open lambdas
+    acc = None  # the application built so far in the innermost open term
+    k = 0
+    while True:
+        kind, value, off = toks[k]
+        k += 1
+        if acc is None and (kind == "punct" and value == "\\" or kind == "rec" and tie):
+            name = _expect(toks[k], "ident")
+            _expect(toks[k + 1], "punct", ".")
+            k += 2
+            if kind == "rec":
+                node = bot()
+                recs.setdefault(name, []).append(node)
+                frames.append(("rec", name, node, off))
+            else:
+                scope.setdefault(name, []).append(depth)
+                depth += 1
+                frames.append(("\\", name))
+            continue
         if kind == "ident":
-            self.next()
-            return Var(value)
-        if kind == "bot":
-            self.next()
-            return BOT
-        if kind == "punct" and value == "(":
-            self.next()
-            t = self.term()
-            self.expect("punct", ")")
-            return t
-        if kind == "punct" and value == "\\":
-            return None
-        return None
+            if recs.get(value):
+                node = recs[value][-1]
+            elif scope.get(value):
+                node = var(value, depth - 1 - scope[value][-1])
+            else:
+                node = var(value, None)
+        elif kind == "bot":
+            node = bot()
+        elif kind == "punct" and value == "(":
+            frames.append(("(", acc))
+            acc = None
+            continue
+        else:  # the innermost open term ends here
+            if acc is None:
+                raise ParseError(f"expected a term, found {value or 'end of input'}", off)
+            node = acc
+            while frames and frames[-1][0] != "(":
+                frame = frames.pop()
+                if frame[0] == "\\":
+                    scope[frame[1]].pop()
+                    depth -= 1
+                    node = lam(frame[1], node)
+                    continue
+                _, name, placeholder, at = frame
+                recs[name].pop()
+                if node is placeholder:
+                    raise ParseError(f"unproductive rec binding {name!r}", at)
+                tie(placeholder, node)
+                node = placeholder
+            if not frames:
+                if kind != "eof":
+                    raise ParseError(f"trailing input {value!r}", off)
+                return node
+            _expect((kind, value, off), "punct", ")")
+            acc = frames.pop()[1]
+        acc = node if acc is None else app(acc, node)
 
 
 def parse_term(text: str) -> Term:
     """Parse a term; application is left-associative, lambda scopes right."""
     toks = tokenize(text)
-    p = _TermParser(toks)
-    kind, value, off = p.peek()
+    kind, value, off = toks[0]
     if kind == "rec":
         raise ParseError("'rec' literals denote trees, not terms", off)
-    t = p.term()
-    kind, value, off = p.peek()
-    if kind != "eof":
-        raise ParseError(f"trailing input {value!r}", off)
-    return t
+    return _parse(toks, lambda name, index: Var(name), lambda: BOT, Abs, App)
 
 
 def render_term(t: Term, ascii_only: bool = False) -> str:

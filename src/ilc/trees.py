@@ -21,11 +21,11 @@ from .terms import (
     Abs,
     App,
     Bot,
-    ParseError,
     Position,
     Sig,
     Term,
     Var,
+    _parse,
     adepth,
     tokenize,
 )
@@ -384,56 +384,72 @@ def agree_where_defined(s: Node, t: Node) -> bool | None:
 
 
 def tree_of_term(m: Term) -> Node:
-    def go(t: Term, env: dict[str, int], depth: int) -> Node:
+    """The tree of a term: bound variables become de Bruijn indices."""
+    scope: dict[str, list[int]] = {}  # binder -> the depths binding it, if any
+    top = Node(LAM)  # its child slot receives the result
+    # (term, lambda depth, parent, child slot), or a binder whose scope ends
+    stack: list = [(m, 0, top, "a")]
+    while stack:
+        item = stack.pop()
+        if type(item) is str:
+            scope[item].pop()
+            continue
+        t, depth, parent, slot = item
         match t:
             case Bot():
-                return hole()
+                node = hole()
             case Var(name):
-                if name in env:
-                    return bvar(depth - 1 - env[name])
-                return fvar(name)
+                node = bvar(depth - 1 - scope[name][-1]) if scope.get(name) else fvar(name)
             case Abs(binder, body):
-                saved = env.get(binder)
-                env[binder] = depth
-                child = go(body, env, depth + 1)
-                if saved is None:
-                    env.pop(binder, None)
-                else:
-                    env[binder] = saved
-                return lam(child)
+                node = Node(LAM)
+                scope.setdefault(binder, []).append(depth)
+                stack += (binder, (body, depth + 1, node, "a"))
             case App(fun, arg):
-                return app(go(fun, env, depth), go(arg, env, depth))
-        raise TypeError(f"not a term: {t!r}")
-
-    return go(m, {}, 0)
+                node = Node(APP)
+                stack += ((arg, depth, node, "b"), (fun, depth, node, "a"))
+            case _:
+                raise TypeError(f"not a term: {t!r}")
+        setattr(parent, slot, node)
+    return top.a
 
 
 def term_of_tree(t: Node) -> Term:
     """Inverse of tree_of_term on finite trees; binders named x0, x1, ..."""
     if not is_finite(t):
         raise ValueError("cannot convert an infinite (cyclic) tree to a term")
-    counter = [0]
-
-    def go(n: Node, binders: list[str]) -> Term:
+    names: list[str] = []  # the binders of the open lambdas, innermost last
+    out: list[Term] = []  # finished subterms
+    # a node to convert, or the kind of a node whose children are in ``out``
+    stack: list = [t]
+    count = 0
+    while stack:
+        n = stack.pop()
+        if type(n) is str:
+            if n == LAM:
+                out.append(Abs(names.pop(), out.pop()))
+            else:
+                arg = out.pop()
+                out.append(App(out.pop(), arg))
+            continue
         if n.kind == HOLE:
-            return Bot()
-        if n.kind in (CUT, UNKNOWN):
+            out.append(Bot())
+        elif n.kind in (CUT, UNKNOWN):
             raise ValueError(f"tree contains a {n.kind} leaf")
-        if n.kind == BVAR:
-            if n.a >= len(binders):
+        elif n.kind == BVAR:
+            if n.a >= len(names):
                 raise ValueError("de Bruijn index escapes the tree")
-            return Var(binders[-1 - n.a])
-        if n.kind == FVAR:
-            return Var(n.a)
-        if n.kind == LAM:
-            name = f"x{counter[0]}"
-            counter[0] += 1
-            return Abs(name, go(n.a, binders + [name]))
-        if n.kind == APP:
-            return App(go(n.a, binders), go(n.b, binders))
-        raise TypeError(n.kind)
-
-    return go(t, [])
+            out.append(Var(names[-1 - n.a]))
+        elif n.kind == FVAR:
+            out.append(Var(n.a))
+        elif n.kind == LAM:
+            names.append(f"x{count}")
+            count += 1
+            stack += (LAM, n.a)
+        elif n.kind == APP:
+            stack += (APP, n.b, n.a)
+        else:
+            raise TypeError(n.kind)
+    return out[0]
 
 
 # ---------------------------------------------------------------------------
@@ -687,86 +703,20 @@ def tree_distance(sig: Sig, s: Node, t: Node) -> Fraction:
 # Tree literals: rec X. TERM
 
 
-class _TreeParser:
-    def __init__(self, toks):
-        self.toks = toks
-        self.k = 0
-
-    def peek(self):
-        return self.toks[self.k]
-
-    def next(self):
-        t = self.toks[self.k]
-        self.k += 1
-        return t
-
-    def expect(self, kind, value=None):
-        t = self.next()
-        if t[0] != kind or (value is not None and t[1] != value):
-            raise ParseError(f"expected {value or kind}, found {t[1] or 'end of input'}", t[2])
-        return t
-
-    def term(self, binders: list[str], recs: dict[str, Node]) -> Node:
-        kind, value, off = self.peek()
-        if kind == "punct" and value == "\\":
-            self.next()
-            name = self.expect("ident")[1]
-            self.expect("punct", ".")
-            return lam(self.term(binders + [name], recs))
-        if kind == "rec":
-            self.next()
-            name = self.expect("ident")[1]
-            self.expect("punct", ".")
-            placeholder = Node(HOLE)
-            body = self.term(binders, recs | {name: placeholder})
-            if body is placeholder:
-                raise ParseError(f"unproductive rec binding {name!r}", off)
-            placeholder.kind, placeholder.a, placeholder.b = body.kind, body.a, body.b
-            return placeholder
-        return self.app(binders, recs)
-
-    def app(self, binders, recs) -> Node:
-        t = self.atom(binders, recs)
-        if t is None:
-            kind, value, off = self.peek()
-            raise ParseError(f"expected a term, found {value or 'end of input'}", off)
-        while True:
-            u = self.atom(binders, recs)
-            if u is None:
-                return t
-            t = app(t, u)
-
-    def atom(self, binders, recs) -> Node | None:
-        kind, value, off = self.peek()
-        if kind == "ident":
-            self.next()
-            if value in recs:
-                return recs[value]
-            # innermost binding wins for shadowed names
-            for d, name in enumerate(reversed(binders)):
-                if name == value:
-                    return bvar(d)
-            return fvar(value)
-        if kind == "bot":
-            self.next()
-            return hole()
-        if kind == "punct" and value == "(":
-            self.next()
-            t = self.term(binders, recs)
-            self.expect("punct", ")")
-            return t
-        return None
+def _tie(placeholder: Node, body: Node) -> None:
+    placeholder.kind, placeholder.a, placeholder.b = body.kind, body.a, body.b
 
 
 def parse_tree(text: str) -> Node:
     """Parse a term or a regular-tree literal with ``rec X. TERM`` bindings."""
-    toks = tokenize(text)
-    p = _TreeParser(toks)
-    t = p.term([], {})
-    kind, value, off = p.peek()
-    if kind != "eof":
-        raise ParseError(f"trailing input {value!r}", off)
-    return t
+    return _parse(
+        tokenize(text),
+        lambda name, index: fvar(name) if index is None else bvar(index),
+        hole,
+        lambda name, body: lam(body),
+        app,
+        _tie,
+    )
 
 
 def render_tree(t: Node, ascii_only: bool = False) -> str:

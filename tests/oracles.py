@@ -6,10 +6,10 @@ algorithms, so that agreement is meaningful.  The round-by-round graph
 fixpoints and the recursive walkers at the end are the library's earlier
 implementations of ``canon``, of the backward-reachability sets, of ``glb``,
 of ``is_guarded``, of ``render_tree``, of the eight de Bruijn and copying
-walkers (``bind_fvars`` among the fixpoints) and of ``_mark_unstable``, kept
-as references for the linear, iterative versions that replaced them, and the
-union-of-domains construction that ``lub_chain`` once ran on every call as a
-self-check.
+walkers (``bind_fvars`` among the fixpoints), of ``_mark_unstable`` and of
+the two recursive-descent parsers, kept as references for the linear,
+iterative versions that replaced them, and the union-of-domains construction
+that ``lub_chain`` once ran on every call as a self-check.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ import random
 
 from ilc.order import _check_inputs, _tuple_children
 from ilc.rewriting import _node_redex_tag
-from ilc.terms import Abs, App, Bot, Sig, Term, Var
+from ilc.terms import BOT, Abs, App, Bot, ParseError, Sig, Term, Var, tokenize
 from ilc.trees import (
     APP,
     BVAR,
@@ -34,6 +34,7 @@ from ilc.trees import (
     fvar,
     has_kind,
     hole,
+    is_finite,
     is_guarded,
     label,
     lam,
@@ -778,3 +779,213 @@ def mark_unstable_recursive(cur: Node, prev: Node | None) -> Node:
         return new
 
     return go(cur, prev)
+
+
+class _TermParser:
+    """Recursive descent for TERM ::= '\\' IDENT '.' TERM | APP."""
+
+    def __init__(self, toks):
+        self.toks = toks
+        self.k = 0
+
+    def peek(self):
+        return self.toks[self.k]
+
+    def next(self):
+        t = self.toks[self.k]
+        self.k += 1
+        return t
+
+    def expect(self, kind, value=None):
+        t = self.next()
+        if t[0] != kind or (value is not None and t[1] != value):
+            raise ParseError(f"expected {value or kind}, found {t[1] or 'end of input'}", t[2])
+        return t
+
+    def term(self) -> Term:
+        kind, value, off = self.peek()
+        if kind == "punct" and value == "\\":
+            self.next()
+            name = self.expect("ident")[1]
+            self.expect("punct", ".")
+            return Abs(name, self.term())
+        return self.app()
+
+    def app(self) -> Term:
+        t = self.atom()
+        if t is None:
+            kind, value, off = self.peek()
+            raise ParseError(f"expected a term, found {value or 'end of input'}", off)
+        while True:
+            u = self.atom()
+            if u is None:
+                return t
+            t = App(t, u)
+
+    def atom(self) -> Term | None:
+        kind, value, off = self.peek()
+        if kind == "ident":
+            self.next()
+            return Var(value)
+        if kind == "bot":
+            self.next()
+            return BOT
+        if kind == "punct" and value == "(":
+            self.next()
+            t = self.term()
+            self.expect("punct", ")")
+            return t
+        if kind == "punct" and value == "\\":
+            return None
+        return None
+
+
+def parse_term_recursive(text: str) -> Term:
+    """``terms.parse_term`` by recursive descent."""
+    toks = tokenize(text)
+    p = _TermParser(toks)
+    kind, value, off = p.peek()
+    if kind == "rec":
+        raise ParseError("'rec' literals denote trees, not terms", off)
+    t = p.term()
+    kind, value, off = p.peek()
+    if kind != "eof":
+        raise ParseError(f"trailing input {value!r}", off)
+    return t
+
+
+class _TreeParser:
+    def __init__(self, toks):
+        self.toks = toks
+        self.k = 0
+
+    def peek(self):
+        return self.toks[self.k]
+
+    def next(self):
+        t = self.toks[self.k]
+        self.k += 1
+        return t
+
+    def expect(self, kind, value=None):
+        t = self.next()
+        if t[0] != kind or (value is not None and t[1] != value):
+            raise ParseError(f"expected {value or kind}, found {t[1] or 'end of input'}", t[2])
+        return t
+
+    def term(self, binders: list[str], recs: dict[str, Node]) -> Node:
+        kind, value, off = self.peek()
+        if kind == "punct" and value == "\\":
+            self.next()
+            name = self.expect("ident")[1]
+            self.expect("punct", ".")
+            return lam(self.term(binders + [name], recs))
+        if kind == "rec":
+            self.next()
+            name = self.expect("ident")[1]
+            self.expect("punct", ".")
+            placeholder = Node(HOLE)
+            body = self.term(binders, recs | {name: placeholder})
+            if body is placeholder:
+                raise ParseError(f"unproductive rec binding {name!r}", off)
+            placeholder.kind, placeholder.a, placeholder.b = body.kind, body.a, body.b
+            return placeholder
+        return self.app(binders, recs)
+
+    def app(self, binders, recs) -> Node:
+        t = self.atom(binders, recs)
+        if t is None:
+            kind, value, off = self.peek()
+            raise ParseError(f"expected a term, found {value or 'end of input'}", off)
+        while True:
+            u = self.atom(binders, recs)
+            if u is None:
+                return t
+            t = app(t, u)
+
+    def atom(self, binders, recs) -> Node | None:
+        kind, value, off = self.peek()
+        if kind == "ident":
+            self.next()
+            if value in recs:
+                return recs[value]
+            # innermost binding wins for shadowed names
+            for d, name in enumerate(reversed(binders)):
+                if name == value:
+                    return bvar(d)
+            return fvar(value)
+        if kind == "bot":
+            self.next()
+            return hole()
+        if kind == "punct" and value == "(":
+            self.next()
+            t = self.term(binders, recs)
+            self.expect("punct", ")")
+            return t
+        return None
+
+
+def parse_tree_recursive(text: str) -> Node:
+    """``trees.parse_tree`` by recursive descent."""
+    toks = tokenize(text)
+    p = _TreeParser(toks)
+    t = p.term([], {})
+    kind, value, off = p.peek()
+    if kind != "eof":
+        raise ParseError(f"trailing input {value!r}", off)
+    return t
+
+
+def tree_of_term_recursive(m: Term) -> Node:
+    """``trees.tree_of_term`` by recursion."""
+
+    def go(t: Term, env: dict[str, int], depth: int) -> Node:
+        match t:
+            case Bot():
+                return hole()
+            case Var(name):
+                if name in env:
+                    return bvar(depth - 1 - env[name])
+                return fvar(name)
+            case Abs(binder, body):
+                saved = env.get(binder)
+                env[binder] = depth
+                child = go(body, env, depth + 1)
+                if saved is None:
+                    env.pop(binder, None)
+                else:
+                    env[binder] = saved
+                return lam(child)
+            case App(fun, arg):
+                return app(go(fun, env, depth), go(arg, env, depth))
+        raise TypeError(f"not a term: {t!r}")
+
+    return go(m, {}, 0)
+
+
+def term_of_tree_recursive(t: Node) -> Term:
+    """``trees.term_of_tree`` by recursion."""
+    if not is_finite(t):
+        raise ValueError("cannot convert an infinite (cyclic) tree to a term")
+    counter = [0]
+
+    def go(n: Node, binders: list[str]) -> Term:
+        if n.kind == HOLE:
+            return Bot()
+        if n.kind in (CUT, UNKNOWN):
+            raise ValueError(f"tree contains a {n.kind} leaf")
+        if n.kind == BVAR:
+            if n.a >= len(binders):
+                raise ValueError("de Bruijn index escapes the tree")
+            return Var(binders[-1 - n.a])
+        if n.kind == FVAR:
+            return Var(n.a)
+        if n.kind == LAM:
+            name = f"x{counter[0]}"
+            counter[0] += 1
+            return Abs(name, go(n.a, binders + [name]))
+        if n.kind == APP:
+            return App(go(n.a, binders), go(n.b, binders))
+        raise TypeError(n.kind)
+
+    return go(t, [])

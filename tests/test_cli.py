@@ -134,11 +134,19 @@ def test_stack_and_memory_exhaustion_exit_with_code_3(monkeypatch):
 
 
 def test_deeply_nested_input_never_escapes_the_exit_codes():
-    # 400 nested parentheses overflow the recursive parser
     code, _, err = run("tree", "(" * 400 + "x" + ")" * 400)
     assert code in (0, 3)
     if code == 3:
         assert err.startswith("ilc: ")
+    # the parser keeps an explicit stack, so no nesting depth overflows it
+    parens = "(" * 10**4 + "x" + ")" * 10**4
+    for argv in [("tree",), ("trace",), ("order", parens), ("join",), ("dev", "--all")]:
+        code, out, err = run(*argv, "--ascii", parens)
+        assert code == 0 and err == "", argv
+    nested = "f (" * 10**4 + "x" + ")" * 10**4
+    for argv in [("tree", nested), ("order", nested, nested)]:
+        code, out, err = run(*argv)
+        assert code in (0, 2) and err == "", argv[0]
 
 
 def test_dev_all_on_a_long_argument_spine():
@@ -155,6 +163,28 @@ def test_tree_on_a_long_argument_spine():
     code, out, err = run("tree", "--ascii", "f" + " z" * 10**4)
     assert code == 2 and err == ""
     assert out == "... ..." + " z" * 15 + "\n"
+
+
+def test_strict_function_edges_on_a_long_argument_spine():
+    # a strict function edge puts the whole spine in the depth-0 region,
+    # which bohm_tree copies with an explicit stack
+    spine = "f" + " z" * 10**4
+    for sig in ("001", "101"):
+        code, out, err = run("tree", "--ascii", "--sig", sig, spine)
+        assert (code, out, err) == (0, spine + "\n", ""), sig
+    spine = "f" + " z" * 1000
+    code, out, err = run("join", "--ascii", "--sig", "001", spine)
+    assert (code, out, err) == (0, f"joined: {spine}\n", "")
+
+
+def test_tree_keeps_free_variables_named_like_its_binders():
+    for sig in ("111", "101", "001"):
+        for term, want in [
+            (r"\x. y (__b0 x)", r"\x0.y (__b0 x0)"),
+            (r"\x. __b (__b_0 x)", r"\x0.__b (__b_0 x0)"),
+        ]:
+            code, out, _ = run("tree", "--ascii", "--sig", sig, term)
+            assert (code, out) == (0, want + "\n"), (sig, term)
 
 
 # Each subcommand renders only the form it prints; one process may call

@@ -22,7 +22,13 @@ from ilc.terms import (
     term_height,
     term_leq,
 )
-from oracles import random_term
+from ilc.trees import APP, BVAR, FVAR, LAM, bisimilar, parse_tree, render_tree
+from oracles import (
+    parse_term_recursive,
+    parse_tree_recursive,
+    random_graph,
+    random_term,
+)
 
 
 def test_parse_render_roundtrip():
@@ -45,14 +51,149 @@ def test_lambda_scopes_right():
     assert parse_term(r"\x.x y") == Abs("x", App(Var("x"), Var("y")))
 
 
+# (source, message, offset) of every ParseError site, for both parsers
+PARSE_ERRORS = [
+    ("", "expected a term, found end of input", 0),
+    ("x )", "trailing input ')'", 2),
+    ("x # y", "unexpected character '#'", 2),
+    ("\\.x", "expected ident, found .", 1),
+    ("\\bot.x", "expected ident, found bot", 1),
+    ("\\rec.x", "expected ident, found rec", 1),
+    ("\\x x", "expected ., found x", 3),
+    ("\\x", "expected ., found end of input", 2),
+    ("\\x.)", "expected a term, found )", 3),
+    ("(x", "expected ), found end of input", 2),
+    ("(x .)", "expected ), found .", 3),
+    ("(f \\x.x)", "expected ), found \\", 3),
+    ("f \\x.x", "trailing input '\\\\'", 2),
+    ("f rec M. M", "trailing input 'rec'", 2),
+    ("(f rec M. f M)", "expected ), found rec", 3),
+]
+
+# sites only parse_term reaches
+TERM_ERRORS = [
+    ("rec M. M x", "'rec' literals denote trees, not terms", 0),
+    ("  rec", "'rec' literals denote trees, not terms", 2),
+    ("\\x.rec M. M", "expected a term, found rec", 3),
+    ("(rec M. M)", "expected a term, found rec", 1),
+]
+
+# sites only parse_tree reaches
+TREE_ERRORS = [
+    ("rec M. M", "unproductive rec binding 'M'", 0),
+    ("\\x. rec M. (M)", "unproductive rec binding 'M'", 4),
+    ("rec M. rec N. N", "unproductive rec binding 'N'", 7),
+    ("rec bot. x", "expected ident, found bot", 4),
+    ("rec M x", "expected ., found x", 6),
+    ("rec M.", "expected a term, found end of input", 6),
+    ("rec M. M )", "unproductive rec binding 'M'", 0),
+]
+
+
 def test_parse_errors_carry_offsets():
-    with pytest.raises(ParseError) as e:
-        parse_term("x )")
-    assert e.value.offset == 2
-    with pytest.raises(ParseError):
-        parse_term("")
-    with pytest.raises(ParseError):
-        parse_term("rec M. M x")
+    for parse, cases in [
+        (parse_term, PARSE_ERRORS + TERM_ERRORS),
+        (parse_tree, PARSE_ERRORS + TREE_ERRORS),
+    ]:
+        for text, message, offset in cases:
+            with pytest.raises(ParseError) as e:
+                parse(text)
+            assert str(e.value) == f"{message} (at offset {offset})", text
+            assert e.value.offset == offset, text
+
+
+TOKENS = ["x", "y", "M", "bot", "⊥", "\\", "λ", ".", "(", ")", "rec"]
+
+
+def random_token_string(rng: random.Random) -> str:
+    """Up to 24 tokens of the parsers' alphabet, rarely a stray character."""
+    parts = []
+    for _ in range(rng.randrange(25)):
+        parts.append("#" if rng.random() < 0.01 else rng.choice(TOKENS))
+        parts.append(rng.choice([" ", " ", ""]))
+    return "".join(parts)
+
+
+def random_source(rng: random.Random, size: int) -> tuple[str, bool]:
+    """A grammatical term or ``rec`` literal, and whether it is an atom.
+    Binders reuse two names, so shadowing and unproductive recs are common."""
+    if size <= 1:
+        return rng.choice(["x", "M", "f", "bot"]), True
+    kind = rng.choice(["lam", "rec", "app", "app"])
+    if kind != "app":
+        body, _ = random_source(rng, size - 1)
+        binder = "\\" if kind == "lam" else "rec "
+        return f"{binder}{rng.choice('xM')}. {body}", False
+    k = rng.randrange(1, size)
+    fun, fun_atom = random_source(rng, k)
+    arg, arg_atom = random_source(rng, size - k)
+    if fun.startswith(("\\", "rec")):
+        fun = f"({fun})"
+    return f"{fun} {arg if arg_atom else f'({arg})'}", False
+
+
+def parse_outcome(parse, text: str):
+    try:
+        return parse(text), None
+    except ParseError as e:
+        return None, (str(e), e.offset)
+
+
+def test_parsers_equal_the_recursive_descent_versions():
+    rng = random.Random(8)
+    sources = [
+        "rec M. \\M. M",  # a rec name shadows every lambda binder of that name
+        "\\M. rec M. \\M. M M",
+        "rec M. rec N. M",  # tied innermost first
+        "rec M. \\x. rec N. M N",
+        "f \\x.x",
+    ]
+    sources += [random_token_string(rng) for _ in range(20_000)]
+    sources += [random_source(rng, rng.randrange(1, 14))[0] for _ in range(2_000)]
+    sources += [render_term(random_term(rng, rng.randrange(1, 12))) for _ in range(1_000)]
+    sources += [render_tree(random_graph(rng, rng.randrange(1, 10)), True) for _ in range(1_000)]
+    trees = 0
+    for text in sources:
+        assert parse_outcome(parse_term, text) == parse_outcome(parse_term_recursive, text), text
+        tree, error = parse_outcome(parse_tree, text)
+        want, want_error = parse_outcome(parse_tree_recursive, text)
+        assert error == want_error, text
+        if tree is not None:
+            assert bisimilar(tree, want) and render_tree(tree) == render_tree(want), text
+            trees += 1
+    assert trees > 4_000
+
+
+DEEP = 10**5
+
+
+def test_parsers_finish_on_deep_nesting():
+    parens = "(" * DEEP + "x" + ")" * DEEP
+    assert parse_term(parens) == Var("x")
+    t = parse_tree(parens)
+    assert (t.kind, t.a) == (FVAR, "x")
+
+    lams = "\\x." * DEEP + "x"
+    m, t = parse_term(lams), parse_tree(lams)
+    for _ in range(DEEP):
+        assert type(m) is Abs and m.binder == "x" and t.kind == LAM
+        m, t = m.body, t.a
+    assert m == Var("x") and (t.kind, t.a) == (BVAR, 0)
+
+    args = "f (" * DEEP + "x" + ")" * DEEP
+    m, t = parse_term(args), parse_tree(args)
+    for _ in range(DEEP):
+        assert type(m) is App and m.fun == Var("f")
+        assert t.kind == APP and (t.a.kind, t.a.a) == (FVAR, "f")
+        m, t = m.arg, t.b
+    assert m == Var("x") and (t.kind, t.a) == (FVAR, "x")
+
+    root = parse_tree("rec M. " + "\\x." * DEEP + "M")
+    t = root
+    for _ in range(DEEP):
+        assert t.kind == LAM
+        t = t.a
+    assert t is root
 
 
 def test_sig_parsing():

@@ -3,16 +3,21 @@ from fractions import Fraction
 
 import pytest
 
-from ilc.terms import ALL_SIGS, parse_term
+from ilc.terms import ALL_SIGS, Abs, App, Var, parse_term
 from ilc.trees import (
+    app,
     bisimilar,
     bot_positions,
+    bvar,
     canon,
+    cut,
+    fvar,
     hole,
     in_dom,
     is_finite,
     is_guarded,
     label_at,
+    lam,
     node_at,
     parse_tree,
     render_tree,
@@ -21,8 +26,9 @@ from ilc.trees import (
     tree_distance,
     tree_of_term,
     truncate,
+    unknown,
 )
-from oracles import random_term
+from oracles import random_term, random_tree, term_of_tree_recursive, tree_of_term_recursive
 
 
 def T(src):
@@ -37,6 +43,39 @@ def test_term_tree_roundtrip():
         assert is_finite(t)
         back = term_of_tree(t)
         assert bisimilar(tree_of_term(back), t)
+
+
+def test_term_tree_conversions_equal_the_recursive_versions():
+    rng = random.Random(12)
+    terms = [parse_term(s) for s in [r"\x.\x.x", r"\x.(\x.x) x", r"\x.\y.\x.y x (\y.x)"]]
+    terms += [random_term(rng, rng.randrange(1, 14)) for _ in range(1000)]
+    for m in terms:
+        t, want = tree_of_term(m), tree_of_term_recursive(m)
+        assert bisimilar(t, want) and render_tree(t) == render_tree(want)
+        assert term_of_tree(t) == term_of_tree_recursive(t)
+    for _ in range(1000):
+        t = random_tree(rng, rng.randrange(1, 14))
+        assert term_of_tree(t) == term_of_tree_recursive(t)
+    for t in [bvar(0), app(fvar("f"), lam(bvar(1))), lam(app(cut(), bvar(3))), app(bvar(2), unknown())]:
+        with pytest.raises(ValueError) as got:
+            term_of_tree(t)
+        with pytest.raises(ValueError) as want:
+            term_of_tree_recursive(t)
+        assert str(got.value) == str(want.value)
+
+
+def test_term_tree_conversions_on_deep_nesting():
+    depth = 10**5
+    m = term_of_tree(tree_of_term(parse_term("\\x." * depth + "x")))
+    for k in range(depth):
+        assert type(m) is Abs and m.binder == f"x{k}"
+        m = m.body
+    assert m == Var(f"x{depth - 1}")
+    m = term_of_tree(tree_of_term(parse_term("f (" * depth + "x" + ")" * depth)))
+    for _ in range(depth):
+        assert type(m) is App and m.fun == Var("f")
+        m = m.arg
+    assert m == Var("x")
 
 
 def test_rec_literals():
