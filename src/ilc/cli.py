@@ -4,8 +4,8 @@ Subcommands: tree (infinitary normal form), trace (run a strategy and report
 convergence), dist (tree metric), order (comparison and glb), join
 (confluence check for a peak), dev (complete development, both routes).
 Exit codes: 0 success, 1 parse error, 2 an Unknown or Cut leaf in the
-output, 3 bad configuration or an input too large or too deeply nested to
-process.
+output, 3 bad configuration, an input too large or too deeply nested to
+process, or a fuel budget or search limit that ran out before an answer.
 
 Each call builds the argument parser anew, and argparse pays for every
 argument it adds, so ``main`` builds only the subparser that ``argv[0]``
@@ -340,6 +340,9 @@ def main(argv: list[str] | None = None, out=None, err=None) -> int:
         return EXIT_CONFIG
     except (RecursionError, MemoryError) as e:
         print(f"ilc: the input is too large or too deeply nested ({type(e).__name__})", file=err)
+        return EXIT_CONFIG
+    except RuntimeError as e:  # a budget or limit ran out
+        print(f"ilc: {e}", file=err)
         return EXIT_CONFIG
 
 

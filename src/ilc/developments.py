@@ -40,12 +40,15 @@ from .trees import (
     bvar,
     canon,
     children,
+    components,
     has_kind,
     hole,
     in_dom,
     is_guarded,
-    max_bvar_index,
+    map_graph,
+    max_bvar_indices,
     node_at,
+    reachable,
 )
 
 POSITION_BOUND = 64  # matches the redex-search bound
@@ -278,17 +281,12 @@ def path_labels(sig: Sig, rs: RedexSet, state_limit: int = 100_000) -> Node:
     # S-normalizing at the end, which happens anyway
     us = frozenset(p for p in rs.positions if tags[p] == "beta")
 
-    maxidx: dict[int, int] = {}
-
-    def env_cap(n: Node) -> int:
-        if id(n) not in maxidx:
-            maxidx[id(n)] = max_bvar_index(n) + 1
-        return maxidx[id(n)]
+    maxidx = max_bvar_indices(rs.tree)  # path states visit only its nodes
 
     def mk_state(n: Node, env: tuple, rel: frozenset) -> tuple:
         # keep just enough entries to cover the subtree's variable indices;
         # offset entries occupy no index position and ride along for free
-        cap = env_cap(n)
+        cap = maxidx[n] + 1
         kept: list = []
         count = 0
         for e in reversed(env):
@@ -406,26 +404,19 @@ def path_labels(sig: Sig, rs: RedexSet, state_limit: int = 100_000) -> Node:
 
 def _unguarded_to_hole(sig: Sig, t: Node) -> Node:
     """Replace nodes on strict-edge-only cycles by bottom (paths that extend
-    forever without crossing a non-strict edge diverge)."""
-    from .trees import map_graph, reachable
+    forever without crossing a non-strict edge diverge).
 
-    bad: set[int] = set()
-    for n in reachable(t):
-        # can n reach itself through a nonempty chain of strict edges?
-        frontier = [c for i, c in children(n) if sig[i] == 0]
-        seen: set[int] = set()
-        while frontier:
-            c = frontier.pop()
-            if c is n:
-                bad.add(id(n))
-                break
-            if id(c) in seen:
-                continue
-            seen.add(id(c))
-            frontier.extend(cc for i, cc in children(c) if sig[i] == 0)
+    A node lies on such a cycle iff its component under the strict edges
+    has one: more than one node, or a strict edge from its node to itself.
+    """
+    bad: set[Node] = set()
+    for comp in components(reachable(t), lambda i: sig[i] == 0):
+        n = comp[0]
+        if len(comp) > 1 or any(c is n for i, c in children(n) if sig[i] == 0):
+            bad.update(comp)
     if not bad:
         return t
-    return map_graph(t, lambda n: hole() if id(n) in bad else None)
+    return map_graph(t, lambda n: hole() if n in bad else None)
 
 
 # ---------------------------------------------------------------------------

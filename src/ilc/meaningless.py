@@ -13,7 +13,7 @@ import itertools
 from dataclasses import dataclass
 
 from .convergence import p_limit
-from .rewriting import Beta, BohmBot, Trace, replace_at, run_strategy, try_step
+from .rewriting import Beta, BohmBot, NodeIndex, Trace, replace_at, run_strategy, try_step
 from .terms import CANONICAL_SIGS, Position, Sig
 from .trees import (
     APP,
@@ -27,7 +27,6 @@ from .trees import (
     Node,
     app,
     bisimilar,
-    canon,
     children,
     bind_fvars,
     bvar,
@@ -91,17 +90,17 @@ def _check_tree(sig: Sig, t: Node) -> None:
 class _ShiftDetector:
     """Detects a reduction that repeats itself shifted ever deeper.
 
-    Feed it the position and canonical key of each contracted redex subtree.
-    A hit at step j means some earlier step i fired a bisimilar subtree at a
-    proper prefix of the current position, with every step in between staying
-    inside that prefix; the run from i can then be replayed from j forever,
-    so the reduction never escapes.
+    Feed it the position and the key of each contracted redex subtree, from
+    one ``NodeIndex`` for the run.  A hit at step j means some earlier step i
+    fired a bisimilar subtree at a proper prefix of the current position,
+    with every step in between staying inside that prefix; the run from i
+    can then be replayed from j forever, so the reduction never escapes.
     """
 
     def __init__(self):
-        self.hist: list[tuple[Position, tuple]] = []
+        self.hist: list[tuple[Position, int | tuple]] = []
 
-    def push(self, pos: Position, key: tuple) -> bool:
+    def push(self, pos: Position, key: int | tuple) -> bool:
         hit = False
         lcp: Position | None = None  # common prefix of the steps after i
         for qp, qk in reversed(self.hist):
@@ -137,10 +136,14 @@ def reduces_to_lam(t: Node, fuel: int = 10_000) -> TriVerdict:
     the head is rigid, bottom, or loops (detected by exact state repetition
     or by the shifted-recurrence criterion); Unknown on fuel exhaustion.
     """
-    key = canon(t)
+    # states and subtrees are keyed through one index for the run; the cache
+    # compares across calls, so its key is canon(t)
+    index = NodeIndex(Beta())
+    key = index.canonical(t)
     if key in _whnf_cache:
         return _whnf_cache[key]
-    seen = {key}
+    index.add(t)
+    seen = {index.key(t)}
     det = _ShiftDetector()
     cur = t
     positions: list[Position] = []
@@ -166,12 +169,13 @@ def reduces_to_lam(t: Node, fuel: int = 10_000) -> TriVerdict:
             verdict = _no(cur)  # rigid (variable), bottom, or infinite head
             break
         p: Position = (1,) * (m - 1)
-        if det.push(p, canon(node_at(cur, p))):
+        if det.push(p, index.key(node_at(cur, p))):
             verdict = _no(cur)
             break
         cur = try_step(Beta(), cur, p, "beta").after
         positions.append(p)
-        ck = canon(cur)
+        index.add(cur)
+        ck = index.key(cur)
         if ck in seen:
             verdict = _no(cur)
             break
@@ -247,12 +251,13 @@ def is_active(sig: Sig, t: Node, fuel: int = 10_000, order: str = "leftmost") ->
     loop runs forever: Yes, with a destructive trace as witness.  Reaching a
     stable reduct gives No with that reduct.
     """
-    start = canon(t)
-    key = (sig, order, start)
+    index = NodeIndex(Beta())  # as in reduces_to_lam
+    key = (sig, order, index.canonical(t))
     if key in _active_cache:
         return _active_cache[key]
+    index.add(t)
     steps = []
-    seen = {start: 0}
+    seen = {index.key(t): 0}
     det = _ShiftDetector()
     cur = t
     spent = 0
@@ -270,12 +275,14 @@ def is_active(sig: Sig, t: Node, fuel: int = 10_000, order: str = "leftmost") ->
             steps.append(st)
             cur = st.after
             spent += 1
-        shifted = det.push(q, canon(node_at(cur, q)))
+        index.add(cur)
+        shifted = det.push(q, index.key(node_at(cur, q)))
         st = try_step(Beta(), cur, q, "beta", sig=sig)
         steps.append(st)
         cur = st.after
         spent += 1
-        ck = canon(cur)
+        index.add(cur)
+        ck = index.key(cur)
         if ck in seen:
             tr = Trace(sig, Beta(), steps, cycle_at=seen[ck],
                        metadata={"stopped": "cycle", "evidence": "cycle"})

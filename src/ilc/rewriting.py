@@ -5,10 +5,21 @@ trace recording.
 Reductions of length up to omega are represented exactly: a trace is a finite
 list of steps, optionally closed by a detected state repetition (a "lasso"),
 which stands for the omega-length reduction that repeats the cycle forever.
+
+Nodes are immutable once they are handed to ``run_strategy`` or to a redex
+search.  Every node mutation in the library happens inside the builder that
+allocated the node, before the builder returns it: ``replace_at``,
+``trees.transform``, ``trees._tie``, ``trees.tree_of_term``, ``order.glb``'s
+build, ``order._mark_unstable`` and ``developments.path_labels``.  A step
+only adds nodes, the spine that ``replace_at`` copies and the contractum, so
+a ``NodeIndex`` records its facts about a node once and they hold for the
+whole run.
 """
 
 from __future__ import annotations
 
+import heapq
+from contextvars import ContextVar
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -21,17 +32,16 @@ from .trees import (
     HOLE,
     LAM,
     UNKNOWN,
+    ClassTable,
     Node,
     bvar,
     canon,
     child_at,
     children,
     fvar,
-    has_kind,
     hole,
     max_bvar_index,
     node_at,
-    reachable,
     reaching,
     render_tree,
     parse_tree,
@@ -188,90 +198,175 @@ def _strict_tag(sig: Sig, n: Node) -> str | None:
     return None
 
 
-def _redex_reachability(rules: RuleSystem, t: Node) -> set[Node]:
-    """The nodes from which some redex node is reachable."""
-    return reaching(reachable(t), lambda n: _node_redex_tag(rules, n) is not None)
+class NodeIndex:
+    """Facts about the nodes of one run, each recorded once per node.
+
+    ``add(root)`` records three facts about each node below the root that
+    the index has not seen:
+
+    - its class in ``classes``, a ``trees.ClassTable``: equal classes mean
+      bisimilar nodes, and a negative class a node that reaches a cycle;
+    - ``live``: whether it reaches a redex node of the rule system;
+    - ``stuck``: whether it reaches a Cut or Unknown leaf.
+
+    A finite node takes the last two from its own kind and its children,
+    which finish before it.  For the new nodes that reach a cycle,
+    ``trees.reaching`` spreads them over just those nodes, seeded by each
+    node's own kind and its children seen before.  The facts rely on nodes
+    never changing once indexed (see the module docstring).
+    """
+
+    __slots__ = ("rules", "classes", "live", "stuck", "_canons")
+
+    def __init__(self, rules: RuleSystem):
+        self.rules = rules
+        self.classes = ClassTable()
+        self.live: set[Node] = set()
+        self.stuck: set[Node] = set()
+        self._canons: dict[Node, tuple] = {}
+
+    def add(self, root: Node) -> None:
+        finite, cyclic = self.classes.add(root)
+        live, stuck, rules = self.live, self.stuck, self.rules
+        for n in finite:
+            k = n.kind
+            if k == APP or k == LAM:
+                a = n.a
+                b = n.b if k == APP else a
+                if a in live or b in live or _node_redex_tag(rules, n):
+                    live.add(n)
+                if stuck and (a in stuck or b in stuck):
+                    stuck.add(n)
+            elif k == CUT or k == UNKNOWN:
+                stuck.add(n)
+        if cyclic:
+            # a path from a new cyclic node stays among them or leaves them
+            # for a node whose facts are final
+            live |= reaching(
+                cyclic,
+                lambda n: _node_redex_tag(rules, n) is not None
+                or any(c in live for _, c in children(n)),
+            )
+            if stuck:  # else no node seen reaches a Cut or Unknown leaf
+                stuck |= reaching(cyclic, lambda n: any(c in stuck for _, c in children(n)))
+
+    def key(self, n: Node) -> int | tuple:
+        """A key of an indexed node: equal keys iff bisimilar.  Its finite
+        class, or ``canon`` for a node that reaches a cycle."""
+        c = self.classes.cls[n]
+        return c if c >= 0 else self.canonical(n)
+
+    def canonical(self, n: Node) -> tuple:
+        """``canon(n)``, computed once per node; it compares across runs."""
+        k = self._canons.get(n)
+        if k is None:
+            k = self._canons[n] = canon(n)
+        return k
+
+
+_EXPLORATION_LIMIT = 100_000
+
+# the index of the run in progress: the searches keep their signatures, so
+# run_strategy hands them its index through this variable, for its duration
+_run_index: ContextVar[NodeIndex | None] = ContextVar("_run_index", default=None)
+
+
+def _search(
+    rules: RuleSystem,
+    t: Node,
+    max_len: int,
+    mode: str,
+    sig: Sig | None = None,
+    limit: int | None = None,
+) -> list[tuple[Position, str]]:
+    """The redex search behind ``redexes``, ``first_redex``,
+    ``outermost_redexes`` and ``depth0_redex``.
+
+    One walk over the positions of length <= max_len, in preorder (1 before
+    2), or, given ``sig``, best-first by (``adepth``, length, position),
+    which grows along every edge, so a position never comes before its
+    prefixes.  It never enters a subtree without a redex node.  ``mode`` is
+    ``"all"`` (every redex), ``"first"`` (stop at the first) or
+    ``"outermost"`` (do not descend below a redex).  For bottom rules the
+    oracle is consulted per position and nothing is pruned.  Searches that
+    enumerate (all redexes, or best-first) reject Cut/Unknown leaves.
+
+    It uses the index of the run in progress for these rules, or a fresh
+    one, so a search on its own indexes the whole graph once.
+    """
+    index = _run_index.get()
+    if index is None or index.rules is not rules:
+        index = NodeIndex(rules)
+    index.add(t)
+    if (mode == "all" or sig is not None) and t in index.stuck:
+        raise ValueError("redex search rejects Cut/Unknown leaves")
+    bohm = isinstance(rules, BohmBot)
+    live = index.live
+    out: list[tuple[Position, str]] = []
+    # a stack of (position, node), or a heap of (depth, length, position,
+    # node); positions are distinct, so the heap never compares nodes
+    frontier: list = [((), t)] if sig is None else [(0, 0, (), t)]
+    explored = 0
+    while frontier:
+        if sig is None:
+            p, n = frontier.pop()
+        else:
+            d, _, p, n = heapq.heappop(frontier)
+        explored += 1
+        if limit is not None and explored > limit:
+            raise RuntimeError("redex search exceeded its exploration limit")
+        if not bohm and n not in live:
+            continue
+        tag = _node_redex_tag(rules, n)
+        found = [tag] if tag else []
+        if bohm and n.kind != HOLE and (mode == "all" or not found) and rules.oracle(n):
+            found.append("bot")
+        if found:
+            out += [(p, tag) for tag in found]
+            if mode == "first":
+                return out
+            if mode == "outermost":
+                continue
+        if len(p) < max_len:
+            for i, c in reversed(children(n)):
+                if bohm or c in live:
+                    q = p + (i,)
+                    if sig is None:
+                        frontier.append((q, c))
+                    else:
+                        heapq.heappush(frontier, (d + sig[i], len(q), q, c))
+    return out
 
 
 def redexes(
-    rules: RuleSystem, t: Node, max_len: int = 64, limit: int = 100_000
+    rules: RuleSystem, t: Node, max_len: int = 64, limit: int = _EXPLORATION_LIMIT
 ) -> set[tuple[Position, str]]:
     """All redex occurrences with position length <= max_len.
 
     For bottom rules the oracle is consulted per position; for the others the
     search is pruned to subtrees that contain a redex node at all.
     """
-    if has_kind(t, CUT, UNKNOWN):
-        raise ValueError("redex search rejects Cut/Unknown leaves")
-    out: set[tuple[Position, str]] = set()
-    bohm = isinstance(rules, BohmBot)
-    good = None if bohm else _redex_reachability(rules, t)
-    stack: list[tuple[Node, Position]] = [(t, ())]
-    explored = 0
-    while stack:
-        n, p = stack.pop()
-        explored += 1
-        if explored > limit:
-            raise RuntimeError("redex search exceeded its exploration limit")
-        if bohm:
-            tag = _node_redex_tag(rules, n)
-            if tag:
-                out.add((p, tag))
-            if n.kind != HOLE and rules.oracle(n):
-                out.add((p, "bot"))
-        else:
-            if n not in good:
-                continue
-            tag = _node_redex_tag(rules, n)
-            if tag:
-                out.add((p, tag))
-        if len(p) < max_len:
-            for i, c in reversed(children(n)):
-                if bohm or c in good:
-                    stack.append((c, p + (i,)))
-    return out
+    return set(_search(rules, t, max_len, "all", limit=limit))
 
 
 def first_redex(rules: RuleSystem, t: Node, max_len: int = 64) -> tuple[Position, str] | None:
     """Leftmost-outermost redex: first hit in preorder (1 before 2)."""
-    bohm = isinstance(rules, BohmBot)
-    good = None if bohm else _redex_reachability(rules, t)
-    stack: list[tuple[Node, Position]] = [(t, ())]
-    while stack:
-        n, p = stack.pop()
-        if not bohm and n not in good:
-            continue
-        tag = _node_redex_tag(rules, n)
-        if bohm and tag is None and n.kind != HOLE and rules.oracle(n):
-            tag = "bot"
-        if tag:
-            return (p, tag)
-        if len(p) < max_len:
-            for i, c in reversed(children(n)):
-                stack.append((c, p + (i,)))
-    return None
+    found = _search(rules, t, max_len, "first")
+    return found[0] if found else None
 
 
 def outermost_redexes(rules: RuleSystem, t: Node, max_len: int = 64) -> list[tuple[Position, str]]:
     """Redexes none of which lies below another, in preorder."""
-    bohm = isinstance(rules, BohmBot)
-    good = None if bohm else _redex_reachability(rules, t)
-    out: list[tuple[Position, str]] = []
-    stack: list[tuple[Node, Position]] = [(t, ())]
-    while stack:
-        n, p = stack.pop()
-        if not bohm and n not in good:
-            continue
-        tag = _node_redex_tag(rules, n)
-        if bohm and tag is None and n.kind != HOLE and rules.oracle(n):
-            tag = "bot"
-        if tag:
-            out.append((p, tag))
-            continue  # do not descend below an outermost redex
-        if len(p) < max_len:
-            for i, c in reversed(children(n)):
-                stack.append((c, p + (i,)))
-    return out
+    return _search(rules, t, max_len, "outermost")
+
+
+def depth0_redex(rules: RuleSystem, t: Node, sig: Sig, max_len: int = 64) -> tuple[Position, str] | None:
+    """The redex of least depth, ties broken by length and then leftmost:
+    the least of ``redexes`` by (``adepth``, length, position), found by a
+    best-first walk that stops at the first hit, so it explores no more
+    than ``redexes`` would."""
+    found = _search(rules, t, max_len, "first", sig, _EXPLORATION_LIMIT)
+    return found[0] if found else None
 
 
 # ---------------------------------------------------------------------------
@@ -428,39 +523,45 @@ def run_strategy(
     if sig is None:
         sig = step_sig(rules)
     trace = Trace(sig, rules, [], metadata={"strategy": strategy, "start": t})
-    seen: dict[tuple, int] = {canon(t): 0}
-    cur = t
-    spent = 0
-    while spent < fuel:
-        if strategy == "leftmost-outermost":
-            found = first_redex(rules, cur, max_len)
-            picks = [found] if found else []
-        elif strategy == "parallel-outermost":
-            picks = outermost_redexes(rules, cur, max_len)
-        else:  # depth0-first: minimal depth, ties leftmost (shortlex)
-            rs = sorted(
-                redexes(rules, cur, max_len),
-                key=lambda pt: (adepth(sig, pt[0]), len(pt[0]), pt[0]),
-            )
-            picks = [rs[0]] if rs else []
-        if not picks:
-            trace.metadata["stopped"] = "normal_form"
-            trace.metadata["fuel_spent"] = spent
-            return trace
-        for p, tag in picks:
-            step = try_step(rules, cur, p, tag, sig)
-            trace.steps.append(step)
-            cur = step.after
-            spent += 1
-            key = canon(cur)
-            if key in seen:
-                trace.cycle_at = seen[key]
-                trace.metadata["stopped"] = "cycle"
+    index = NodeIndex(rules)
+    token = _run_index.set(index)
+    try:
+        index.add(t)
+        # lasso detection: finite states are keyed by their class in the
+        # index, the others by ``canon``
+        seen: dict[int | tuple, int] = {index.key(t): 0}
+        cur = t
+        spent = 0
+        while spent < fuel:
+            if strategy == "parallel-outermost":
+                picks = outermost_redexes(rules, cur, max_len)
+            else:
+                if strategy == "leftmost-outermost":
+                    found = first_redex(rules, cur, max_len)
+                else:  # depth0-first: minimal depth, ties leftmost (shortlex)
+                    found = depth0_redex(rules, cur, sig, max_len)
+                picks = [found] if found else []
+            if not picks:
+                trace.metadata["stopped"] = "normal_form"
                 trace.metadata["fuel_spent"] = spent
                 return trace
-            seen[key] = len(trace.steps)
-            if spent >= fuel:
-                break
+            for p, tag in picks:
+                step = try_step(rules, cur, p, tag, sig)
+                trace.steps.append(step)
+                cur = step.after
+                spent += 1
+                index.add(cur)
+                key = index.key(cur)
+                if key in seen:
+                    trace.cycle_at = seen[key]
+                    trace.metadata["stopped"] = "cycle"
+                    trace.metadata["fuel_spent"] = spent
+                    return trace
+                seen[key] = len(trace.steps)
+                if spent >= fuel:
+                    break
+    finally:
+        _run_index.reset(token)
     trace.metadata["stopped"] = "fuel"
     trace.metadata["fuel_spent"] = spent
     return trace

@@ -181,11 +181,12 @@ def back_edges(root: Node, edge=None) -> tuple[set[Node], dict[Node, bool]]:
 def reaching(nodes: list[Node], seed, edge=None) -> set[Node]:
     """The nodes that reach a node satisfying ``seed``.
 
-    ``nodes`` must be closed under children, as ``reachable`` returns them.
-    A path counts only if ``edge(i)`` allows each edge index ``i`` on it (all
-    edges by default).  One pass collects the allowed parent edges; a
-    breadth-first search from the seeds then follows them backwards, so the
-    cost is linear in the graph.
+    ``nodes`` must be closed under children, as ``reachable`` returns them,
+    or ``seed`` must hold of every node in ``nodes`` with a child outside
+    them that reaches a seed.  A path counts only if ``edge(i)`` allows each
+    edge index ``i`` on it (all edges by default).  One pass collects the
+    allowed parent edges; a breadth-first search from the seeds then follows
+    them backwards, so the cost is linear in the graph.
     """
     body, fun, arg = (True, True, True) if edge is None else (edge(0), edge(1), edge(2))
     parents: dict[Node, list[Node]] = {}
@@ -207,6 +208,62 @@ def reaching(nodes: list[Node], seed, edge=None) -> set[Node]:
     return found
 
 
+def components(nodes: list[Node], edge=None) -> list[list[Node]]:
+    """The strongly connected components of the graph on ``nodes``, each
+    listed after every component it reaches.
+
+    ``nodes`` must be closed under children, as ``reachable`` returns them,
+    and an edge counts only if ``edge(i)`` allows its index (all edges by
+    default).  Tarjan's algorithm (1972) with an explicit stack, so the cost
+    is linear in the graph and there is no depth limit.
+    """
+    body, fun, arg = (True, True, True) if edge is None else (edge(0), edge(1), edge(2))
+
+    def succ(n: Node) -> list[Node]:
+        if n.kind == APP:
+            return [c for ok, c in ((fun, n.a), (arg, n.b)) if ok]
+        return [n.a] if n.kind == LAM and body else []
+
+    num: dict[Node, int] = {}  # discovery order
+    low: dict[Node, int] = {}  # least number reachable inside the open part
+    path: list[Node] = []  # visited nodes whose component is still open
+    open_: set[Node] = set()
+    out: list[list[Node]] = []
+    for root in nodes:
+        if root in num:
+            continue
+        num[root] = low[root] = len(num)
+        path.append(root)
+        open_.add(root)
+        work = [(root, iter(succ(root)))]
+        while work:
+            n, todo = work[-1]
+            for c in todo:
+                if c not in num:
+                    num[c] = low[c] = len(num)
+                    path.append(c)
+                    open_.add(c)
+                    work.append((c, iter(succ(c))))
+                    break
+                if c in open_:
+                    low[n] = min(low[n], num[c])
+            else:  # every successor is done: finish n
+                work.pop()
+                if work:
+                    up = work[-1][0]
+                    low[up] = min(low[up], low[n])
+                if low[n] == num[n]:  # n roots a component
+                    comp = []
+                    while True:
+                        m = path.pop()
+                        open_.discard(m)
+                        comp.append(m)
+                        if m is n:
+                            break
+                    out.append(comp)
+    return out
+
+
 def has_kind(root: Node, *kinds: str) -> bool:
     return any(n.kind in kinds for n in reachable(root))
 
@@ -220,77 +277,117 @@ def max_bvar_index(root: Node) -> int:
     return idx
 
 
+def max_bvar_indices(root: Node) -> dict[Node, int]:
+    """``max_bvar_index`` of every node below the root, in one pass over
+    the strongly connected components: each takes the largest index among
+    its own nodes and the components it reaches, which come before it."""
+    out: dict[Node, int] = {}
+    for comp in components(reachable(root)):
+        idx = -1
+        for n in comp:
+            if n.kind == BVAR:
+                idx = max(idx, n.a)
+            for _, c in children(n):
+                idx = max(idx, out.get(c, -1))  # a member of comp has none yet
+        for n in comp:
+            out[n] = idx
+    return out
+
+
 # ---------------------------------------------------------------------------
 # Canonical forms and bisimulation
 
 
-_OPEN = -1  # canon: the node is on the depth-first path
-_CYCLIC = -2  # canon: the node reaches a cycle
+_OPEN = -1  # ClassTable: the node is on the depth-first path
+_CYCLIC = -2  # ClassTable: the node reaches a cycle
+
+
+class ClassTable:
+    """Finite classes of nodes, interned across the calls of ``add``.
+
+    ``add(root)`` visits, in one iterative depth-first pass, the nodes below
+    the root that the table has not seen, and finishes them in postorder.  A
+    node that reaches no cycle has a finite unfolding; its class is interned
+    from its label and its children's classes when it finishes, so two nodes
+    share a class iff they are bisimilar.  A node that reaches a cycle gets
+    the negative ``_CYCLIC``: its unfolding is infinite, so it is bisimilar
+    to no finite node.  The classes hold while the nodes seen never change.
+    """
+
+    __slots__ = ("cls", "table", "rep")
+
+    def __init__(self):
+        self.cls: dict[Node, int] = {}  # node -> class, _OPEN or _CYCLIC
+        self.table: dict[tuple, int] = {}  # (label, child classes) -> class
+        self.rep: list[Node] = []  # class -> a member
+
+    def add(self, root: Node) -> tuple[list[Node], list[Node]]:
+        """The new nodes with a finite class, in postorder, and the new
+        nodes that reach a cycle."""
+        cls, table, rep = self.cls, self.table, self.rep
+        finite: list[Node] = []
+        cyclic: list[Node] = []
+        stack = [root]
+        while stack:
+            n = stack[-1]
+            state = cls.get(n)
+            if state is None:  # first visit: open it and push unseen children
+                cls[n] = _OPEN
+                k = n.kind
+                if k == APP:
+                    if n.b not in cls:
+                        stack.append(n.b)
+                    if n.a not in cls:
+                        stack.append(n.a)
+                elif k == LAM and n.a not in cls:
+                    stack.append(n.a)
+                continue
+            stack.pop()
+            if state != _OPEN:  # a second entry of a finished node
+                continue
+            # every child is finished or still open (a back edge)
+            k = n.kind
+            if k == APP:
+                x, y = cls[n.a], cls[n.b]
+                if x < 0 or y < 0:
+                    cls[n] = _CYCLIC
+                    cyclic.append(n)
+                    continue
+                key = (k, x, y)
+            elif k == LAM:
+                x = cls[n.a]
+                if x < 0:
+                    cls[n] = _CYCLIC
+                    cyclic.append(n)
+                    continue
+                key = (k, x)
+            else:
+                key = label(n)
+            c = table.get(key)
+            if c is None:
+                c = table[key] = len(rep)
+                rep.append(n)
+            cls[n] = c
+            finite.append(n)
+        return finite, cyclic
 
 
 def canon(root: Node) -> tuple:
     """A canonical key: two trees get equal keys iff they are bisimilar.
 
     The key is a preorder serialization of the minimized graph (bisimilar
-    nodes merged), so it depends on the unfolded tree alone.  One iterative
-    depth-first pass finishes the nodes in postorder.  A node that reaches no
-    cycle has a finite unfolding; its class is interned from its label and
-    its children's classes when it finishes.  Such a node is never bisimilar
-    to one that reaches a cycle, whose unfolding is infinite, so partition
-    refinement then runs only over the nodes that reach a cycle, with the
-    finite classes held fixed.  The refinement spans that whole part, not one
-    strongly connected component at a time: ``X = X X`` and ``C = C X`` lie
-    in different components, yet ``C`` and ``X`` are bisimilar.  The
-    serialization walks the minimized graph with an explicit stack, so deep
-    graphs cost no Python recursion.
+    nodes merged), so it depends on the unfolded tree alone.  A fresh
+    ``ClassTable`` gives the finite classes.  Partition refinement then runs
+    only over the nodes that reach a cycle, with the finite classes held
+    fixed.  The refinement spans that whole part, not one strongly connected
+    component at a time: ``X = X X`` and ``C = C X`` lie in different
+    components, yet ``C`` and ``X`` are bisimilar.  The serialization walks
+    the minimized graph with an explicit stack, so deep graphs cost no
+    Python recursion.
     """
-    # cls: node -> class; _OPEN while the node is on the DFS path, _CYCLIC
-    # once it is known to reach a cycle
-    cls: dict[Node, int] = {}
-    finite: dict[tuple, int] = {}
-    rep: list[Node] = []  # class -> a member
-    cyclic: list[Node] = []
-    stack = [root]
-    while stack:
-        n = stack[-1]
-        state = cls.get(n)
-        if state is None:  # first visit: open it and push unseen children
-            cls[n] = _OPEN
-            k = n.kind
-            if k == APP:
-                if n.b not in cls:
-                    stack.append(n.b)
-                if n.a not in cls:
-                    stack.append(n.a)
-            elif k == LAM and n.a not in cls:
-                stack.append(n.a)
-            continue
-        stack.pop()
-        if state != _OPEN:  # a second entry of a finished node
-            continue
-        # every child is finished or still open (a back edge)
-        k = n.kind
-        if k == APP:
-            x, y = cls[n.a], cls[n.b]
-            if x < 0 or y < 0:
-                cls[n] = _CYCLIC
-                cyclic.append(n)
-                continue
-            key = (k, x, y)
-        elif k == LAM:
-            x = cls[n.a]
-            if x < 0:
-                cls[n] = _CYCLIC
-                cyclic.append(n)
-                continue
-            key = (k, x)
-        else:
-            key = label(n)
-        c = finite.get(key)
-        if c is None:
-            c = finite[key] = len(rep)
-            rep.append(n)
-        cls[n] = c
+    classes = ClassTable()
+    _, cyclic = classes.add(root)
+    cls, rep = classes.cls, classes.rep
     if cyclic:
         base = len(rep)  # cyclic blocks are numbered from here
         blocks: dict[tuple, int] = {}

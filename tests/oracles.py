@@ -9,7 +9,10 @@ of ``is_guarded``, of ``render_tree``, of the eight de Bruijn and copying
 walkers (``bind_fvars`` among the fixpoints), of ``_mark_unstable`` and of
 the two recursive-descent parsers, kept as references for the linear,
 iterative versions that replaced them, and the union-of-domains construction
-that ``lub_chain`` once ran on every call as a self-check.
+that ``lub_chain`` once ran on every call as a self-check.  At the end are
+the whole-graph redex searches and the ``canon``-keyed ``run_strategy`` loop
+that ``rewriting.NodeIndex`` replaced, and the per-node walks of
+``developments`` that one strongly-connected-components pass replaced.
 """
 
 from __future__ import annotations
@@ -17,8 +20,8 @@ from __future__ import annotations
 import random
 
 from ilc.order import _check_inputs, _tuple_children
-from ilc.rewriting import _node_redex_tag
-from ilc.terms import BOT, Abs, App, Bot, ParseError, Sig, Term, Var, tokenize
+from ilc.rewriting import BohmBot, Trace, _node_redex_tag, step_sig, try_step
+from ilc.terms import BOT, Abs, App, Bot, ParseError, Sig, Term, Var, adepth, tokenize
 from ilc.trees import (
     APP,
     BVAR,
@@ -30,6 +33,7 @@ from ilc.trees import (
     Node,
     app,
     bvar,
+    canon,
     children,
     fvar,
     has_kind,
@@ -38,8 +42,10 @@ from ilc.trees import (
     is_guarded,
     label,
     lam,
+    map_graph,
     max_bvar_index,
     reachable,
+    reaching,
     unknown,
 )
 
@@ -358,6 +364,12 @@ def reaching_by_rounds(root: Node, seed, edge=lambda i: True) -> set[int]:
 def redex_reachability_by_rounds(rules, t: Node) -> set[int]:
     """ids of the nodes from which some redex node is reachable."""
     return reaching_by_rounds(t, lambda n: _node_redex_tag(rules, n) is not None)
+
+
+def redex_reachability(rules, t: Node) -> set[Node]:
+    """The nodes from which some redex node is reachable, by one whole-graph
+    ``reaching`` pass (the per-search set before ``rewriting.NodeIndex``)."""
+    return reaching(reachable(t), lambda n: _node_redex_tag(rules, n) is not None)
 
 
 def collapsible_by_rounds(sig: Sig, t: Node) -> set[int]:
@@ -989,3 +1001,154 @@ def term_of_tree_recursive(t: Node) -> Term:
         raise TypeError(n.kind)
 
     return go(t, [])
+
+
+# ---------------------------------------------------------------------------
+# Whole-graph redex search and lasso keys (the earlier ``rewriting`` loop)
+
+
+def redexes_whole_graph(rules, t: Node, max_len: int = 64, limit: int = 100_000) -> set:
+    """``rewriting.redexes`` with its pruning set rebuilt per call."""
+    if has_kind(t, CUT, UNKNOWN):
+        raise ValueError("redex search rejects Cut/Unknown leaves")
+    out: set = set()
+    bohm = isinstance(rules, BohmBot)
+    good = None if bohm else redex_reachability(rules, t)
+    stack: list = [(t, ())]
+    explored = 0
+    while stack:
+        n, p = stack.pop()
+        explored += 1
+        if explored > limit:
+            raise RuntimeError("redex search exceeded its exploration limit")
+        if bohm:
+            tag = _node_redex_tag(rules, n)
+            if tag:
+                out.add((p, tag))
+            if n.kind != HOLE and rules.oracle(n):
+                out.add((p, "bot"))
+        else:
+            if n not in good:
+                continue
+            tag = _node_redex_tag(rules, n)
+            if tag:
+                out.add((p, tag))
+        if len(p) < max_len:
+            for i, c in reversed(children(n)):
+                if bohm or c in good:
+                    stack.append((c, p + (i,)))
+    return out
+
+
+def _preorder_whole_graph(rules, t: Node, max_len: int, first: bool) -> list:
+    bohm = isinstance(rules, BohmBot)
+    good = None if bohm else redex_reachability(rules, t)
+    out: list = []
+    stack: list = [(t, ())]
+    while stack:
+        n, p = stack.pop()
+        if not bohm and n not in good:
+            continue
+        tag = _node_redex_tag(rules, n)
+        if bohm and tag is None and n.kind != HOLE and rules.oracle(n):
+            tag = "bot"
+        if tag:
+            out.append((p, tag))
+            if first:
+                return out
+            continue  # do not descend below an outermost redex
+        if len(p) < max_len:
+            for i, c in reversed(children(n)):
+                stack.append((c, p + (i,)))
+    return out
+
+
+def first_redex_whole_graph(rules, t: Node, max_len: int = 64):
+    """``rewriting.first_redex`` with its pruning set rebuilt per call."""
+    found = _preorder_whole_graph(rules, t, max_len, True)
+    return found[0] if found else None
+
+
+def outermost_redexes_whole_graph(rules, t: Node, max_len: int = 64) -> list:
+    """``rewriting.outermost_redexes`` with its pruning set rebuilt per call."""
+    return _preorder_whole_graph(rules, t, max_len, False)
+
+
+def run_strategy_whole_graph(rules, strategy: str, t: Node, fuel: int, max_len: int = 64, sig=None) -> Trace:
+    """``rewriting.run_strategy`` with whole-graph searches per step and every
+    state keyed by ``canon``; depth0-first sorts the full ``redexes`` set."""
+    strategy = {"lmo": "leftmost-outermost", "po": "parallel-outermost", "d0": "depth0-first"}.get(
+        strategy, strategy
+    )
+    if sig is None:
+        sig = step_sig(rules)
+    trace = Trace(sig, rules, [], metadata={"strategy": strategy, "start": t})
+    seen = {canon(t): 0}
+    cur = t
+    spent = 0
+    while spent < fuel:
+        if strategy == "leftmost-outermost":
+            found = first_redex_whole_graph(rules, cur, max_len)
+            picks = [found] if found else []
+        elif strategy == "parallel-outermost":
+            picks = outermost_redexes_whole_graph(rules, cur, max_len)
+        else:
+            rs = sorted(
+                redexes_whole_graph(rules, cur, max_len),
+                key=lambda pt: (adepth(sig, pt[0]), len(pt[0]), pt[0]),
+            )
+            picks = [rs[0]] if rs else []
+        if not picks:
+            trace.metadata["stopped"] = "normal_form"
+            trace.metadata["fuel_spent"] = spent
+            return trace
+        for p, tag in picks:
+            step = try_step(rules, cur, p, tag, sig)
+            trace.steps.append(step)
+            cur = step.after
+            spent += 1
+            key = canon(cur)
+            if key in seen:
+                trace.cycle_at = seen[key]
+                trace.metadata["stopped"] = "cycle"
+                trace.metadata["fuel_spent"] = spent
+                return trace
+            seen[key] = len(trace.steps)
+            if spent >= fuel:
+                break
+    trace.metadata["stopped"] = "fuel"
+    trace.metadata["fuel_spent"] = spent
+    return trace
+
+
+# ---------------------------------------------------------------------------
+# Per-node graph walks in ``developments`` (the earlier versions)
+
+
+def unguarded_to_hole_by_walks(sig: Sig, t: Node) -> Node:
+    """``developments._unguarded_to_hole`` with one strict-edge search per
+    node."""
+    bad: set[int] = set()
+    for n in reachable(t):
+        # can n reach itself through a nonempty chain of strict edges?
+        frontier = [c for i, c in children(n) if sig[i] == 0]
+        seen: set[int] = set()
+        while frontier:
+            c = frontier.pop()
+            if c is n:
+                bad.add(id(n))
+                break
+            if id(c) in seen:
+                continue
+            seen.add(id(c))
+            frontier.extend(cc for i, cc in children(c) if sig[i] == 0)
+    if not bad:
+        return t
+    return map_graph(t, lambda n: hole() if id(n) in bad else None)
+
+
+def max_bvar_indices_by_walks(root: Node) -> dict[int, int]:
+    """For each node below the root (by id), the largest de Bruijn index
+    reachable from it, or -1: one ``max_bvar_index`` walk per node, as
+    ``path_labels`` once computed its environment caps."""
+    return {id(n): max_bvar_index(n) for n in reachable(root)}

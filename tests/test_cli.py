@@ -98,6 +98,25 @@ def test_exit_codes():
     assert code == 1
 
 
+def test_budget_and_limit_errors_exit_3():
+    code, out, err = run("dev", "--fuel", "0", "--all", r"(\x.x) a")
+    assert (code, out, err) == (3, "", "ilc: development did not finish within fuel\n")
+    # every position up to the search bound holds a redex: too many to list
+    code, out, err = run("dev", "--all", r"rec M. (\x.x) (M M)")
+    assert (code, out, err) == (3, "", "ilc: redex search exceeded its exploration limit\n")
+
+
+def test_depth0_first_on_a_cyclic_term():
+    # depth0-first picks the least redex without listing all of them
+    code, out, err = run("trace", "--ascii", "--strategy", "d0", "--fuel", "3", r"rec M. (\x.x) (M M)")
+    assert code == 2 and err == ""
+    steps = [line.split()[:4] for line in out.splitlines()[:3]]
+    assert steps == [["0", "beta", "at", "e"], ["1", "beta", "at", "1"], ["2", "beta", "at", "2"]]
+    assert "stopped: fuel" in out
+    code, out, err = run("join", "--ascii", "--fuel", "3", r"rec M. (\x.x) (M M)")
+    assert (code, out, err) == (2, "unknown\n", "")
+
+
 def test_schema_ships_with_the_package():
     import ilc
 
@@ -150,11 +169,13 @@ def test_deeply_nested_input_never_escapes_the_exit_codes():
 
 
 def test_dev_all_on_a_long_argument_spine():
-    # the S-normalization and the path-label build copy the whole spine
-    spine = "f" + " z" * 1000
-    code, out, err = run("dev", "--all", "--ascii", spine)
-    assert code == 0 and err == ""
-    assert out == f"develop: {spine}\npath labels: {spine}\nagree: True\n"
+    # the S-normalization and the path-label build copy the whole spine; the
+    # strict-cycle check and the path states' index caps take one pass each
+    for length, sig in ((1000, "111"), (10**4, "111"), (10**4, "001")):
+        spine = "f" + " z" * length
+        code, out, err = run("dev", "--all", "--ascii", "--sig", sig, spine)
+        assert code == 0 and err == ""
+        assert out == f"develop: {spine}\npath labels: {spine}\nagree: True\n"
 
 
 def test_tree_on_a_long_argument_spine():

@@ -9,6 +9,7 @@ import sys
 
 import pytest
 
+from ilc.developments import _unguarded_to_hole
 from ilc.meaningless import _collapsible, is_stable
 from ilc.order import _mark_unstable, glb, liminf_approx, tree_leq
 from ilc.rewriting import (
@@ -16,7 +17,6 @@ from ilc.rewriting import (
     BetaStrict,
     Eta,
     Strict,
-    _redex_reachability,
     first_redex,
     occurs_index,
     redexes,
@@ -38,6 +38,7 @@ from ilc.trees import (
     bvar,
     canon,
     close_subtree,
+    components,
     cut,
     fvar,
     hole,
@@ -45,6 +46,7 @@ from ilc.trees import (
     is_guarded,
     lam,
     map_graph,
+    max_bvar_indices,
     reachable,
     render_tree,
     truncate,
@@ -59,13 +61,16 @@ from oracles import (
     is_guarded_by_walks,
     map_graph_recursive,
     mark_unstable_recursive,
+    max_bvar_indices_by_walks,
     occurs_index_recursive,
     random_graph,
+    redex_reachability,
     redex_reachability_by_rounds,
     render_tree_recursive,
     shift_recursive,
     substitute_recursive,
     truncate_recursive,
+    unguarded_to_hole_by_walks,
     unroll,
     unshift_free_recursive,
 )
@@ -127,7 +132,7 @@ def test_canon_keys_are_equal_iff_bisimilar():
 def test_redex_reachability_equals_the_fixpoint():
     for g in graphs(11, 200):
         for rules in RULES:
-            assert ids(_redex_reachability(rules, g)) == redex_reachability_by_rounds(rules, g)
+            assert ids(redex_reachability(rules, g)) == redex_reachability_by_rounds(rules, g)
 
 
 def test_collapsible_equals_the_fixpoint():
@@ -604,3 +609,40 @@ def test_occurs_index_on_deep_inputs():
     # the index is found at the bottom only, after the whole nesting
     for g in (open_nesting(N, bvar(N + 1)), nesting(N, bvar(N + 1))):
         assert occurs_index(g, 1) and not occurs_index(g, 0)
+
+
+# ---------------------------------------------------------------------------
+# developments: one component pass in place of one walk per node
+
+
+def test_unguarded_to_hole_equals_the_per_node_walks():
+    changed = 0
+    for g in graphs(27, 400):
+        for sig in ALL_SIGS:
+            want = unguarded_to_hole_by_walks(sig, g)
+            got = _unguarded_to_hole(sig, g)
+            assert (got is g) == (want is g)
+            assert canon(got) == canon(want)
+            assert render_tree(got, ascii_only=True) == render_tree(want, ascii_only=True)
+            changed += got is not g
+    assert changed > 100
+
+
+def test_max_bvar_indices_equal_the_per_node_walks():
+    for g in graphs(28, 400):
+        got = {id(n): idx for n, idx in max_bvar_indices(g).items()}
+        assert got == max_bvar_indices_by_walks(g)
+
+
+def test_components_on_a_long_cycle():
+    # one strict cycle through 10^4 applications, and off each a lambda and
+    # its variable, each a component of its own under 001
+    length = 10**4
+    first = app(None, lam(bvar(0)))
+    n = first
+    for _ in range(length - 1):
+        n = app(n, lam(bvar(0)))
+    first.a = n
+    comps = components(reachable(n), lambda i: i == 1)
+    assert len(comps) == 2 * length + 1 and max(map(len, comps)) == length
+    assert _unguarded_to_hole((0, 0, 1), n).kind == HOLE
