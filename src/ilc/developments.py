@@ -37,6 +37,7 @@ from .trees import (
     Node,
     agree_where_defined,
     bisimilar,
+    build,
     bvar,
     canon,
     children,
@@ -271,7 +272,9 @@ def path_labels(sig: Sig, rs: RedexSet, state_limit: int = 100_000) -> Node:
     argument state; reading the bound variable of a consumed redex silently
     jumps to that argument state.  Real lambdas push a plain binder entry.
     Silent cycles mean a diverging path and produce bottom, as do result
-    cycles that never cross a non-strict edge.
+    cycles that never cross a non-strict edge.  The result graph is
+    ``trees.build`` over the path states, each resolved through its silent
+    edges; more than ``state_limit + 1`` states raise ``RuntimeError``.
     """
     _check_development_sig(sig)
     tags = _validate_redexes(sig, rs)
@@ -302,13 +305,6 @@ def path_labels(sig: Sig, rs: RedexSet, state_limit: int = 100_000) -> Node:
     def suffixes(rel: frozenset, i: int) -> frozenset:
         return frozenset(u[1:] for u in rel if u and u[0] == i)
 
-    def key(st: tuple) -> tuple:
-        n, env, rel = st
-        ek = tuple(
-            e if e[0] != "s" else ("s", key(e[1])) for e in env
-        )
-        return (id(n), ek, rel)
-
     def resolve(st: tuple):
         """Follow silent edges; returns ('leaf', node) | ('emit', state) | ('div',).
 
@@ -320,10 +316,10 @@ def path_labels(sig: Sig, rs: RedexSet, state_limit: int = 100_000) -> Node:
         n, env, rel = st
         seen: set[tuple] = set()
         while True:
-            k = key(mk_state(n, env, rel))
-            if k in seen:
+            st = mk_state(n, env, rel)
+            if st in seen:
                 return ("div",)
-            seen.add(k)
+            seen.add(st)
             if () in rel and n.kind == APP and n.a.kind == LAM:
                 arg_state = mk_state(n.b, env, suffixes(rel, 2))
                 env = env + (("s", arg_state),)
@@ -360,44 +356,28 @@ def path_labels(sig: Sig, rs: RedexSet, state_limit: int = 100_000) -> Node:
                 return ("leaf", bvar(above))
             return ("emit", mk_state(n, env, rel))
 
-    # the result is built with an explicit stack, each node allocated as a
-    # Hole before its state is resolved, so that result cycles close
-    memo: dict[tuple, Node] = {}
-    todo: list[tuple[Node, tuple]] = []
+    expanded = 0
 
-    def node_for(st: tuple) -> Node:
-        st = mk_state(*st)
-        k = key(st)
-        out = memo.get(k)
-        if out is None:
-            if len(memo) > state_limit:
-                raise RuntimeError("path-state graph exceeded its size limit")
-            out = memo[k] = Node(HOLE)
-            todo.append((out, st))
-        return out
-
-    result = node_for((rs.tree, (), us))
-    while todo:
-        out, st = todo.pop()
+    def expand(st: tuple):
+        nonlocal expanded
+        if expanded > state_limit:
+            raise RuntimeError("path-state graph exceeded its size limit")
+        expanded += 1
         r = resolve(st)
         if r[0] == "div":
-            continue  # a diverging silent cycle: bottom
+            return hole()  # a diverging silent cycle: bottom
         if r[0] == "leaf":
-            leaf = r[1]
-            out.kind, out.a, out.b = leaf.kind, leaf.a, leaf.b
-            continue
+            return r[1]
         n, env, rel = r[1]
-        if n.kind in (FVAR, HOLE, BVAR):
-            out.kind, out.a, out.b = n.kind, n.a, n.b
-        elif n.kind == LAM:
-            out.kind = LAM
-            out.a = node_for((n.a, env + (("b",),), suffixes(rel, 0)))
-        elif n.kind == APP:
-            out.kind = APP
-            out.a = node_for((n.a, env, suffixes(rel, 1)))
-            out.b = node_for((n.b, env, suffixes(rel, 2)))
-        else:
-            raise TypeError(n.kind)
+        if n.kind in (FVAR, HOLE):
+            return n
+        if n.kind == LAM:
+            return LAM, mk_state(n.a, env + (("b",),), suffixes(rel, 0))
+        if n.kind == APP:
+            return APP, mk_state(n.a, env, suffixes(rel, 1)), mk_state(n.b, env, suffixes(rel, 2))
+        raise TypeError(n.kind)
+
+    result = build(mk_state(rs.tree, (), us), expand)
     result = _unguarded_to_hole(sig, result)
     return strict_nf(sig, result)
 
@@ -505,10 +485,7 @@ def strip_join(
     long_end = p_limit(long).tree
     u_omega = descendants(long, u0)
     bottom_tr, bottom_raw = _develop_raw(sig, long_end, set(u_omega), fuel)
-    if bottom_tr.cycle_at is not None:
-        bottom_end = strict_nf(sig, bottom_raw)
-    else:
-        bottom_end = strict_nf(sig, bottom_raw)
+    bottom_end = strict_nf(sig, bottom_raw)
     if not bisimilar(common, bottom_end):
         raise AssertionError("the two sides of the strip diagram disagree")
     return bottom_tr, top_tr, common

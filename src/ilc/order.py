@@ -22,6 +22,7 @@ from .trees import (
     Node,
     app,
     bisimilar,
+    build,
     canon,
     child_at,
     children,
@@ -106,69 +107,52 @@ def glb(sig: Sig, ts: Sequence[Node]) -> Node:
     disagreeing labels fails.  A breadth-first search then follows the
     forced strict edges backwards from the failing states, so every state
     that reaches one fails too, and the cost is linear in the product graph.
-    The result is built with an explicit stack, each copy allocated before
-    its children so that cycles close, and so has no depth limit.
+    ``trees.build`` then builds the result over the product states, with a
+    hole for each failed one, so it has no depth limit.
     """
     ts = list(ts)
     if not ts:
         raise ValueError("glb of an empty set")
     _check_inputs(sig, *ts)
 
-    def key(st: tuple[Node, ...]) -> tuple[int, ...]:
-        return tuple(map(id, st))
-
     root = tuple(ts)
-    seen = {key(root)}
+    seen = {root}
     stack = [root]
-    failing: list[tuple[int, ...]] = []
-    forced_by: dict[tuple[int, ...], list[tuple[int, ...]]] = {}  # strict child -> parents
+    failing: list[tuple[Node, ...]] = []
+    forced_by: dict[tuple[Node, ...], list[tuple[Node, ...]]] = {}  # strict child -> parents
     while stack:
         st = stack.pop()
-        k = key(st)
         n0 = st[0]
         if any(n.kind == HOLE for n in st) or len({label(n) for n in st}) != 1:
-            failing.append(k)
+            failing.append(st)
             continue
         for i, _ in children(n0):
             cs = _tuple_children(st, i)
-            ck = key(cs)
-            if ck not in seen:
-                seen.add(ck)
+            if cs not in seen:
+                seen.add(cs)
                 stack.append(cs)
             if sig[i] == 0 and any(c.kind != HOLE for c in cs):
-                forced_by.setdefault(ck, []).append(k)
+                forced_by.setdefault(cs, []).append(st)
 
     failed = set(failing)
     queue = deque(failing)
     while queue:
-        for k in forced_by.get(queue.popleft(), ()):
-            if k not in failed:
-                failed.add(k)
-                queue.append(k)
+        for st in forced_by.get(queue.popleft(), ()):
+            if st not in failed:
+                failed.add(st)
+                queue.append(st)
 
-    memo: dict[tuple[int, ...], Node] = {}
-    todo: list[tuple[Node, tuple[Node, ...]]] = []
-
-    def copy(st: tuple[Node, ...]) -> Node:
-        k = key(st)
-        if k in failed:
+    def expand(st: tuple[Node, ...]):
+        if st in failed:
             return hole()
-        new = memo.get(k)
-        if new is None:
-            n0 = st[0]
-            new = memo[k] = Node(n0.kind, n0.a, n0.b)
-            todo.append((new, st))
-        return new
+        n0 = st[0]
+        if n0.kind == LAM:
+            return LAM, _tuple_children(st, 0)
+        if n0.kind == APP:
+            return APP, _tuple_children(st, 1), _tuple_children(st, 2)
+        return n0  # a variable all members share
 
-    result = copy(root)
-    while todo:
-        new, st = todo.pop()
-        if new.kind == LAM:
-            new.a = copy(_tuple_children(st, 0))
-        elif new.kind == APP:
-            new.a = copy(_tuple_children(st, 1))
-            new.b = copy(_tuple_children(st, 2))
-    return result
+    return build(root, expand)
 
 
 def lub_chain(sig: Sig, ts: Sequence[Node]) -> Node:
@@ -253,32 +237,19 @@ def _liminf_window(sig: Sig, it: Iterator[Node], depth: int, fuel: int) -> Appro
 
 
 def _mark_unstable(cur: Node, prev: Node | None) -> Node:
-    """Replace subtrees where the last two candidates disagreed by Unknown.
-
-    The copy walks pairs of nodes with an explicit stack, each pair once,
-    allocating each copy before its children as ``glb`` does.
-    """
+    """Replace subtrees where the last two candidates disagreed by Unknown:
+    ``trees.build`` over pairs of nodes, one from each candidate."""
     if prev is None:
         return unknown()
-    memo: dict[tuple[Node, Node], Node] = {}
-    todo: list[tuple[Node, Node, Node]] = []
 
-    def copy(x: Node, y: Node) -> Node:
-        new = memo.get((x, y))
-        if new is None:
-            if label(x) != label(y):
-                new = unknown()
-            else:
-                new = Node(x.kind, x.a, x.b)
-                if x.kind == LAM or x.kind == APP:
-                    todo.append((new, x, y))
-            memo[x, y] = new
-        return new
+    def expand(pair: tuple[Node, Node]):
+        x, y = pair
+        if label(x) != label(y):
+            return unknown()
+        if x.kind == LAM:
+            return LAM, (x.a, y.a)
+        if x.kind == APP:
+            return APP, (x.a, y.a), (x.b, y.b)
+        return x
 
-    result = copy(cur, prev)
-    while todo:
-        new, x, y = todo.pop()
-        new.a = copy(x.a, y.a)
-        if new.kind == APP:
-            new.b = copy(x.b, y.b)
-    return result
+    return build((cur, prev), expand)

@@ -8,12 +8,10 @@ which stands for the omega-length reduction that repeats the cycle forever.
 
 Nodes are immutable once they are handed to ``run_strategy`` or to a redex
 search.  Every node mutation in the library happens inside the builder that
-allocated the node, before the builder returns it: ``replace_at``,
-``trees.transform``, ``trees._tie``, ``trees.tree_of_term``, ``order.glb``'s
-build, ``order._mark_unstable`` and ``developments.path_labels``.  A step
-only adds nodes, the spine that ``replace_at`` copies and the contractum, so
-a ``NodeIndex`` records its facts about a node once and they hold for the
-whole run.
+allocated the node, before the builder returns it: ``trees.build``,
+``trees._tie`` and ``trees.tree_of_term``.  A step only adds nodes, the
+spine that ``replace_at`` copies and the contractum, so a ``NodeIndex``
+records its facts about a node once and they hold for the whole run.
 """
 
 from __future__ import annotations
@@ -149,13 +147,28 @@ def unshift_free(root: Node) -> Node:
 
 
 def occurs_index(root: Node, index: int) -> bool:
-    """Does de Bruijn index ``index`` (relative to the root) occur free?"""
+    """Does de Bruijn index ``index`` (relative to the root) occur free?
 
-    def hit(n: Node, k: int) -> Node | None:
-        return n if n.kind == BVAR and n.a == k else None
-
-    found = transform(root, hit, cap=max_bvar_index(root) + 1, depth=index, copy=False)
-    return found is not None
+    A scan of (node, binders crossed) states with an explicit stack.  A
+    count above the largest reachable index plus one counts as that bound,
+    which bounds the states of a cyclic graph.
+    """
+    cap = max_bvar_index(root) + 1
+    start = (root, min(index, cap))
+    seen = {start}
+    stack = [start]
+    while stack:
+        n, k = stack.pop()
+        if n.kind == BVAR:
+            if n.a == k:
+                return True
+            continue
+        for i, c in children(n):
+            state = (c, min(k + 1, cap) if i == 0 else k)
+            if state not in seen:
+                seen.add(state)
+                stack.append(state)
+    return False
 
 
 # ---------------------------------------------------------------------------
@@ -357,7 +370,7 @@ def first_redex(rules: RuleSystem, t: Node, max_len: int = 64) -> tuple[Position
 
 def outermost_redexes(rules: RuleSystem, t: Node, max_len: int = 64) -> list[tuple[Position, str]]:
     """Redexes none of which lies below another, in preorder."""
-    return _search(rules, t, max_len, "outermost")
+    return _search(rules, t, max_len, "outermost", limit=_EXPLORATION_LIMIT)
 
 
 def depth0_redex(rules: RuleSystem, t: Node, sig: Sig, max_len: int = 64) -> tuple[Position, str] | None:
@@ -401,12 +414,7 @@ def replace_at(t: Node, p: Position, replacement: Node) -> Node:
         n = c
     out = replacement
     for n, i in reversed(spine):
-        new = Node(n.kind, n.a, n.b)
-        if i == 0 or (n.kind == APP and i == 1):
-            new.a = out
-        else:
-            new.b = out
-        out = new
+        out = Node(LAM, out) if i == 0 else Node(APP, out, n.b) if i == 1 else Node(APP, n.a, out)
     return out
 
 

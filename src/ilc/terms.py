@@ -236,27 +236,42 @@ def parse_term(text: str) -> Term:
 
 
 def render_term(t: Term, ascii_only: bool = False) -> str:
-    """Print with minimal parentheses; inverse of parse_term up to alpha."""
-    bot = "bot" if ascii_only else "⊥"
-    lam = "\\"
+    """Print with minimal parentheses; inverse of parse_term up to alpha.
 
-    def go(t: Term, ctx: str) -> str:
-        # ctx: 'top' (no parens needed), 'fun' (function side of app),
-        # 'arg' (argument side of app)
+    An explicit work stack prints into a list of parts, so there is no
+    depth limit.
+    """
+    bot = "bot" if ascii_only else "⊥"
+    parts: list[str] = []
+    # work items: a string is printed as is, a pair (term, context) prints
+    # the term; contexts: 0 top (no parentheses), 1 function side of an
+    # application, 2 argument side
+    work: list = [(t, 0)]
+    while work:
+        item = work.pop()
+        if type(item) is str:
+            parts.append(item)
+            continue
+        t, ctx = item
         match t:
             case Bot():
-                return bot
+                parts.append(bot)
             case Var(name):
-                return name
+                parts.append(name)
             case Abs(binder, body):
-                s = f"{lam}{binder}.{go(body, 'top')}"
-                return s if ctx == "top" else f"({s})"
+                if ctx:
+                    parts.append("(")
+                    work.append(")")
+                parts.append(f"\\{binder}.")
+                work.append((body, 0))
             case App(fun, arg):
-                s = f"{go(fun, 'fun')} {go(arg, 'arg')}"
-                return s if ctx in ("top", "fun") else f"({s})"
-        raise TypeError(f"not a term: {t!r}")
-
-    return go(t, "top")
+                if ctx == 2:
+                    parts.append("(")
+                    work.append(")")
+                work += ((arg, 2), " ", (fun, 1))
+            case _:
+                raise TypeError(f"not a term: {t!r}")
+    return "".join(parts)
 
 
 # ---------------------------------------------------------------------------

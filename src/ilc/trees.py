@@ -630,63 +630,69 @@ def dom_positions(t: Node, max_len: int) -> list[Position]:
 # Graph transformations
 
 
-def transform(root: Node, leaf, step=(1, 0, 0), cap=None, depth=0, copy=True):
-    """Copy the graph below ``root``, walking (node, depth) states.
+def build(start, expand) -> Node:
+    """The graph of the states reachable from ``start``.
 
-    The walk starts in state ``(root, depth)`` and crosses edge ``i`` with
-    the depth raised by ``step[i]``: ``(1, 0, 0)`` counts the binders
-    crossed, as de Bruijn indices need.  A depth above ``cap`` counts as
-    ``cap``, which bounds the states of a cyclic graph.  Each state is
-    visited once: ``leaf(n, d)`` returns the node that replaces it, or None
-    to share a leaf and to copy an interior node, whose children's states
-    are walked in turn.  A copy is allocated before its children are filled
-    in, so cycles close, and the walk keeps an explicit stack, so it has no
-    depth limit.
-
-    With ``copy`` false nothing is built: the walk returns the first
-    replacement that ``leaf`` offers, or None if it offers none.
+    ``expand(state)`` returns either a finished ``Node``, which stands for
+    the state as it is, or an interior node's kind and child states:
+    ``(LAM, body)`` or ``(APP, fun, arg)``.  Each state, which must be
+    hashable, is expanded once, a first child before a second.  An interior
+    node is allocated before its children are linked, so cycles among the
+    states close, and the walk keeps an explicit stack, so it has no depth
+    limit.
     """
-    body, fun, arg = step
-    top = math.inf if cap is None else cap
-    start = (root, min(depth, top))
-    memo: dict[tuple[Node, int], Node] = {}
-    interior: list[tuple[Node, Node, int]] = []  # copies whose children are unset
+    memo: dict = {}
+    interior: list[tuple[Node, tuple]] = []  # nodes whose children are unset
     stack = [start]
     while stack:
         state = stack.pop()
         if state in memo:
             continue
+        out = expand(state)
+        if type(out) is tuple:
+            node = Node(out[0])
+            interior.append((node, out))
+            if len(out) == 3:
+                stack.append(out[2])
+            stack.append(out[1])
+            out = node
+        memo[state] = out
+    for node, out in interior:
+        node.a = memo[out[1]]
+        if len(out) == 3:
+            node.b = memo[out[2]]
+    return memo[start]
+
+
+def transform(root: Node, leaf, step=(1, 0, 0), cap=None, depth=0) -> Node:
+    """Copy the graph below ``root``, ``build`` over (node, depth) states.
+
+    The walk starts in state ``(root, depth)`` and crosses edge ``i`` with
+    the depth raised by ``step[i]``: ``(1, 0, 0)`` counts the binders
+    crossed, as de Bruijn indices need.  A depth above ``cap`` counts as
+    ``cap``, which bounds the states of a cyclic graph.  ``leaf(n, d)``
+    returns the node that replaces a state, or None to share a leaf and to
+    copy an interior node, whose children's states are walked in turn.
+    """
+    body, fun, arg = step
+    top = math.inf if cap is None else cap
+
+    def expand(state):
         n, d = state
         out = leaf(n, d)
-        if out is None:
-            out = n
-            kind = n.kind
-            if kind == APP or kind == LAM:
-                if kind == APP:
-                    e = d + arg
-                    stack.append((n.b, e if e < top else top))
-                    e = d + fun
-                else:
-                    e = d + body
-                stack.append((n.a, e if e < top else top))
-                if copy:
-                    out = Node(kind)
-                    interior.append((out, n, d))
-        elif not copy:
+        if out is not None:
             return out
-        memo[state] = out
-    if not copy:
-        return None
-    for out, n, d in interior:
-        if out.kind == APP:
+        kind = n.kind
+        if kind == APP:
             e = d + fun
-            out.a = memo[n.a, e if e < top else top]
-            e = d + arg
-            out.b = memo[n.b, e if e < top else top]
-        else:
+            f = d + arg
+            return APP, (n.a, e if e < top else top), (n.b, f if f < top else top)
+        if kind == LAM:
             e = d + body
-            out.a = memo[n.a, e if e < top else top]
-    return memo[start]
+            return LAM, (n.a, e if e < top else top)
+        return n
+
+    return build((root, min(depth, top)), expand)
 
 
 def map_graph(root: Node, leaf_fn) -> Node:

@@ -5,10 +5,12 @@ Most of this is implemented from first principles on the finite term syntax
 algorithms, so that agreement is meaningful.  The round-by-round graph
 fixpoints and the recursive walkers at the end are the library's earlier
 implementations of ``canon``, of the backward-reachability sets, of ``glb``,
-of ``is_guarded``, of ``render_tree``, of the eight de Bruijn and copying
-walkers (``bind_fvars`` among the fixpoints), of ``_mark_unstable`` and of
-the two recursive-descent parsers, kept as references for the linear,
-iterative versions that replaced them, and the union-of-domains construction
+of ``is_guarded``, of ``render_tree`` and ``render_term``, of the eight de
+Bruijn and copying walkers (``bind_fvars`` among the fixpoints), of
+``_mark_unstable`` and of the two recursive-descent parsers, kept as
+references for the linear, iterative versions that replaced them (the
+copying walkers, ``glb``, ``_mark_unstable`` and ``path_labels`` now build
+their results with ``trees.build``), and the union-of-domains construction
 that ``lub_chain`` once ran on every call as a self-check.  At the end are
 the whole-graph redex searches and the ``canon``-keyed ``run_strategy`` loop
 that ``rewriting.NodeIndex`` replaced, and the per-node walks of
@@ -864,6 +866,29 @@ def parse_term_recursive(text: str) -> Term:
     if kind != "eof":
         raise ParseError(f"trailing input {value!r}", off)
     return t
+
+
+def render_term_recursive(t: Term, ascii_only: bool = False) -> str:
+    """``terms.render_term`` as a recursive printer."""
+    bot = "bot" if ascii_only else "⊥"
+
+    def go(t: Term, ctx: str) -> str:
+        # ctx: 'top' (no parens needed), 'fun' (function side of app),
+        # 'arg' (argument side of app)
+        match t:
+            case Bot():
+                return bot
+            case Var(name):
+                return name
+            case Abs(binder, body):
+                s = f"\\{binder}.{go(body, 'top')}"
+                return s if ctx == "top" else f"({s})"
+            case App(fun, arg):
+                s = f"{go(fun, 'fun')} {go(arg, 'arg')}"
+                return s if ctx in ("top", "fun") else f"({s})"
+        raise TypeError(f"not a term: {t!r}")
+
+    return go(t, "top")
 
 
 class _TreeParser:

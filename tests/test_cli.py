@@ -104,6 +104,10 @@ def test_budget_and_limit_errors_exit_3():
     # every position up to the search bound holds a redex: too many to list
     code, out, err = run("dev", "--all", r"rec M. (\x.x) (M M)")
     assert (code, out, err) == (3, "", "ilc: redex search exceeded its exploration limit\n")
+    # the outermost redexes branch at every unfolding: 2, 112, 122, ... up to
+    # the search bound, exponentially many positions
+    code, out, err = run("trace", "--strategy", "po", "--fuel", "3", r"rec M. M M ((\x.x) y)")
+    assert (code, out, err) == (3, "", "ilc: redex search exceeded its exploration limit\n")
 
 
 def test_depth0_first_on_a_cyclic_term():

@@ -154,6 +154,15 @@ def test_path_labels_matches_develop():
             assert bisimilar(got, want), (sig, src)
 
 
+def test_path_labels_state_limit_boundary():
+    # three path states: the root and one per occurrence of x, each of which
+    # jumps into the contracted argument and reads z
+    rs = RedexSet(T(r"(\x.x x) ((\y.y) z)"), [(), (2,)])
+    assert render_tree(path_labels((1, 1, 1), rs, state_limit=2), ascii_only=True) == "z z"
+    with pytest.raises(RuntimeError, match="^path-state graph exceeded its size limit$"):
+        path_labels((1, 1, 1), rs, state_limit=1)
+
+
 def test_path_labels_empty_set_is_strict_nf():
     assert render_tree(path_labels((1, 0, 1), RedexSet(T("bot y"), [])), ascii_only=True) == "bot"
 

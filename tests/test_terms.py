@@ -27,6 +27,7 @@ from oracles import (
     parse_term_recursive,
     parse_tree_recursive,
     random_graph,
+    render_term_recursive,
     random_term,
 )
 
@@ -194,6 +195,20 @@ def test_parsers_finish_on_deep_nesting():
         assert t.kind == LAM
         t = t.a
     assert t is root
+
+
+def test_render_term_equals_the_recursive_version():
+    rng = random.Random(9)
+    terms = [random_term(rng, rng.randrange(1, 40)) for _ in range(3_000)]
+    terms += [App(Abs("x", Var("x")), App(Var("f"), Abs("y", Bot()))), Bot()]
+    for t in terms:
+        for ascii_only in (False, True):
+            assert render_term(t, ascii_only) == render_term_recursive(t, ascii_only)
+
+
+def test_render_term_finishes_on_deep_nesting():
+    for text in ["f (" * DEEP + "f x" + ")" * DEEP, "\\x." * DEEP + "x", "f" + " x" * DEEP]:
+        assert render_term(parse_term(text)) == text
 
 
 def test_sig_parsing():
