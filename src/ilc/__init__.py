@@ -37,7 +37,7 @@ from .meaningless import (
     reduces_to_lam,
     strict_nf,
 )
-from .order import Lasso, OrderVerdict, glb, liminf_approx, lub_chain, tree_leq
+from .order import Lasso, OrderVerdict, glb, liminf_approx, lub_chain, term_leq, tree_leq
 from .rewriting import (
     Beta,
     BetaStrict,
@@ -63,25 +63,24 @@ from .terms import (
     Term,
     acut,
     adepth,
-    alpha_eq,
-    conflicts,
     parse_sig,
     parse_term,
     render_term,
     sig_str,
-    term_distance,
-    term_height,
-    term_leq,
 )
 from .trees import (
     Approximant,
     LambdaTree,
     Node,
+    alpha_eq,
     bisimilar,
     canon,
+    conflicts,
     is_guarded,
     parse_tree,
     render_tree,
+    term_distance,
+    term_height,
     term_of_tree,
     tree_distance,
     tree_of_term,

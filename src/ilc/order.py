@@ -13,23 +13,22 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
-from .terms import Position, Sig
+from .terms import Position, Sig, Term
 from .trees import (
     APP,
     HOLE,
     LAM,
     Approximant,
     Node,
-    app,
     bisimilar,
     build,
-    canon,
     child_at,
     children,
     hole,
     is_guarded,
     label,
-    node_at,
+    link_position,
+    tree_of_term,
     truncate,
     unknown,
 )
@@ -61,27 +60,32 @@ def tree_leq(sig: Sig, s: Node, t: Node) -> OrderVerdict:
     in that of ``t``; (b) labels agree on the common domain; (c) wherever the
     greater tree has a child at a strict edge under a position of the smaller
     tree's domain, the smaller tree has it too.  The witness reported for a
-    failure is a shortest offending position.
+    failure is a shortest offending position.  The breadth-first search
+    records one link per product state, and only a witness becomes a
+    position, so the cost is linear in the product graph.
     """
     _check_inputs(sig, s, t)
-    seen: set[tuple[int, int]] = set()
-    queue: deque[tuple[Node, Node, Position]] = deque([(s, t, ())])
+    links: dict[tuple[Node, Node], tuple | None] = {(s, t): None}
+    queue = deque([(s, t)])
     while queue:
-        x, y, p = queue.popleft()
-        if (id(x), id(y)) in seen:
-            continue
-        seen.add((id(x), id(y)))
+        pair = queue.popleft()
+        x, y = pair
         if x.kind == HOLE:
             continue  # bottom is below everything at a non-strict or root slot
-        if y.kind == HOLE:
-            return OrderVerdict(False, p)  # domain inclusion fails
-        if label(x) != label(y):
-            return OrderVerdict(False, p)
+        if y.kind == HOLE or label(x) != label(y):  # domain inclusion or labels fail
+            return OrderVerdict(False, link_position(links, pair))
         for (i, cx), (_, cy) in zip(children(x), children(y)):
             if sig[i] == 0 and cx.kind == HOLE and cy.kind != HOLE:
-                return OrderVerdict(False, p + (i,))  # strict-child clause
-            queue.append((cx, cy, p + (i,)))
+                return OrderVerdict(False, link_position(links, pair) + (i,))  # strict-child clause
+            if (cx, cy) not in links:
+                links[cx, cy] = (pair, i)
+                queue.append((cx, cy))
     return OrderVerdict(True)
+
+
+def term_leq(sig: Sig, m: Term, n: Term) -> bool:
+    """The approximation order on finite terms: that of their trees."""
+    return bool(tree_leq(sig, tree_of_term(m), tree_of_term(n)))
 
 
 _HOLE = hole()  # shared absorbing element for product constructions

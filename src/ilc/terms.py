@@ -1,19 +1,18 @@
 """Finite lambda terms with an explicit bottom element.
 
 Terms are the surface syntax of the library: named variables, abstraction,
-application, and the least element ``⊥``.  This module provides parsing and
-printing, the conflict relation (whose emptiness is alpha-equivalence), the
-depth-weighted ultrametric, the approximation order, and the height function.
-All of these are parametrised by a strictness signature ``(a0, a1, a2)``
-marking the lambda-body, function, and argument edges as strict (0) or
-non-strict (1).
+application, and the least element ``⊥``.  This module provides the syntax,
+parsing and printing, and the strictness signatures ``(a0, a1, a2)`` that
+mark the lambda-body, function, and argument edges as strict (0) or
+non-strict (1), with the depth and cut of a position under one.  Finite terms
+are the compact trees: the conflict relation (whose emptiness is
+alpha-equivalence), the ultrametric, the approximation order and the height
+of a term are those of its de Bruijn tree, in ``trees`` and ``order``.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
-from fractions import Fraction
 
 Sig = tuple[int, int, int]
 Position = tuple[int, ...]
@@ -82,11 +81,6 @@ class App(Term):
 BOT = Bot()
 
 
-def fresh_names(prefix: str = "_c"):
-    """A deterministic supply of identifiers: _c0, _c1, ..."""
-    return (f"{prefix}{i}" for i in itertools.count())
-
-
 # ---------------------------------------------------------------------------
 # Parsing
 
@@ -132,7 +126,7 @@ def tokenize(text: str) -> list[tuple[str, str, int]]:
             i = j
             continue
         if c == "_":
-            # internal identifiers (fresh names) are accepted on input too
+            # internal identifiers (escaped binders, _e0, ...) are accepted on input too
             j = i + 1
             while j < n and (text[j].isalnum() or text[j] == "_"):
                 j += 1
@@ -272,121 +266,3 @@ def render_term(t: Term, ascii_only: bool = False) -> str:
             case _:
                 raise TypeError(f"not a term: {t!r}")
     return "".join(parts)
-
-
-# ---------------------------------------------------------------------------
-# Positions, conflicts, metric, order, height
-
-
-def positions(t: Term) -> set[Position]:
-    """All positions of subterms; bottom contributes none."""
-    match t:
-        case Bot():
-            return set()
-        case Var(_):
-            return {()}
-        case Abs(_, body):
-            return {()} | {(0,) + p for p in positions(body)}
-        case App(fun, arg):
-            return {()} | {(1,) + p for p in positions(fun)} | {(2,) + p for p in positions(arg)}
-    raise TypeError(f"not a term: {t!r}")
-
-
-def _rename_free(t: Term, old: str, new: str) -> Term:
-    match t:
-        case Var(name):
-            return Var(new) if name == old else t
-        case Abs(binder, body):
-            if binder == old:
-                return t
-            return Abs(binder, _rename_free(body, old, new))
-        case App(fun, arg):
-            return App(_rename_free(fun, old, new), _rename_free(arg, old, new))
-        case _:
-            return t
-
-
-def conflicts(m: Term, n: Term) -> set[Position]:
-    """Positions where the two terms structurally disagree.
-
-    Abstractions are compared after renaming both binders to the same fresh
-    variable, so the result is stable under alpha-conversion of bound
-    variables.  Free variables are compared by name.
-    """
-    fresh = fresh_names()
-
-    def go(m: Term, n: Term) -> set[Position]:
-        match (m, n):
-            case (Bot(), Bot()):
-                return set()
-            case (Var(a), Var(b)) if a == b:
-                return set()
-            case (App(f1, a1), App(f2, a2)):
-                return {(1,) + p for p in go(f1, f2)} | {(2,) + p for p in go(a1, a2)}
-            case (Abs(x, b1), Abs(y, b2)):
-                z = next(fresh)
-                return {(0,) + p for p in go(_rename_free(b1, x, z), _rename_free(b2, y, z))}
-            case _:
-                return {()}
-
-    return go(m, n)
-
-
-def alpha_eq(m: Term, n: Term) -> bool:
-    return not conflicts(m, n)
-
-
-def term_distance(sig: Sig, m: Term, n: Term) -> Fraction:
-    """2^(-d) where d is the least depth of a conflict; 0 if alpha-equal."""
-    cs = conflicts(m, n)
-    if not cs:
-        return Fraction(0)
-    d = min(adepth(sig, p) for p in cs)
-    return Fraction(1, 2 ** d)
-
-
-def term_leq(sig: Sig, m: Term, n: Term) -> bool:
-    """The approximation order: bottom may only grow at non-strict edges."""
-    a0, a1, a2 = sig
-    fresh = fresh_names()
-
-    def grow_ok(a: int, child_m: Term, child_n: Term) -> bool:
-        # at a strict edge, a bottom child may not become defined
-        return a == 1 or not isinstance(child_m, Bot) or isinstance(child_n, Bot)
-
-    def go(m: Term, n: Term) -> bool:
-        if isinstance(m, Bot):
-            return True
-        match (m, n):
-            case (Var(a), Var(b)):
-                return a == b
-            case (Abs(x, b1), Abs(y, b2)):
-                if not grow_ok(a0, b1, b2):
-                    return False
-                z = next(fresh)
-                return go(_rename_free(b1, x, z), _rename_free(b2, y, z))
-            case (App(f1, u1), App(f2, u2)):
-                return (
-                    grow_ok(a1, f1, f2)
-                    and grow_ok(a2, u1, u2)
-                    and go(f1, f2)
-                    and go(u1, u2)
-                )
-            case _:
-                return False
-
-    return go(m, n)
-
-
-def term_height(sig: Sig, m: Term) -> int:
-    a0, a1, a2 = sig
-    match m:
-        case Bot():
-            return 0
-        case Var(_):
-            return 1
-        case Abs(_, body):
-            return max(1, term_height(sig, body) + a0)
-        case App(fun, arg):
-            return max(1, term_height(sig, fun) + a1, term_height(sig, arg) + a2)
-    raise TypeError(f"not a term: {m!r}")

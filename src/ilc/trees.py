@@ -26,7 +26,6 @@ from .terms import (
     Term,
     Var,
     _parse,
-    adepth,
     tokenize,
 )
 
@@ -550,7 +549,67 @@ def term_of_tree(t: Node) -> Term:
 
 
 # ---------------------------------------------------------------------------
+# Terms compared through their trees: alpha-equivalent terms have the same
+# tree, so names never meet
+
+
+def conflicts(m: Term, n: Term) -> set[Position]:
+    """Positions where the two terms structurally disagree; none iff they
+    are alpha-equivalent.  Bound variables disagree when their binders sit
+    at different places, free variables when their names differ."""
+    s, t = tree_of_term(m), tree_of_term(n)
+    links: dict[tuple[Node, Node], tuple | None] = {(s, t): None}
+    out: set[Position] = set()
+    stack = [(s, t)]
+    while stack:
+        pair = stack.pop()
+        x, y = pair
+        if label(x) != label(y):
+            out.add(link_position(links, pair))
+            continue
+        for (i, a), (_, b) in zip(children(x), children(y)):
+            links[a, b] = (pair, i)  # a term's tree shares no node
+            stack.append((a, b))
+    return out
+
+
+def alpha_eq(m: Term, n: Term) -> bool:
+    """True iff the two terms have the same de Bruijn tree."""
+    return bisimilar(tree_of_term(m), tree_of_term(n))
+
+
+def term_distance(sig: Sig, m: Term, n: Term) -> Fraction:
+    """2^(-d) where d is the least depth of a conflict; 0 if alpha-equal."""
+    return tree_distance(sig, tree_of_term(m), tree_of_term(n))
+
+
+def term_height(sig: Sig, m: Term) -> int:
+    """One more than the greatest depth of a position in the domain; 0 for ⊥."""
+    height = 0
+    stack = [(tree_of_term(m), 1)]
+    while stack:
+        n, h = stack.pop()
+        if n.kind != HOLE:
+            height = max(height, h)
+            stack += ((c, h + sig[i]) for i, c in children(n))
+    return height
+
+
+# ---------------------------------------------------------------------------
 # Positions
+
+
+def link_position(links: dict, key) -> Position:
+    """The position at which a walk first reached ``key``: ``links`` maps
+    each key it visited to (the key it came from, the edge index), and its
+    start to None."""
+    path: list[int] = []
+    link = links[key]
+    while link is not None:
+        key, i = link
+        path.append(i)
+        link = links[key]
+    return tuple(reversed(path))
 
 
 def node_at(t: Node, p: Position) -> Node:

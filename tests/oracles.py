@@ -2,9 +2,14 @@
 
 Most of this is implemented from first principles on the finite term syntax
 (or by brute-force enumeration), deliberately avoiding the library's graph
-algorithms, so that agreement is meaningful.  The round-by-round graph
+algorithms, so that agreement is meaningful.  The named, recursive
+conflicts, alpha-equivalence, metric, order and height on terms are the
+library's earlier versions of the term functions that now compare de Bruijn
+trees; the brute-force glb uses the named order, so it does not depend on
+``tree_leq``.  The round-by-round graph
 fixpoints and the recursive walkers at the end are the library's earlier
-implementations of ``canon``, of the backward-reachability sets, of ``glb``,
+implementations of ``tree_leq`` (with a position per product state), of
+``canon``, of the backward-reachability sets, of ``glb``,
 of ``is_guarded``, of ``render_tree`` and ``render_term``, of the eight de
 Bruijn and copying walkers (``bind_fvars`` among the fixpoints), of
 ``_mark_unstable`` and of the two recursive-descent parsers, kept as
@@ -19,11 +24,14 @@ that ``rewriting.NodeIndex`` replaced, and the per-node walks of
 
 from __future__ import annotations
 
+import itertools
 import random
+from collections import deque
+from fractions import Fraction
 
-from ilc.order import _check_inputs, _tuple_children
+from ilc.order import OrderVerdict, _check_inputs, _tuple_children
 from ilc.rewriting import BohmBot, Trace, _node_redex_tag, step_sig, try_step
-from ilc.terms import BOT, Abs, App, Bot, ParseError, Sig, Term, Var, adepth, tokenize
+from ilc.terms import BOT, Abs, App, Bot, ParseError, Position, Sig, Term, Var, adepth, tokenize
 from ilc.trees import (
     APP,
     BVAR,
@@ -98,6 +106,116 @@ def term_truncate(sig: Sig, t: Term, d: int) -> Term:
 
 
 # ---------------------------------------------------------------------------
+# Named comparisons on finite terms (the earlier library implementations)
+
+
+def fresh_names(prefix: str = "'c"):
+    """A deterministic supply of identifiers: 'c0, 'c1, ...  ``tokenize``
+    rejects the quote, so no parsed identifier is one of them."""
+    return (f"{prefix}{i}" for i in itertools.count())
+
+
+def _rename_free(t: Term, old: str, new: str) -> Term:
+    match t:
+        case Var(name):
+            return Var(new) if name == old else t
+        case Abs(binder, body):
+            if binder == old:
+                return t
+            return Abs(binder, _rename_free(body, old, new))
+        case App(fun, arg):
+            return App(_rename_free(fun, old, new), _rename_free(arg, old, new))
+        case _:
+            return t
+
+
+def conflicts_named(m: Term, n: Term) -> set[Position]:
+    """Positions where the two terms structurally disagree.
+
+    Abstractions are compared after renaming both binders to the same fresh
+    variable, so the result is stable under alpha-conversion of bound
+    variables.  Free variables are compared by name.
+    """
+    fresh = fresh_names()
+
+    def go(m: Term, n: Term) -> set[Position]:
+        match (m, n):
+            case (Bot(), Bot()):
+                return set()
+            case (Var(a), Var(b)) if a == b:
+                return set()
+            case (App(f1, a1), App(f2, a2)):
+                return {(1,) + p for p in go(f1, f2)} | {(2,) + p for p in go(a1, a2)}
+            case (Abs(x, b1), Abs(y, b2)):
+                z = next(fresh)
+                return {(0,) + p for p in go(_rename_free(b1, x, z), _rename_free(b2, y, z))}
+            case _:
+                return {()}
+
+    return go(m, n)
+
+
+def alpha_eq_named(m: Term, n: Term) -> bool:
+    return not conflicts_named(m, n)
+
+
+def term_distance_named(sig: Sig, m: Term, n: Term) -> Fraction:
+    """2^(-d) where d is the least depth of a conflict; 0 if alpha-equal."""
+    cs = conflicts_named(m, n)
+    if not cs:
+        return Fraction(0)
+    d = min(adepth(sig, p) for p in cs)
+    return Fraction(1, 2 ** d)
+
+
+def term_leq_named(sig: Sig, m: Term, n: Term) -> bool:
+    """The approximation order: bottom may only grow at non-strict edges."""
+    a0, a1, a2 = sig
+    fresh = fresh_names()
+
+    def grow_ok(a: int, child_m: Term, child_n: Term) -> bool:
+        # at a strict edge, a bottom child may not become defined
+        return a == 1 or not isinstance(child_m, Bot) or isinstance(child_n, Bot)
+
+    def go(m: Term, n: Term) -> bool:
+        if isinstance(m, Bot):
+            return True
+        match (m, n):
+            case (Var(a), Var(b)):
+                return a == b
+            case (Abs(x, b1), Abs(y, b2)):
+                if not grow_ok(a0, b1, b2):
+                    return False
+                z = next(fresh)
+                return go(_rename_free(b1, x, z), _rename_free(b2, y, z))
+            case (App(f1, u1), App(f2, u2)):
+                return (
+                    grow_ok(a1, f1, f2)
+                    and grow_ok(a2, u1, u2)
+                    and go(f1, f2)
+                    and go(u1, u2)
+                )
+            case _:
+                return False
+
+    return go(m, n)
+
+
+def term_height_recursive(sig: Sig, m: Term) -> int:
+    a0, a1, a2 = sig
+    match m:
+        case Bot():
+            return 0
+        case Var(_):
+            return 1
+        case Abs(_, body):
+            return max(1, term_height_recursive(sig, body) + a0)
+        case App(fun, arg):
+            return max(1, term_height_recursive(sig, fun) + a1, term_height_recursive(sig, arg) + a2)
+    raise TypeError(f"not a term: {m!r}")
+
+
+# ---------------------------------------------------------------------------
 # Brute-force greatest lower bound on finite trees
 
 def _subterm_positions(t: Term) -> list[tuple[int, ...]]:
@@ -128,8 +246,6 @@ def _replace(t: Term, p: tuple[int, ...], sub: Term) -> Term:
 def lower_bounds(sig: Sig, t: Term, limit: int = 1 << 14) -> list[Term]:
     """All terms obtained from t by pruning subterms to bot, filtered to
     genuine lower bounds (brute force over position subsets)."""
-    from ilc.terms import term_leq
-
     ps = [p for p in _subterm_positions(t)]
     if 2 ** len(ps) > limit:
         raise ValueError("term too large for brute-force lower bounds")
@@ -150,19 +266,17 @@ def lower_bounds(sig: Sig, t: Term, limit: int = 1 << 14) -> list[Term]:
         if key in seen:
             continue
         seen.add(key)
-        if term_leq(sig, cur, t):
+        if term_leq_named(sig, cur, t):
             out.append(cur)
     return out
 
 
 def glb_oracle(sig: Sig, a: Term, b: Term) -> Term | None:
     """The unique common lower bound of a and b above all others, if any."""
-    from ilc.terms import term_leq
-
-    common = [x for x in lower_bounds(sig, a) if term_leq(sig, x, b)]
+    common = [x for x in lower_bounds(sig, a) if term_leq_named(sig, x, b)]
     best = None
     for x in common:
-        if all(term_leq(sig, y, x) for y in common):
+        if all(term_leq_named(sig, y, x) for y in common):
             best = x
             break
     return best
@@ -416,6 +530,30 @@ def bind_fvars_by_rounds(root: Node, mapping: dict[str, int]) -> Node:
 
 # ---------------------------------------------------------------------------
 # Product-graph constructions (the earlier library implementations)
+
+
+def tree_leq_by_positions(sig: Sig, s: Node, t: Node) -> OrderVerdict:
+    """``order.tree_leq`` with the position of every product state carried
+    through the breadth-first search."""
+    _check_inputs(sig, s, t)
+    seen: set[tuple[int, int]] = set()
+    queue: deque[tuple[Node, Node, Position]] = deque([(s, t, ())])
+    while queue:
+        x, y, p = queue.popleft()
+        if (id(x), id(y)) in seen:
+            continue
+        seen.add((id(x), id(y)))
+        if x.kind == HOLE:
+            continue  # bottom is below everything at a non-strict or root slot
+        if y.kind == HOLE:
+            return OrderVerdict(False, p)  # domain inclusion fails
+        if label(x) != label(y):
+            return OrderVerdict(False, p)
+        for (i, cx), (_, cy) in zip(children(x), children(y)):
+            if sig[i] == 0 and cx.kind == HOLE and cy.kind != HOLE:
+                return OrderVerdict(False, p + (i,))  # strict-child clause
+            queue.append((cx, cy, p + (i,)))
+    return OrderVerdict(True)
 
 
 def glb_by_rounds(sig: Sig, ts: list[Node]) -> Node:

@@ -3,7 +3,7 @@ import random
 import pytest
 
 from ilc.order import Lasso, glb, liminf_approx, lub_chain, tree_leq
-from ilc.terms import ALL_SIGS, parse_sig, parse_term, term_leq
+from ilc.terms import ALL_SIGS, parse_sig, parse_term
 from ilc.trees import (
     bisimilar,
     hole,
@@ -14,7 +14,15 @@ from ilc.trees import (
     tree_of_term,
     truncate,
 )
-from oracles import lower_bounds, lub_union, random_graph, random_term
+from oracles import (
+    lower_bounds,
+    lub_union,
+    random_graph,
+    random_term,
+    term_leq_named,
+    tree_leq_by_positions,
+    unroll,
+)
 
 
 def T(src):
@@ -46,6 +54,27 @@ def test_leq_on_infinite_trees():
     assert tree_leq(sig, r, r)
 
 
+def test_tree_leq_equals_the_version_with_positions():
+    rng = random.Random(29)
+    holds = fails = 0
+    for k in range(300):
+        if k % 2:
+            s, t = (random_graph(rng, rng.randrange(1, 10), cyclic=k % 4 == 1) for _ in "st")
+        else:
+            s, t = (tree_of_term(random_term(rng, rng.randrange(1, 12))) for _ in "st")
+        for sig in ALL_SIGS:
+            if not (is_guarded(sig, s) and is_guarded(sig, t)):
+                continue
+            d = rng.randrange(6)
+            lower = truncate(sig, s, d)
+            for x, y in [(s, t), (t, s), (lower, s), (lower, t), (s, lower), (lower, unroll(s, 3))]:
+                got, want = tree_leq(sig, x, y), tree_leq_by_positions(sig, x, y)
+                assert (got.result, got.witness) == (want.result, want.witness)
+                holds += got.result
+                fails += got.witness is not None and len(got.witness) > 1
+    assert holds > 3000 and fails > 300
+
+
 def test_glb_golden_table():
     m1, m2 = T(r"\x.x y"), T(r"\x.y x")
     expected = {"011": "\\x0.bot bot", "110": "\\x0.bot", "001": "bot"}
@@ -65,8 +94,8 @@ def test_glb_is_greatest_lower_bound_brute_force():
         assert tree_leq(sig, g, ta) and tree_leq(sig, g, tb)
         gterm = term_of_tree(g)
         for x in lower_bounds(sig, a):
-            if term_leq(sig, x, b):
-                assert term_leq(sig, x, gterm)
+            if term_leq_named(sig, x, b):
+                assert term_leq_named(sig, x, gterm)
 
 
 def test_glb_on_cyclic_trees():

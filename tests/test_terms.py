@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from ilc import alpha_eq, conflicts, term_distance, term_height, term_leq
 from ilc.terms import (
     ALL_SIGS,
     Abs,
@@ -12,23 +13,24 @@ from ilc.terms import (
     Var,
     acut,
     adepth,
-    alpha_eq,
-    conflicts,
     parse_sig,
     parse_term,
     render_term,
     sig_str,
-    term_distance,
-    term_height,
-    term_leq,
 )
 from ilc.trees import APP, BVAR, FVAR, LAM, bisimilar, parse_tree, render_tree
 from oracles import (
+    alpha_eq_named,
+    conflicts_named,
     parse_term_recursive,
     parse_tree_recursive,
     random_graph,
-    render_term_recursive,
     random_term,
+    render_term_recursive,
+    term_distance_named,
+    term_height_recursive,
+    term_leq_named,
+    term_truncate,
 )
 
 
@@ -284,3 +286,93 @@ def test_height():
     assert term_height((1, 1, 1), parse_term("x")) == 1
     assert term_height((1, 1, 1), parse_term(r"\x.x")) == 2
     assert term_height((0, 0, 0), parse_term(r"\x.x y")) == 1
+
+
+def free_vars(t) -> set[str]:
+    match t:
+        case Var(name):
+            return {name}
+        case Abs(x, body):
+            return free_vars(body) - {x}
+        case App(f, a):
+            return free_vars(f) | free_vars(a)
+    return set()
+
+
+# binder names for alpha-renaming: the generators' own and the old fresh names
+RENAME_POOL = ("x", "y", "v0", "v1", "_c0", "_c1")
+
+
+def alpha_rename(rng: random.Random, t, env=None, depth: int = 0):
+    """An alpha-equivalent copy of ``t`` with binders renamed at random: a
+    new name never captures a free variable, but may shadow an outer binder
+    whose variable the body does not use."""
+    env = env or {}
+    match t:
+        case Var(name):
+            return Var(env.get(name, name))
+        case Abs(x, body):
+            taken = {env.get(v, v) for v in free_vars(t)}
+            z = rng.choice([n for n in RENAME_POOL + (f"z{depth}",) if n not in taken])
+            return Abs(z, alpha_rename(rng, body, {**env, x: z}, depth + 1))
+        case App(f, a):
+            return App(alpha_rename(rng, f, env, depth), alpha_rename(rng, a, env, depth))
+    return t
+
+
+def test_term_functions_equal_the_named_versions():
+    rng = random.Random(11)
+    equal = leq = 0
+    for k in range(400):
+        free = ("x", "y") if k % 2 else ("v0", "_c0")
+        a = random_term(rng, rng.randrange(1, 10), free=free)
+        b = random_term(rng, rng.randrange(1, 10), free=free)
+        ra, rb = alpha_rename(rng, a), alpha_rename(rng, b)
+        pairs = [(a, b), (a, ra), (ra, a), (ra, rb), (b, rb)]
+        for m, n in pairs:
+            assert conflicts(m, n) == conflicts_named(m, n), (m, n)
+            assert alpha_eq(m, n) == alpha_eq_named(m, n), (m, n)
+            equal += alpha_eq(m, n)
+        for sig in ALL_SIGS:
+            d = rng.randrange(5)
+            for m, n in pairs + [(term_truncate(sig, a, d), ra), (ra, term_truncate(sig, a, d))]:
+                assert term_distance(sig, m, n) == term_distance_named(sig, m, n), (sig, m, n)
+                assert term_leq(sig, m, n) is term_leq_named(sig, m, n), (sig, m, n)
+                leq += term_leq(sig, m, n)
+            for m in (a, b, ra):
+                assert term_height(sig, m) == term_height_recursive(sig, m), (sig, m)
+    assert equal > 1000 and leq > 10_000
+
+
+# free variables named like the fresh binders the named versions once used
+CAPTURE_CASES = [
+    (r"\x.x", r"\y._c0", (0,), Fraction(1, 2)),
+    (r"\x.\_c0.x", r"\y.\_c0._c0", (0, 0), Fraction(1, 4)),
+]
+
+
+def test_free_names_never_meet_bound_ones():
+    sig = (1, 1, 1)
+    for m, n, at, distance in CAPTURE_CASES:
+        m, n = parse_term(m), parse_term(n)
+        assert conflicts(m, n) == conflicts_named(m, n) == {at}
+        assert term_distance(sig, m, n) == distance
+        assert not alpha_eq(m, n)
+        assert not term_leq(sig, m, n) and not term_leq(sig, n, m)
+
+
+def test_term_functions_finish_on_deep_terms():
+    sig, deep = (1, 1, 1), 10**4
+    shapes = [
+        ("\\x." * deep + "{}", "x", "y", (0,) * deep),
+        ("f (" * deep + "{}" + ")" * deep, "x", "y", (2,) * deep),
+        ("{}" + " z" * deep, "f", "g", (1,) * deep),
+    ]
+    for text, leaf, other, at in shapes:
+        m, same, n = (parse_term(text.format(v)) for v in (leaf, leaf, other))
+        assert alpha_eq(m, same) and not alpha_eq(m, n)
+        assert conflicts(m, same) == set() and conflicts(m, n) == {at}
+        assert term_distance(sig, m, same) == 0
+        assert term_distance(sig, m, n) == Fraction(1, 2**deep)
+        assert term_leq(sig, m, same) and not term_leq(sig, m, n)
+        assert term_height(sig, m) == deep + 1
