@@ -238,7 +238,7 @@ def main(argv: list[str] | None = None, out=None, err=None) -> int:
                     "fuel_exhausted": ap.fuel_exhausted,
                     "non_canonical": ap.non_canonical,
                 },
-                "unknown": ap.has_unknown or ap.has_cut,
+                "unknown": has_kind(ap.tree, UNKNOWN, CUT),
             }
             return _emit(doc, args, out)
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .order import glb
-from .rewriting import Step, Trace, replace_at
+from .rewriting import POSITION_BOUND, Step, Trace, replace_at
 from .terms import Position, Sig, acut, sig_str
 from .trees import (
     HOLE,
@@ -20,6 +20,7 @@ from .trees import (
     Node,
     child_at,
     hole,
+    in_dom,
     node_at,
     render_tree,
     unknown,
@@ -64,10 +65,9 @@ class ConvergenceReport:
         return doc
 
 
-def volatile_positions(
-    trace: Trace, bound: int = 64
-) -> tuple[frozenset[Position], frozenset[Position]]:
-    """Volatile and outermost-volatile positions of a lasso.
+def volatile_positions(trace: Trace) -> tuple[frozenset[Position], frozenset[Position]]:
+    """Volatile and outermost-volatile positions of a lasso, up to length
+    ``POSITION_BOUND``.
 
     A position q is volatile iff some step in the cycle contracts a redex at
     p with acut(p) <= q <= p; since the cycle repeats forever, such steps
@@ -82,7 +82,7 @@ def volatile_positions(
         p = step.position
         lo = len(acut(sig, p))
         for k in range(lo, len(p) + 1):
-            if k <= bound:
+            if k <= POSITION_BOUND:
                 vol.add(p[:k])
     outer = {
         q for q in vol if not any(q[:k] in vol for k in range(len(q)))
@@ -151,11 +151,11 @@ def analyze_m_convergence(trace: Trace) -> MVerdict:
     return MVerdict("unknown", diagnostic=diag)
 
 
-def analyze(trace: Trace, depth: int = 16, bound: int = 64) -> ConvergenceReport:
+def analyze(trace: Trace, depth: int = 16) -> ConvergenceReport:
     m = analyze_m_convergence(trace)
     pl = p_limit(trace, depth)
     if trace.cycle_at is not None:
-        vol, outer = volatile_positions(trace, bound)
+        vol, outer = volatile_positions(trace)
     else:
         vol, outer = frozenset(), frozenset()
     return ConvergenceReport(m, pl, vol, outer, destructive=() in vol)
@@ -168,16 +168,7 @@ def context_via_glb(sig: Sig, step: Step) -> Node:
     """
     g = glb(sig, [step.before, step.after])
     p = step.position
-    # if the glb already lacks p, it is the wanted context
-    cur = g
-    for i in p:
-        if cur.kind == HOLE:
-            return g
-        nxt = child_at(cur, i)
-        if nxt is None:
-            return g
-        cur = nxt
-    if cur.kind == HOLE:
+    if not in_dom(g, p):  # the glb already lacks p: it is the wanted context
         return g
     out = replace_at(g, p, hole())
     for k in range(len(p) - 1, -1, -1):

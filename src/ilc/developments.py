@@ -16,9 +16,10 @@ from dataclasses import dataclass
 from .convergence import p_limit
 from .meaningless import bohm_tree, strict_nf
 from .rewriting import (
+    _EXPLORATION_LIMIT,
+    POSITION_BOUND,
     Beta,
     BetaStrict,
-    RuleSystem,
     Step,
     Trace,
     _node_redex_tag,
@@ -49,10 +50,9 @@ from .trees import (
     map_graph,
     max_bvar_indices,
     node_at,
+    positions,
     reachable,
 )
-
-POSITION_BOUND = 64  # matches the redex-search bound
 
 
 def _is_prefix(p: Position, q: Position) -> bool:
@@ -93,34 +93,27 @@ def _validate_redexes(sig: Sig, rs: RedexSet) -> dict[Position, str]:
 # Descendants and ancestors
 
 
-def _bound_var_positions(body: Node, bound: int = POSITION_BOUND) -> list[Position]:
-    """Positions inside the redex body holding the redex's bound variable."""
+def _bound_var_positions(body: Node) -> list[Position]:
+    """Positions of length <= ``POSITION_BOUND`` inside the redex body that
+    hold the redex's bound variable: its index counts the lambdas above it,
+    each of which the position crosses by edge 0.  A body with cycles can
+    have exponentially many positions, so past ``_EXPLORATION_LIMIT`` of
+    them the search raises ``RuntimeError``."""
     out: list[Position] = []
-    stack: list[tuple[Position, Node, int]] = [((), body, 0)]
-    while stack:
-        p, n, d = stack.pop()
-        if n.kind == BVAR and n.a == d:
+    for explored, (p, n) in enumerate(positions(body, POSITION_BOUND), 1):
+        if explored > _EXPLORATION_LIMIT:
+            raise RuntimeError("bound-variable search exceeded its exploration limit")
+        if n.kind == BVAR and n.a == p.count(0):
             out.append(p)
-        if len(p) >= bound:
-            continue
-        if n.kind == LAM:
-            stack.append((p + (0,), n.a, d + 1))
-        elif n.kind == APP:
-            stack.append((p + (1,), n.a, d))
-            stack.append((p + (2,), n.b, d))
     return out
 
 
 def _is_bound_var_at(body: Node, w: Position) -> bool:
-    n, d = body, 0
-    for i in w:
-        if n.kind == LAM:
-            d += 1
-        n = node_at(n, (i,))
-    return n.kind == BVAR and n.a == d
+    n = node_at(body, w)
+    return n.kind == BVAR and n.a == w.count(0)
 
 
-def _desc_step(sig: Sig, step: Step, us: set[Position], bound: int = POSITION_BOUND) -> set[Position]:
+def _desc_step(sig: Sig, step: Step, us: set[Position]) -> set[Position]:
     """Single-step descendants by the case table."""
     p = step.position
     if step.rule in ("s", "bot"):
@@ -142,9 +135,9 @@ def _desc_step(sig: Sig, step: Step, us: set[Position], bound: int = POSITION_BO
         if rest[0] == 2:
             w = rest[1:]
             if var_occs is None:
-                var_occs = _bound_var_positions(body, bound)
+                var_occs = _bound_var_positions(body)
             for q in var_occs:
-                if len(p) + len(q) + len(w) <= bound:
+                if len(p) + len(q) + len(w) <= POSITION_BOUND:
                     out.add(p + q + w)
         elif rest[:2] == (1, 0):
             w = rest[2:]
@@ -154,7 +147,7 @@ def _desc_step(sig: Sig, step: Step, us: set[Position], bound: int = POSITION_BO
     return out
 
 
-def descendants(trace: Trace, positions, bound: int = POSITION_BOUND) -> frozenset[Position]:
+def descendants(trace: Trace, positions) -> frozenset[Position]:
     """Descendants of a position set through a finite trace or a lasso."""
     sig = trace.sig
     us = {tuple(p) for p in positions}
@@ -166,11 +159,11 @@ def descendants(trace: Trace, positions, bound: int = POSITION_BOUND) -> frozens
             raise ValueError("descendants through a fuel-truncated trace are undefined")
         cur = us
         for s in trace.steps:
-            cur = _desc_step(sig, s, cur, bound)
+            cur = _desc_step(sig, s, cur)
         return frozenset(cur)
     cur = us
     for s in trace.steps[: trace.cycle_at]:
-        cur = _desc_step(sig, s, cur, bound)
+        cur = _desc_step(sig, s, cur)
     cycle = trace.steps[trace.cycle_at:]
     cuts = [acut(sig, s.position) for s in cycle]
     persisting: set[Position] = set()
@@ -184,7 +177,7 @@ def descendants(trace: Trace, positions, bound: int = POSITION_BOUND) -> frozens
             return frozenset(persisting)
         seen.add(key)
         for s in cycle:
-            cur = _desc_step(sig, s, cur, bound)
+            cur = _desc_step(sig, s, cur)
     raise RuntimeError("descendant sets did not stabilize over the lasso")
 
 
@@ -523,7 +516,7 @@ def _beta_normalize(sig: Sig, tree: Node, fuel: int, depth: int) -> Node:
         if tr.metadata["stopped"] == "normal_form":
             return tr.final
         nxt = p_limit(tr, depth).tree
-        if canon(nxt) == canon(cur):
+        if bisimilar(nxt, cur):
             return nxt
         cur = nxt
     return cur

@@ -10,26 +10,23 @@ Bohm, Levy-Longo and Berarducci trees respectively.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 
 from .convergence import p_limit
-from .rewriting import Beta, BohmBot, NodeIndex, Trace, replace_at, run_strategy, try_step
+from .rewriting import Beta, BohmBot, NodeIndex, Trace, run_strategy, try_step
 from .terms import CANONICAL_SIGS, Position, Sig
 from .trees import (
     APP,
     BVAR,
-    CUT,
     FVAR,
     HOLE,
     LAM,
-    UNKNOWN,
     Approximant,
     Node,
     app,
-    bisimilar,
-    children,
+    back_edges,
     bind_fvars,
-    bvar,
     cut,
     fvar,
     hole,
@@ -38,6 +35,7 @@ from .trees import (
     map_graph,
     max_bvar_index,
     node_at,
+    positions,
     reachable,
     reaching,
     transform,
@@ -189,23 +187,7 @@ def reduces_to_lam(t: Node, fuel: int = 10_000) -> TriVerdict:
 # ---------------------------------------------------------------------------
 # Stability and activeness
 
-def depth0_positions(sig: Sig, t: Node) -> list[tuple[Position, Node]]:
-    """All positions of depth 0 (reachable through strict edges), shortlex."""
-    out: list[tuple[Position, Node]] = []
-    layer: list[tuple[Position, Node]] = [((), t)]
-    while layer:
-        nxt: list[tuple[Position, Node]] = []
-        for p, n in layer:
-            out.append((p, n))
-            for i, c in children(n):
-                if sig[i] == 0:
-                    nxt.append((p + (i,), c))
-        nxt.sort(key=lambda pn: pn[0])
-        layer = nxt
-    return out
-
-
-def is_stable(sig: Sig, t: Node, fuel: int = 10_000, order: str = "leftmost") -> TriVerdict:
+def is_stable(sig: Sig, t: Node, fuel: int = 10_000) -> TriVerdict:
     """Can a beta redex ever appear at depth 0?
 
     Yes means stable: no reduct of t has a depth-0 redex.  The depth-0 region
@@ -215,9 +197,9 @@ def is_stable(sig: Sig, t: Node, fuel: int = 10_000, order: str = "leftmost") ->
     position, reduct) for replay.
     """
     _check_tree(sig, t)
-    d0 = depth0_positions(sig, t)
-    if order == "rightmost":
-        d0 = list(reversed(d0))
+    # the depth-0 positions, reached through strict edges alone, shortlex;
+    # guardedness makes them finitely many
+    d0 = list(positions(t, math.inf, lambda i: sig[i] == 0))
     for p, n in d0:
         if n.kind == APP and n.a.kind == LAM:
             return _no(([], p, t))
@@ -242,7 +224,7 @@ def is_stable(sig: Sig, t: Node, fuel: int = 10_000, order: str = "leftmost") ->
 _active_cache: dict[tuple, TriVerdict] = {}
 
 
-def is_active(sig: Sig, t: Node, fuel: int = 10_000, order: str = "leftmost") -> TriVerdict:
+def is_active(sig: Sig, t: Node, fuel: int = 10_000) -> TriVerdict:
     """Does t never reach a stable reduct?
 
     The strategy exposes a depth-0 redex (possibly after preparatory steps
@@ -252,7 +234,7 @@ def is_active(sig: Sig, t: Node, fuel: int = 10_000, order: str = "leftmost") ->
     stable reduct gives No with that reduct.
     """
     index = NodeIndex(Beta())  # as in reduces_to_lam
-    key = (sig, order, index.canonical(t))
+    key = (sig, index.canonical(t))
     if key in _active_cache:
         return _active_cache[key]
     index.add(t)
@@ -263,7 +245,7 @@ def is_active(sig: Sig, t: Node, fuel: int = 10_000, order: str = "leftmost") ->
     spent = 0
     verdict: TriVerdict | None = None
     while spent < fuel and verdict is None:
-        v = is_stable(sig, cur, fuel, order)
+        v = is_stable(sig, cur, fuel)
         if v.is_yes:
             verdict = _no(cur)
             break
@@ -328,8 +310,8 @@ def strict_nf(sig: Sig, t: Node) -> Node:
     Cut and Unknown leaves are inert: they neither collapse nor seed a
     collapse.
     """
-    masked = map_graph(t, lambda n: hole() if n.kind in (CUT, UNKNOWN) else None)
-    if not is_guarded(sig, masked):
+    # is_guarded's test, without its rejection of Cut and Unknown leaves
+    if back_edges(t, lambda i: sig[i] == 0)[0]:
         raise ValueError("strict_nf requires a guarded tree")
     nu = _collapsible(sig, t)
     if not nu:
@@ -345,7 +327,6 @@ def bohm_tree(
     t: Node,
     depth: int = 16,
     fuel: int = 10_000,
-    order: str = "leftmost",
 ) -> Approximant:
     """Depth-bounded infinitary normal form, outside in.
 
@@ -368,7 +349,7 @@ def bohm_tree(
     def norm(sub: Node, d: int) -> Node:
         if d >= depth:
             return cut()
-        v = is_active(sig, sub, fuel, order)
+        v = is_active(sig, sub, fuel)
         if v.is_yes:
             return hole()
         if v.is_unknown:

@@ -21,22 +21,21 @@ from contextvars import ContextVar
 from dataclasses import dataclass, field
 from typing import Callable
 
-from .terms import Position, Sig, acut, adepth, sig_str
+from .terms import Position, Sig, acut, adepth, parse_sig, sig_str
 from .trees import (
     APP,
     BVAR,
     CUT,
-    FVAR,
     HOLE,
     LAM,
     UNKNOWN,
     ClassTable,
     Node,
+    bisimilar,
     bvar,
     canon,
     child_at,
     children,
-    fvar,
     hole,
     max_bvar_index,
     node_at,
@@ -107,15 +106,15 @@ def rule_tags(rules: RuleSystem) -> tuple[str, ...]:
 # Substitution (on graphs, capture-free via de Bruijn indices)
 
 
-def shift(root: Node, by: int, cutoff: int = 0) -> Node:
-    """Add ``by`` to all de Bruijn indices >= cutoff."""
+def shift(root: Node, by: int) -> Node:
+    """Add ``by`` to all free de Bruijn indices."""
     if by == 0:
         return root
 
     def up(n: Node, c: int) -> Node | None:
         return bvar(n.a + by) if n.kind == BVAR and n.a >= c else None
 
-    return transform(root, up, cap=max_bvar_index(root) + 1, depth=cutoff)
+    return transform(root, up, cap=max_bvar_index(root) + 1)
 
 
 def substitute(body: Node, arg: Node) -> Node:
@@ -278,6 +277,9 @@ class NodeIndex:
 
 
 _EXPLORATION_LIMIT = 100_000
+# the longest position that a redex search, a descendant or a volatile
+# position may have
+POSITION_BOUND = 64
 
 # the index of the run in progress: the searches keep their signatures, so
 # run_strategy hands them its index through this variable, for its duration
@@ -352,7 +354,7 @@ def _search(
 
 
 def redexes(
-    rules: RuleSystem, t: Node, max_len: int = 64, limit: int = _EXPLORATION_LIMIT
+    rules: RuleSystem, t: Node, max_len: int = POSITION_BOUND, limit: int = _EXPLORATION_LIMIT
 ) -> set[tuple[Position, str]]:
     """All redex occurrences with position length <= max_len.
 
@@ -362,18 +364,22 @@ def redexes(
     return set(_search(rules, t, max_len, "all", limit=limit))
 
 
-def first_redex(rules: RuleSystem, t: Node, max_len: int = 64) -> tuple[Position, str] | None:
+def first_redex(rules: RuleSystem, t: Node, max_len: int = POSITION_BOUND) -> tuple[Position, str] | None:
     """Leftmost-outermost redex: first hit in preorder (1 before 2)."""
     found = _search(rules, t, max_len, "first")
     return found[0] if found else None
 
 
-def outermost_redexes(rules: RuleSystem, t: Node, max_len: int = 64) -> list[tuple[Position, str]]:
+def outermost_redexes(
+    rules: RuleSystem, t: Node, max_len: int = POSITION_BOUND
+) -> list[tuple[Position, str]]:
     """Redexes none of which lies below another, in preorder."""
     return _search(rules, t, max_len, "outermost", limit=_EXPLORATION_LIMIT)
 
 
-def depth0_redex(rules: RuleSystem, t: Node, sig: Sig, max_len: int = 64) -> tuple[Position, str] | None:
+def depth0_redex(
+    rules: RuleSystem, t: Node, sig: Sig, max_len: int = POSITION_BOUND
+) -> tuple[Position, str] | None:
     """The redex of least depth, ties broken by length and then leftmost:
     the least of ``redexes`` by (``adepth``, length, position), found by a
     best-first walk that stops at the first hit, so it explores no more
@@ -494,8 +500,6 @@ class Trace:
         return self.steps[self.cycle_at :]
 
     def check(self) -> None:
-        from .trees import bisimilar
-
         for a, b in zip(self.steps, self.steps[1:]):
             if a.after is not b.before and not bisimilar(a.after, b.before):
                 raise AssertionError("steps do not chain")
@@ -517,7 +521,7 @@ def run_strategy(
     strategy: str,
     t: Node,
     fuel: int,
-    max_len: int = 64,
+    max_len: int = POSITION_BOUND,
     sig: Sig | None = None,
 ) -> Trace:
     """Reduce until normal form, fuel exhaustion, or state repetition.
@@ -618,8 +622,6 @@ def trace_export(trace: Trace, report: dict | None = None) -> dict:
 
 
 def trace_decode(doc: dict) -> Trace:
-    from .terms import parse_sig
-
     sig = parse_sig(doc["sig"])
     name = doc.get("rules", "beta")
     rules: RuleSystem

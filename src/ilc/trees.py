@@ -653,36 +653,33 @@ def label_at(t: Node, p: Position):
     return n.kind
 
 
+def positions(t: Node, max_len, edge=None):
+    """The (position, node) pairs of the unfolding in shortlex order: a
+    breadth-first walk, which visits a node's edges in their numeric order,
+    along the edges that ``edge(i)`` allows (all edges by default), never
+    past length ``max_len``, which may be ``math.inf``.  A node comes once
+    per path to it, so on a graph with cycles or sharing the pairs can be
+    exponentially many in ``max_len``: a caller that may meet such a graph
+    counts what it consumes.
+    """
+    allowed = (True, True, True) if edge is None else (edge(0), edge(1), edge(2))
+    queue: list[tuple[Position, Node]] = [((), t)]
+    for p, n in queue:  # the loop also reaches the pairs appended during it
+        yield p, n
+        if len(p) < max_len:
+            for i, c in children(n):
+                if allowed[i]:
+                    queue.append((p + (i,), c))
+
+
 def bot_positions(t: Node, max_depth: int) -> set[Position]:
     """Positions of Hole leaves with plain length <= max_depth."""
-    out: set[Position] = set()
-    queue: deque[tuple[Node, Position]] = deque([(t, ())])
-    while queue:
-        n, p = queue.popleft()
-        if n.kind == HOLE:
-            out.add(p)
-            continue
-        if len(p) >= max_depth:
-            continue
-        for i, c in children(n):
-            queue.append((c, p + (i,)))
-    return out
+    return {p for p, n in positions(t, max_depth) if n.kind == HOLE}
 
 
 def dom_positions(t: Node, max_len: int) -> list[Position]:
     """All domain positions of length <= max_len, in shortlex order."""
-    out: list[Position] = []
-    queue: deque[tuple[Node, Position]] = deque([(t, ())])
-    while queue:
-        n, p = queue.popleft()
-        if n.kind == HOLE:
-            continue
-        out.append(p)
-        if len(p) >= max_len:
-            continue
-        for i, c in children(n):
-            queue.append((c, p + (i,)))
-    return out
+    return [p for p, n in positions(t, max_len) if n.kind != HOLE]
 
 
 # ---------------------------------------------------------------------------
@@ -760,19 +757,19 @@ def map_graph(root: Node, leaf_fn) -> Node:
     return transform(root, lambda n, d: leaf_fn(n), (0, 0, 0))
 
 
-def subtree_at(t: Node, p: Position, escape_prefix: str = "_e") -> Node:
+def subtree_at(t: Node, p: Position) -> Node:
     """The subtree at p; bound variables escaping it become free variables
     named ``_e0`` (innermost escaped binder), ``_e1``, ..."""
     n = node_at(t, p)
-    return close_subtree(n, escape_prefix)
+    return close_subtree(n)
 
 
-def close_subtree(n: Node, escape_prefix: str = "_e") -> Node:
+def close_subtree(n: Node) -> Node:
     """Replace de Bruijn indices escaping ``n`` by fresh free variables."""
 
     def escape(m: Node, d: int) -> Node | None:
         if m.kind == BVAR and m.a >= d:
-            return fvar(f"{escape_prefix}{m.a - d}")
+            return fvar(f"_e{m.a - d}")
         return None
 
     return transform(n, escape, cap=max_bvar_index(n) + 1)
@@ -973,10 +970,6 @@ class Approximant:
     @property
     def has_unknown(self) -> bool:
         return has_kind(self.tree, UNKNOWN)
-
-    @property
-    def has_cut(self) -> bool:
-        return has_kind(self.tree, CUT)
 
     def render(self, ascii_only: bool = False) -> str:
         return render_tree(self.tree, ascii_only=ascii_only)

@@ -18,8 +18,10 @@ copying walkers, ``glb``, ``_mark_unstable`` and ``path_labels`` now build
 their results with ``trees.build``), and the union-of-domains construction
 that ``lub_chain`` once ran on every call as a self-check.  At the end are
 the whole-graph redex searches and the ``canon``-keyed ``run_strategy`` loop
-that ``rewriting.NodeIndex`` replaced, and the per-node walks of
-``developments`` that one strongly-connected-components pass replaced.
+that ``rewriting.NodeIndex`` replaced, the per-node walks of
+``developments`` that one strongly-connected-components pass replaced, and
+the four hand-written position enumerations that ``trees.positions``
+replaced.
 """
 
 from __future__ import annotations
@@ -1315,3 +1317,76 @@ def max_bvar_indices_by_walks(root: Node) -> dict[int, int]:
     reachable from it, or -1: one ``max_bvar_index`` walk per node, as
     ``path_labels`` once computed its environment caps."""
     return {id(n): max_bvar_index(n) for n in reachable(root)}
+
+
+# ---------------------------------------------------------------------------
+# Position enumerations (the earlier versions of the ``trees.positions``
+# walks)
+
+
+def dom_positions_by_queue(t: Node, max_len: int) -> list[Position]:
+    """``trees.dom_positions`` as its own breadth-first walk."""
+    out: list[Position] = []
+    queue: deque[tuple[Node, Position]] = deque([(t, ())])
+    while queue:
+        n, p = queue.popleft()
+        if n.kind == HOLE:
+            continue
+        out.append(p)
+        if len(p) >= max_len:
+            continue
+        for i, c in children(n):
+            queue.append((c, p + (i,)))
+    return out
+
+
+def bot_positions_by_queue(t: Node, max_depth: int) -> set[Position]:
+    """``trees.bot_positions`` as its own breadth-first walk."""
+    out: set[Position] = set()
+    queue: deque[tuple[Node, Position]] = deque([(t, ())])
+    while queue:
+        n, p = queue.popleft()
+        if n.kind == HOLE:
+            out.add(p)
+            continue
+        if len(p) >= max_depth:
+            continue
+        for i, c in children(n):
+            queue.append((c, p + (i,)))
+    return out
+
+
+def depth0_positions_by_layers(sig: Sig, t: Node) -> list[tuple[Position, Node]]:
+    """The depth-0 (position, node) pairs that ``meaningless.is_stable``
+    walks, layer by layer, each layer sorted; finite on guarded graphs."""
+    out: list[tuple[Position, Node]] = []
+    layer: list[tuple[Position, Node]] = [((), t)]
+    while layer:
+        nxt: list[tuple[Position, Node]] = []
+        for p, n in layer:
+            out.append((p, n))
+            for i, c in children(n):
+                if sig[i] == 0:
+                    nxt.append((p + (i,), c))
+        nxt.sort(key=lambda pn: pn[0])
+        layer = nxt
+    return out
+
+
+def bound_var_positions_dfs(body: Node, bound: int = 64) -> list[Position]:
+    """``developments._bound_var_positions`` as a depth-first walk that
+    carries the lambdas crossed, with no exploration limit."""
+    out: list[Position] = []
+    stack: list[tuple[Position, Node, int]] = [((), body, 0)]
+    while stack:
+        p, n, d = stack.pop()
+        if n.kind == BVAR and n.a == d:
+            out.append(p)
+        if len(p) >= bound:
+            continue
+        if n.kind == LAM:
+            stack.append((p + (0,), n.a, d + 1))
+        elif n.kind == APP:
+            stack.append((p + (1,), n.a, d))
+            stack.append((p + (2,), n.b, d))
+    return out

@@ -108,6 +108,10 @@ def test_budget_and_limit_errors_exit_3():
     # the search bound, exponentially many positions
     code, out, err = run("trace", "--strategy", "po", "--fuel", "3", r"rec M. M M ((\x.x) y)")
     assert (code, out, err) == (3, "", "ilc: redex search exceeded its exploration limit\n")
+    # the bound variable of the redex at e sits in a branching cycle: its
+    # occurrences up to the position bound are exponentially many
+    code, out, err = run("dev", "--redexes", "e,2", r"(\x. rec M. M (M x)) ((\y.y) z)")
+    assert (code, out) == (3, "") and err.startswith("ilc: ")
 
 
 def test_depth0_first_on_a_cyclic_term():

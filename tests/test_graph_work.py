@@ -1,15 +1,19 @@
 """The linear per-step graph work and ``glb`` agree with the round-by-round
 fixpoints they replaced; the iterative ``is_guarded`` and ``render_tree``,
 the eight walkers built on ``trees.transform`` and ``_mark_unstable`` agree
-with the recursive versions they replaced; and all of them finish on graphs
-far deeper than Python's stack, open and closed into cycles."""
+with the recursive versions they replaced; the position enumerations built
+on ``trees.positions`` agree with the hand-written walks they replaced; and
+all of them finish on graphs far deeper than Python's stack, open and closed
+into cycles."""
 
+import math
 import random
 import sys
 
 import pytest
 
-from ilc.developments import _unguarded_to_hole
+from ilc import developments
+from ilc.developments import _bound_var_positions, _unguarded_to_hole
 from ilc.meaningless import _collapsible, is_stable
 from ilc.order import _mark_unstable, glb, liminf_approx, tree_leq
 from ilc.rewriting import (
@@ -35,11 +39,13 @@ from ilc.trees import (
     app,
     bind_fvars,
     bisimilar,
+    bot_positions,
     bvar,
     canon,
     close_subtree,
     components,
     cut,
+    dom_positions,
     fvar,
     hole,
     is_finite,
@@ -47,6 +53,7 @@ from ilc.trees import (
     lam,
     map_graph,
     max_bvar_indices,
+    positions,
     reachable,
     render_tree,
     truncate,
@@ -54,9 +61,13 @@ from ilc.trees import (
 )
 from oracles import (
     bind_fvars_by_rounds,
+    bot_positions_by_queue,
+    bound_var_positions_dfs,
     canon_by_refinement,
     close_subtree_recursive,
     collapsible_by_rounds,
+    depth0_positions_by_layers,
+    dom_positions_by_queue,
     glb_by_rounds,
     is_guarded_by_walks,
     map_graph_recursive,
@@ -400,7 +411,7 @@ def test_de_bruijn_walkers_equal_the_recursive_versions():
     for g in graphs(32, 1000):
         arg = random_graph(rng, rng.randrange(1, 6), cyclic=rng.random() < 0.5)
         by, k = rng.randrange(3), rng.randrange(3)
-        agree(shift, shift_recursive, g, by, k)
+        agree(shift, shift_recursive, g, by)
         agree(substitute, substitute_recursive, g, arg)
         agree(close_subtree, close_subtree_recursive, g)
         seen.add(("unshift_free", agree(unshift_free, unshift_free_recursive, g)))
@@ -646,3 +657,23 @@ def test_components_on_a_long_cycle():
     comps = components(reachable(n), lambda i: i == 1)
     assert len(comps) == 2 * length + 1 and max(map(len, comps)) == length
     assert _unguarded_to_hole((0, 0, 1), n).kind == HOLE
+
+
+def test_position_walks_equal_the_hand_written_ones(monkeypatch):
+    for g in graphs(41, 200):
+        for k in range(9):
+            assert dom_positions(g, k) == dom_positions_by_queue(g, k)
+            assert bot_positions(g, k) == bot_positions_by_queue(g, k)
+            monkeypatch.setattr(developments, "POSITION_BOUND", k)
+            assert set(_bound_var_positions(g)) == set(bound_var_positions_dfs(g, k))
+        monkeypatch.undo()
+        if is_finite(g):
+            assert set(_bound_var_positions(g)) == set(bound_var_positions_dfs(g))
+        for sig in ALL_SIGS:
+            if not is_guarded(sig, g):
+                continue
+            strict = lambda i: sig[i] == 0
+            layers = depth0_positions_by_layers(sig, g)
+            assert list(positions(g, math.inf, strict)) == layers
+            for k in range(9):
+                assert list(positions(g, k, strict)) == [pn for pn in layers if len(pn[0]) <= k]

@@ -12,7 +12,7 @@ from ilc.meaningless import (
     strict_nf,
 )
 from ilc.terms import ALL_SIGS, parse_term
-from ilc.trees import bisimilar, cut, lam, parse_tree, render_tree, tree_of_term
+from ilc.trees import app, bisimilar, cut, lam, parse_tree, render_tree, tree_of_term
 from oracles import s_normalize
 
 
@@ -78,16 +78,19 @@ def test_is_active_shifted_recurrence():
     assert v2.is_no
 
 
-def test_is_active_cache_keeps_orders_apart():
+def test_is_active_cache_answers_as_a_fresh_run():
     t = T(f"({OMEGA}) ({OMEGA})")
     sig = (0, 0, 0)
     clear_caches()
-    fresh = is_active(sig, t, order="rightmost").witness.steps[0].position
-    assert fresh == (2,)
+    fresh = is_active(sig, t)
+    assert fresh.witness.steps[0].position == (1,)
+    # a bisimilar copy is answered from the cache
+    cached = is_active(sig, T(f"({OMEGA}) ({OMEGA})"))
+    assert cached is fresh
     clear_caches()
-    assert is_active(sig, t, order="leftmost").witness.steps[0].position == (1,)
-    # a leftmost witness in the cache must not answer a rightmost query
-    assert is_active(sig, t, order="rightmost").witness.steps[0].position == fresh
+    again = is_active(sig, t)
+    assert again is not fresh and again.value == fresh.value == "yes"
+    assert [s.position for s in again.witness.steps] == [s.position for s in fresh.witness.steps]
 
 
 def test_in_bot_instances():
@@ -107,6 +110,19 @@ def test_strict_nf_goldens():
     # cut leaves are inert and block the collapse
     t = lam(cut())
     assert render_tree(strict_nf((0, 1, 1), t), ascii_only=True) == "\\x0...."
+
+
+def test_strict_nf_requires_a_guarded_tree():
+    # a cycle of function edges, with and without a Cut leaf on it
+    for leaf in (parse_tree("y"), cut()):
+        looped = app(None, leaf)
+        looped.a = looped
+        for sig in ALL_SIGS:
+            if sig[1] == 1:
+                assert strict_nf(sig, looped) is looped  # nothing collapses
+            else:
+                with pytest.raises(ValueError, match="strict_nf requires a guarded tree"):
+                    strict_nf(sig, looped)
 
 
 def test_strict_nf_matches_term_oracle():
