@@ -41,6 +41,7 @@ from .trees import (
     is_guarded,
     parse_tree,
     render_tree,
+    render_trees,
     tree_distance,
 )
 
@@ -251,12 +252,12 @@ def main(argv: list[str] | None = None, out=None, err=None) -> int:
             unknown = report["m"] == "unknown" or has_kind(analysis.p_limit.tree, UNKNOWN, CUT)
             if as_json:
                 return _emit({"json": trace_export(trace, report), "unknown": unknown}, args, out)
-            lines = []
-            for i, s in enumerate(trace.steps):
-                lines.append(
-                    f"{i:4d}  {s.rule:4s} at {''.join(map(str, s.position)) or 'e'}"
-                    f"  -> {show(s.after)}"
-                )
+            # the states in one call, which reuses what a step left unchanged
+            afters = render_trees([s.after for s in trace.steps], ascii_only)
+            lines = [
+                f"{i:4d}  {s.rule:4s} at {''.join(map(str, s.position)) or 'e'}  -> {after}"
+                for i, (s, after) in enumerate(zip(trace.steps, afters))
+            ]
             lines.append(f"stopped: {trace.metadata['stopped']}"
                          + (f" (cycle at {trace.cycle_at})" if trace.cycle_at is not None else ""))
             lines.append(f"m-convergence: {report['m']}")

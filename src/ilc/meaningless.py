@@ -10,7 +10,6 @@ Bohm, Levy-Longo and Berarducci trees respectively.
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass
 
 from .convergence import p_limit
@@ -27,15 +26,16 @@ from .trees import (
     app,
     back_edges,
     bind_fvars,
+    children,
     cut,
     fvar,
     hole,
     is_guarded,
     lam,
+    link_position,
     map_graph,
     max_bvar_index,
     node_at,
-    positions,
     reachable,
     reaching,
     transform,
@@ -197,20 +197,31 @@ def is_stable(sig: Sig, t: Node, fuel: int = 10_000) -> TriVerdict:
     position, reduct) for replay.
     """
     _check_tree(sig, t)
-    # the depth-0 positions, reached through strict edges alone, shortlex;
-    # guardedness makes them finitely many
-    d0 = list(positions(t, math.inf, lambda i: sig[i] == 0))
-    for p, n in d0:
+    # the depth-0 region, the nodes reached through strict edges alone, in
+    # one breadth-first walk over nodes, not paths; it reaches each node
+    # first along the node's shortlex-least path, so the first redex and the
+    # first function child found are those of the shortlex walk over paths.
+    # ``links`` keeps that path as a parent link, made a position only for
+    # a witness.
+    links: dict[Node, tuple | None] = {t: None}
+    region = [t]
+    for n in region:  # the loop also reaches the nodes appended during it
+        for i, c in children(n):
+            if sig[i] == 0 and c not in links:
+                links[c] = (n, i)
+                region.append(c)
+    for n in region:
         if n.kind == APP and n.a.kind == LAM:
-            return _no(([], p, t))
+            return _no(([], link_position(links, n), t))
     saw_unknown = False
     if sig[1] == 1:
-        for p, n in d0:
+        for n in region:
             if n.kind != APP:
                 continue
             v = reduces_to_lam(n.a, fuel)
             if v.is_yes:
                 _, poss = v.witness
+                p = link_position(links, n)
                 prep = [p + (1,) + q for q in poss]
                 u = t
                 for r in prep:

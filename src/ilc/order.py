@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from functools import reduce
 from typing import Iterable, Iterator, Sequence
 
 from .terms import Position, Sig, Term
@@ -20,6 +21,7 @@ from .trees import (
     LAM,
     Approximant,
     Node,
+    app,
     bisimilar,
     build,
     child_at,
@@ -44,6 +46,21 @@ class OrderVerdict:
 
 
 def _check_inputs(sig: Sig, *ts: Node) -> None:
+    """Reject members with Cut/Unknown leaves or unguarded cycles, with the
+    message of the first member that fails.
+
+    Members share most of their nodes (the contexts of one trace do), so
+    one ``is_guarded`` search runs from a fresh root whose function spine
+    holds them in order: no node is walked twice, and the fresh nodes close
+    no cycle.  Only if that search fails are the members checked one by
+    one, for the first one's message.
+    """
+    if len(ts) > 1:
+        try:
+            if is_guarded(sig, reduce(app, ts)):
+                return
+        except ValueError:  # a Cut or Unknown leaf: the loop names its member
+            pass
     for t in ts:
         try:
             guarded = is_guarded(sig, t)

@@ -12,6 +12,13 @@ allocated the node, before the builder returns it: ``trees.build``,
 ``trees._tie`` and ``trees.tree_of_term``.  A step only adds nodes, the
 spine that ``replace_at`` copies and the contractum, so a ``NodeIndex``
 records its facts about a node once and they hold for the whole run.
+
+A step shares what it leaves unchanged with the state before it: the
+siblings of the copied spine, and in a beta step the argument itself when
+it holds no de Bruijn index (``substitute`` builds one shifted copy per
+binder depth otherwise).  So consecutive states of a trace are graphs that overlap, and
+a subgraph may be reached from several places of one state; only the
+unfolded trees, never the node identities, carry meaning.
 """
 
 from __future__ import annotations
@@ -40,8 +47,8 @@ from .trees import (
     max_bvar_index,
     node_at,
     reaching,
-    render_tree,
     parse_tree,
+    render_trees,
     transform,
 )
 
@@ -107,23 +114,36 @@ def rule_tags(rules: RuleSystem) -> tuple[str, ...]:
 
 
 def shift(root: Node, by: int) -> Node:
-    """Add ``by`` to all free de Bruijn indices."""
+    """Add ``by`` to all free de Bruijn indices.  A graph without indices
+    (its variables are all free names) would get an isomorphic copy, so it
+    is returned as it is."""
     if by == 0:
+        return root
+    cap = max_bvar_index(root) + 1
+    if cap == 0:
         return root
 
     def up(n: Node, c: int) -> Node | None:
         return bvar(n.a + by) if n.kind == BVAR and n.a >= c else None
 
-    return transform(root, up, cap=max_bvar_index(root) + 1)
+    return transform(root, up, cap=cap)
 
 
 def substitute(body: Node, arg: Node) -> Node:
-    """Replace index 0 of ``body`` by ``arg`` (and shift the rest down)."""
+    """Replace index 0 of ``body`` by ``arg`` (and shift the rest down).
+
+    The occurrences at one binder depth share one shifted copy of ``arg``,
+    and an ``arg`` without de Bruijn indices is shared by all of them.
+    """
+    copies: dict[int, Node] = {}  # binder depth -> arg shifted by it
 
     def put(n: Node, d: int) -> Node | None:
         if n.kind == BVAR:
             if n.a == d:
-                return shift(arg, d)
+                copy = copies.get(d)
+                if copy is None:
+                    copy = copies[d] = shift(arg, d)
+                return copy
             if n.a > d:
                 return bvar(n.a - 1)
         return None
@@ -584,30 +604,28 @@ def run_strategy(
 
 
 def trace_export(trace: Trace, report: dict | None = None) -> dict:
-    # each distinct node is rendered once: a step's ``before`` is the previous
-    # step's ``after``, and the first step's is the start
-    rendered: dict[Node, str] = {}
-
-    def show(n: Node) -> str:
-        s = rendered.get(n)
-        if s is None:
-            s = rendered[n] = render_tree(n, ascii_only=True)
-        return s
+    # each distinct state is rendered once, in trace order, by one
+    # render_trees call, which reuses the text of what a step left unchanged;
+    # a step's ``before`` is the previous step's ``after``, and the first
+    # step's is the start
+    states = [trace.start, *(n for s in trace.steps for n in (s.before, s.after, s.context))]
+    states = list(dict.fromkeys(states))
+    text = dict(zip(states, render_trees(states, ascii_only=True)))
 
     doc = {
         "sig": sig_str(trace.sig),
         "rules": rule_tags(trace.rules)[0] if not isinstance(trace.rules, (BetaStrict, BohmBot)) else (
             "betas" if isinstance(trace.rules, BetaStrict) else "bohm"
         ),
-        "start": show(trace.start),
+        "start": text[trace.start],
         "steps": [
             {
                 "pos": list(s.position),
                 "rule": s.rule,
                 "depth": s.depth,
-                "before": show(s.before),
-                "after": show(s.after),
-                "context": show(s.context),
+                "before": text[s.before],
+                "after": text[s.after],
+                "context": text[s.context],
             }
             for s in trace.steps
         ],

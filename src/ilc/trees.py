@@ -16,6 +16,7 @@ import math
 from collections import deque
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import accumulate
 
 from .terms import (
     Abs,
@@ -145,6 +146,15 @@ def back_edges(root: Node, edge=None) -> tuple[set[Node], dict[Node, bool]]:
     them.  Explicit stacks, so no depth
     limit: a popped pair ``(n,)`` finishes n.
     """
+    return _back_edges(root, edge, None)
+
+
+def _back_edges(root: Node, edge, finite: dict[Node, int] | None) -> tuple[set[Node], dict[Node, bool]]:
+    """``back_edges``; given the classes of a ``ClassTable`` that has seen
+    the root (or None), the search skips every node of a finite class.  Such
+    a node reaches no cycle, so it is no target and leads to none: the
+    targets are those of the whole search, at the cost of the nodes that
+    reach a cycle."""
     body, fun, arg = (True, True, True) if edge is None else (edge(0), edge(1), edge(2))
     targets: set[Node] = set()
     state: dict[Node, bool] = {}  # True while on the search path, False when done
@@ -161,6 +171,8 @@ def back_edges(root: Node, edge=None) -> tuple[set[Node], dict[Node, bool]]:
             if st is not None:
                 if st:
                     targets.add(n)
+                continue
+            if finite is not None and finite[n] >= 0:
                 continue
             kind = n.kind
             if kind == APP:
@@ -881,75 +893,139 @@ def parse_tree(text: str) -> Node:
 def render_tree(t: Node, ascii_only: bool = False) -> str:
     """Print a tree; cyclic trees print as ``rec`` literals.
 
-    One iterative pass, with no depth limit: ``back_edges`` marks the nodes
-    entered twice on some path, then an explicit work stack prints the
-    unfolding into a list of parts, naming each marked node ``M0``, ``M1``,
-    ... where its ``rec`` opens.  Binders are named from the lambda depth,
-    ``x0`` outermost.
+    This is ``render_trees`` on one root.  Over several roots that function
+    keeps a memo from (finite class, lambda depth, context) to text already
+    printed, so a later root copies what an earlier one printed.  A lone
+    root has no later root to reuse its text, so it skips the class table
+    and the memo's bookkeeping, which would about double its cost.
+    """
+    return render_trees([t], ascii_only)[0]
+
+
+def render_trees(roots: list[Node], ascii_only: bool = False) -> list[str]:
+    """Print each tree as ``render_tree`` does, reusing the text of the
+    subtrees that an earlier root already printed.
+
+    One iterative pass per root, with no depth limit: ``back_edges`` marks
+    the nodes entered twice on some path, then an explicit work stack prints
+    the unfolding into a list of parts, naming each marked node ``M0``,
+    ``M1``, ... where its ``rec`` opens.  Binders are named from the lambda
+    depth, ``x0`` outermost.
+
+    Given several roots, as the states of a trace, one ``ClassTable`` spans
+    them all.  A node of a finite class has no ``rec`` below it, so its text
+    depends only on its class, its lambda depth and its context (whether it
+    needs parentheses).  While a root prints, the part indices at which each
+    such subtree starts and ends are recorded; once the root's string is
+    joined, a memo maps (class, depth, context) to that string and the two
+    character offsets.  A later root copies a memoised subtree as one slice
+    and walks no node below it, and the back-edge search skips the finite
+    classes, so each root costs about the nodes that earlier roots did not
+    print.  The offsets are kept, not the slices, so a deep tree is never
+    concatenated bottom-up.  The last root records no entries, since no
+    root comes after it, and a lone root keeps neither table nor memo.
     """
     bot = "bot" if ascii_only else "⊥"
     cut_s = "..." if ascii_only else "…"
     leaf = {HOLE: bot, CUT: cut_s, UNKNOWN: "?"}
+    share = len(roots) > 1
+    if share:
+        classes = ClassTable()
+        cls = classes.cls
+        memo: dict[tuple, tuple[str, int, int]] = {}
+    out: list[str] = []
+    for t in roots:
+        # a memo entry in progress: its key, start part and end part
+        keys: list[tuple] = []
+        starts: list[int] = []
+        ends: list[int] = []
+        record = share and len(out) < len(roots) - 1
+        if share:
+            classes.add(t)
+            loops = _back_edges(t, None, cls)[0] if cls[t] < 0 else ()
+        else:
+            loops = back_edges(t)[0]
 
-    loops = back_edges(t)[0]
-
-    # work items: a string is printed as is, a Node closes its rec binding,
-    # a triple (node, lambda depth, context) prints the node's unfolding;
-    # contexts: 0 top (no parentheses), 1 function side, 2 argument side.
-    # The inner loop walks down function sides and lambda bodies directly
-    # and defers only the argument sides.
-    parts: list[str] = []
-    rec_names: dict[Node, str] = {}
-    counter = 0
-    work: list = [(t, 0, 0)]
-    while work:
-        item = work.pop()
-        if type(item) is str:
-            parts.append(item)
-            continue
-        if type(item) is Node:
-            del rec_names[item]
-            continue
-        n, d, ctx = item
-        while True:
-            kind = n.kind
-            if kind == APP or kind == LAM:
-                if n in loops:
-                    name = rec_names.get(n)
-                    if name is not None:
-                        parts.append(name)
-                        break
-                    name = rec_names[n] = f"M{counter}"
-                    counter += 1
-                    if ctx:
-                        parts.append("(")
-                        work.append(")")
-                    work.append(n)
-                    parts.append(f"rec {name}. ")
-                    ctx = 0
-                if kind == APP:
-                    if ctx == 2:
-                        parts.append("(")
-                        work.append(")")
-                    work += ((n.b, d, 2), " ")
-                    n, ctx = n.a, 1
-                else:
-                    if ctx:
-                        parts.append("(")
-                        work.append(")")
-                    parts.append(f"\\x{d}.")
-                    n, d, ctx = n.a, d + 1, 0
+        # work items: a string is printed as is, a Node closes its rec
+        # binding, an int ends memo entry ``keys[item]``, and a triple (node,
+        # lambda depth, context) prints the node's unfolding; contexts: 0 top
+        # (no parentheses), 1 function side, 2 argument side.  The inner loop
+        # walks down function sides and lambda bodies directly and defers
+        # only the argument sides.
+        parts: list[str] = []
+        rec_names: dict[Node, str] = {}
+        counter = 0
+        work: list = [(t, 0, 0)]
+        while work:
+            item = work.pop()
+            tp = type(item)
+            if tp is str:
+                parts.append(item)
                 continue
-            if kind == FVAR:
-                parts.append(n.a)
-            elif kind == BVAR:
-                parts.append(f"x{d - 1 - n.a}" if n.a < d else f"_e{n.a - d}")
-            elif kind in leaf:
-                parts.append(leaf[kind])
-            else:
-                raise TypeError(kind)
-            break
-    return "".join(parts)
+            if tp is int:
+                ends[item] = len(parts)
+                continue
+            if tp is Node:
+                del rec_names[item]
+                continue
+            n, d, ctx = item
+            while True:
+                kind = n.kind
+                if kind == APP or kind == LAM:
+                    if share and cls[n] >= 0:
+                        key = (cls[n], d, ctx)
+                        hit = memo.get(key)
+                        if hit is not None:
+                            earlier, i, j = hit
+                            parts.append(earlier[i:j])
+                            break
+                        if record:  # the end marker goes below the node's own items
+                            work.append(len(keys))
+                            keys.append(key)
+                            starts.append(len(parts))
+                            ends.append(0)
+                    if n in loops:
+                        name = rec_names.get(n)
+                        if name is not None:
+                            parts.append(name)
+                            break
+                        name = rec_names[n] = f"M{counter}"
+                        counter += 1
+                        if ctx:
+                            parts.append("(")
+                            work.append(")")
+                        work.append(n)
+                        parts.append(f"rec {name}. ")
+                        ctx = 0
+                    if kind == APP:
+                        if ctx == 2:
+                            parts.append("(")
+                            work.append(")")
+                        work += ((n.b, d, 2), " ")
+                        n, ctx = n.a, 1
+                    else:
+                        if ctx:
+                            parts.append("(")
+                            work.append(")")
+                        parts.append(f"\\x{d}.")
+                        n, d, ctx = n.a, d + 1, 0
+                    continue
+                if kind == FVAR:
+                    parts.append(n.a)
+                elif kind == BVAR:
+                    parts.append(f"x{d - 1 - n.a}" if n.a < d else f"_e{n.a - d}")
+                elif kind in leaf:
+                    parts.append(leaf[kind])
+                else:
+                    raise TypeError(kind)
+                break
+        text = "".join(parts)
+        out.append(text)
+        if keys:
+            offsets = [0, *accumulate(map(len, parts))]
+            for key, i, j in zip(keys, starts, ends):
+                memo[key] = (text, offsets[i], offsets[j])
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -21,18 +21,22 @@ the whole-graph redex searches and the ``canon``-keyed ``run_strategy`` loop
 that ``rewriting.NodeIndex`` replaced, the per-node walks of
 ``developments`` that one strongly-connected-components pass replaced, and
 the four hand-written position enumerations that ``trees.positions``
-replaced.
+replaced.  Last come the guardedness check that ``order`` once ran member by
+member, and the shortlex walk over depth-0 positions, one per path, that
+``meaningless.is_stable`` ran before it walked nodes.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 import random
 from collections import deque
 from fractions import Fraction
 
+from ilc.meaningless import TriVerdict, _check_tree, reduces_to_lam
 from ilc.order import OrderVerdict, _check_inputs, _tuple_children
-from ilc.rewriting import BohmBot, Trace, _node_redex_tag, step_sig, try_step
+from ilc.rewriting import Beta, BohmBot, Trace, _node_redex_tag, step_sig, try_step
 from ilc.terms import BOT, Abs, App, Bot, ParseError, Position, Sig, Term, Var, adepth, tokenize
 from ilc.trees import (
     APP,
@@ -56,6 +60,7 @@ from ilc.trees import (
     lam,
     map_graph,
     max_bvar_index,
+    positions,
     reachable,
     reaching,
     unknown,
@@ -1390,3 +1395,44 @@ def bound_var_positions_dfs(body: Node, bound: int = 64) -> list[Position]:
             stack.append((p + (1,), n.a, d))
             stack.append((p + (2,), n.b, d))
     return out
+
+
+# ---------------------------------------------------------------------------
+# The member-by-member guardedness check and the per-path depth-0 walk
+
+
+def check_inputs_per_member(sig: Sig, *ts: Node) -> None:
+    """``order._check_inputs`` as one ``is_guarded`` search per member."""
+    for t in ts:
+        try:
+            guarded = is_guarded(sig, t)
+        except ValueError:  # a Cut or Unknown leaf
+            raise ValueError("order operations reject Cut/Unknown leaves") from None
+        if not guarded:
+            raise ValueError("order operations require guarded trees")
+
+
+def is_stable_by_paths(sig: Sig, t: Node, fuel: int = 10_000) -> TriVerdict:
+    """``meaningless.is_stable`` over the depth-0 (position, node) pairs in
+    shortlex order, one pair per path, so exponential on shared graphs."""
+    _check_tree(sig, t)
+    d0 = list(positions(t, math.inf, lambda i: sig[i] == 0))
+    for p, n in d0:
+        if n.kind == APP and n.a.kind == LAM:
+            return TriVerdict("no", ([], p, t))
+    saw_unknown = False
+    if sig[1] == 1:
+        for p, n in d0:
+            if n.kind != APP:
+                continue
+            v = reduces_to_lam(n.a, fuel)
+            if v.is_yes:
+                _, poss = v.witness
+                prep = [p + (1,) + q for q in poss]
+                u = t
+                for r in prep:
+                    u = try_step(Beta(), u, r, "beta").after
+                return TriVerdict("no", (prep, p, u))
+            if v.is_unknown:
+                saw_unknown = True
+    return TriVerdict("unknown") if saw_unknown else TriVerdict("yes")

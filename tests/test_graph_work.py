@@ -4,18 +4,21 @@ the eight walkers built on ``trees.transform`` and ``_mark_unstable`` agree
 with the recursive versions they replaced; the position enumerations built
 on ``trees.positions`` agree with the hand-written walks they replaced; and
 all of them finish on graphs far deeper than Python's stack, open and closed
-into cycles."""
+into cycles.  The one guardedness search over a glb's members and
+``is_stable``'s walk over nodes agree with the member-by-member check and the
+walk over paths that they replaced."""
 
+import itertools
 import math
 import random
 import sys
 
 import pytest
 
-from ilc import developments
+from ilc import developments, meaningless
 from ilc.developments import _bound_var_positions, _unguarded_to_hole
 from ilc.meaningless import _collapsible, is_stable
-from ilc.order import _mark_unstable, glb, liminf_approx, tree_leq
+from ilc.order import _check_inputs, _mark_unstable, glb, liminf_approx, tree_leq
 from ilc.rewriting import (
     Beta,
     BetaStrict,
@@ -53,6 +56,7 @@ from ilc.trees import (
     lam,
     map_graph,
     max_bvar_indices,
+    parse_tree,
     positions,
     reachable,
     render_tree,
@@ -61,6 +65,7 @@ from ilc.trees import (
 )
 from oracles import (
     bind_fvars_by_rounds,
+    check_inputs_per_member,
     bot_positions_by_queue,
     bound_var_positions_dfs,
     canon_by_refinement,
@@ -70,6 +75,7 @@ from oracles import (
     dom_positions_by_queue,
     glb_by_rounds,
     is_guarded_by_walks,
+    is_stable_by_paths,
     map_graph_recursive,
     mark_unstable_recursive,
     max_bvar_indices_by_walks,
@@ -677,3 +683,109 @@ def test_position_walks_equal_the_hand_written_ones(monkeypatch):
             assert list(positions(g, math.inf, strict)) == layers
             for k in range(9):
                 assert list(positions(g, k, strict)) == [pn for pn in layers if len(pn[0]) <= k]
+
+
+# ---------------------------------------------------------------------------
+# One guardedness search for all of a glb's members, and is_stable's walk
+# over nodes, against the member-by-member check and the walk over paths
+
+
+def member_check(check, sig, ts):
+    """None if the members pass, else the message of the check's error."""
+    try:
+        check(sig, *ts)
+    except ValueError as e:
+        return str(e)
+    return None
+
+
+def test_one_guardedness_search_keeps_each_members_message():
+    looped = app(None, fvar("y"))
+    looped.a = looped  # a cycle of function edges
+    marked = app(fvar("y"), cut())
+    shared = lam(app(bvar(0), fvar("z")))
+    unguarded_then_cut = [looped, marked]
+    cut_then_unguarded = [marked, looped]
+    sharing = [app(shared, shared), shared, lam(shared)]
+    cases = [
+        unguarded_then_cut,
+        cut_then_unguarded,
+        sharing,
+        [shared, app(shared, looped)],  # fails on a node beside shared ones
+        [app(shared, unknown()), shared, looped],
+    ]
+    for ts in cases:
+        for sig in ALL_SIGS:
+            assert member_check(_check_inputs, sig, ts) == member_check(check_inputs_per_member, sig, ts)
+    sig = (0, 0, 0)
+    assert member_check(_check_inputs, sig, unguarded_then_cut) == "order operations require guarded trees"
+    assert member_check(_check_inputs, sig, cut_then_unguarded) == "order operations reject Cut/Unknown leaves"
+    assert member_check(_check_inputs, sig, sharing) is None
+    with pytest.raises(ValueError, match="require guarded trees"):
+        glb(sig, unguarded_then_cut)
+
+
+def test_one_guardedness_search_equals_the_per_member_loop():
+    rng = random.Random(51)
+    pool = [with_marker_leaves(rng, g) for g in graphs(52, 100)]
+    outcomes = set()
+    for _ in range(500):
+        # members made of shared parts, as a trace's contexts are
+        ts = [
+            rng.choice(pool) if rng.random() < 0.5 else app(rng.choice(pool), rng.choice(pool))
+            for _ in range(rng.randrange(1, 6))
+        ]
+        for sig in ALL_SIGS:
+            got = member_check(_check_inputs, sig, ts)
+            assert got == member_check(check_inputs_per_member, sig, ts)
+            outcomes.add(got)
+    assert outcomes == {
+        None,
+        "order operations reject Cut/Unknown leaves",
+        "order operations require guarded trees",
+    }
+
+
+def stable_outcome(walk, sig, g):
+    """The verdict with its witness rendered, or the error message."""
+    meaningless.clear_caches()  # so neither walk reads the other's verdicts
+    try:
+        v = walk(sig, g, fuel=60)
+    except ValueError as e:
+        return str(e)
+    if v.is_no:
+        prep, p, u = v.witness
+        return v.value, prep, p, render_tree(u, ascii_only=True)
+    return v.value, v.witness
+
+
+def test_is_stable_equals_the_walk_over_paths():
+    # function children that head-reduce to a lambda, below shared nodes
+    heads = [r"((\x.x) (\z.z)) y", r"y (((\x.\w.x) (\z.z)) y) ((\v.v) y)"]
+    extra = []
+    for text in heads:
+        t = parse_tree(text)
+        extra += [t, app(t, t), lam(app(t, bvar(0)))]
+    kinds = set()
+    for g in itertools.chain(extra, graphs(53, 250)):
+        for sig in ALL_SIGS:
+            got = stable_outcome(is_stable, sig, g)
+            assert got == stable_outcome(is_stable_by_paths, sig, g)
+            if isinstance(got, tuple):
+                kinds.add((got[0], bool(got[0] == "no" and got[1])))
+    # stable, a depth-0 redex, and a function child that reduces to a lambda
+    assert {("yes", False), ("no", False), ("no", True)} <= kinds
+
+
+def test_is_stable_scans_a_shared_region_once():
+    # x(i+1) = x(i) x(i): 2^40 depth-0 paths under 000, 41 nodes
+    x = fvar("y")
+    for _ in range(40):
+        x = app(x, x)
+    assert is_stable((0, 0, 0), x).is_yes
+    # a redex at the bottom: its shortlex-least path runs down function sides
+    x = app(lam(bvar(0)), fvar("y"))
+    for _ in range(40):
+        x = app(x, x)
+    v = is_stable((0, 0, 0), x)
+    assert v.is_no and v.witness[:2] == ([], (1,) * 40)
