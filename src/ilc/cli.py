@@ -7,11 +7,13 @@ Exit codes: 0 success, 1 parse error, 2 an Unknown or Cut leaf in the
 output, 3 bad configuration, an input too large or too deeply nested to
 process, or a fuel budget or search limit that ran out before an answer.
 
-Each call builds the argument parser anew, and argparse pays for every
-argument it adds, so ``main`` builds only the subparser that ``argv[0]``
-names.  The full parser, with all six, serves everything else: no
-arguments, ``--help``, an unknown or abbreviated command, an option before
-the command, and any error of the top-level parser.
+The command line is read in one of two ways.  A well-formed one (the
+subcommand first, then its options spelled out, each at most once, with
+valid values, and its positionals) is read directly off the option table
+``_COMMANDS``, with no argparse parser.  Everything else (no arguments,
+``--help``, an unknown or abbreviated command or option, ``--opt=value``,
+``--``, a negative number, and every error) goes to the full argparse
+parser, built from the same table, which prints the help and the errors.
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from typing import NamedTuple
 
 from . import convergence, developments, meaningless
 from .order import glb, tree_leq
@@ -56,99 +59,132 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_CONFIG, f"{self.prog}: error: {message}\n")
 
 
-class _Reparse(Exception):
-    """Raised by a narrow top-level parser instead of printing an error."""
+class _Option(NamedTuple):
+    """One option of a subcommand.  ``value`` is ``int`` or ``str`` for an
+    option that takes a value and converts it with that type, or the bool
+    that a flag stores.  Options that store into the same ``dest`` are
+    alternatives: at most one of them may be given."""
+
+    flag: str
+    dest: str
+    value: type | bool
+    default: object = None
+    choices: tuple[str, ...] | None = None
+    help: str | None = None
 
 
-class _NarrowParser(_Parser):
-    def error(self, message):
-        raise _Reparse
+class _Command(NamedTuple):
+    help: str
+    positionals: tuple[str, ...]
+    options: tuple[_Option, ...]  # in the order the help lists them
 
 
-def _common_flags(p: _Parser) -> None:
-    p.add_argument("--sig", default="111", help="strictness signature, three digits (default 111)")
-    p.add_argument("--depth", type=int, default=16, help="depth bound (default 16)")
-    p.add_argument("--fuel", type=int, default=10_000, help="step budget (default 10000)")
-    p.add_argument("--format", choices=["text", "json"], default="text")
-    enc = p.add_mutually_exclusive_group()
-    enc.add_argument("--ascii", dest="ascii_only", action="store_true", default=None)
-    enc.add_argument("--unicode", dest="ascii_only", action="store_false")
+_COMMON = (
+    _Option("--sig", "sig", str, "111", help="strictness signature, three digits (default 111)"),
+    _Option("--depth", "depth", int, 16, help="depth bound (default 16)"),
+    _Option("--fuel", "fuel", int, 10_000, help="step budget (default 10000)"),
+    _Option("--format", "format", str, "text", ("text", "json")),
+    _Option("--ascii", "ascii_only", True),
+    _Option("--unicode", "ascii_only", False),
+)
 
-
-def _term_arg(p: _Parser) -> None:
-    p.add_argument("term")
-
-
-def _pair_args(p: _Parser) -> None:
-    p.add_argument("left")
-    p.add_argument("right")
-
-
-def _trace_args(p: _Parser) -> None:
-    p.add_argument("--rules", choices=["beta", "eta", "strict", "betas", "bohm"], default="beta")
-    p.add_argument("--strategy", choices=["lmo", "po", "d0"], default="lmo")
-    p.add_argument("term")
-
-
-def _join_args(p: _Parser) -> None:
-    p.add_argument("--rules", choices=["beta", "betas"], default="betas")
-    p.add_argument("term")
-
-
-def _dev_args(p: _Parser) -> None:
-    p.add_argument(
-        "--redexes",
-        default="",
-        help="positions as digit strings joined by commas, e.g. 'e' for the root, '1,102'",
-    )
-    p.add_argument("--all", action="store_true", help="develop every beta redex")
-    p.add_argument("term")
-
-
-# subcommand -> (help, the function adding its own arguments after the common flags)
 _COMMANDS = {
-    "tree": ("infinitary normal form", _term_arg),
-    "trace": ("run a reduction strategy", _trace_args),
-    "dist": ("tree distance", _pair_args),
-    "order": ("order comparison and glb", _pair_args),
-    "join": ("joinability of two strategies' reductions", _join_args),
-    "dev": ("complete development of a redex set", _dev_args),
+    "tree": _Command("infinitary normal form", ("term",), _COMMON),
+    "trace": _Command("run a reduction strategy", ("term",), _COMMON + (
+        _Option("--rules", "rules", str, "beta", ("beta", "eta", "strict", "betas", "bohm")),
+        _Option("--strategy", "strategy", str, "lmo", ("lmo", "po", "d0")),
+    )),
+    "dist": _Command("tree distance", ("left", "right"), _COMMON),
+    "order": _Command("order comparison and glb", ("left", "right"), _COMMON),
+    "join": _Command("joinability of two strategies' reductions", ("term",), _COMMON + (
+        _Option("--rules", "rules", str, "betas", ("beta", "betas")),
+    )),
+    "dev": _Command("complete development of a redex set", ("term",), _COMMON + (
+        _Option("--redexes", "redexes", str, "", help="positions as digit strings joined by "
+                "commas, e.g. 'e' for the root, '1,102'"),
+        _Option("--all", "all", True, False, help="develop every beta redex"),
+    )),
 }
 
 
-def _build_parser(only: str | None = None) -> _Parser:
-    """The argument parser: every subcommand, or only the one named ``only``.
-
-    A parser with one subparser costs about a fifth of the full one, because
-    argparse creates a help formatter, and so reads the terminal size, in
-    every ``add_argument``.  The subparsers are the same either way, so
-    their help, usage lines and errors are too.  The top-level parser is
-    not: its help, and any message that names the subcommands, would list
-    only ``only``.  So the narrow top-level parser prints no error of its
-    own (such as unrecognized arguments after the subcommand's): it raises
-    ``_Reparse``, and the caller parses again with the full parser, which
-    reports the error as it always has.
-    """
-    top = _Parser if only is None else _NarrowParser
-    p = top(prog="ilc", description="partial-order infinitary lambda calculi")
+def _build_parser() -> _Parser:
+    """The argparse parser of every subcommand, built from ``_COMMANDS``.
+    It prints the help and every error."""
+    p = _Parser(prog="ilc", description="partial-order infinitary lambda calculi")
     sub = p.add_subparsers(dest="command", required=True, parser_class=_Parser)
-    for name, (help_text, add_args) in _COMMANDS.items():
-        if only is None or name == only:
-            s = sub.add_parser(name, help=help_text)
-            _common_flags(s)
-            add_args(s)
+    for name, command in _COMMANDS.items():
+        s = sub.add_parser(name, help=command.help)
+        groups = {}
+        for opt in command.options:
+            target = s
+            if sum(o.dest == opt.dest for o in command.options) > 1:
+                if opt.dest not in groups:
+                    groups[opt.dest] = s.add_mutually_exclusive_group()
+                target = groups[opt.dest]
+            if isinstance(opt.value, bool):
+                kind = {"action": "store_true" if opt.value else "store_false"}
+            else:
+                kind = {"type": opt.value, "choices": opt.choices}
+            target.add_argument(opt.flag, dest=opt.dest, default=opt.default, help=opt.help, **kind)
+        for positional in command.positionals:
+            s.add_argument(positional)
     return p
 
 
-def _parse_args(argv: list[str]):
-    """Parse with the narrow parser when ``argv[0]`` names a subcommand,
-    and with the full parser otherwise or when the narrow one fails."""
-    if argv and argv[0] in _COMMANDS:
+def _parse_direct(argv: list[str]) -> argparse.Namespace | None:
+    """The namespace that the full parser would return for a well-formed
+    ``argv``, read off ``_COMMANDS``; None for any other ``argv``.
+
+    Well-formed: ``argv[0]`` is a subcommand; every later token that starts
+    with ``-`` is one of its options, spelled out and given at most once
+    (with at most one of two alternatives); each value option is followed
+    by a value that does not start with ``-``, converts with its type and
+    is one of its choices; and the other tokens are exactly its positionals.
+    """
+    command = _COMMANDS.get(argv[0]) if argv else None
+    if command is None:
+        return None
+    options = {opt.flag: opt for opt in command.options}
+    given = {}
+    positionals = []
+    tokens = iter(argv[1:])
+    for token in tokens:
+        if not token.startswith("-"):
+            positionals.append(token)
+            continue
+        opt = options.get(token)
+        if opt is None or opt.dest in given:
+            return None
+        if isinstance(opt.value, bool):
+            given[opt.dest] = opt.value
+            continue
+        text = next(tokens, None)
+        if text is None or text.startswith("-"):
+            return None
         try:
-            return _build_parser(argv[0]).parse_args(argv)
-        except _Reparse:
-            pass
-    return _build_parser().parse_args(argv)
+            value = opt.value(text)
+        except ValueError:
+            return None
+        if opt.choices is not None and value not in opt.choices:
+            return None
+        given[opt.dest] = value
+    if len(positionals) != len(command.positionals):
+        return None
+    args = argparse.Namespace(command=argv[0])
+    for opt in command.options:
+        setattr(args, opt.dest, given.get(opt.dest, opt.default))
+    for name, token in zip(command.positionals, positionals):
+        setattr(args, name, token)
+    return args
+
+
+def _parse_args(argv: list[str]) -> argparse.Namespace:
+    """Parse ``argv`` directly when it is well-formed (see ``_parse_direct``),
+    and otherwise with the full argparse parser, which prints the help and
+    every error (and accepts what argparse accepts beyond the well-formed
+    form, such as ``--opt=value``, abbreviations or ``--``)."""
+    args = _parse_direct(argv)
+    return args if args is not None else _build_parser().parse_args(argv)
 
 
 def _rules_for(name: str, sig, fuel: int):

@@ -23,11 +23,14 @@ that ``rewriting.NodeIndex`` replaced, the per-node walks of
 the four hand-written position enumerations that ``trees.positions``
 replaced.  Last come the guardedness check that ``order`` once ran member by
 member, and the shortlex walk over depth-0 positions, one per path, that
-``meaningless.is_stable`` ran before it walked nodes.
+``meaningless.is_stable`` ran before it walked nodes.  The very last is the
+hand-written argparse builder of the ``ilc`` command line that the option
+table ``cli._COMMANDS`` replaced.
 """
 
 from __future__ import annotations
 
+import argparse
 import itertools
 import math
 import random
@@ -1436,3 +1439,75 @@ def is_stable_by_paths(sig: Sig, t: Node, fuel: int = 10_000) -> TriVerdict:
             if v.is_unknown:
                 saw_unknown = True
     return TriVerdict("unknown") if saw_unknown else TriVerdict("yes")
+
+
+# ---------------------------------------------------------------------------
+# The hand-written command-line parser
+
+
+class _ParserByHand(argparse.ArgumentParser):
+    def error(self, message):  # argparse defaults to exit code 2
+        self.exit(3, f"{self.prog}: error: {message}\n")
+
+
+def _common_flags(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--sig", default="111", help="strictness signature, three digits (default 111)")
+    p.add_argument("--depth", type=int, default=16, help="depth bound (default 16)")
+    p.add_argument("--fuel", type=int, default=10_000, help="step budget (default 10000)")
+    p.add_argument("--format", choices=["text", "json"], default="text")
+    enc = p.add_mutually_exclusive_group()
+    enc.add_argument("--ascii", dest="ascii_only", action="store_true", default=None)
+    enc.add_argument("--unicode", dest="ascii_only", action="store_false")
+
+
+def _term_arg(p: argparse.ArgumentParser) -> None:
+    p.add_argument("term")
+
+
+def _pair_args(p: argparse.ArgumentParser) -> None:
+    p.add_argument("left")
+    p.add_argument("right")
+
+
+def _trace_args(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--rules", choices=["beta", "eta", "strict", "betas", "bohm"], default="beta")
+    p.add_argument("--strategy", choices=["lmo", "po", "d0"], default="lmo")
+    p.add_argument("term")
+
+
+def _join_args(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--rules", choices=["beta", "betas"], default="betas")
+    p.add_argument("term")
+
+
+def _dev_args(p: argparse.ArgumentParser) -> None:
+    p.add_argument(
+        "--redexes",
+        default="",
+        help="positions as digit strings joined by commas, e.g. 'e' for the root, '1,102'",
+    )
+    p.add_argument("--all", action="store_true", help="develop every beta redex")
+    p.add_argument("term")
+
+
+# subcommand -> (help, the function adding its own arguments after the common flags)
+_COMMANDS_BY_HAND = {
+    "tree": ("infinitary normal form", _term_arg),
+    "trace": ("run a reduction strategy", _trace_args),
+    "dist": ("tree distance", _pair_args),
+    "order": ("order comparison and glb", _pair_args),
+    "join": ("joinability of two strategies' reductions", _join_args),
+    "dev": ("complete development of a redex set", _dev_args),
+}
+
+
+def build_parser_by_hand() -> argparse.ArgumentParser:
+    """``cli._build_parser`` as it was written before the option table: one
+    argparse call per option, the common flags added to every subcommand."""
+    p = _ParserByHand(prog="ilc", description="partial-order infinitary lambda calculi")
+    sub = p.add_subparsers(dest="command", required=True, parser_class=_ParserByHand)
+    for name, (help_text, add_args) in _COMMANDS_BY_HAND.items():
+        s = sub.add_parser(name, help=help_text)
+        _common_flags(s)
+        add_args(s)
+    return p

@@ -1,10 +1,14 @@
 import argparse
+import contextlib
 import io
 import json
+import random
 import sys
+from pathlib import Path
 
 import pytest
 
+import oracles
 from ilc import cli, convergence, meaningless
 from ilc.cli import main
 
@@ -334,8 +338,10 @@ def test_order_on_a_long_glb_cycle():
     assert out == f"left <= right: False\nright <= left: False\nglb: rec M0. {cycle}\n"
 
 
-# Each call builds only the subparser that argv[0] names; everything else,
-# and every error of the top-level parser, goes through the full parser.
+# A well-formed command line is read off the option table; everything else,
+# and every help text and error, comes from the full argparse parser built
+# from the same table.  Both must print exactly what the hand-written parser
+# printed.
 
 ARGV_CASES = [
     [],
@@ -368,26 +374,38 @@ def captured(capsys, argv):
     return code, out, err
 
 
+def captured_with(build, monkeypatch, capsys, argv):
+    """``main(argv)`` with every command line parsed by ``build()``."""
+    with monkeypatch.context() as m:
+        m.setattr(cli, "_parse_args", lambda argv: build().parse_args(argv))
+        return captured(capsys, argv)
+
+
 @pytest.mark.parametrize("argv", ARGV_CASES, ids=lambda argv: " ".join(argv) or "(none)")
 def test_output_equals_a_parse_by_the_full_parser(argv, monkeypatch, capsys):
     monkeypatch.setenv("COLUMNS", "100")
     got = captured(capsys, argv)
-    monkeypatch.setattr(cli, "_parse_args", lambda argv: cli._build_parser().parse_args(argv))
-    assert got == captured(capsys, argv)
+    assert got == captured_with(cli._build_parser, monkeypatch, capsys, argv)
+    assert got == captured_with(oracles.build_parser_by_hand, monkeypatch, capsys, argv)
 
 
 def test_parser_messages_are_unchanged(monkeypatch, capsys):
     monkeypatch.setenv("COLUMNS", "100")
-    assert captured(capsys, ["tree", "x", "--bogus"]) == (
-        3, "", "ilc: error: unrecognized arguments: --bogus\n"
-    )
-    assert captured(capsys, ["tre", "x"]) == (
+    cases = [["tree", "x", "--bogus"], ["tre", "x"], ["order", "--help"]]
+    got = [captured(capsys, argv) for argv in cases]
+    assert got == [
+        captured_with(oracles.build_parser_by_hand, monkeypatch, capsys, argv) for argv in cases
+    ]
+    if sys.version_info[:2] != (3, 11):
+        return  # argparse words and wraps these messages differently elsewhere
+    assert got[0] == (3, "", "ilc: error: unrecognized arguments: --bogus\n")
+    assert got[1] == (
         3,
         "",
         "ilc: error: argument command: invalid choice: 'tre' "
         "(choose from 'tree', 'trace', 'dist', 'order', 'join', 'dev')\n",
     )
-    code, out, err = captured(capsys, ["order", "--help"])
+    code, out, err = got[2]
     assert code == 0 and err == ""
     assert out.startswith(
         "usage: ilc order [-h] [--sig SIG] [--depth DEPTH] [--fuel FUEL] [--format {text,json}]\n"
@@ -396,30 +414,150 @@ def test_parser_messages_are_unchanged(monkeypatch, capsys):
     )
 
 
-def test_a_valid_command_builds_one_subparser(monkeypatch):
-    added = []
-    real = argparse._SubParsersAction.add_parser
+def test_only_help_and_errors_build_an_argparse_parser(monkeypatch):
+    built = []
+    real = argparse.ArgumentParser.__init__
 
-    def spy(self, name, **kwargs):
-        added.append(name)
-        return real(self, name, **kwargs)
+    def spy(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        real(self, *args, **kwargs)
 
-    monkeypatch.setattr(argparse._SubParsersAction, "add_parser", spy)
-    assert main(["tree", "--ascii", "x"]) == 0
-    assert added == ["tree"]
-    for name in cli._COMMANDS:
-        added.clear()
-        assert main([name, "--help"]) == 0
-        assert added == [name]
-    everything = list(cli._COMMANDS)
-    assert len(everything) == 6
-    for argv in (["--help"], ["frobnicate", "x"], []):
-        added.clear()
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", spy)
+    well_formed = [
+        ["tree", "--ascii", "x"],
+        ["tree", "x", "--depth", "3", "--unicode"],
+        ["trace", "--rules", "betas", "--strategy", "po", "--fuel", "5", OMEGA],
+        ["dist", "--format", "json", "x", "y"],
+        ["order", "x", "--sig", "101", "y"],
+        ["join", "--rules", "beta", "x"],
+        ["dev", "--all", "--ascii", "x"],
+        ["dev", "--redexes", "", "x"],
+    ]
+    for argv in well_formed:
+        built.clear()
         main(argv)
-        assert added == everything
-    added.clear()
-    main(["tree", "x", "--bogus"])  # the narrow parse fails, the full one reports
-    assert added == ["tree"] + everything
+        assert built == [], argv
+    # the full parser: the top level and one subparser per subcommand
+    full = ["ilc", *(f"ilc {name}" for name in cli._COMMANDS)]
+    assert len(full) == 7
+    for argv in (
+        [],
+        ["--help"],
+        ["tree", "--help"],
+        ["frobnicate", "x"],
+        ["tree", "x", "--bogus"],
+        ["tree", "--depth=3", "x"],
+        ["tree", "--dep", "3", "x"],
+        ["tree", "--depth", "-3", "x"],
+        ["tree", "--ascii", "--ascii", "x"],
+        ["tree", "--ascii", "--unicode", "x"],
+        ["trace", "--rules", "nope", "x"],
+        ["tree", "--", "x"],
+        ["order", "x"],
+    ):
+        built.clear()
+        main(argv)
+        assert built == full, argv
+
+
+# The direct parser against the full one, over command lines drawn from the
+# option table: well-formed ones, which it must accept, and ones with forms
+# it leaves to argparse, which it may decline.
+
+VALUES = {"--sig": ["111", "101", "21"], "--redexes": ["", "e,2", "1,102"]}
+POSITIONALS = ["x", "x y", r"(\x.x) y", "rec M. M y", ""]
+
+
+def random_argv(rng: random.Random) -> tuple[list[str], bool]:
+    """A command line and whether it is well-formed."""
+    name = rng.choice(list(cli._COMMANDS))
+    command = cli._COMMANDS[name]
+    pieces = [[rng.choice(POSITIONALS)] for _ in command.positionals]
+    alternatives = {}
+    for opt in command.options:
+        alternatives.setdefault(opt.dest, []).append(opt)
+    for opts in alternatives.values():
+        if rng.random() < 0.4:
+            opt = rng.choice(opts)
+            if isinstance(opt.value, bool):
+                pieces.append([opt.flag])
+            elif opt.choices:
+                pieces.append([opt.flag, rng.choice(opt.choices)])
+            elif opt.value is int:
+                pieces.append([opt.flag, str(rng.randrange(40))])
+            else:
+                pieces.append([opt.flag, rng.choice(VALUES[opt.flag])])
+    well_formed = rng.random() < 0.4
+    for _ in range(0 if well_formed else rng.randint(1, 3)):
+        opt = rng.choice(command.options)
+        value = None if isinstance(opt.value, bool) else rng.choice(
+            list(opt.choices or ()) + ["3", "-3", "3.5", "q", "nope", "-x", ""]
+        )
+        noise = rng.choice(
+            ["repeat", "equals", "abbrev", "help", "dashes", "missing", "extra", "fewer", "bogus"]
+        )
+        if noise == "repeat":
+            pieces.append([opt.flag] + ([] if value is None else [value]))
+        elif noise == "equals":
+            pieces.append([f"{opt.flag}={value or ''}"])
+        elif noise == "abbrev":
+            pieces.append([opt.flag[: rng.randint(3, len(opt.flag) - 1)]]
+                          + ([] if value is None else [value]))
+        elif noise == "help":
+            pieces.append([rng.choice(["-h", "--help"])])
+        elif noise == "dashes":
+            pieces.append(["--"])
+        elif noise == "extra":
+            pieces.append([rng.choice(POSITIONALS)])
+        elif noise == "fewer":
+            pieces[:1] = []
+        elif noise == "bogus":
+            pieces.append([rng.choice(["--bogus", "-x", "-", "-1"])])
+        elif value is not None:  # a value that breaks the option: a bad one or none
+            pieces.append([opt.flag] + ([value] if rng.random() < 0.7 else []))
+    rng.shuffle(pieces)
+    if not well_formed and rng.random() < 0.1:
+        name = rng.choice(["frobnicate", "tre", "--ascii", "-h", "--", ""])
+    return [name] + [token for piece in pieces for token in piece], well_formed
+
+
+def full_parse(parser, argv):
+    """``vars()`` of the full parser's namespace, or None if it exits."""
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            return vars(parser.parse_args(argv))
+        except SystemExit:
+            return None
+
+
+def test_the_direct_parser_agrees_with_the_full_parser():
+    rng = random.Random(15)
+    parser = cli._build_parser()
+    taken = declined = 0
+    for _ in range(1500):
+        argv, well_formed = random_argv(rng)
+        args = cli._parse_direct(argv)
+        if args is None:
+            assert not well_formed, argv
+            declined += 1
+        else:
+            assert vars(args) == full_parse(parser, argv), argv
+            taken += 1
+    assert taken > 600 and declined > 600
+
+
+def test_the_direct_parser_takes_every_benchmark_command_line():
+    parser = cli._build_parser()
+    corpus = Path(__file__).resolve().parent.parent / "perfbench" / "corpus"
+    argvs = [
+        item["argv"]
+        for path in sorted(corpus.glob("*.json"))
+        for item in json.loads(path.read_text())["items"]
+    ]
+    assert len(argvs) > 1000
+    for argv in argvs:
+        args = cli._parse_direct(argv)
+        assert args is not None and vars(args) == full_parse(parser, argv), argv
 
 
 def test_main_without_argv_reads_sys_argv(monkeypatch):
