@@ -37,7 +37,7 @@ from .meaningless import (
     reduces_to_lam,
     strict_nf,
 )
-from .order import Lasso, OrderVerdict, glb, liminf_approx, lub_chain, term_leq, tree_leq
+from .order import Lasso, OrderVerdict, compare, glb, liminf_approx, lub_chain, term_leq, tree_leq
 from .rewriting import (
     Beta,
     BetaStrict,

@@ -24,7 +24,7 @@ import sys
 from typing import NamedTuple
 
 from . import convergence, developments, meaningless
-from .order import glb, tree_leq
+from .order import compare
 from .rewriting import (
     Beta,
     BetaStrict,
@@ -289,7 +289,8 @@ def main(argv: list[str] | None = None, out=None, err=None) -> int:
             if as_json:
                 return _emit({"json": trace_export(trace, report), "unknown": unknown}, args, out)
             # the states in one call, which reuses what a step left unchanged
-            afters = render_trees([s.after for s in trace.steps], ascii_only)
+            # and the run's class table
+            afters = render_trees([s.after for s in trace.steps], ascii_only, trace.classes)
             lines = [
                 f"{i:4d}  {s.rule:4s} at {''.join(map(str, s.position)) or 'e'}  -> {after}"
                 for i, (s, after) in enumerate(zip(trace.steps, afters))
@@ -308,19 +309,18 @@ def main(argv: list[str] | None = None, out=None, err=None) -> int:
 
         if args.command == "order":
             a, b = load(args.left), load(args.right)
-            ab = tree_leq(sig, a, b)
-            ba = tree_leq(sig, b, a)
-            gs = show(glb(sig, [a, b]))
+            leq, geq, g = compare(sig, a, b)
+            gs = show(g)
             text = (
-                f"left <= right: {bool(ab)}\n"
-                f"right <= left: {bool(ba)}\n"
+                f"left <= right: {leq}\n"
+                f"right <= left: {geq}\n"
                 f"glb: {gs}"
             )
             doc = {
                 "text": text,
                 "json": {
-                    "leq": bool(ab),
-                    "geq": bool(ba),
+                    "leq": leq,
+                    "geq": geq,
                     "glb": gs,
                 },
                 "unknown": False,

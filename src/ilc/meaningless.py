@@ -197,6 +197,12 @@ def is_stable(sig: Sig, t: Node, fuel: int = 10_000) -> TriVerdict:
     position, reduct) for replay.
     """
     _check_tree(sig, t)
+    return _stability(sig, t, fuel)
+
+
+def _stability(sig: Sig, t: Node, fuel: int) -> TriVerdict:
+    """``is_stable`` on a tree already known to be guarded and free of
+    Cut/Unknown leaves."""
     # the depth-0 region, the nodes reached through strict edges alone, in
     # one breadth-first walk over nodes, not paths; it reaches each node
     # first along the node's shortlex-least path, so the first redex and the
@@ -243,6 +249,11 @@ def is_active(sig: Sig, t: Node, fuel: int = 10_000) -> TriVerdict:
     repetition, or a shifted recurrence of the contracted subtree, shows the
     loop runs forever: Yes, with a destructive trace as witness.  Reaching a
     stable reduct gives No with that reduct.
+
+    Only ``t`` is checked for guardedness and Cut/Unknown leaves, by the
+    first ``is_stable`` call: a contraction replaces one subtree by M[N/x],
+    whose branches are branches of M or of N at the same depths, so every
+    reduct passes too (the tests check it).
     """
     index = NodeIndex(Beta())  # as in reduces_to_lam
     key = (sig, index.canonical(t))
@@ -256,7 +267,7 @@ def is_active(sig: Sig, t: Node, fuel: int = 10_000) -> TriVerdict:
     spent = 0
     verdict: TriVerdict | None = None
     while spent < fuel and verdict is None:
-        v = is_stable(sig, cur, fuel)
+        v = _stability(sig, cur, fuel) if steps else is_stable(sig, cur, fuel)
         if v.is_yes:
             verdict = _no(cur)
             break

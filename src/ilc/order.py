@@ -1,10 +1,13 @@
 """The approximation order on lambda trees: comparison, glb, lub, liminf.
 
 All computations run on the finite node graphs of regular trees.  Comparison
-and greatest lower bounds are greatest fixpoints on product graphs; least
-upper bounds of chains reduce to the maximal element (the tests check it
-against the union-of-domains construction); limits inferior are exact for
-eventually periodic sequences and honestly approximated otherwise.
+and greatest lower bounds are greatest fixpoints on product graphs.  Since
+a <= b iff a ∧ b = a, ``compare`` decides both orderings of two trees in the
+walk that builds their glb, while ``tree_leq`` decides one and names a
+shortest witness.  Least upper bounds of chains reduce to the maximal element
+(the tests check it against the union-of-domains construction); limits
+inferior are exact for eventually periodic sequences and honestly
+approximated otherwise.
 """
 
 from __future__ import annotations
@@ -24,7 +27,6 @@ from .trees import (
     app,
     bisimilar,
     build,
-    child_at,
     children,
     hole,
     is_guarded,
@@ -105,54 +107,80 @@ def term_leq(sig: Sig, m: Term, n: Term) -> bool:
     return bool(tree_leq(sig, tree_of_term(m), tree_of_term(n)))
 
 
-_HOLE = hole()  # shared absorbing element for product constructions
-
-
-def _tuple_children(nodes: tuple[Node, ...], i: int) -> tuple[Node, ...]:
-    out = []
-    for n in nodes:
-        c = child_at(n, i)
-        out.append(c if c is not None else _HOLE)
-    return tuple(out)
-
-
 def glb(sig: Sig, ts: Sequence[Node]) -> Node:
     """Greatest lower bound of a nonempty finite set of guarded trees.
 
     The domain is the largest position set with unanimous labels that is
     prefix closed and closed under taking children at strict edges whenever
     any member has them; computed as a greatest fixpoint on the product
-    graph, with labels inherited from the members.
-
-    One pass collects the reachable product states; a state with a hole or
-    disagreeing labels fails.  A breadth-first search then follows the
-    forced strict edges backwards from the failing states, so every state
-    that reaches one fails too, and the cost is linear in the product graph.
-    ``trees.build`` then builds the result over the product states, with a
-    hole for each failed one, so it has no depth limit.
+    graph, with labels inherited from the members (see ``_glb``).
     """
     ts = list(ts)
     if not ts:
         raise ValueError("glb of an empty set")
     _check_inputs(sig, *ts)
+    return _glb(sig, ts)[0]
 
+
+def compare(sig: Sig, a: Node, b: Node) -> tuple[bool, bool, Node]:
+    """``a <= b``, ``b <= a`` and the glb of the two guarded trees.
+
+    In a partial order with meets, ``a <= b`` holds iff ``a ∧ b = a``, so
+    the one product walk that builds the glb also decides both orderings;
+    ``tree_leq`` answers the same, with a shortest witness.
+    """
+    _check_inputs(sig, a, b)
+    g, (leq, geq) = _glb(sig, [a, b])
+    return leq, geq, g
+
+
+def _glb(sig: Sig, ts: list[Node]) -> tuple[Node, list[bool]]:
+    """The glb of checked members, and for each member whether it equals
+    the glb.
+
+    One pass collects the reachable product states; a state with a hole or
+    disagreeing labels fails, and each other state records its kind and
+    child states (every member has the children, as all share the kind).
+    A breadth-first search then follows the forced strict edges backwards
+    from the failing states, so every state that reaches one fails too, and
+    the cost is linear in the product graph.  ``trees.build`` then builds
+    the result over the product states, with a hole for each failed one, so
+    it has no depth limit.  The glb equals a member iff every failed state
+    that the build reaches has a hole in that member's slot.
+    """
     root = tuple(ts)
+    width = len(root)
     seen = {root}
     stack = [root]
     failing: list[tuple[Node, ...]] = []
     forced_by: dict[tuple[Node, ...], list[tuple[Node, ...]]] = {}  # strict child -> parents
+    expanded: dict[tuple[Node, ...], tuple | Node] = {}  # kept state -> ``build``'s expansion
     while stack:
         st = stack.pop()
         n0 = st[0]
-        if any(n.kind == HOLE for n in st) or len({label(n) for n in st}) != 1:
+        k = n0.kind
+        if k == HOLE or [n.kind for n in st].count(k) != width:
             failing.append(st)
             continue
-        for i, _ in children(n0):
-            cs = _tuple_children(st, i)
+        if k == LAM:
+            body = tuple([n.a for n in st])
+            expanded[st] = (LAM, body)
+            edges: tuple = ((0, body),)
+        elif k == APP:
+            fun, arg = tuple([n.a for n in st]), tuple([n.b for n in st])
+            expanded[st] = (APP, fun, arg)
+            edges = ((1, fun), (2, arg))
+        elif [n.a for n in st].count(n0.a) != width:  # a variable: its payload is its label too
+            failing.append(st)
+            continue
+        else:
+            expanded[st] = n0  # a variable all members share
+            continue
+        for i, cs in edges:
             if cs not in seen:
                 seen.add(cs)
                 stack.append(cs)
-            if sig[i] == 0 and any(c.kind != HOLE for c in cs):
+            if sig[i] == 0 and [c.kind for c in cs].count(HOLE) != width:
                 forced_by.setdefault(cs, []).append(st)
 
     failed = set(failing)
@@ -163,17 +191,17 @@ def glb(sig: Sig, ts: Sequence[Node]) -> Node:
                 failed.add(st)
                 queue.append(st)
 
+    equal = [True] * width
+
     def expand(st: tuple[Node, ...]):
         if st in failed:
+            for j, n in enumerate(st):
+                if n.kind != HOLE:
+                    equal[j] = False
             return hole()
-        n0 = st[0]
-        if n0.kind == LAM:
-            return LAM, _tuple_children(st, 0)
-        if n0.kind == APP:
-            return APP, _tuple_children(st, 1), _tuple_children(st, 2)
-        return n0  # a variable all members share
+        return expanded[st]
 
-    return build(root, expand)
+    return build(root, expand), equal
 
 
 def lub_chain(sig: Sig, ts: Sequence[Node]) -> Node:

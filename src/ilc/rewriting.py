@@ -496,6 +496,9 @@ class Trace:
     cycle_at: int | None = None  # lasso: the state after the last step
     # equals the state before step cycle_at
     metadata: dict = field(default_factory=dict)
+    # the finite classes of the run's states (``NodeIndex.classes``), which
+    # printing them reuses; None for a trace not made by ``run_strategy``
+    classes: ClassTable | None = field(default=None, compare=False, repr=False)
 
     @property
     def start(self) -> Node:
@@ -554,8 +557,9 @@ def run_strategy(
         raise ValueError(f"unknown strategy {strategy!r}")
     if sig is None:
         sig = step_sig(rules)
-    trace = Trace(sig, rules, [], metadata={"strategy": strategy, "start": t})
     index = NodeIndex(rules)
+    trace = Trace(sig, rules, [], metadata={"strategy": strategy, "start": t},
+                  classes=index.classes)
     token = _run_index.set(index)
     try:
         index.add(t)
@@ -605,12 +609,12 @@ def run_strategy(
 
 def trace_export(trace: Trace, report: dict | None = None) -> dict:
     # each distinct state is rendered once, in trace order, by one
-    # render_trees call, which reuses the text of what a step left unchanged;
-    # a step's ``before`` is the previous step's ``after``, and the first
-    # step's is the start
+    # render_trees call, which reuses the text of what a step left unchanged
+    # and the run's class table; a step's ``before`` is the previous step's
+    # ``after``, and the first step's is the start
     states = [trace.start, *(n for s in trace.steps for n in (s.before, s.after, s.context))]
     states = list(dict.fromkeys(states))
-    text = dict(zip(states, render_trees(states, ascii_only=True)))
+    text = dict(zip(states, render_trees(states, ascii_only=True, classes=trace.classes)))
 
     doc = {
         "sig": sig_str(trace.sig),

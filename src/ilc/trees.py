@@ -902,7 +902,9 @@ def render_tree(t: Node, ascii_only: bool = False) -> str:
     return render_trees([t], ascii_only)[0]
 
 
-def render_trees(roots: list[Node], ascii_only: bool = False) -> list[str]:
+def render_trees(
+    roots: list[Node], ascii_only: bool = False, classes: ClassTable | None = None
+) -> list[str]:
     """Print each tree as ``render_tree`` does, reusing the text of the
     subtrees that an earlier root already printed.
 
@@ -913,7 +915,9 @@ def render_trees(roots: list[Node], ascii_only: bool = False) -> list[str]:
     depth, ``x0`` outermost.
 
     Given several roots, as the states of a trace, one ``ClassTable`` spans
-    them all.  A node of a finite class has no ``rec`` below it, so its text
+    them all: ``classes`` if given, such as the table that indexed the
+    trace's run, to which the roots' unseen nodes are added, else a fresh
+    one.  A node of a finite class has no ``rec`` below it, so its text
     depends only on its class, its lambda depth and its context (whether it
     needs parentheses).  While a root prints, the part indices at which each
     such subtree starts and ends are recorded; once the root's string is
@@ -930,7 +934,8 @@ def render_trees(roots: list[Node], ascii_only: bool = False) -> list[str]:
     leaf = {HOLE: bot, CUT: cut_s, UNKNOWN: "?"}
     share = len(roots) > 1
     if share:
-        classes = ClassTable()
+        if classes is None:
+            classes = ClassTable()
         cls = classes.cls
         memo: dict[tuple, tuple[str, int, int]] = {}
     out: list[str] = []

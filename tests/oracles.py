@@ -9,7 +9,8 @@ trees; the brute-force glb uses the named order, so it does not depend on
 ``tree_leq``.  The round-by-round graph
 fixpoints and the recursive walkers at the end are the library's earlier
 implementations of ``tree_leq`` (with a position per product state), of
-``canon``, of the backward-reachability sets, of ``glb``,
+``canon``, of the backward-reachability sets, of ``glb`` (by rounds, and
+with child tuples rebuilt on every visit of a product state),
 of ``is_guarded``, of ``render_tree`` and ``render_term``, of the eight de
 Bruijn and copying walkers (``bind_fvars`` among the fixpoints), of
 ``_mark_unstable`` and of the two recursive-descent parsers, kept as
@@ -38,7 +39,7 @@ from collections import deque
 from fractions import Fraction
 
 from ilc.meaningless import TriVerdict, _check_tree, reduces_to_lam
-from ilc.order import OrderVerdict, _check_inputs, _tuple_children
+from ilc.order import OrderVerdict, _check_inputs
 from ilc.rewriting import Beta, BohmBot, Trace, _node_redex_tag, step_sig, try_step
 from ilc.terms import BOT, Abs, App, Bot, ParseError, Position, Sig, Term, Var, adepth, tokenize
 from ilc.trees import (
@@ -51,8 +52,10 @@ from ilc.trees import (
     UNKNOWN,
     Node,
     app,
+    build,
     bvar,
     canon,
+    child_at,
     children,
     fvar,
     has_kind,
@@ -564,6 +567,66 @@ def tree_leq_by_positions(sig: Sig, s: Node, t: Node) -> OrderVerdict:
                 return OrderVerdict(False, p + (i,))  # strict-child clause
             queue.append((cx, cy, p + (i,)))
     return OrderVerdict(True)
+
+
+_HOLE = hole()  # shared absorbing element for product constructions
+
+
+def _tuple_children(nodes: tuple[Node, ...], i: int) -> tuple[Node, ...]:
+    out = []
+    for n in nodes:
+        c = child_at(n, i)
+        out.append(c if c is not None else _HOLE)
+    return tuple(out)
+
+
+def glb_by_tuples(sig: Sig, ts: list[Node]) -> Node:
+    """``order.glb`` as it was before it recorded each kept state's children:
+    the label check compares a set of ``label`` tuples, and every visit of a
+    state rebuilds its child tuples, filling a missing child with a hole."""
+    ts = list(ts)
+    if not ts:
+        raise ValueError("glb of an empty set")
+    _check_inputs(sig, *ts)
+
+    root = tuple(ts)
+    seen = {root}
+    stack = [root]
+    failing: list[tuple[Node, ...]] = []
+    forced_by: dict[tuple[Node, ...], list[tuple[Node, ...]]] = {}  # strict child -> parents
+    while stack:
+        st = stack.pop()
+        n0 = st[0]
+        if any(n.kind == HOLE for n in st) or len({label(n) for n in st}) != 1:
+            failing.append(st)
+            continue
+        for i, _ in children(n0):
+            cs = _tuple_children(st, i)
+            if cs not in seen:
+                seen.add(cs)
+                stack.append(cs)
+            if sig[i] == 0 and any(c.kind != HOLE for c in cs):
+                forced_by.setdefault(cs, []).append(st)
+
+    failed = set(failing)
+    queue = deque(failing)
+    while queue:
+        for st in forced_by.get(queue.popleft(), ()):
+            if st not in failed:
+                failed.add(st)
+                queue.append(st)
+
+    def expand(st: tuple[Node, ...]):
+        if st in failed:
+            return hole()
+        n0 = st[0]
+        if n0.kind == LAM:
+            return LAM, _tuple_children(st, 0)
+        if n0.kind == APP:
+            return APP, _tuple_children(st, 1), _tuple_children(st, 2)
+        return n0  # a variable all members share
+
+    return build(root, expand)
 
 
 def glb_by_rounds(sig: Sig, ts: list[Node]) -> Node:

@@ -1,24 +1,27 @@
 """The linear per-step graph work and ``glb`` agree with the round-by-round
-fixpoints they replaced; the iterative ``is_guarded`` and ``render_tree``,
-the eight walkers built on ``trees.transform`` and ``_mark_unstable`` agree
-with the recursive versions they replaced; the position enumerations built
-on ``trees.positions`` agree with the hand-written walks they replaced; and
-all of them finish on graphs far deeper than Python's stack, open and closed
-into cycles.  The one guardedness search over a glb's members and
-``is_stable``'s walk over nodes agree with the member-by-member check and the
-walk over paths that they replaced."""
+fixpoints they replaced, and ``compare`` with ``tree_leq`` both ways and the
+earlier ``glb``; every state of an ``is_active`` run stays guarded; the
+iterative ``is_guarded`` and ``render_tree``, the eight walkers built on
+``trees.transform`` and ``_mark_unstable`` agree with the recursive versions
+they replaced; the position enumerations built on ``trees.positions`` agree
+with the hand-written walks they replaced; and all of them finish on graphs
+far deeper than Python's stack, open and closed into cycles.  The one
+guardedness search over a glb's members and ``is_stable``'s walk over nodes
+agree with the member-by-member check and the walk over paths that they
+replaced."""
 
 import itertools
 import math
 import random
 import sys
+from collections import Counter
 
 import pytest
 
 from ilc import developments, meaningless
 from ilc.developments import _bound_var_positions, _unguarded_to_hole
 from ilc.meaningless import _collapsible, is_stable
-from ilc.order import _check_inputs, _mark_unstable, glb, liminf_approx, tree_leq
+from ilc.order import _check_inputs, _mark_unstable, compare, glb, liminf_approx, tree_leq
 from ilc.rewriting import (
     Beta,
     BetaStrict,
@@ -60,6 +63,7 @@ from ilc.trees import (
     positions,
     reachable,
     render_tree,
+    tree_of_term,
     truncate,
     unknown,
 )
@@ -74,6 +78,7 @@ from oracles import (
     depth0_positions_by_layers,
     dom_positions_by_queue,
     glb_by_rounds,
+    glb_by_tuples,
     is_guarded_by_walks,
     is_stable_by_paths,
     map_graph_recursive,
@@ -81,6 +86,7 @@ from oracles import (
     max_bvar_indices_by_walks,
     occurs_index_recursive,
     random_graph,
+    random_term,
     redex_reachability,
     redex_reachability_by_rounds,
     render_tree_recursive,
@@ -262,8 +268,56 @@ def test_glb_equals_the_round_by_round_version():
             assert bisimilar(got, want)
             rendered = render_tree(got, ascii_only=True)
             assert rendered == render_tree(want, ascii_only=True)
+            assert rendered == render_tree(glb_by_tuples(sig, ts), ascii_only=True)
             outcomes.add("bot" if got.kind == HOLE else "partial" if "bot" in rendered else "total")
     assert outcomes == {"rejected", "bot", "partial", "total"}
+
+
+def compare_outcome(sig, a, b):
+    """``compare``'s answer with the glb rendered, or its error message."""
+    try:
+        leq, geq, g = compare(sig, a, b)
+    except ValueError as e:
+        return str(e)
+    return leq, geq, render_tree(g, ascii_only=True)
+
+
+def separate_outcome(sig, a, b):
+    """The same from ``tree_leq`` both ways and the earlier ``glb``."""
+    try:
+        g = glb_by_tuples(sig, [a, b])
+    except ValueError as e:
+        return str(e)
+    return bool(tree_leq(sig, a, b)), bool(tree_leq(sig, b, a)), render_tree(g, ascii_only=True)
+
+
+def test_compare_equals_tree_leq_both_ways_and_the_glb():
+    rng = random.Random(31)
+    pairs = [ts for ts in glb_inputs(32, 300) if len(ts) == 2]
+    # pairs drawn as for tree_leq's oracle test, some with a Cut or Unknown leaf
+    for k in range(300):
+        if k % 2:
+            s, t = (random_graph(rng, rng.randrange(1, 10), cyclic=k % 4 == 1) for _ in "st")
+            s, t = with_marker_leaves(rng, s), with_marker_leaves(rng, t)
+        else:
+            s, t = (tree_of_term(random_term(rng, rng.randrange(1, 12))) for _ in "st")
+        pairs += [[s, t], [t, s], [s, unroll(s, 3)]]
+        for sig in ALL_SIGS:
+            if all(guarded_or_error(is_guarded, sig, x) is True for x in (s, t)):
+                lower = truncate(sig, s, rng.randrange(6))
+                pairs += [[lower, s], [lower, t], [s, lower], [lower, unroll(s, 3)]]
+    counts = Counter()
+    for (a, b), sig in itertools.product(pairs, ALL_SIGS):
+        got = compare_outcome(sig, a, b)
+        assert got == separate_outcome(sig, a, b)
+        if isinstance(got, str):
+            counts[got] += 1
+        else:
+            counts["leq", got[0]] += 1
+            counts["geq", got[1]] += 1
+    assert min(counts[d, v] for d in ("leq", "geq") for v in (True, False)) > 3000
+    assert counts["order operations require guarded trees"] > 100
+    assert counts["order operations reject Cut/Unknown leaves"] > 100
 
 
 def fun_chain(length: int, leaf: str):
@@ -276,16 +330,26 @@ def fun_chain(length: int, leaf: str):
 
 def test_glb_of_a_long_chain():
     n = 10**4
+    x, y = fun_chain(n, "x"), fun_chain(n, "y")
     # under 000 every argument edge is strict, so the x/y disagreement at
     # the bottom removes every state above it
-    assert glb((0, 0, 0), [fun_chain(n, "x"), fun_chain(n, "y")]).kind == HOLE
+    assert glb((0, 0, 0), [x, y]).kind == HOLE
+    assert compare((0, 0, 0), x, y)[:2] == (False, False)
     # under 111 nothing is forced: the glb is the chain ending in bot
-    g = glb((1, 1, 1), [fun_chain(n, "x"), fun_chain(n, "y")])
-    length = 0
-    while g.kind == APP:
-        assert (g.a.kind, g.a.a) == (FVAR, "f")
-        g, length = g.b, length + 1
-    assert length == n and g.kind == HOLE
+    for g in glb((1, 1, 1), [x, y]), compare((1, 1, 1), x, y)[2]:
+        length = 0
+        while g.kind == APP:
+            assert (g.a.kind, g.a.a) == (FVAR, "f")
+            g, length = g.b, length + 1
+        assert length == n and g.kind == HOLE
+    # the chain ending in bot is below the x chain unless bot sits at a
+    # strict edge
+    lower = hole()
+    for _ in range(n):
+        lower = app(fvar("f"), lower)
+    assert compare((1, 1, 1), lower, x)[:2] == (True, False)
+    assert compare((0, 0, 0), lower, x)[:2] == (False, False)
+    assert compare((0, 0, 0), x, fun_chain(n, "x"))[:2] == (True, True)
 
 
 # ---------------------------------------------------------------------------
@@ -775,6 +839,38 @@ def test_is_stable_equals_the_walk_over_paths():
                 kinds.add((got[0], bool(got[0] == "no" and got[1])))
     # stable, a depth-0 redex, and a function child that reduces to a lambda
     assert {("yes", False), ("no", False), ("no", True)} <= kinds
+
+
+def test_every_state_of_is_active_and_reduces_to_lam_stays_guarded(monkeypatch):
+    # is_active checks only its input for guardedness and Cut/Unknown
+    # leaves; each contraction keeps both, which this checks on every state
+    # that the two loops (and the reduces_to_lam runs inside is_active) reach
+    real_step = meaningless.try_step
+    states = []
+
+    def recording_step(*args, **kwargs):
+        step = real_step(*args, **kwargs)
+        states.append(step.after)
+        return step
+
+    monkeypatch.setattr(meaningless, "try_step", recording_step)
+    rng = random.Random(58)
+    checked = loopy = 0
+    for g in graphs(57, 150):
+        # the graph under a duplicator, and applied to one, for more steps
+        dup = app(lam(app(bvar(0), app(bvar(0), random_graph(rng, rng.randrange(1, 8))))), g)
+        for t, sig in itertools.product([g, dup, app(g, lam(app(bvar(0), bvar(0))))], ALL_SIGS):
+            if not is_guarded(sig, t):
+                continue
+            meaningless.clear_caches()
+            states.clear()
+            meaningless.is_active(sig, t, fuel=30)
+            meaningless.reduces_to_lam(t, fuel=30)
+            for u in states:
+                assert is_guarded(sig, u)  # raises on a Cut or Unknown leaf
+            checked += len(states)
+            loopy += sum(not is_finite(u) for u in states)
+    assert checked > 5000 and loopy > 2000
 
 
 def test_is_stable_scans_a_shared_region_once():

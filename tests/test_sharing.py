@@ -103,11 +103,15 @@ def trace_states(trace):
     return list(dict.fromkeys(states))
 
 
-def assert_renders_alike(roots):
+def assert_renders_alike(roots, classes=None):
+    """``render_trees`` prints as ``render_tree`` and the recursive printer
+    do, with a fresh class table and with ``classes`` (a run's) if given."""
     for ascii_only in (True, False):
         got = render_trees(roots, ascii_only)
         assert got == [render_tree(r, ascii_only) for r in roots]
         assert got == [render_tree_recursive(r, ascii_only) for r in roots]
+        if classes is not None:
+            assert render_trees(roots, ascii_only, classes) == got
 
 
 def test_render_trees_equals_render_tree_on_seeded_traces():
@@ -132,7 +136,7 @@ def test_render_trees_equals_render_tree_on_seeded_traces():
             # later roots meet earlier subtrees at other depths and contexts
             extra = [marker_graph(rng, s) for s in states[:3]]
             extra += [lam(states[-1]), app(states[0], lam(states[-1]))]
-            assert_renders_alike(states + extra)
+            assert_renders_alike(states + extra, trace.classes)
     assert stopped == {"normal_form", "fuel", "cycle"}
     assert cyclic >= 10
 
