@@ -24,7 +24,7 @@ import sys
 from typing import NamedTuple
 
 from . import convergence, developments, meaningless
-from .order import compare
+from .order import _glb
 from .rewriting import (
     Beta,
     BetaStrict,
@@ -39,13 +39,13 @@ from .terms import ParseError, parse_sig, sig_str
 from .trees import (
     CUT,
     UNKNOWN,
+    _distance,
     bisimilar,
     has_kind,
     is_guarded,
     parse_tree,
     render_tree,
     render_trees,
-    tree_distance,
 )
 
 EXIT_OK = 0
@@ -301,15 +301,16 @@ def main(argv: list[str] | None = None, out=None, err=None) -> int:
             lines.append(f"p-limit: {report['p_limit']}")
             return _emit({"text": "\n".join(lines), "unknown": unknown}, args, out)
 
+        # load has checked each input, so the unchecked cores answer
         if args.command == "dist":
             a, b = load(args.left), load(args.right)
-            d = tree_distance(sig, a, b)
+            d = _distance(sig, a, b)
             doc = {"text": str(d), "json": {"distance": str(d)}, "unknown": False}
             return _emit(doc, args, out)
 
         if args.command == "order":
             a, b = load(args.left), load(args.right)
-            leq, geq, g = compare(sig, a, b)
+            g, (leq, geq) = _glb(sig, [a, b])
             gs = show(g)
             text = (
                 f"left <= right: {leq}\n"

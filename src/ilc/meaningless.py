@@ -9,7 +9,6 @@ Bohm, Levy-Longo and Berarducci trees respectively.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 from .convergence import p_limit
@@ -25,7 +24,7 @@ from .trees import (
     Node,
     app,
     back_edges,
-    bind_fvars,
+    bvar,
     children,
     cut,
     fvar,
@@ -124,7 +123,20 @@ class _ShiftDetector:
 # ---------------------------------------------------------------------------
 # Head reduction: does a subtree ever expose a lambda at its root?
 
-_whnf_cache: dict[tuple, TriVerdict] = {}
+# The two verdict caches and the index that keys them live and die together:
+# a key is a class of ``_index``, which means nothing to another index.
+_whnf_cache: dict[int | tuple, TriVerdict] = {}
+_active_cache: dict[tuple, TriVerdict] = {}
+_index: NodeIndex | None = None
+
+
+def _node_index() -> NodeIndex:
+    """The index shared by every analysis until ``clear_caches``, made on
+    first use."""
+    global _index
+    if _index is None:
+        _index = NodeIndex(Beta())
+    return _index
 
 
 def reduces_to_lam(t: Node, fuel: int = 10_000) -> TriVerdict:
@@ -134,14 +146,14 @@ def reduces_to_lam(t: Node, fuel: int = 10_000) -> TriVerdict:
     the head is rigid, bottom, or loops (detected by exact state repetition
     or by the shifted-recurrence criterion); Unknown on fuel exhaustion.
     """
-    # states and subtrees are keyed through one index for the run; the cache
-    # compares across calls, so its key is canon(t)
-    index = NodeIndex(Beta())
-    key = index.canonical(t)
+    # the cache, the states and the subtrees are all keyed through the one
+    # shared index: a node indexed by an earlier call costs nothing again
+    index = _node_index()
+    index.add(t)
+    key = index.key(t)
     if key in _whnf_cache:
         return _whnf_cache[key]
-    index.add(t)
-    seen = {index.key(t)}
+    seen = {key}
     det = _ShiftDetector()
     cur = t
     positions: list[Position] = []
@@ -238,9 +250,6 @@ def _stability(sig: Sig, t: Node, fuel: int) -> TriVerdict:
     return _UNKNOWN if saw_unknown else _yes()
 
 
-_active_cache: dict[tuple, TriVerdict] = {}
-
-
 def is_active(sig: Sig, t: Node, fuel: int = 10_000) -> TriVerdict:
     """Does t never reach a stable reduct?
 
@@ -250,24 +259,32 @@ def is_active(sig: Sig, t: Node, fuel: int = 10_000) -> TriVerdict:
     loop runs forever: Yes, with a destructive trace as witness.  Reaching a
     stable reduct gives No with that reduct.
 
-    Only ``t`` is checked for guardedness and Cut/Unknown leaves, by the
-    first ``is_stable`` call: a contraction replaces one subtree by M[N/x],
-    whose branches are branches of M or of N at the same depths, so every
-    reduct passes too (the tests check it).
+    Only ``t`` is checked for Cut/Unknown leaves and guardedness, before the
+    first step (so not at all without fuel), with ``is_stable``'s messages.
+    The shared index already knows whether ``t`` reaches a Cut or Unknown
+    leaf, and a finite tree has no cycle to leave unguarded, so only a tree
+    that reaches a cycle is searched.  A contraction replaces one subtree by
+    M[N/x], whose branches are branches of M or of N at the same depths, so
+    every reduct passes too (the tests check it).
     """
-    index = NodeIndex(Beta())  # as in reduces_to_lam
-    key = (sig, index.canonical(t))
+    index = _node_index()  # as in reduces_to_lam
+    index.add(t)
+    key = (sig, index.key(t))
     if key in _active_cache:
         return _active_cache[key]
-    index.add(t)
+    if fuel > 0:
+        if t in index.stuck:
+            raise ValueError("analysis rejects Cut/Unknown leaves")
+        if index.classes.cls[t] < 0:
+            _check_tree(sig, t)
     steps = []
-    seen = {index.key(t): 0}
+    seen = {key[1]: 0}
     det = _ShiftDetector()
     cur = t
     spent = 0
     verdict: TriVerdict | None = None
     while spent < fuel and verdict is None:
-        v = _stability(sig, cur, fuel) if steps else is_stable(sig, cur, fuel)
+        v = _stability(sig, cur, fuel)
         if v.is_yes:
             verdict = _no(cur)
             break
@@ -344,6 +361,33 @@ def strict_nf(sig: Sig, t: Node) -> Node:
 # ---------------------------------------------------------------------------
 # The Bohm-like tree normalizer
 
+def _free_index(index: NodeIndex, memo: dict[int, int], c: int) -> int:
+    """The largest de Bruijn index free in the finite class c of the index,
+    or -1 if it is closed.  A class's unfolding fixes it, so it is computed
+    once per class, in postorder over the classes below c, into memo."""
+    cls, rep = index.classes.cls, index.classes.rep
+    todo = [c]
+    while todo:
+        x = todo[-1]
+        if x in memo:
+            todo.pop()
+            continue
+        n = rep[x]
+        kids = [cls[n.a], cls[n.b]] if n.kind == APP else [cls[n.a]] if n.kind == LAM else []
+        missing = [k for k in kids if k not in memo]
+        if missing:
+            todo += missing
+            continue
+        todo.pop()
+        if n.kind == BVAR:
+            memo[x] = n.a
+        elif n.kind == LAM:
+            memo[x] = max(memo[kids[0]] - 1, -1)
+        else:
+            memo[x] = max([memo[k] for k in kids], default=-1)
+    return memo[c]
+
+
 def bohm_tree(
     sig: Sig,
     t: Node,
@@ -360,72 +404,89 @@ def bohm_tree(
     """
     _check_tree(sig, t)
     flags = {"fuel": False}
-    binder_ids = itertools.count()
-    # a binder that emit opens is named prefix<k> while it is free; no free
-    # variable of the input starts with the prefix, so none is captured
+    # a child analysed on its own names each binder it escapes to prefix<k>;
+    # no free variable of the input starts with the prefix, so none is
+    # captured, and one pass at the end turns the names back into indices
     prefix = "__b"
     free = {n.a for n in reachable(t) if n.kind == FVAR}
     while any(name.startswith(prefix) for name in free):
         prefix += "_"
+    binders: dict[str, int] = {}  # name -> the lambdas above its own
+    local: list[str] = []  # the names of the lambdas open on the path
+    index = _node_index()
+    free_of: dict[int, int] = {}  # _free_index's memo
+    done: list[Node] = []  # finished copies
+    # the work: (node, edge is strict, depth level, where the names of its
+    # stable reduct start in local), the name of a lambda to close, and
+    # None for an application to close
+    stack: list = []
 
-    def norm(sub: Node, d: int) -> Node:
+    def norm(sub: Node, d: int) -> None:
+        # a leaf for sub goes to done; a stable reduct is copied by the loop
         if d >= depth:
-            return cut()
+            done.append(cut())
+            return
         v = is_active(sig, sub, fuel)
         if v.is_yes:
-            return hole()
-        if v.is_unknown:
+            done.append(hole())
+        elif v.is_unknown:
             flags["fuel"] = True
-            return unknown()
-        return emit(v.witness, d)
+            done.append(unknown())
+        else:
+            stack.append((v.witness, True, d, len(local)))
 
-    def extract(c: Node, local: list[int], d: int) -> Node:
-        # an index escaping c names the binder local[-1 - e]
+    def extract(c: Node, lo: int) -> Node:
+        # an index escaping c names the binder local[-1 - e] of its reduct
+        index.add(c)
+        cl = index.classes.cls[c]
+        if cl >= 0 and _free_index(index, free_of, cl) < 0:
+            return c  # finite and closed: a copy would be the same tree
+        frame = local[lo:]
+
         def escape(n: Node, k: int) -> Node | None:
             if n.kind == BVAR and n.a >= k:
                 e = n.a - k
-                if e >= len(local):
+                if e >= len(frame):
                     raise ValueError("a bound variable escapes the input tree")
-                return fvar(f"{prefix}{local[-1 - e]}")
+                return fvar(frame[-1 - e])
             return None
 
-        return norm(transform(c, escape, cap=max_bvar_index(c) + 1), d + 1)
+        return transform(c, escape, cap=max_bvar_index(c) + 1)
 
-    def emit(root: Node, d: int) -> Node:
-        # Copies the depth-0 region, which strict edges reach, and extracts
-        # the children under non-strict edges.  The explicit stack holds
-        # (node, edge is strict) pairs, the binder id of a lambda to close,
-        # and None for an application to close; finished copies go to done.
-        local: list[int] = []  # the binder ids of the open lambdas
-        done: list[Node] = []
-        stack: list = [(root, True)]
-        while stack:
-            item = stack.pop()
-            if item is None:
-                arg = done.pop()
-                done.append(app(done.pop(), arg))
-                continue
-            if type(item) is int:
-                local.pop()
-                done.append(lam(bind_fvars(done.pop(), {f"{prefix}{item}": 0})))
-                continue
-            n, strict = item
-            if not strict:
-                done.append(extract(n, local, d))
-            elif n.kind in (HOLE, BVAR, FVAR):
-                done.append(Node(n.kind, n.a))
-            elif n.kind == LAM:
-                b = next(binder_ids)
-                local.append(b)
-                stack += (b, (n.a, sig[0] == 0))
-            elif n.kind == APP:
-                stack += (None, (n.b, sig[2] == 0), (n.a, sig[1] == 0))
-            else:
-                raise TypeError(n.kind)
-        return done[0]
+    # copies the depth-0 region of each stable reduct, which strict edges
+    # reach, and analyses the children under non-strict edges in turn
+    norm(t, 0)
+    while stack:
+        item = stack.pop()
+        if item is None:
+            arg = done.pop()
+            done.append(app(done.pop(), arg))
+            continue
+        if type(item) is str:
+            local.pop()
+            done.append(lam(done.pop()))
+            continue
+        n, strict, d, lo = item
+        if not strict:
+            norm(extract(n, lo), d + 1)
+        elif n.kind in (HOLE, BVAR, FVAR):
+            done.append(Node(n.kind, n.a))
+        elif n.kind == LAM:
+            name = f"{prefix}{len(binders)}"
+            binders[name] = len(local)
+            local.append(name)
+            stack += (name, (n.a, sig[0] == 0, d, lo))
+        elif n.kind == APP:
+            stack += (None, (n.b, sig[2] == 0, d, lo), (n.a, sig[1] == 0, d, lo))
+        else:
+            raise TypeError(n.kind)
 
-    assembled = norm(t, 0)
-    result = strict_nf(sig, assembled)
+    def rebind(n: Node, k: int) -> Node | None:
+        if n.kind == FVAR and n.a in binders:
+            return bvar(k - binders[n.a] - 1)
+        return None
+
+    result = strict_nf(sig, transform(done[0], rebind))
     return Approximant(
         result,
         depth=depth,
@@ -461,5 +522,7 @@ def m_route_tree(sig: Sig, t: Node, depth: int = 16, fuel: int = 10_000) -> Appr
 
 
 def clear_caches() -> None:
+    global _index
     _whnf_cache.clear()
     _active_cache.clear()
+    _index = None

@@ -127,7 +127,8 @@ def compare(sig: Sig, a: Node, b: Node) -> tuple[bool, bool, Node]:
 
     In a partial order with meets, ``a <= b`` holds iff ``a ∧ b = a``, so
     the one product walk that builds the glb also decides both orderings;
-    ``tree_leq`` answers the same, with a shortest witness.
+    ``tree_leq`` answers the same, with a shortest witness.  ``_glb`` is
+    the walk without the input check, for inputs already checked.
     """
     _check_inputs(sig, a, b)
     g, (leq, geq) = _glb(sig, [a, b])

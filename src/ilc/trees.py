@@ -844,6 +844,11 @@ def tree_distance(sig: Sig, s: Node, t: Node) -> Fraction:
     for x in (s, t):
         if not is_guarded(sig, x):
             raise ValueError("tree_distance requires guarded trees")
+    return _distance(sig, s, t)
+
+
+def _distance(sig: Sig, s: Node, t: Node) -> Fraction:
+    """``tree_distance`` of two trees already known to be guarded."""
     # 0-1 BFS over the product graph: find the least depth of a disagreement
     best: dict[tuple[int, int], int] = {}
     queue: deque[tuple[Node, Node, int]] = deque([(s, t, 0)])

@@ -24,9 +24,11 @@ that ``rewriting.NodeIndex`` replaced, the per-node walks of
 the four hand-written position enumerations that ``trees.positions``
 replaced.  Last come the guardedness check that ``order`` once ran member by
 member, and the shortlex walk over depth-0 positions, one per path, that
-``meaningless.is_stable`` ran before it walked nodes.  The very last is the
-hand-written argparse builder of the ``ilc`` command line that the option
-table ``cli._COMMANDS`` replaced.
+``meaningless.is_stable`` ran before it walked nodes, then the hand-written
+argparse builder of the ``ilc`` command line that the option table
+``cli._COMMANDS`` replaced.  The very last is the normaliser that indexed
+every analysis call afresh and rebound one lambda at a time, which
+``meaningless`` replaced with one shared node index and one rebinding pass.
 """
 
 from __future__ import annotations
@@ -38,10 +40,19 @@ import random
 from collections import deque
 from fractions import Fraction
 
-from ilc.meaningless import TriVerdict, _check_tree, reduces_to_lam
+from ilc.meaningless import (
+    _UNKNOWN,
+    TriVerdict,
+    _check_tree,
+    _no,
+    _ShiftDetector,
+    _yes,
+    reduces_to_lam,
+    strict_nf,
+)
 from ilc.order import OrderVerdict, _check_inputs
-from ilc.rewriting import Beta, BohmBot, Trace, _node_redex_tag, step_sig, try_step
-from ilc.terms import BOT, Abs, App, Bot, ParseError, Position, Sig, Term, Var, adepth, tokenize
+from ilc.rewriting import Beta, BohmBot, NodeIndex, Trace, _node_redex_tag, step_sig, try_step
+from ilc.terms import BOT, CANONICAL_SIGS, Abs, App, Bot, ParseError, Position, Sig, Term, Var, adepth, parse_term, tokenize
 from ilc.trees import (
     APP,
     BVAR,
@@ -50,13 +61,16 @@ from ilc.trees import (
     HOLE,
     LAM,
     UNKNOWN,
+    Approximant,
     Node,
     app,
+    bind_fvars,
     build,
     bvar,
     canon,
     child_at,
     children,
+    cut,
     fvar,
     has_kind,
     hole,
@@ -64,11 +78,15 @@ from ilc.trees import (
     is_guarded,
     label,
     lam,
+    link_position,
     map_graph,
     max_bvar_index,
+    node_at,
     positions,
     reachable,
     reaching,
+    transform,
+    tree_of_term,
     unknown,
 )
 
@@ -395,6 +413,21 @@ def _use_v0(rng: random.Random, t: Term) -> Term:
         case App(f, a):
             return App(_use_v0(rng, f), _use_v0(rng, a))
     return t
+
+
+_OMEGA = r"(\x.x x) (\x.x x)"
+_GROWER = r"(\x.x x y) (\x.x x y)"  # reduces to itself applied to y, forever
+
+
+def random_loopy_tree(rng: random.Random, sig: Sig) -> Node:
+    """A random redex-rich term, in most cases applied to, or applying, a
+    looping or growing term, or under a binder applied to one."""
+    t = random_redexy_term(rng, rng.randrange(3, 9))
+    if rng.random() < 0.6:
+        src = rng.choice([_OMEGA, _GROWER, rf"(\x.y) ({_OMEGA})"])
+        base = parse_term(src)
+        t = rng.choice([App(t, base), App(base, t), Abs("w", App(Var("w"), base))])
+    return tree_of_term(t)
 
 
 def random_graph(rng: random.Random, size: int, cyclic: bool = True) -> Node:
@@ -1574,3 +1607,220 @@ def build_parser_by_hand() -> argparse.ArgumentParser:
         _common_flags(s)
         add_args(s)
     return p
+
+
+# ---------------------------------------------------------------------------
+# The normaliser before the shared node index: each ``is_active`` and
+# ``reduces_to_lam`` call indexed its states in a fresh ``NodeIndex`` and
+# keyed its cache by ``canon`` of its input, every input ran the whole
+# ``is_stable`` check, and ``bohm_tree`` called ``bind_fvars`` on each
+# lambda it closed, recursing once per depth level.  Its caches are its own.
+
+_whnf_cache_per_call: dict[tuple, TriVerdict] = {}
+_active_cache_per_call: dict[tuple, TriVerdict] = {}
+
+
+def clear_caches_per_call() -> None:
+    _whnf_cache_per_call.clear()
+    _active_cache_per_call.clear()
+
+
+def reduces_to_lam_per_call(t: Node, fuel: int = 10_000) -> TriVerdict:
+    index = NodeIndex(Beta())
+    key = index.canonical(t)
+    if key in _whnf_cache_per_call:
+        return _whnf_cache_per_call[key]
+    index.add(t)
+    seen = {index.key(t)}
+    det = _ShiftDetector()
+    cur = t
+    positions: list[Position] = []
+    verdict: TriVerdict | None = None
+    for _ in range(fuel):
+        if cur.kind == LAM:
+            verdict = _yes((cur, positions))
+            break
+        if cur.kind != APP:
+            verdict = _no(cur)
+            break
+        n, m = cur, 0
+        spine_ids = {id(n)}
+        infinite_spine = False
+        while n.kind == APP:
+            n = n.a
+            m += 1
+            if id(n) in spine_ids:
+                infinite_spine = True
+                break
+            spine_ids.add(id(n))
+        if infinite_spine or n.kind != LAM:
+            verdict = _no(cur)
+            break
+        p: Position = (1,) * (m - 1)
+        if det.push(p, index.key(node_at(cur, p))):
+            verdict = _no(cur)
+            break
+        cur = try_step(Beta(), cur, p, "beta").after
+        positions.append(p)
+        index.add(cur)
+        ck = index.key(cur)
+        if ck in seen:
+            verdict = _no(cur)
+            break
+        seen.add(ck)
+    if verdict is None:
+        return _UNKNOWN
+    _whnf_cache_per_call[key] = verdict
+    return verdict
+
+
+def stability_per_call(sig: Sig, t: Node, fuel: int) -> TriVerdict:
+    """``meaningless._stability``, asking ``reduces_to_lam_per_call``."""
+    links: dict[Node, tuple | None] = {t: None}
+    region = [t]
+    for n in region:
+        for i, c in children(n):
+            if sig[i] == 0 and c not in links:
+                links[c] = (n, i)
+                region.append(c)
+    for n in region:
+        if n.kind == APP and n.a.kind == LAM:
+            return _no(([], link_position(links, n), t))
+    saw_unknown = False
+    if sig[1] == 1:
+        for n in region:
+            if n.kind != APP:
+                continue
+            v = reduces_to_lam_per_call(n.a, fuel)
+            if v.is_yes:
+                _, poss = v.witness
+                p = link_position(links, n)
+                prep = [p + (1,) + q for q in poss]
+                u = t
+                for r in prep:
+                    u = try_step(Beta(), u, r, "beta").after
+                return _no((prep, p, u))
+            if v.is_unknown:
+                saw_unknown = True
+    return _UNKNOWN if saw_unknown else _yes()
+
+
+def is_active_per_call(sig: Sig, t: Node, fuel: int = 10_000) -> TriVerdict:
+    index = NodeIndex(Beta())
+    key = (sig, index.canonical(t))
+    if key in _active_cache_per_call:
+        return _active_cache_per_call[key]
+    index.add(t)
+    steps = []
+    seen = {index.key(t): 0}
+    det = _ShiftDetector()
+    cur = t
+    spent = 0
+    verdict: TriVerdict | None = None
+    while spent < fuel and verdict is None:
+        if not steps:
+            _check_tree(sig, cur)
+        v = stability_per_call(sig, cur, fuel)
+        if v.is_yes:
+            verdict = _no(cur)
+            break
+        if v.is_unknown:
+            return _UNKNOWN
+        prep, q, _ = v.witness
+        for r in prep:
+            st = try_step(Beta(), cur, r, "beta", sig=sig)
+            steps.append(st)
+            cur = st.after
+            spent += 1
+        index.add(cur)
+        shifted = det.push(q, index.key(node_at(cur, q)))
+        st = try_step(Beta(), cur, q, "beta", sig=sig)
+        steps.append(st)
+        cur = st.after
+        spent += 1
+        index.add(cur)
+        ck = index.key(cur)
+        if ck in seen:
+            tr = Trace(sig, Beta(), steps, cycle_at=seen[ck],
+                       metadata={"stopped": "cycle", "evidence": "cycle"})
+            verdict = _yes(tr)
+            break
+        seen[ck] = len(steps)
+        if shifted:
+            tr = Trace(sig, Beta(), steps, None,
+                       metadata={"stopped": "fuel", "evidence": "shifted"})
+            verdict = _yes(tr)
+            break
+    if verdict is None:
+        return _UNKNOWN
+    _active_cache_per_call[key] = verdict
+    return verdict
+
+
+def bohm_tree_per_call(sig: Sig, t: Node, depth: int = 16, fuel: int = 10_000) -> Approximant:
+    _check_tree(sig, t)
+    flags = {"fuel": False}
+    binder_ids = itertools.count()
+    prefix = "__b"
+    free = {n.a for n in reachable(t) if n.kind == FVAR}
+    while any(name.startswith(prefix) for name in free):
+        prefix += "_"
+
+    def norm(sub: Node, d: int) -> Node:
+        if d >= depth:
+            return cut()
+        v = is_active_per_call(sig, sub, fuel)
+        if v.is_yes:
+            return hole()
+        if v.is_unknown:
+            flags["fuel"] = True
+            return unknown()
+        return emit(v.witness, d)
+
+    def extract(c: Node, local: list[int], d: int) -> Node:
+        def escape(n: Node, k: int) -> Node | None:
+            if n.kind == BVAR and n.a >= k:
+                e = n.a - k
+                if e >= len(local):
+                    raise ValueError("a bound variable escapes the input tree")
+                return fvar(f"{prefix}{local[-1 - e]}")
+            return None
+
+        return norm(transform(c, escape, cap=max_bvar_index(c) + 1), d + 1)
+
+    def emit(root: Node, d: int) -> Node:
+        local: list[int] = []
+        done: list[Node] = []
+        stack: list = [(root, True)]
+        while stack:
+            item = stack.pop()
+            if item is None:
+                arg = done.pop()
+                done.append(app(done.pop(), arg))
+                continue
+            if type(item) is int:
+                local.pop()
+                done.append(lam(bind_fvars(done.pop(), {f"{prefix}{item}": 0})))
+                continue
+            n, strict = item
+            if not strict:
+                done.append(extract(n, local, d))
+            elif n.kind in (HOLE, BVAR, FVAR):
+                done.append(Node(n.kind, n.a))
+            elif n.kind == LAM:
+                b = next(binder_ids)
+                local.append(b)
+                stack += (b, (n.a, sig[0] == 0))
+            elif n.kind == APP:
+                stack += (None, (n.b, sig[2] == 0), (n.a, sig[1] == 0))
+            else:
+                raise TypeError(n.kind)
+        return done[0]
+
+    result = strict_nf(sig, norm(t, 0))
+    return Approximant(
+        result,
+        depth=depth,
+        fuel_exhausted=flags["fuel"],
+        non_canonical=sig not in CANONICAL_SIGS,
+    )

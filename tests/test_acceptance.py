@@ -30,6 +30,7 @@ from ilc.trees import (
 from oracles import (
     enumerate_trees,
     lower_bounds,
+    random_loopy_tree,
     random_redexy_term,
     random_term,
     s_normalize,
@@ -338,17 +339,6 @@ def in_dom_bot(t, p):
             return False
         n = nxt
     return n.kind == HOLE
-
-
-def random_loopy_tree(rng, sig):
-    t = random_redexy_term(rng, rng.randrange(3, 9))
-    if rng.random() < 0.6:
-        src = rng.choice([OMEGA, GROWER, rf"(\x.y) ({OMEGA})"])
-        from ilc.terms import Abs, App, Var
-
-        base = parse_term(src)
-        t = rng.choice([App(t, base), App(base, t), Abs("w", App(Var("w"), base))])
-    return tree_of_term(t)
 
 
 def test_lasso_limits_and_volatility():
