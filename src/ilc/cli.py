@@ -283,6 +283,8 @@ def main(argv: list[str] | None = None, out=None, err=None) -> int:
             t = load(args.term)
             rules = _rules_for(args.rules, sig, args.fuel)
             trace = run_strategy(rules, args.strategy, t, args.fuel, sig=sig)
+            if args.rules == "bohm":  # what trace_decode needs to rebuild the oracle
+                trace.metadata["oracle_fuel"] = args.fuel
             analysis = convergence.analyze(trace, args.depth)
             report = convergence.report_json(trace, analysis)
             unknown = report["m"] == "unknown" or has_kind(analysis.p_limit.tree, UNKNOWN, CUT)

@@ -20,9 +20,11 @@ from .rewriting import (
     POSITION_BOUND,
     Beta,
     BetaStrict,
+    NodeIndex,
     Step,
     Trace,
     _node_redex_tag,
+    drive,
     run_strategy,
     try_step,
 )
@@ -40,7 +42,6 @@ from .trees import (
     bisimilar,
     build,
     bvar,
-    canon,
     children,
     components,
     has_kind,
@@ -216,31 +217,35 @@ def _ancestor_step(step: Step, v: Position) -> Position:
 def _develop_raw(
     sig: Sig, tree: Node, positions: set[Position], fuel: int
 ) -> tuple[Trace, Node]:
-    """Contract residuals outermost-first; no final S-normalization."""
+    """Contract residuals outermost-first; no final S-normalization.  A
+    state is keyed by its class and its residual set."""
     rules = BetaStrict(sig)
-    cur = tree
-    us = {tuple(p) for p in positions}
-    steps: list[Step] = []
-    seen: dict[tuple, int] = {}
-    while us:
-        if len(steps) >= fuel:
-            raise RuntimeError("development did not finish within fuel")
-        key = (canon(cur), frozenset(us))
-        if key in seen:
-            tr = Trace(sig, rules, steps, cycle_at=seen[key],
-                       metadata={"stopped": "cycle"})
-            return tr, p_limit(tr).tree
-        seen[key] = len(steps)
+    index = NodeIndex(rules)
+    index.add(tree)
+    us = {tuple(p) for p in positions}  # the residuals in the latest state
+
+    def next_round(cur: Node) -> list[Step]:
+        nonlocal us
+        if not us:
+            return []
         p = min(us, key=lambda q: (len(q), q))
         tag = _node_redex_tag(rules, node_at(cur, p))
         if tag is None:
             raise RuntimeError(f"residual at {list(p)} stopped being a redex")
         st = try_step(rules, cur, p, tag, sig=sig)
-        steps.append(st)
         us = _desc_step(sig, st, us - {p})
-        cur = st.after
+        return [st]
+
+    steps, _, cycle_at = drive(
+        index, tree, fuel, next_round, key=lambda n: (index.key(n), frozenset(us))
+    )
+    if us and len(steps) >= fuel:  # also when the state at fuel closes a lasso
+        raise RuntimeError("development did not finish within fuel")
+    if cycle_at is not None:
+        tr = Trace(sig, rules, steps, cycle_at, metadata={"stopped": "cycle"})
+        return tr, p_limit(tr).tree
     tr = Trace(sig, rules, steps, metadata={"stopped": "normal_form", "start": tree})
-    return tr, cur
+    return tr, steps[-1].after if steps else tree
 
 
 def develop(sig: Sig, rs: RedexSet, fuel: int = 10_000) -> tuple[Trace, Node]:
@@ -412,6 +417,7 @@ def strip_join(
     if not bisimilar(long.start, single.before):
         raise ValueError("the two reductions must start from the same tree")
     rules = BetaStrict(sig)
+    index = NodeIndex(rules)  # keys the tile rows
     u0 = frozenset({single.position})
 
     def tile(t_cur: Node, us: set[Position], step: Step, u_cur: Node):
@@ -453,7 +459,9 @@ def strip_join(
     boundaries: dict[tuple, int] = {}
     top_cycle_at: int | None = None
     for _ in range(256):
-        bkey = (canon(t_cur), frozenset(us), canon(u_cur))
+        index.add(t_cur)
+        index.add(u_cur)
+        bkey = (index.key(t_cur), frozenset(us), index.key(u_cur))
         if bkey in boundaries:
             top_cycle_at = boundaries[bkey]
             break

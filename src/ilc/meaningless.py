@@ -12,8 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .convergence import p_limit
-from .rewriting import Beta, BohmBot, NodeIndex, Trace, run_strategy, try_step
-from .terms import CANONICAL_SIGS, Position, Sig
+from .rewriting import Beta, BohmBot, NodeIndex, Step, Trace, drive, run_strategy, try_step
+from .terms import CANONICAL_SIGS, Sig
 from .trees import (
     APP,
     BVAR,
@@ -34,7 +34,6 @@ from .trees import (
     link_position,
     map_graph,
     max_bvar_index,
-    node_at,
     reachable,
     reaching,
     transform,
@@ -84,42 +83,6 @@ def _check_tree(sig: Sig, t: Node) -> None:
         raise ValueError("analysis requires a guarded tree")
 
 
-class _ShiftDetector:
-    """Detects a reduction that repeats itself shifted ever deeper.
-
-    Feed it the position and the key of each contracted redex subtree, from
-    one ``NodeIndex`` for the run.  A hit at step j means some earlier step i
-    fired a bisimilar subtree at a proper prefix of the current position,
-    with every step in between staying inside that prefix; the run from i
-    can then be replayed from j forever, so the reduction never escapes.
-    """
-
-    def __init__(self):
-        self.hist: list[tuple[Position, int | tuple]] = []
-
-    def push(self, pos: Position, key: int | tuple) -> bool:
-        hit = False
-        lcp: Position | None = None  # common prefix of the steps after i
-        for qp, qk in reversed(self.hist):
-            if (
-                qk == key
-                and len(qp) < len(pos)
-                and pos[: len(qp)] == qp
-                and (lcp is None or lcp[: len(qp)] == qp)
-            ):
-                hit = True
-                break
-            if lcp is None:
-                lcp = qp
-            else:
-                n = 0
-                while n < min(len(lcp), len(qp)) and lcp[n] == qp[n]:
-                    n += 1
-                lcp = lcp[:n]
-        self.hist.append((pos, key))
-        return hit
-
-
 # ---------------------------------------------------------------------------
 # Head reduction: does a subtree ever expose a lambda at its root?
 
@@ -153,45 +116,32 @@ def reduces_to_lam(t: Node, fuel: int = 10_000) -> TriVerdict:
     key = index.key(t)
     if key in _whnf_cache:
         return _whnf_cache[key]
-    seen = {key}
-    det = _ShiftDetector()
-    cur = t
-    positions: list[Position] = []
-    verdict: TriVerdict | None = None
-    for _ in range(fuel):
-        if cur.kind == LAM:
-            verdict = _yes((cur, positions))
-            break
+
+    def next_round(cur: Node) -> list[Step]:
+        # one step at the head redex, or none at a lambda, a rigid head or
+        # bottom, or on a head spine that loops in the graph
         if cur.kind != APP:
-            verdict = _no(cur)
-            break
+            return []
         n, m = cur, 0
         spine_ids = {id(n)}
-        infinite_spine = False
         while n.kind == APP:
             n = n.a
             m += 1
             if id(n) in spine_ids:
-                infinite_spine = True  # the head spine loops in the graph
-                break
+                return []
             spine_ids.add(id(n))
-        if infinite_spine or n.kind != LAM:
-            verdict = _no(cur)  # rigid (variable), bottom, or infinite head
-            break
-        p: Position = (1,) * (m - 1)
-        if det.push(p, index.key(node_at(cur, p))):
-            verdict = _no(cur)
-            break
-        cur = try_step(Beta(), cur, p, "beta").after
-        positions.append(p)
-        index.add(cur)
-        ck = index.key(cur)
-        if ck in seen:
-            verdict = _no(cur)
-            break
-        seen.add(ck)
-    if verdict is None:
+        if n.kind != LAM:
+            return []
+        return [try_step(Beta(), cur, (1,) * (m - 1), "beta")]
+
+    steps, stopped, _ = drive(index, t, fuel, next_round, shifts=True)
+    if stopped == "fuel":
         return _UNKNOWN
+    cur = steps[-1].after if steps else t
+    if stopped == "normal_form" and cur.kind == LAM:
+        verdict = _yes((cur, [s.position for s in steps]))
+    else:
+        verdict = _no(cur)
     _whnf_cache[key] = verdict
     return verdict
 
@@ -277,45 +227,27 @@ def is_active(sig: Sig, t: Node, fuel: int = 10_000) -> TriVerdict:
             raise ValueError("analysis rejects Cut/Unknown leaves")
         if index.classes.cls[t] < 0:
             _check_tree(sig, t)
-    steps = []
-    seen = {key[1]: 0}
-    det = _ShiftDetector()
-    cur = t
-    spent = 0
-    verdict: TriVerdict | None = None
-    while spent < fuel and verdict is None:
-        v = _stability(sig, cur, fuel)
-        if v.is_yes:
-            verdict = _no(cur)
-            break
-        if v.is_unknown:
-            return _UNKNOWN
-        prep, q, _ = v.witness
-        for r in prep:
-            st = try_step(Beta(), cur, r, "beta", sig=sig)
-            steps.append(st)
-            cur = st.after
-            spent += 1
-        index.add(cur)
-        shifted = det.push(q, index.key(node_at(cur, q)))
-        st = try_step(Beta(), cur, q, "beta", sig=sig)
-        steps.append(st)
-        cur = st.after
-        spent += 1
-        index.add(cur)
-        ck = index.key(cur)
-        if ck in seen:
-            tr = Trace(sig, Beta(), steps, cycle_at=seen[ck],
-                       metadata={"stopped": "cycle", "evidence": "cycle"})
-            verdict = _yes(tr)
-            break
-        seen[ck] = len(steps)
-        if shifted:
-            tr = Trace(sig, Beta(), steps, None,
-                       metadata={"stopped": "fuel", "evidence": "shifted"})
-            verdict = _yes(tr)
-            break
-    if verdict is None:
+    stability = _UNKNOWN  # the verdict on the last state
+
+    def next_round(cur: Node) -> list[Step]:
+        nonlocal stability
+        stability = _stability(sig, cur, fuel)
+        if not stability.is_no:
+            return []
+        prep, q, _ = stability.witness
+        rnd = []
+        for r in (*prep, q):
+            rnd.append(try_step(Beta(), cur, r, "beta", sig=sig))
+            cur = rnd[-1].after
+        return rnd
+
+    steps, stopped, cycle_at = drive(index, t, fuel, next_round, shifts=True)
+    if stopped == "cycle" or stopped == "shifted":
+        meta = {"stopped": "cycle" if cycle_at is not None else "fuel", "evidence": stopped}
+        verdict = _yes(Trace(sig, Beta(), steps, cycle_at, metadata=meta))
+    elif stopped == "normal_form" and stability.is_yes:
+        verdict = _no(steps[-1].after if steps else t)
+    else:
         return _UNKNOWN
     _active_cache[key] = verdict
     return verdict

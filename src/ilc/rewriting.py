@@ -24,7 +24,6 @@ unfolded trees, never the node identities, carry meaning.
 from __future__ import annotations
 
 import heapq
-from contextvars import ContextVar
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -301,10 +300,6 @@ _EXPLORATION_LIMIT = 100_000
 # position may have
 POSITION_BOUND = 64
 
-# the index of the run in progress: the searches keep their signatures, so
-# run_strategy hands them its index through this variable, for its duration
-_run_index: ContextVar[NodeIndex | None] = ContextVar("_run_index", default=None)
-
 
 def _search(
     rules: RuleSystem,
@@ -313,6 +308,7 @@ def _search(
     mode: str,
     sig: Sig | None = None,
     limit: int | None = None,
+    index: NodeIndex | None = None,
 ) -> list[tuple[Position, str]]:
     """The redex search behind ``redexes``, ``first_redex``,
     ``outermost_redexes`` and ``depth0_redex``.
@@ -326,13 +322,12 @@ def _search(
     oracle is consulted per position and nothing is pruned.  Searches that
     enumerate (all redexes, or best-first) reject Cut/Unknown leaves.
 
-    It uses the index of the run in progress for these rules, or a fresh
-    one, so a search on its own indexes the whole graph once.
+    ``index`` is a run's index for these rules that already holds ``t``;
+    without one, a fresh index records the whole graph once.
     """
-    index = _run_index.get()
-    if index is None or index.rules is not rules:
+    if index is None:
         index = NodeIndex(rules)
-    index.add(t)
+        index.add(t)
     if (mode == "all" or sig is not None) and t in index.stuck:
         raise ValueError("redex search rejects Cut/Unknown leaves")
     bohm = isinstance(rules, BohmBot)
@@ -384,27 +379,29 @@ def redexes(
     return set(_search(rules, t, max_len, "all", limit=limit))
 
 
-def first_redex(rules: RuleSystem, t: Node, max_len: int = POSITION_BOUND) -> tuple[Position, str] | None:
+def first_redex(
+    rules: RuleSystem, t: Node, max_len: int = POSITION_BOUND, *, index: NodeIndex | None = None
+) -> tuple[Position, str] | None:
     """Leftmost-outermost redex: first hit in preorder (1 before 2)."""
-    found = _search(rules, t, max_len, "first")
+    found = _search(rules, t, max_len, "first", index=index)
     return found[0] if found else None
 
 
 def outermost_redexes(
-    rules: RuleSystem, t: Node, max_len: int = POSITION_BOUND
+    rules: RuleSystem, t: Node, max_len: int = POSITION_BOUND, *, index: NodeIndex | None = None
 ) -> list[tuple[Position, str]]:
     """Redexes none of which lies below another, in preorder."""
-    return _search(rules, t, max_len, "outermost", limit=_EXPLORATION_LIMIT)
+    return _search(rules, t, max_len, "outermost", limit=_EXPLORATION_LIMIT, index=index)
 
 
 def depth0_redex(
-    rules: RuleSystem, t: Node, sig: Sig, max_len: int = POSITION_BOUND
+    rules: RuleSystem, t: Node, sig: Sig, max_len: int = POSITION_BOUND, *, index: NodeIndex | None = None
 ) -> tuple[Position, str] | None:
     """The redex of least depth, ties broken by length and then leftmost:
     the least of ``redexes`` by (``adepth``, length, position), found by a
     best-first walk that stops at the first hit, so it explores no more
     than ``redexes`` would."""
-    found = _search(rules, t, max_len, "first", sig, _EXPLORATION_LIMIT)
+    found = _search(rules, t, max_len, "first", sig, _EXPLORATION_LIMIT, index)
     return found[0] if found else None
 
 
@@ -531,6 +528,75 @@ class Trace:
                 raise AssertionError("lasso closure state mismatch")
 
 
+def _shifted(hist: list[tuple[Position, int | tuple]], pos: Position, key: int | tuple) -> bool:
+    """Does a reduction repeat itself shifted ever deeper?
+
+    ``hist`` holds the position and the key (from one ``NodeIndex``) of the
+    redex subtree that each earlier round contracted last; a miss appends
+    this round's.  A hit means some earlier round i fired a bisimilar
+    subtree at a proper prefix of ``pos``, with every round in between
+    staying inside that prefix; the run from i can then be replayed from
+    here forever, so the reduction never escapes.
+    """
+    lcp = pos  # the common prefix of pos and the positions after the entry
+    for qp, qk in reversed(hist):
+        if qk == key and len(qp) < len(pos) and lcp[: len(qp)] == qp:
+            return True
+        while qp[: len(lcp)] != lcp:
+            lcp = lcp[:-1]
+    hist.append((pos, key))
+    return False
+
+
+def drive(
+    index: NodeIndex,
+    t: Node,
+    fuel: int,
+    next_round: Callable[[Node], list[Step]],
+    shifts: bool = False,
+    key: Callable[[Node], object] | None = None,
+) -> tuple[list[Step], str, int | None]:
+    """The one reduction loop behind strategies, developments and the
+    meaningless-term analyses.
+
+    ``next_round(cur)`` returns the chained steps of one round from
+    ``cur``, or none at a normal form.  Between rounds, and only there, the
+    driver stops when the steps taken reach ``fuel``, when the state repeats
+    an earlier one (a lasso), or, with ``shifts``, when the last step of the
+    round repeats an earlier round's shifted deeper (``_shifted``); a round
+    itself always runs whole.  States are keyed by ``index.key``, or by
+    ``key`` when given; the driver adds each round's final state to the
+    index, and with ``shifts`` the state before its last step, while ``t``
+    must already be in it.
+
+    Returns the steps, the stop reason (``normal_form``, ``cycle``,
+    ``shifted`` or ``fuel``) and, for a cycle, the number of steps before
+    the state that the final state repeats.
+    """
+    key = key or index.key
+    seen = {key(t): 0}
+    hist: list[tuple[Position, int | tuple]] = []
+    steps: list[Step] = []
+    cur = t
+    while len(steps) < fuel:
+        rnd = next_round(cur)
+        if not rnd:
+            return steps, "normal_form", None
+        steps += rnd
+        last = rnd[-1]
+        if shifts and last.before is not cur:
+            index.add(last.before)
+        cur = last.after
+        index.add(cur)
+        k = key(cur)
+        if k in seen:
+            return steps, "cycle", seen[k]
+        seen[k] = len(steps)
+        if shifts and _shifted(hist, last.position, index.key(node_at(last.before, last.position))):
+            return steps, "shifted", None
+    return steps, "fuel", None
+
+
 STRATEGIES = ("leftmost-outermost", "parallel-outermost", "depth0-first")
 _STRATEGY_ALIASES = {
     "lmo": "leftmost-outermost",
@@ -550,7 +616,9 @@ def run_strategy(
     """Reduce until normal form, fuel exhaustion, or state repetition.
 
     ``sig`` overrides the signature used for depth/context bookkeeping (the
-    plain beta and eta systems default to the all-non-strict 111).
+    plain beta and eta systems default to the all-non-strict 111).  A
+    parallel-outermost round goes to ``drive`` one step at a time, so a
+    state repeated in the middle of a round closes a lasso there.
     """
     strategy = _STRATEGY_ALIASES.get(strategy, strategy)
     if strategy not in STRATEGIES:
@@ -558,49 +626,26 @@ def run_strategy(
     if sig is None:
         sig = step_sig(rules)
     index = NodeIndex(rules)
-    trace = Trace(sig, rules, [], metadata={"strategy": strategy, "start": t},
-                  classes=index.classes)
-    token = _run_index.set(index)
-    try:
-        index.add(t)
-        # lasso detection: finite states are keyed by their class in the
-        # index, the others by ``canon``
-        seen: dict[int | tuple, int] = {index.key(t): 0}
-        cur = t
-        spent = 0
-        while spent < fuel:
+    index.add(t)
+    pending: list[tuple[Position, str]] = []  # the redexes left to contract, last first
+
+    def next_round(cur: Node) -> list[Step]:
+        if not pending:
             if strategy == "parallel-outermost":
-                picks = outermost_redexes(rules, cur, max_len)
-            else:
-                if strategy == "leftmost-outermost":
-                    found = first_redex(rules, cur, max_len)
-                else:  # depth0-first: minimal depth, ties leftmost (shortlex)
-                    found = depth0_redex(rules, cur, sig, max_len)
-                picks = [found] if found else []
-            if not picks:
-                trace.metadata["stopped"] = "normal_form"
-                trace.metadata["fuel_spent"] = spent
-                return trace
-            for p, tag in picks:
-                step = try_step(rules, cur, p, tag, sig)
-                trace.steps.append(step)
-                cur = step.after
-                spent += 1
-                index.add(cur)
-                key = index.key(cur)
-                if key in seen:
-                    trace.cycle_at = seen[key]
-                    trace.metadata["stopped"] = "cycle"
-                    trace.metadata["fuel_spent"] = spent
-                    return trace
-                seen[key] = len(trace.steps)
-                if spent >= fuel:
-                    break
-    finally:
-        _run_index.reset(token)
-    trace.metadata["stopped"] = "fuel"
-    trace.metadata["fuel_spent"] = spent
-    return trace
+                found = outermost_redexes(rules, cur, max_len, index=index)
+            elif strategy == "leftmost-outermost":
+                found = [first_redex(rules, cur, max_len, index=index)]
+            else:  # depth0-first: minimal depth, ties leftmost (shortlex)
+                found = [depth0_redex(rules, cur, sig, max_len, index=index)]
+            pending.extend(reversed([f for f in found if f]))
+        if not pending:
+            return []
+        p, tag = pending.pop()
+        return [try_step(rules, cur, p, tag, sig)]
+
+    steps, stopped, cycle_at = drive(index, t, fuel, next_round)
+    meta = {"strategy": strategy, "start": t, "stopped": stopped, "fuel_spent": len(steps)}
+    return Trace(sig, rules, steps, cycle_at, meta, index.classes)
 
 
 # ---------------------------------------------------------------------------
@@ -655,6 +700,12 @@ def trace_decode(doc: dict) -> Trace:
         rules = Strict(sig)
     elif name == "betas":
         rules = BetaStrict(sig)
+    elif name == "bohm":
+        # the oracle of ``ilc trace --rules bohm``; meaningless imports this module
+        from .meaningless import in_bot_instances
+
+        fuel = doc.get("metadata", {}).get("oracle_fuel", 10_000)
+        rules = BohmBot(sig, lambda n: in_bot_instances(sig, n, fuel).is_yes)
     else:
         raise ValueError(f"cannot decode rule system {name!r}")
     steps = []

@@ -28,7 +28,10 @@ member, and the shortlex walk over depth-0 positions, one per path, that
 argparse builder of the ``ilc`` command line that the option table
 ``cli._COMMANDS`` replaced.  The very last is the normaliser that indexed
 every analysis call afresh and rebound one lambda at a time, which
-``meaningless`` replaced with one shared node index and one rebinding pass.
+``meaningless`` replaced with one shared node index and one rebinding pass;
+it feeds the shifted-recurrence detector class that ``rewriting._shifted``
+replaced.  After it comes the complete development with its own fuel loop
+and ``canon``-keyed states, which ``rewriting.drive`` replaced.
 """
 
 from __future__ import annotations
@@ -40,18 +43,29 @@ import random
 from collections import deque
 from fractions import Fraction
 
+from ilc.convergence import p_limit
+from ilc.developments import _desc_step
 from ilc.meaningless import (
     _UNKNOWN,
     TriVerdict,
     _check_tree,
     _no,
-    _ShiftDetector,
     _yes,
     reduces_to_lam,
     strict_nf,
 )
 from ilc.order import OrderVerdict, _check_inputs
-from ilc.rewriting import Beta, BohmBot, NodeIndex, Trace, _node_redex_tag, step_sig, try_step
+from ilc.rewriting import (
+    Beta,
+    BetaStrict,
+    BohmBot,
+    NodeIndex,
+    Step,
+    Trace,
+    _node_redex_tag,
+    step_sig,
+    try_step,
+)
 from ilc.terms import BOT, CANONICAL_SIGS, Abs, App, Bot, ParseError, Position, Sig, Term, Var, adepth, parse_term, tokenize
 from ilc.trees import (
     APP,
@@ -1616,6 +1630,42 @@ def build_parser_by_hand() -> argparse.ArgumentParser:
 # ``is_stable`` check, and ``bohm_tree`` called ``bind_fvars`` on each
 # lambda it closed, recursing once per depth level.  Its caches are its own.
 
+class _ShiftDetector:
+    """Detects a reduction that repeats itself shifted ever deeper.
+
+    Feed it the position and the key of each contracted redex subtree, from
+    one ``NodeIndex`` for the run.  A hit at step j means some earlier step i
+    fired a bisimilar subtree at a proper prefix of the current position,
+    with every step in between staying inside that prefix; the run from i
+    can then be replayed from j forever, so the reduction never escapes.
+    """
+
+    def __init__(self):
+        self.hist: list[tuple[Position, int | tuple]] = []
+
+    def push(self, pos: Position, key: int | tuple) -> bool:
+        hit = False
+        lcp: Position | None = None  # common prefix of the steps after i
+        for qp, qk in reversed(self.hist):
+            if (
+                qk == key
+                and len(qp) < len(pos)
+                and pos[: len(qp)] == qp
+                and (lcp is None or lcp[: len(qp)] == qp)
+            ):
+                hit = True
+                break
+            if lcp is None:
+                lcp = qp
+            else:
+                n = 0
+                while n < min(len(lcp), len(qp)) and lcp[n] == qp[n]:
+                    n += 1
+                lcp = lcp[:n]
+        self.hist.append((pos, key))
+        return hit
+
+
 _whnf_cache_per_call: dict[tuple, TriVerdict] = {}
 _active_cache_per_call: dict[tuple, TriVerdict] = {}
 
@@ -1824,3 +1874,37 @@ def bohm_tree_per_call(sig: Sig, t: Node, depth: int = 16, fuel: int = 10_000) -
         fuel_exhausted=flags["fuel"],
         non_canonical=sig not in CANONICAL_SIGS,
     )
+
+
+# ---------------------------------------------------------------------------
+# The complete development before ``rewriting.drive``: its own fuel loop and
+# ``seen`` map, each state keyed by a whole-graph ``canon`` and its residual
+# set.
+
+
+def develop_raw_by_canon(sig: Sig, tree: Node, positions: set[Position], fuel: int) -> tuple[Trace, Node]:
+    """``developments._develop_raw`` with every state keyed by ``canon``."""
+    rules = BetaStrict(sig)
+    cur = tree
+    us = {tuple(p) for p in positions}
+    steps: list[Step] = []
+    seen: dict[tuple, int] = {}
+    while us:
+        if len(steps) >= fuel:
+            raise RuntimeError("development did not finish within fuel")
+        key = (canon(cur), frozenset(us))
+        if key in seen:
+            tr = Trace(sig, rules, steps, cycle_at=seen[key],
+                       metadata={"stopped": "cycle"})
+            return tr, p_limit(tr).tree
+        seen[key] = len(steps)
+        p = min(us, key=lambda q: (len(q), q))
+        tag = _node_redex_tag(rules, node_at(cur, p))
+        if tag is None:
+            raise RuntimeError(f"residual at {list(p)} stopped being a redex")
+        st = try_step(rules, cur, p, tag, sig=sig)
+        steps.append(st)
+        us = _desc_step(sig, st, us - {p})
+        cur = st.after
+    tr = Trace(sig, rules, steps, metadata={"stopped": "normal_form", "start": tree})
+    return tr, cur

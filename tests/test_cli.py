@@ -1,6 +1,7 @@
 import argparse
 import contextlib
 import io
+import itertools
 import json
 import random
 import sys
@@ -11,6 +12,9 @@ import pytest
 import oracles
 from ilc import cli, convergence, meaningless
 from ilc.cli import main
+from ilc.rewriting import run_strategy, trace_decode
+from ilc.terms import parse_sig
+from ilc.trees import bisimilar, is_guarded, parse_tree, render_tree
 
 
 def run(*argv):
@@ -151,6 +155,57 @@ def test_trace_bohm_oracle_uses_the_fuel_flag(monkeypatch):
     code, out, _ = run("trace", "--ascii", "--rules", "bohm", "--fuel", "7", "x y")
     assert code == 0 and "stopped: normal_form" in out
     assert fuels and set(fuels) == {7}
+
+
+ROUND_TRIP_TERMS = [
+    OMEGA,
+    f"({OMEGA}) y",
+    r"(\x.x x y) (\x.x x y)",
+    r"(\x.x x) ((\y.y) z)",
+    r"\x.(\z.\w.z w) x",
+    r"\x.y (\w.bot w) x",
+    "bot (y bot)",
+    "rec M. (\\x.x) M",
+]
+
+
+@pytest.mark.parametrize("rules", ["beta", "eta", "strict", "betas", "bohm"])
+def test_every_exported_trace_decodes_to_its_run(rules):
+    # ilc trace --format json, decoded, is the run that made it, under every
+    # strategy and canonical signature; a bohm trace carries its oracle's fuel
+    rng = random.Random(21)
+    for sig_text, strategy in itertools.product(["001", "101", "111"], ["lmo", "po", "d0"]):
+        sig = parse_sig(sig_text)
+        loopy = [render_tree(oracles.random_loopy_tree(rng, sig), ascii_only=True) for _ in range(6)]
+        for term in ROUND_TRIP_TERMS + loopy:
+            t = parse_tree(term)
+            if not is_guarded(sig, t):
+                continue
+            meaningless.clear_caches()
+            argv = ["trace", "--format", "json", "--rules", rules, "--strategy", strategy,
+                    "--sig", sig_text, "--fuel", "6", term]
+            code, out, _ = run(*argv)
+            assert code in (0, 2), (argv, out)
+            back = trace_decode(json.loads(out))
+            back.check()
+            want = run_strategy(cli._rules_for(rules, sig, 6), strategy, t, 6, sig=sig)
+            assert back.sig == sig and back.rules == want.rules
+            assert bisimilar(back.start, want.start) and back.cycle_at == want.cycle_at
+            assert back.metadata["stopped"] == want.metadata["stopped"]
+            assert len(back.steps) == len(want.steps)
+            for a, b in zip(back.steps, want.steps):
+                assert (a.position, a.rule, a.depth) == (b.position, b.rule, b.depth)
+                for x, y in ((a.before, b.before), (a.after, b.after), (a.context, b.context)):
+                    assert bisimilar(x, y)
+    if rules == "bohm":
+        # the decoded oracle runs on the exported fuel: Omega is meaningless
+        # with 5 steps and undetermined with none
+        for fuel, verdict in [(0, False), (5, True)]:
+            meaningless.clear_caches()
+            _, out, _ = run("trace", "--format", "json", "--rules", "bohm", "--fuel", str(fuel), "x")
+            doc = json.loads(out)
+            assert doc["metadata"]["oracle_fuel"] == fuel
+            assert trace_decode(doc).rules.oracle(parse_tree(OMEGA)) is verdict
 
 
 def test_stack_and_memory_exhaustion_exit_with_code_3(monkeypatch):

@@ -4,6 +4,7 @@ import pytest
 
 from ilc.developments import (
     RedexSet,
+    _develop_raw,
     ancestor,
     descendants,
     develop,
@@ -11,10 +12,10 @@ from ilc.developments import (
     path_labels,
     strip_join,
 )
-from ilc.rewriting import Beta, BetaStrict, Trace, run_strategy, try_step
+from ilc.rewriting import Beta, BetaStrict, Trace, redexes, run_strategy, try_step
 from ilc.terms import parse_term
 from ilc.trees import bisimilar, label_at, parse_tree, render_tree, tree_of_term
-from oracles import random_redexy_term
+from oracles import develop_raw_by_canon, random_loopy_tree, random_redexy_term
 
 
 def T(src):
@@ -138,6 +139,41 @@ def test_develop_rejects_bad_input():
         develop((1, 1, 1), RedexSet(T("x y"), [()]))
     with pytest.raises(ValueError):
         develop((0, 1, 1), RedexSet(T(r"(\x.x) y"), [()]))  # a0=0, a1=1
+
+
+def development_outcome(develop_raw, sig, t, us, fuel):
+    try:
+        tr, raw = develop_raw(sig, t, set(us), fuel)
+    except RuntimeError as e:
+        return str(e), None
+    steps = [(s.position, s.rule) for s in tr.steps]
+    return (steps, tr.cycle_at, tr.metadata["stopped"]), raw
+
+
+def test_develop_raw_equals_the_canon_keyed_loop():
+    # the development driven by rewriting.drive, keyed by the class of each
+    # state in one index, against its earlier loop, which ran a whole-graph
+    # canon on every state; all beta redexes of seeded finite inputs and of
+    # cyclic ones, at every fuel from 0 to 11
+    rng = random.Random(19)
+    cyclic = [parse_tree(src) for src in (
+        r"rec M. (\x.x) M", r"rec M. (\x.x x) M", r"rec M. M ((\y.y) M)", r"\w. rec M. (\x.M) w",
+    )]
+    results = set()
+    for k in range(150):
+        for sig in [(0, 0, 1), (1, 0, 1), (1, 1, 1)]:
+            inputs = [tree_of_term(random_redexy_term(rng, 9)), random_loopy_tree(rng, sig)]
+            # a cyclic tree has redexes at every depth: those to length 8
+            for t, bound in [(t, 64) for t in inputs] + [(t, 8) for t in cyclic if k == 0]:
+                us = {p for p, _ in redexes(Beta(), t, bound)}
+                for fuel in range(12):
+                    got, got_raw = development_outcome(_develop_raw, sig, t, us, fuel)
+                    want, want_raw = development_outcome(develop_raw_by_canon, sig, t, us, fuel)
+                    assert got == want, (sig, render_tree(t, ascii_only=True), fuel)
+                    assert (got_raw is None) == (want_raw is None)
+                    assert got_raw is None or bisimilar(got_raw, want_raw)
+                    results.add(got if got_raw is None else got[2])
+    assert results == {"development did not finish within fuel", "normal_form"}
 
 
 def test_path_labels_matches_develop():

@@ -1,11 +1,16 @@
+import random
+
 import pytest
 
+from ilc import rewriting
 from ilc.rewriting import (
     Beta,
     BetaStrict,
     Eta,
+    NodeIndex,
     NotARedex,
     Strict,
+    drive,
     first_redex,
     outermost_redexes,
     redexes,
@@ -15,7 +20,8 @@ from ilc.rewriting import (
     try_step,
 )
 from ilc.terms import parse_term
-from ilc.trees import bisimilar, parse_tree, render_tree, tree_of_term
+from ilc.trees import bisimilar, node_at, parse_tree, render_tree, tree_of_term
+from oracles import _ShiftDetector
 
 
 def T(src):
@@ -131,3 +137,102 @@ def test_bad_strategy_and_bad_position():
         run_strategy(Beta(), "innermost", T("x"), 1)
     with pytest.raises(NotARedex):
         try_step(Beta(), T("x y"), ())
+
+
+# ---------------------------------------------------------------------------
+# The reduction driver's contract, with scripted rounds
+
+
+def scripted(*rounds):
+    """A ``next_round`` that contracts the given positions, round by round,
+    and then stops at a normal form."""
+    todo = list(rounds)
+
+    def next_round(cur):
+        steps = []
+        for p in todo.pop(0) if todo else []:
+            steps.append(try_step(Beta(), cur, p))
+            cur = steps[-1].after
+        return steps
+
+    return next_round
+
+
+def indexed(t):
+    index = NodeIndex(Beta())
+    index.add(t)
+    return index
+
+
+def test_drive_closes_no_lasso_inside_a_round():
+    omega = r"(\x.x x) (\x.x x)"
+    t = T(rf"({omega}) ((\y.y) z)")
+    # the round's first step leads back to t, its second away from it
+    steps, stopped, cycle_at = drive(indexed(t), t, 10, scripted([(1,), (2,)]))
+    assert [s.position for s in steps] == [(1,), (2,)]
+    assert bisimilar(steps[0].after, t)
+    assert (stopped, cycle_at) == ("normal_form", None)
+    # one step per round: the same steps close a lasso at once
+    steps, stopped, cycle_at = drive(indexed(t), t, 10, scripted([(1,)], [(2,)]))
+    assert (len(steps), stopped, cycle_at) == (1, "cycle", 0)
+
+
+def test_drive_runs_a_round_whole_past_its_fuel():
+    t = T(r"z ((\x.x) a) ((\y.y) b) ((\w.w) c)")
+    rounds = [(1, 1, 2), (1, 2), (2,)], [(2,)]
+    steps, stopped, _ = drive(indexed(t), t, 1, scripted(*rounds))
+    assert (len(steps), stopped) == (3, "fuel")
+    assert render_tree(steps[-1].after, ascii_only=True) == "z a b c"
+    assert drive(indexed(t), t, 0, scripted(*rounds)) == ([], "fuel", None)
+
+
+def test_drive_checks_only_the_last_step_of_a_round_for_a_shift(monkeypatch):
+    # C = (\x.x) (C y): contracting C leaves C one level deeper, so a step
+    # that contracts it below an earlier contraction of C is a shifted
+    # recurrence; round 2 has such a step, first or last
+    t = parse_tree(r"((\z.z) a) (rec C. (\x.x) (C y))")
+    seen = []
+    real = rewriting._shifted
+    monkeypatch.setattr(
+        rewriting, "_shifted", lambda hist, p, k: seen.append((p, k)) or real(hist, p, k)
+    )
+    for second, stopped in [[(2, 1), (1,)], "normal_form"], [[(1,), (2, 1)], "shifted"]:
+        index = indexed(t)
+        seen.clear()
+        steps, got, _ = drive(index, t, 10, scripted([(2,)], second), shifts=True)
+        assert got == stopped and len(steps) == 3
+        # one check per round, on the subtree that its last step contracted
+        assert seen == [
+            (s.position, index.key(node_at(s.before, s.position))) for s in (steps[0], steps[2])
+        ]
+        # without the check the run ends at a normal form
+        assert drive(indexed(t), t, 10, scripted([(2,)], second))[1] == "normal_form"
+
+
+def test_shift_check_equals_the_detector_class():
+    # rewriting._shifted against the class that the two analyses fed before
+    # the driver, on seeded runs of positions and subtree keys
+    rng = random.Random(20)
+    hits = 0
+    for _ in range(300):
+        hist, det = [], _ShiftDetector()
+        for _ in range(30):
+            pos = tuple(rng.choice((0, 1, 2)) for _ in range(rng.randrange(5)))
+            key = rng.randrange(3)
+            hit = rewriting._shifted(hist, pos, key)
+            assert hit == det.push(pos, key)
+            if hit:  # the driver stops there; start a fresh run
+                hits += 1
+                hist, det = [], _ShiftDetector()
+    assert hits > 1000
+
+
+def test_drive_keys_states_by_the_given_key():
+    t = T(r"(\x.x) ((\y.y) z)")
+    keys = []
+    key = lambda n: keys.append(n) or "one key"  # noqa: E731
+    steps, stopped, cycle_at = drive(indexed(t), t, 10, scripted([(2,)], [()]), key=key)
+    assert (len(steps), stopped, cycle_at) == (1, "cycle", 0)
+    assert keys == [t, steps[0].after]
+    # with the index's keys the two states differ
+    assert drive(indexed(t), t, 10, scripted([(2,)], [()]))[1] == "normal_form"
