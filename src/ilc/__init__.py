@@ -49,6 +49,7 @@ from .rewriting import (
     Trace,
     first_redex,
     redexes,
+    rule_system,
     run_strategy,
     trace_decode,
     trace_export,

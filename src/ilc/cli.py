@@ -25,16 +25,7 @@ from typing import NamedTuple
 
 from . import convergence, developments, meaningless
 from .order import _glb
-from .rewriting import (
-    Beta,
-    BetaStrict,
-    BohmBot,
-    Eta,
-    Strict,
-    redexes,
-    run_strategy,
-    trace_export,
-)
+from .rewriting import BetaStrict, redexes, rule_system, run_strategy, trace_export
 from .terms import ParseError, parse_sig, sig_str
 from .trees import (
     CUT,
@@ -187,20 +178,6 @@ def _parse_args(argv: list[str]) -> argparse.Namespace:
     return args if args is not None else _build_parser().parse_args(argv)
 
 
-def _rules_for(name: str, sig, fuel: int):
-    if name == "beta":
-        return Beta()
-    if name == "eta":
-        return Eta()
-    if name == "strict":
-        return Strict(sig)
-    if name == "betas":
-        return BetaStrict(sig)
-    if name == "bohm":
-        return BohmBot(sig, lambda n: meaningless.in_bot_instances(sig, n, fuel).is_yes)
-    raise ValueError(name)
-
-
 def _ascii_only(args) -> bool:
     if args.ascii_only is not None:
         return args.ascii_only
@@ -281,7 +258,7 @@ def main(argv: list[str] | None = None, out=None, err=None) -> int:
 
         if args.command == "trace":
             t = load(args.term)
-            rules = _rules_for(args.rules, sig, args.fuel)
+            rules = rule_system(args.rules, sig, args.fuel)
             trace = run_strategy(rules, args.strategy, t, args.fuel, sig=sig)
             if args.rules == "bohm":  # what trace_decode needs to rebuild the oracle
                 trace.metadata["oracle_fuel"] = args.fuel
@@ -332,7 +309,7 @@ def main(argv: list[str] | None = None, out=None, err=None) -> int:
 
         if args.command == "join":
             t = load(args.term)
-            rules = _rules_for(args.rules, sig, args.fuel)
+            rules = rule_system(args.rules, sig, args.fuel)
             tr1 = run_strategy(rules, "lmo", t, args.fuel, sig=sig)
             tr2 = run_strategy(rules, "d0", t, args.fuel, sig=sig)
             res = developments.joinability(sig, t, tr1, tr2, args.fuel, args.depth)

@@ -12,8 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .convergence import p_limit
-from .rewriting import Beta, BohmBot, NodeIndex, Step, Trace, drive, run_strategy, try_step
-from .terms import CANONICAL_SIGS, Sig
+from .rewriting import Beta, BohmBot, NodeIndex, Step, Trace, drive, escapes, run_strategy, try_step
+from .terms import CANONICAL_SIGS, Position, Sig, parse_term
 from .trees import (
     APP,
     BVAR,
@@ -24,10 +24,8 @@ from .trees import (
     Node,
     app,
     back_edges,
-    bvar,
     children,
     cut,
-    fvar,
     hole,
     is_guarded,
     lam,
@@ -40,7 +38,6 @@ from .trees import (
     tree_of_term,
     unknown,
 )
-from .terms import parse_term
 
 
 @dataclass(frozen=True)
@@ -134,7 +131,7 @@ def reduces_to_lam(t: Node, fuel: int = 10_000) -> TriVerdict:
             return []
         return [try_step(Beta(), cur, (1,) * (m - 1), "beta")]
 
-    steps, stopped, _ = drive(index, t, fuel, next_round, shifts=True)
+    steps, stopped, _ = drive(index, t, fuel, next_round, shifts=lambda n, _: index.key(n))
     if stopped == "fuel":
         return _UNKNOWN
     cur = steps[-1].after if steps else t
@@ -159,12 +156,18 @@ def is_stable(sig: Sig, t: Node, fuel: int = 10_000) -> TriVerdict:
     position, reduct) for replay.
     """
     _check_tree(sig, t)
-    return _stability(sig, t, fuel)
+    v = _stability(sig, t, fuel)
+    if not v.is_no:
+        return v
+    prep, p, u = v.witness
+    return _no(([s.position for s in prep], p, u))
 
 
 def _stability(sig: Sig, t: Node, fuel: int) -> TriVerdict:
     """``is_stable`` on a tree already known to be guarded and free of
-    Cut/Unknown leaves."""
+    Cut/Unknown leaves, whose No carries the preparatory steps, taken under
+    ``sig``, the position of the redex they expose and the reduct they
+    reach."""
     # the depth-0 region, the nodes reached through strict edges alone, in
     # one breadth-first walk over nodes, not paths; it reaches each node
     # first along the node's shortlex-least path, so the first redex and the
@@ -190,10 +193,11 @@ def _stability(sig: Sig, t: Node, fuel: int) -> TriVerdict:
             if v.is_yes:
                 _, poss = v.witness
                 p = link_position(links, n)
-                prep = [p + (1,) + q for q in poss]
+                prep: list[Step] = []
                 u = t
-                for r in prep:
-                    u = try_step(Beta(), u, r, "beta").after
+                for q in poss:
+                    prep.append(try_step(Beta(), u, p + (1,) + q, "beta", sig=sig))
+                    u = prep[-1].after
                 return _no((prep, p, u))
             if v.is_unknown:
                 saw_unknown = True
@@ -207,7 +211,8 @@ def is_active(sig: Sig, t: Node, fuel: int = 10_000) -> TriVerdict:
     inside a function child), contracts it, and repeats.  An exact state
     repetition, or a shifted recurrence of the contracted subtree, shows the
     loop runs forever: Yes, with a destructive trace as witness.  Reaching a
-    stable reduct gives No with that reduct.
+    stable reduct gives No with that reduct.  ``t`` may be open: an index
+    escaping it stands for one variable, keyed as one at every depth.
 
     Only ``t`` is checked for Cut/Unknown leaves and guardedness, before the
     first step (so not at all without fuel), with ``is_stable``'s messages.
@@ -234,14 +239,29 @@ def is_active(sig: Sig, t: Node, fuel: int = 10_000) -> TriVerdict:
         stability = _stability(sig, cur, fuel)
         if not stability.is_no:
             return []
-        prep, q, _ = stability.witness
-        rnd = []
-        for r in (*prep, q):
-            rnd.append(try_step(Beta(), cur, r, "beta", sig=sig))
-            cur = rnd[-1].after
-        return rnd
+        prep, q, u = stability.witness
+        return [*prep, try_step(Beta(), u, q, "beta", sig=sig)]
 
-    steps, stopped, cycle_at = drive(index, t, fuel, next_round, shifts=True)
+    def redex_key(n: Node, pos: Position) -> int | tuple:
+        # under a strict lambda edge a redex may lie below b binders of t,
+        # where a variable bound outside t has index e + b + k at binder
+        # depth k of the redex; keyed as the name e, an int that no name of
+        # t equals, it is one variable at every depth
+        if sig[0] == 1:  # no contracted redex lies under a binder of t
+            return index.key(n)
+        b = pos.count(0)
+        top = max_bvar_index(n)
+        if top < b:
+            return index.key(n)
+
+        def name(m: Node, k: int) -> Node | None:
+            return Node(FVAR, m.a - k - b) if m.kind == BVAR and m.a >= k + b else None
+
+        named = transform(n, name, cap=top + 1)
+        index.add(named)
+        return index.key(named)
+
+    steps, stopped, cycle_at = drive(index, t, fuel, next_round, shifts=redex_key)
     if stopped == "cycle" or stopped == "shifted":
         meta = {"stopped": "cycle" if cycle_at is not None else "fuel", "evidence": stopped}
         verdict = _yes(Trace(sig, Beta(), steps, cycle_at, metadata=meta))
@@ -293,33 +313,6 @@ def strict_nf(sig: Sig, t: Node) -> Node:
 # ---------------------------------------------------------------------------
 # The Bohm-like tree normalizer
 
-def _free_index(index: NodeIndex, memo: dict[int, int], c: int) -> int:
-    """The largest de Bruijn index free in the finite class c of the index,
-    or -1 if it is closed.  A class's unfolding fixes it, so it is computed
-    once per class, in postorder over the classes below c, into memo."""
-    cls, rep = index.classes.cls, index.classes.rep
-    todo = [c]
-    while todo:
-        x = todo[-1]
-        if x in memo:
-            todo.pop()
-            continue
-        n = rep[x]
-        kids = [cls[n.a], cls[n.b]] if n.kind == APP else [cls[n.a]] if n.kind == LAM else []
-        missing = [k for k in kids if k not in memo]
-        if missing:
-            todo += missing
-            continue
-        todo.pop()
-        if n.kind == BVAR:
-            memo[x] = n.a
-        elif n.kind == LAM:
-            memo[x] = max(memo[kids[0]] - 1, -1)
-        else:
-            memo[x] = max([memo[k] for k in kids], default=-1)
-    return memo[c]
-
-
 def bohm_tree(
     sig: Sig,
     t: Node,
@@ -333,25 +326,18 @@ def bohm_tree(
     non-strict edges one depth level down.  Leaves record honesty: Cut at the
     depth bound, Unknown on fuel exhaustion.  The final tree is S-normalized;
     Cut/Unknown block the collapse.
+
+    Each child is normalized where it stands: a de Bruijn index escaping it
+    points at a lambda of the copy above it, as it pointed at the same
+    lambda of the reduct.
     """
     _check_tree(sig, t)
     flags = {"fuel": False}
-    # a child analysed on its own names each binder it escapes to prefix<k>;
-    # no free variable of the input starts with the prefix, so none is
-    # captured, and one pass at the end turns the names back into indices
-    prefix = "__b"
-    free = {n.a for n in reachable(t) if n.kind == FVAR}
-    while any(name.startswith(prefix) for name in free):
-        prefix += "_"
-    binders: dict[str, int] = {}  # name -> the lambdas above its own
-    local: list[str] = []  # the names of the lambdas open on the path
-    index = _node_index()
-    free_of: dict[int, int] = {}  # _free_index's memo
     done: list[Node] = []  # finished copies
-    # the work: (node, edge is strict, depth level, where the names of its
-    # stable reduct start in local), the name of a lambda to close, and
-    # None for an application to close
+    # the work: (node, edge is strict, depth level), LAM to close a lambda
+    # and APP to close an application
     stack: list = []
+    lambdas = 0  # the lambdas open on the path
 
     def norm(sub: Node, d: int) -> None:
         # a leaf for sub goes to done; a stable reduct is copied by the loop
@@ -365,62 +351,42 @@ def bohm_tree(
             flags["fuel"] = True
             done.append(unknown())
         else:
-            stack.append((v.witness, True, d, len(local)))
-
-    def extract(c: Node, lo: int) -> Node:
-        # an index escaping c names the binder local[-1 - e] of its reduct
-        index.add(c)
-        cl = index.classes.cls[c]
-        if cl >= 0 and _free_index(index, free_of, cl) < 0:
-            return c  # finite and closed: a copy would be the same tree
-        frame = local[lo:]
-
-        def escape(n: Node, k: int) -> Node | None:
-            if n.kind == BVAR and n.a >= k:
-                e = n.a - k
-                if e >= len(frame):
-                    raise ValueError("a bound variable escapes the input tree")
-                return fvar(frame[-1 - e])
-            return None
-
-        return transform(c, escape, cap=max_bvar_index(c) + 1)
+            stack.append((v.witness, True, d))
 
     # copies the depth-0 region of each stable reduct, which strict edges
     # reach, and analyses the children under non-strict edges in turn
     norm(t, 0)
     while stack:
         item = stack.pop()
-        if item is None:
+        if item == APP:
             arg = done.pop()
             done.append(app(done.pop(), arg))
             continue
-        if type(item) is str:
-            local.pop()
+        if item == LAM:
+            lambdas -= 1
             done.append(lam(done.pop()))
             continue
-        n, strict, d, lo = item
+        n, strict, d = item
         if not strict:
-            norm(extract(n, lo), d + 1)
+            # only a child of t's own reduct can name a variable that no
+            # lambda above it binds: a reduct names no variable that its
+            # source does not, and every deeper child descends from one
+            # checked here
+            if d == 0 and escapes(n, lambdas):
+                raise ValueError("a bound variable escapes the input tree")
+            norm(n, d + 1)
         elif n.kind in (HOLE, BVAR, FVAR):
             done.append(Node(n.kind, n.a))
         elif n.kind == LAM:
-            name = f"{prefix}{len(binders)}"
-            binders[name] = len(local)
-            local.append(name)
-            stack += (name, (n.a, sig[0] == 0, d, lo))
+            lambdas += 1
+            stack += (LAM, (n.a, sig[0] == 0, d))
         elif n.kind == APP:
-            stack += (None, (n.b, sig[2] == 0, d, lo), (n.a, sig[1] == 0, d, lo))
+            stack += (APP, (n.b, sig[2] == 0, d), (n.a, sig[1] == 0, d))
         else:
             raise TypeError(n.kind)
 
-    def rebind(n: Node, k: int) -> Node | None:
-        if n.kind == FVAR and n.a in binders:
-            return bvar(k - binders[n.a] - 1)
-        return None
-
-    result = strict_nf(sig, transform(done[0], rebind))
     return Approximant(
-        result,
+        strict_nf(sig, done[0]),
         depth=depth,
         fuel_exhausted=flags["fuel"],
         non_canonical=sig not in CANONICAL_SIGS,

@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass, field
+from operator import eq, ge
 from typing import Callable
 
 from .terms import Position, Sig, acut, adepth, parse_sig, sig_str
@@ -62,22 +63,24 @@ class RuleSystem:
 
 @dataclass(frozen=True)
 class Beta(RuleSystem):
-    pass
+    name = "beta"  # the name a trace exports and decodes
 
 
 @dataclass(frozen=True)
 class Eta(RuleSystem):
-    pass
+    name = "eta"
 
 
 @dataclass(frozen=True)
 class Strict(RuleSystem):
     sig: Sig
+    name = "s"
 
 
 @dataclass(frozen=True)
 class BetaStrict(RuleSystem):
     sig: Sig
+    name = "betas"
 
 
 @dataclass(frozen=True)
@@ -91,21 +94,27 @@ class BohmBot(RuleSystem):
 
     sig: Sig
     oracle: Callable[[Node], bool | None] = field(compare=False)
+    name = "bohm"
 
 
-def rule_tags(rules: RuleSystem) -> tuple[str, ...]:
-    match rules:
-        case Beta():
-            return ("beta",)
-        case Eta():
-            return ("eta",)
-        case Strict(_):
-            return ("s",)
-        case BetaStrict(_):
-            return ("beta", "s")
-        case BohmBot(_, _):
-            return ("beta", "bot")
-    raise TypeError(rules)
+def rule_system(name: str, sig: Sig, fuel: int = 10_000) -> RuleSystem:
+    """The rule system of a name: a class's ``name``, or ``strict`` for
+    ``Strict``.  ``bohm``'s oracle is ``meaningless.in_bot_instances`` on
+    ``fuel``, as ``ilc trace --rules bohm`` runs it."""
+    match name:
+        case Beta.name:
+            return Beta()
+        case Eta.name:
+            return Eta()
+        case Strict.name | "strict":
+            return Strict(sig)
+        case BetaStrict.name:
+            return BetaStrict(sig)
+        case BohmBot.name:
+            from . import meaningless  # which imports this module
+
+            return BohmBot(sig, lambda n: meaningless.in_bot_instances(sig, n, fuel).is_yes)
+    raise ValueError(f"cannot decode rule system {name!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -165,11 +174,23 @@ def unshift_free(root: Node) -> Node:
 
 
 def occurs_index(root: Node, index: int) -> bool:
-    """Does de Bruijn index ``index`` (relative to the root) occur free?
+    """Does de Bruijn index ``index`` (relative to the root) occur free?"""
+    return _scan_indices(root, index, eq)
+
+
+def escapes(root: Node, binders: int) -> bool:
+    """Does a de Bruijn index escape ``binders`` binders above the root?"""
+    return _scan_indices(root, binders, ge)
+
+
+def _scan_indices(root: Node, index: int, hit: Callable[[int, int], bool]) -> bool:
+    """Is ``hit(i, k)`` true of a variable of index i reached across binders
+    that raise ``index`` to k?
 
     A scan of (node, binders crossed) states with an explicit stack.  A
     count above the largest reachable index plus one counts as that bound,
-    which bounds the states of a cyclic graph.
+    which bounds the states of a cyclic graph; ``hit`` must be false for
+    every count past it, as equality and ``>=`` are.
     """
     cap = max_bvar_index(root) + 1
     start = (root, min(index, cap))
@@ -178,7 +199,7 @@ def occurs_index(root: Node, index: int) -> bool:
     while stack:
         n, k = stack.pop()
         if n.kind == BVAR:
-            if n.a == k:
+            if hit(n.a, k):
                 return True
             continue
         for i, c in children(n):
@@ -553,7 +574,7 @@ def drive(
     t: Node,
     fuel: int,
     next_round: Callable[[Node], list[Step]],
-    shifts: bool = False,
+    shifts: Callable[[Node, Position], int | tuple] | None = None,
     key: Callable[[Node], object] | None = None,
 ) -> tuple[list[Step], str, int | None]:
     """The one reduction loop behind strategies, developments and the
@@ -565,9 +586,10 @@ def drive(
     an earlier one (a lasso), or, with ``shifts``, when the last step of the
     round repeats an earlier round's shifted deeper (``_shifted``); a round
     itself always runs whole.  States are keyed by ``index.key``, or by
-    ``key`` when given; the driver adds each round's final state to the
-    index, and with ``shifts`` the state before its last step, while ``t``
-    must already be in it.
+    ``key`` when given, and the redex that a round's last step contracts by
+    ``shifts(redex, position)``.  The driver adds each round's final state
+    to the index, and with ``shifts`` the state before its last step, while
+    ``t`` must already be in it.
 
     Returns the steps, the stop reason (``normal_form``, ``cycle``,
     ``shifted`` or ``fuel``) and, for a cycle, the number of steps before
@@ -592,7 +614,8 @@ def drive(
         if k in seen:
             return steps, "cycle", seen[k]
         seen[k] = len(steps)
-        if shifts and _shifted(hist, last.position, index.key(node_at(last.before, last.position))):
+        p = last.position
+        if shifts and _shifted(hist, p, shifts(node_at(last.before, p), p)):
             return steps, "shifted", None
     return steps, "fuel", None
 
@@ -663,9 +686,7 @@ def trace_export(trace: Trace, report: dict | None = None) -> dict:
 
     doc = {
         "sig": sig_str(trace.sig),
-        "rules": rule_tags(trace.rules)[0] if not isinstance(trace.rules, (BetaStrict, BohmBot)) else (
-            "betas" if isinstance(trace.rules, BetaStrict) else "bohm"
-        ),
+        "rules": trace.rules.name,
         "start": text[trace.start],
         "steps": [
             {
@@ -690,24 +711,8 @@ def trace_export(trace: Trace, report: dict | None = None) -> dict:
 
 def trace_decode(doc: dict) -> Trace:
     sig = parse_sig(doc["sig"])
-    name = doc.get("rules", "beta")
-    rules: RuleSystem
-    if name == "beta":
-        rules = Beta()
-    elif name == "eta":
-        rules = Eta()
-    elif name == "s" or name == "strict":
-        rules = Strict(sig)
-    elif name == "betas":
-        rules = BetaStrict(sig)
-    elif name == "bohm":
-        # the oracle of ``ilc trace --rules bohm``; meaningless imports this module
-        from .meaningless import in_bot_instances
-
-        fuel = doc.get("metadata", {}).get("oracle_fuel", 10_000)
-        rules = BohmBot(sig, lambda n: in_bot_instances(sig, n, fuel).is_yes)
-    else:
-        raise ValueError(f"cannot decode rule system {name!r}")
+    fuel = doc.get("metadata", {}).get("oracle_fuel", 10_000)  # bohm's oracle
+    rules = rule_system(doc.get("rules", "beta"), sig, fuel)
     steps = []
     for s in doc["steps"]:
         before = parse_tree(s["before"])

@@ -28,7 +28,8 @@ member, and the shortlex walk over depth-0 positions, one per path, that
 argparse builder of the ``ilc`` command line that the option table
 ``cli._COMMANDS`` replaced.  The very last is the normaliser that indexed
 every analysis call afresh and rebound one lambda at a time, which
-``meaningless`` replaced with one shared node index and one rebinding pass;
+``meaningless`` replaced with one shared node index and children
+normalised where they stand;
 it feeds the shifted-recurrence detector class that ``rewriting._shifted``
 replaced.  After it comes the complete development with its own fuel loop
 and ``canon``-keyed states, which ``rewriting.drive`` replaced.
@@ -1627,7 +1628,8 @@ def build_parser_by_hand() -> argparse.ArgumentParser:
 # The normaliser before the shared node index: each ``is_active`` and
 # ``reduces_to_lam`` call indexed its states in a fresh ``NodeIndex`` and
 # keyed its cache by ``canon`` of its input, every input ran the whole
-# ``is_stable`` check, and ``bohm_tree`` called ``bind_fvars`` on each
+# ``is_stable`` check, and ``bohm_tree`` closed each child before analysing
+# it, naming the indices that escape it, and called ``bind_fvars`` on each
 # lambda it closed, recursing once per depth level.  Its caches are its own.
 
 class _ShiftDetector:

@@ -12,7 +12,7 @@ import pytest
 import oracles
 from ilc import cli, convergence, meaningless
 from ilc.cli import main
-from ilc.rewriting import run_strategy, trace_decode
+from ilc.rewriting import rule_system, run_strategy, trace_decode
 from ilc.terms import parse_sig
 from ilc.trees import bisimilar, is_guarded, parse_tree, render_tree
 
@@ -188,7 +188,7 @@ def test_every_exported_trace_decodes_to_its_run(rules):
             assert code in (0, 2), (argv, out)
             back = trace_decode(json.loads(out))
             back.check()
-            want = run_strategy(cli._rules_for(rules, sig, 6), strategy, t, 6, sig=sig)
+            want = run_strategy(rule_system(rules, sig, 6), strategy, t, 6, sig=sig)
             assert back.sig == sig and back.rules == want.rules
             assert bisimilar(back.start, want.start) and back.cycle_at == want.cycle_at
             assert back.metadata["stopped"] == want.metadata["stopped"]

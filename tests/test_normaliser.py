@@ -4,19 +4,22 @@
 ``oracles.bohm_tree_per_call`` is ``bohm_tree`` as it was before the shared
 index: a fresh ``NodeIndex`` and a ``canon`` cache key per ``is_active`` and
 ``reduces_to_lam`` call, the whole input check on every ``is_active`` input,
-and one ``bind_fvars`` call per lambda it closed.
+a closed copy of every child, whose escaping indices it names, and one
+``bind_fvars`` call per lambda it closed.  ``bohm_tree`` normalises each
+child where it stands.
 """
 
 import io
 import itertools
 import json
 import random
+import time
 from pathlib import Path
 
 import pytest
 
 import oracles
-from ilc import cli, meaningless, order, trees
+from ilc import cli, meaningless, order, rewriting, trees
 from ilc.meaningless import bohm_tree, clear_caches, is_active, reduces_to_lam
 from ilc.terms import ALL_SIGS, parse_sig
 from ilc.trees import (
@@ -197,7 +200,7 @@ def test_clear_caches_drops_the_index_and_makes_none():
 
 
 # ---------------------------------------------------------------------------
-# Deep inputs: one binder pass, and no recursion per depth level
+# Deep inputs: no copy and no recursion per depth level
 
 
 @pytest.mark.parametrize("sig", ["001", "101", "111"])
@@ -214,6 +217,110 @@ def test_bohm_tree_of_a_deep_lambda_nesting(sig):
         ap = bohm_tree(parse_sig(sig), t, depth=n + 1)
         assert render_tree(ap.tree, ascii_only=True) == lambdas + text
         assert not ap.fuel_exhausted
+
+
+# ---------------------------------------------------------------------------
+# Children normalised where they stand, against the per-call normaliser,
+# which closes each child before it analyses it
+
+
+def self_applied_pairs(seed: int, count: int):
+    r"""``\x.\y. f M``, where M applies pairs ``P P`` with
+    ``P = \a.\b. a a N`` and N naming x or y.  Under a strict lambda edge
+    ``P P`` comes back one binder deeper at every round, where x and y
+    have ever larger indices.  Some such terms grow exponentially; these
+    seeds give none that does within the budgets below."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        pieces = []
+        for _ in range(rng.randrange(1, 3)):
+            body = "a a"
+            for _ in range(rng.randrange(1, 3)):
+                arg = rng.choice(["(b x)", "(b y)", "x", "y", "(b (a a))", "b"])
+                body = f"{body} {arg}" if rng.random() < 0.7 else f"b ({body})"
+            pieces.append(rf"(\a.\b. {body}) (\a.\b. {body})")
+        pieces += rng.sample(["x", "y", "f"], rng.randrange(2))
+        rng.shuffle(pieces)
+        yield parse_tree(r"\x.\y. f (" + " ".join(f"({p})" for p in pieces) + ")")
+
+
+def test_children_normalised_in_place_answer_as_closed_ones():
+    # under a strict lambda edge (001 in this sample) is_active proves such
+    # a child active only if it keys a variable bound outside the child as
+    # one name at every depth
+    bots = 0
+    for t, sig in itertools.product(self_applied_pairs(1, 150), ALL_SIGS):
+        clear_caches()
+        oracles.clear_caches_per_call()
+        got = outcome(bohm_tree, sig, t, 5, 25)
+        assert got == outcome(oracles.bohm_tree_per_call, sig, t, 5, 25), (sig, render_tree(t))
+        bots += sig == (0, 0, 1) and "bot" in got[1] and not got[3]
+    assert bots > 20
+
+
+def test_an_index_escaping_the_input():
+    # in the depth-0 region it stays an index, printed as a free _e name;
+    # in a child under a non-strict edge no lambda of the copy binds it
+    sig = parse_sig("001")
+    for t, text in [(app(bvar(0), fvar("y")), "_e0 y"), (lam(app(fvar("f"), bvar(0))), r"\x0.f x0")]:
+        clear_caches()
+        assert render_tree(bohm_tree(sig, t).tree, ascii_only=True) == text
+    for t in [app(fvar("f"), bvar(0)), lam(app(fvar("f"), bvar(1)))]:
+        clear_caches()
+        with pytest.raises(ValueError, match="^a bound variable escapes the input tree$"):
+            bohm_tree(sig, t)
+
+
+def test_a_variable_bound_outside_the_analysed_tree_is_one_name():
+    # \w. P P with P = \a.\b. a a (b x): under a strict lambda edge P P
+    # comes back one binder deeper at every round, where x has an ever
+    # larger index.  x is one variable whether a lambda of the copy above
+    # binds it or it escapes the input, so the recurrence is found either
+    # way
+    body = r"\w. (\a.\b. a a (b x)) (\a.\b. a a (b x))"
+    escaping = parse_tree(rf"\x.{body}").a
+    cases = [("001", parse_tree(rf"\x.\y. f ({body})"), r"\x0.\x1.f bot"), ("001", escaping, "bot"),
+             ("000", escaping, "bot")]
+    for sig, t, text in cases:
+        clear_caches()
+        ap = bohm_tree(parse_sig(sig), t, 5, 25)
+        assert render_tree(ap.tree, ascii_only=True) == text and not ap.fuel_exhausted
+
+
+def test_bohm_tree_of_a_binder_spine_takes_linear_time():
+    # \x0. ... \x1999. f x0 ... x1999 under 101: every lambda is a depth
+    # level of its own, and each argument names a lambda up to 2000 levels
+    # above it, so a copy of each child per level would be quadratic
+    n = 2000
+    text = "".join(f"\\x{i}." for i in range(n)) + " ".join(["f"] + [f"x{i}" for i in range(n)])
+    t = parse_tree(text)
+    clear_caches()
+    start = time.perf_counter()
+    ap = bohm_tree(parse_sig("101"), t, depth=n + 2)
+    assert time.perf_counter() - start < 2
+    assert render_tree(ap.tree, ascii_only=True) == text and not ap.fuel_exhausted
+
+
+def test_is_active_takes_each_preparatory_step_once(monkeypatch):
+    calls = []
+    real = rewriting.try_step
+
+    def counting(rules, t, p, *args, **kwargs):
+        calls.append((t, p))
+        return real(rules, t, p, *args, **kwargs)
+
+    for mod in (meaningless, rewriting):
+        monkeypatch.setattr(mod, "try_step", counting)
+    # under 111 the function child I (\x.x x) becomes a lambda in one
+    # preparatory step, and the redex that this exposes gives t back
+    t = parse_tree(r"((\z.z) (\x.x x)) ((\z.z) (\x.x x))")
+    clear_caches()
+    v = is_active((1, 1, 1), t)
+    steps = v.witness.steps
+    assert [s.position for s in steps] == [(1,), ()] and v.witness.cycle_at == 0
+    # of the calls, those on a state of the run are its steps, each once
+    on_states = [(t, p) for t, p in calls if any(t is s.before for s in steps)]
+    assert on_states == [(s.before, s.position) for s in steps]
 
 
 # ---------------------------------------------------------------------------

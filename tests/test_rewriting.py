@@ -199,7 +199,7 @@ def test_drive_checks_only_the_last_step_of_a_round_for_a_shift(monkeypatch):
     for second, stopped in [[(2, 1), (1,)], "normal_form"], [[(1,), (2, 1)], "shifted"]:
         index = indexed(t)
         seen.clear()
-        steps, got, _ = drive(index, t, 10, scripted([(2,)], second), shifts=True)
+        steps, got, _ = drive(index, t, 10, scripted([(2,)], second), shifts=lambda n, _: index.key(n))
         assert got == stopped and len(steps) == 3
         # one check per round, on the subtree that its last step contracted
         assert seen == [
