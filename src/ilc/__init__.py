@@ -71,7 +71,6 @@ from .terms import (
 )
 from .trees import (
     Approximant,
-    LambdaTree,
     Node,
     alpha_eq,
     bisimilar,

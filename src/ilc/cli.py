@@ -211,6 +211,9 @@ def _emit(doc, args, out) -> int:
 
 
 def main(argv: list[str] | None = None, out=None, err=None) -> int:
+    # each call starts from empty analysis state; what a call leaves stays
+    # readable until the next one
+    meaningless.clear_caches()
     out = out if out is not None else sys.stdout
     err = err if err is not None else sys.stderr
     try:
@@ -313,9 +316,7 @@ def main(argv: list[str] | None = None, out=None, err=None) -> int:
             tr1 = run_strategy(rules, "lmo", t, args.fuel, sig=sig)
             tr2 = run_strategy(rules, "d0", t, args.fuel, sig=sig)
             res = developments.joinability(sig, t, tr1, tr2, args.fuel, args.depth)
-            tree_s = (
-                render_tree(res.tree, ascii_only=ascii_only) if res.tree is not None else None
-            )
+            tree_s = show(res.tree) if res.tree is not None else None
             text = res.status + (f": {tree_s}" if tree_s else "")
             doc = {
                 "text": text,

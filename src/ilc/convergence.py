@@ -50,20 +50,6 @@ class ConvergenceReport:
     outermost_volatile: frozenset[Position]
     destructive: bool
 
-    def to_json(self, ascii_only: bool = True) -> dict:
-        doc = {
-            "m": self.m_converges.value,
-            "p_limit": render_tree(self.p_limit.tree, ascii_only=ascii_only),
-            "volatile": sorted(list(p) for p in self.volatile),
-            "outermost_volatile": sorted(list(p) for p in self.outermost_volatile),
-            "destructive": self.destructive,
-        }
-        if self.m_converges.witness_depth is not None:
-            doc["witness_depth"] = self.m_converges.witness_depth
-        if self.m_converges.diagnostic:
-            doc["diagnostic"] = self.m_converges.diagnostic
-        return doc
-
 
 def volatile_positions(trace: Trace) -> tuple[frozenset[Position], frozenset[Position]]:
     """Volatile and outermost-volatile positions of a lasso, up to length
@@ -184,7 +170,18 @@ def context_via_glb(sig: Sig, step: Step) -> Node:
 def report_json(trace: Trace, analysis: ConvergenceReport) -> dict:
     """The trace's convergence report as JSON; ``analysis`` is
     ``analyze(trace, ...)``."""
-    doc = analysis.to_json()
-    doc["sig"] = sig_str(trace.sig)
-    doc["stopped"] = trace.metadata.get("stopped")
+    m = analysis.m_converges
+    doc = {
+        "m": m.value,
+        "p_limit": render_tree(analysis.p_limit.tree, ascii_only=True),
+        "volatile": sorted(list(p) for p in analysis.volatile),
+        "outermost_volatile": sorted(list(p) for p in analysis.outermost_volatile),
+        "destructive": analysis.destructive,
+        "sig": sig_str(trace.sig),
+        "stopped": trace.metadata.get("stopped"),
+    }
+    if m.witness_depth is not None:
+        doc["witness_depth"] = m.witness_depth
+    if m.diagnostic:
+        doc["diagnostic"] = m.diagnostic
     return doc

@@ -83,7 +83,7 @@ def _validate_redexes(sig: Sig, rs: RedexSet) -> dict[Position, str]:
     rules = BetaStrict(sig)
     tags = {}
     for p in rs.positions:
-        tag = _node_redex_tag(rules, node_at(rs.tree, p))
+        tag = _node_redex_tag(rules, node_at(rs.tree, p)) if in_dom(rs.tree, p) else None
         if tag is None:
             raise ValueError(f"no redex at position {list(p)}")
         tags[p] = tag
@@ -507,14 +507,6 @@ class JoinResult:
         return self.status == "joined"
 
 
-def _endpoint(trace: Trace, depth: int) -> Node:
-    if trace.cycle_at is not None:
-        return p_limit(trace, depth).tree
-    if trace.metadata.get("stopped") == "fuel":
-        return p_limit(trace, depth).tree
-    return trace.final
-
-
 def _beta_normalize(sig: Sig, tree: Node, fuel: int, depth: int) -> Node:
     cur = tree
     for _ in range(32):
@@ -550,7 +542,7 @@ def joinability(
     pure_beta = isinstance(trace1.rules, Beta) and isinstance(trace2.rules, Beta)
     norms = []
     for tr in (trace1, trace2):
-        end = _endpoint(tr, depth)
+        end = p_limit(tr, depth).tree
         if pure_beta:
             norms.append(_beta_normalize(sig, end, fuel, depth))
         else:

@@ -389,15 +389,13 @@ def _search(
     return out
 
 
-def redexes(
-    rules: RuleSystem, t: Node, max_len: int = POSITION_BOUND, limit: int = _EXPLORATION_LIMIT
-) -> set[tuple[Position, str]]:
+def redexes(rules: RuleSystem, t: Node, max_len: int = POSITION_BOUND) -> set[tuple[Position, str]]:
     """All redex occurrences with position length <= max_len.
 
     For bottom rules the oracle is consulted per position; for the others the
     search is pruned to subtrees that contain a redex node at all.
     """
-    return set(_search(rules, t, max_len, "all", limit=limit))
+    return set(_search(rules, t, max_len, "all", limit=_EXPLORATION_LIMIT))
 
 
 def first_redex(

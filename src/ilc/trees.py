@@ -2,12 +2,13 @@
 
 A tree is a finite rooted node graph whose edges may form cycles; unfolding
 the graph yields a (possibly infinite) partial function from positions to
-labels.  Bound variables are stored as de Bruijn indices; the positional
-binder labels of the unfolded tree are derived on demand.  ``Hole`` nodes
-represent positions outside the domain (the tree ``⊥`` is a single Hole), and
-the analysis-only leaves ``Cut`` and ``Unknown`` mark depth-bounded and
-fuel-exhausted verdicts.  They never occur in trees handed to the order,
-metric, or rewrite operations.
+labels.  Bound variables are stored as de Bruijn indices; the paper's
+positional binder labels of the unfolded tree are derived in the tests
+(``oracles.label_at``).  ``Hole`` nodes represent positions outside the
+domain (the tree ``⊥`` is a single Hole), and the analysis-only leaves
+``Cut`` and ``Unknown`` mark depth-bounded and fuel-exhausted verdicts.
+They never occur in trees handed to the order, metric, or rewrite
+operations.
 """
 
 from __future__ import annotations
@@ -51,9 +52,6 @@ class Node:
 
     def __repr__(self):  # pragma: no cover - debugging aid
         return f"Node({self.kind})"
-
-
-LambdaTree = Node  # trees are identified with their root node
 
 
 def lam(child: Node) -> Node:
@@ -642,29 +640,6 @@ def in_dom(t: Node, p: Position) -> bool:
     return n.kind != HOLE
 
 
-def label_at(t: Node, p: Position):
-    """The label of the unfolded tree at p: 'lam', 'app', a free-variable
-    label, or the position of the binder for bound variables."""
-    n = t
-    binders: list[Position] = []
-    for k, i in enumerate(p):
-        if n.kind == LAM:
-            binders.append(p[:k])
-        c = child_at(n, i)
-        if c is None:
-            raise KeyError(f"position {list(p)} not in the tree")
-        n = c
-    if n.kind == HOLE:
-        raise KeyError(f"position {list(p)} not in the domain")
-    if n.kind == BVAR:
-        if n.a >= len(binders):
-            raise ValueError("de Bruijn index escapes the tree")
-        return binders[-1 - n.a]
-    if n.kind == FVAR:
-        return ("fvar", n.a)
-    return n.kind
-
-
 def positions(t: Node, max_len, edge=None):
     """The (position, node) pairs of the unfolding in shortlex order: a
     breadth-first walk, which visits a node's edges in their numeric order,
@@ -682,16 +657,6 @@ def positions(t: Node, max_len, edge=None):
             for i, c in children(n):
                 if allowed[i]:
                     queue.append((p + (i,), c))
-
-
-def bot_positions(t: Node, max_depth: int) -> set[Position]:
-    """Positions of Hole leaves with plain length <= max_depth."""
-    return {p for p, n in positions(t, max_depth) if n.kind == HOLE}
-
-
-def dom_positions(t: Node, max_len: int) -> list[Position]:
-    """All domain positions of length <= max_len, in shortlex order."""
-    return [p for p, n in positions(t, max_len) if n.kind != HOLE]
 
 
 # ---------------------------------------------------------------------------
@@ -732,10 +697,10 @@ def build(start, expand) -> Node:
     return memo[start]
 
 
-def transform(root: Node, leaf, step=(1, 0, 0), cap=None, depth=0) -> Node:
+def transform(root: Node, leaf, step=(1, 0, 0), cap=None) -> Node:
     """Copy the graph below ``root``, ``build`` over (node, depth) states.
 
-    The walk starts in state ``(root, depth)`` and crosses edge ``i`` with
+    The walk starts in state ``(root, 0)`` and crosses edge ``i`` with
     the depth raised by ``step[i]``: ``(1, 0, 0)`` counts the binders
     crossed, as de Bruijn indices need.  A depth above ``cap`` counts as
     ``cap``, which bounds the states of a cyclic graph.  ``leaf(n, d)``
@@ -760,20 +725,13 @@ def transform(root: Node, leaf, step=(1, 0, 0), cap=None, depth=0) -> Node:
             return LAM, (n.a, e if e < top else top)
         return n
 
-    return build((root, min(depth, top)), expand)
+    return build((root, 0), expand)
 
 
 def map_graph(root: Node, leaf_fn) -> Node:
     """Copy the graph, letting ``leaf_fn(node)`` replace nodes (or return
     None to keep leaves).  Interior structure and cycles are preserved."""
     return transform(root, lambda n, d: leaf_fn(n), (0, 0, 0))
-
-
-def subtree_at(t: Node, p: Position) -> Node:
-    """The subtree at p; bound variables escaping it become free variables
-    named ``_e0`` (innermost escaped binder), ``_e1``, ..."""
-    n = node_at(t, p)
-    return close_subtree(n)
 
 
 def close_subtree(n: Node) -> Node:

@@ -22,8 +22,10 @@ the whole-graph redex searches and the ``canon``-keyed ``run_strategy`` loop
 that ``rewriting.NodeIndex`` replaced, the per-node walks of
 ``developments`` that one strongly-connected-components pass replaced, and
 the four hand-written position enumerations that ``trees.positions``
-replaced.  Last come the guardedness check that ``order`` once ran member by
-member, and the shortlex walk over depth-0 positions, one per path, that
+replaced, with the paper's positional binder labels (``label_at``) and the
+closed subtree at a position (``subtree_at``), which only the tests read.
+Last come the guardedness check that ``order`` once ran member by member,
+and the shortlex walk over depth-0 positions, one per path, that
 ``meaningless.is_stable`` ran before it walked nodes, then the hand-written
 argparse builder of the ``ilc`` command line that the option table
 ``cli._COMMANDS`` replaced.  The very last is the normaliser that indexed
@@ -85,6 +87,7 @@ from ilc.trees import (
     canon,
     child_at,
     children,
+    close_subtree,
     cut,
     fvar,
     has_kind,
@@ -1444,7 +1447,8 @@ def max_bvar_indices_by_walks(root: Node) -> dict[int, int]:
 
 
 def dom_positions_by_queue(t: Node, max_len: int) -> list[Position]:
-    """``trees.dom_positions`` as its own breadth-first walk."""
+    """All domain positions of length <= max_len, in shortlex order, by a
+    breadth-first walk of its own."""
     out: list[Position] = []
     queue: deque[tuple[Node, Position]] = deque([(t, ())])
     while queue:
@@ -1460,7 +1464,8 @@ def dom_positions_by_queue(t: Node, max_len: int) -> list[Position]:
 
 
 def bot_positions_by_queue(t: Node, max_depth: int) -> set[Position]:
-    """``trees.bot_positions`` as its own breadth-first walk."""
+    """Positions of Hole leaves with plain length <= max_depth, by a
+    breadth-first walk of its own."""
     out: set[Position] = set()
     queue: deque[tuple[Node, Position]] = deque([(t, ())])
     while queue:
@@ -1473,6 +1478,36 @@ def bot_positions_by_queue(t: Node, max_depth: int) -> set[Position]:
         for i, c in children(n):
             queue.append((c, p + (i,)))
     return out
+
+
+def label_at(t: Node, p: Position):
+    """The label of the unfolded tree at p: 'lam', 'app', a free-variable
+    label, or the position of the binder for bound variables."""
+    n = t
+    binders: list[Position] = []
+    for k, i in enumerate(p):
+        if n.kind == LAM:
+            binders.append(p[:k])
+        c = child_at(n, i)
+        if c is None:
+            raise KeyError(f"position {list(p)} not in the tree")
+        n = c
+    if n.kind == HOLE:
+        raise KeyError(f"position {list(p)} not in the domain")
+    if n.kind == BVAR:
+        if n.a >= len(binders):
+            raise ValueError("de Bruijn index escapes the tree")
+        return binders[-1 - n.a]
+    if n.kind == FVAR:
+        return ("fvar", n.a)
+    return n.kind
+
+
+def subtree_at(t: Node, p: Position) -> Node:
+    """The subtree at p; bound variables escaping it become free variables
+    named ``_e0`` (innermost escaped binder), ``_e1``, ..."""
+    n = node_at(t, p)
+    return close_subtree(n)
 
 
 def depth0_positions_by_layers(sig: Sig, t: Node) -> list[tuple[Position, Node]]:

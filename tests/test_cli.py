@@ -13,7 +13,7 @@ import oracles
 from ilc import cli, convergence, meaningless
 from ilc.cli import main
 from ilc.rewriting import rule_system, run_strategy, trace_decode
-from ilc.terms import parse_sig
+from ilc.terms import ALL_SIGS, sig_str
 from ilc.trees import bisimilar, is_guarded, parse_tree, render_tree
 
 
@@ -92,6 +92,23 @@ def test_dev_subcommand():
     assert code == 0 and "develop: a" in out
 
 
+def test_join_json_prints_ascii():
+    code, out, _ = run("join", "--unicode", "--format", "json", "--sig", "001", f"f ({OMEGA})")
+    assert code == 0 and json.loads(out)["tree"] == "f bot" and "\\u" not in out
+
+
+def test_each_call_starts_from_empty_analysis_state():
+    code, out, _ = run("tree", "--ascii", f"f ({OMEGA})")
+    assert code == 0 and out == "f bot\n"
+    assert meaningless._index is not None
+    assert meaningless._whnf_cache and meaningless._active_cache
+    # at depth 0 the answer is a Cut leaf, found without any analysis
+    code, out, _ = run("tree", "--ascii", "--depth", "0", "--sig", "001", r"(\x.x) z")
+    assert code == 2 and out == "...\n"
+    assert meaningless._index is None
+    assert not meaningless._whnf_cache and not meaningless._active_cache
+
+
 def test_exit_codes():
     code, _, err = run("tree", "x ((")
     assert code == 1 and "parse error" in err
@@ -99,6 +116,10 @@ def test_exit_codes():
     assert code == 3
     code, _, err = run("tree", "--depth", "-1", "x")
     assert code == 3
+    # a redex position that takes an edge the node there does not have
+    for p, term in (("1", "zz"), ("0", r"(\x.x) y")):
+        code, out, err = run("dev", "--redexes", p, term)
+        assert (code, out, err) == (3, "", f"ilc: no redex at position [{p}]\n")
     code, _, _ = run("frobnicate", "x")
     assert code == 3
     # unguarded input for the signature
@@ -172,16 +193,15 @@ ROUND_TRIP_TERMS = [
 @pytest.mark.parametrize("rules", ["beta", "eta", "strict", "betas", "bohm"])
 def test_every_exported_trace_decodes_to_its_run(rules):
     # ilc trace --format json, decoded, is the run that made it, under every
-    # strategy and canonical signature; a bohm trace carries its oracle's fuel
+    # strategy and signature; a bohm trace carries its oracle's fuel
     rng = random.Random(21)
-    for sig_text, strategy in itertools.product(["001", "101", "111"], ["lmo", "po", "d0"]):
-        sig = parse_sig(sig_text)
+    for sig, strategy in itertools.product(ALL_SIGS, ["lmo", "po", "d0"]):
+        sig_text = sig_str(sig)
         loopy = [render_tree(oracles.random_loopy_tree(rng, sig), ascii_only=True) for _ in range(6)]
         for term in ROUND_TRIP_TERMS + loopy:
             t = parse_tree(term)
             if not is_guarded(sig, t):
                 continue
-            meaningless.clear_caches()
             argv = ["trace", "--format", "json", "--rules", rules, "--strategy", strategy,
                     "--sig", sig_text, "--fuel", "6", term]
             code, out, _ = run(*argv)
@@ -201,7 +221,6 @@ def test_every_exported_trace_decodes_to_its_run(rules):
         # the decoded oracle runs on the exported fuel: Omega is meaningless
         # with 5 steps and undetermined with none
         for fuel, verdict in [(0, False), (5, True)]:
-            meaningless.clear_caches()
             _, out, _ = run("trace", "--format", "json", "--rules", "bohm", "--fuel", str(fuel), "x")
             doc = json.loads(out)
             assert doc["metadata"]["oracle_fuel"] == fuel

@@ -14,7 +14,7 @@ from ilc.developments import (
 )
 from ilc.rewriting import Beta, BetaStrict, Trace, redexes, run_strategy, try_step
 from ilc.terms import parse_term
-from ilc.trees import bisimilar, label_at, parse_tree, render_tree, tree_of_term
+from ilc.trees import bisimilar, parse_tree, render_tree, tree_of_term
 from oracles import develop_raw_by_canon, random_loopy_tree, random_redexy_term
 
 
@@ -139,6 +139,12 @@ def test_develop_rejects_bad_input():
         develop((1, 1, 1), RedexSet(T("x y"), [()]))
     with pytest.raises(ValueError):
         develop((0, 1, 1), RedexSet(T(r"(\x.x) y"), [()]))  # a0=0, a1=1
+    # positions that take an edge the node there does not have
+    for src, p in (("zz", (1,)), (r"(\x.x) y", (0,))):
+        rs = RedexSet(T(src), [p])
+        for f in (develop, path_labels):
+            with pytest.raises(ValueError, match=rf"no redex at position \[{p[0]}\]"):
+                f((1, 1, 1), rs)
 
 
 def development_outcome(develop_raw, sig, t, us, fuel):

@@ -45,13 +45,11 @@ from ilc.trees import (
     app,
     bind_fvars,
     bisimilar,
-    bot_positions,
     bvar,
     canon,
     close_subtree,
     components,
     cut,
-    dom_positions,
     fvar,
     hole,
     is_finite,
@@ -732,8 +730,9 @@ def test_components_on_a_long_cycle():
 def test_position_walks_equal_the_hand_written_ones(monkeypatch):
     for g in graphs(41, 200):
         for k in range(9):
-            assert dom_positions(g, k) == dom_positions_by_queue(g, k)
-            assert bot_positions(g, k) == bot_positions_by_queue(g, k)
+            walk = list(positions(g, k))
+            assert [p for p, n in walk if n.kind != HOLE] == dom_positions_by_queue(g, k)
+            assert {p for p, n in walk if n.kind == HOLE} == bot_positions_by_queue(g, k)
             monkeypatch.setattr(developments, "POSITION_BOUND", k)
             assert set(_bound_var_positions(g)) == set(bound_var_positions_dfs(g, k))
         monkeypatch.undo()

@@ -7,7 +7,6 @@ from ilc.terms import ALL_SIGS, Abs, App, Var, parse_term
 from ilc.trees import (
     app,
     bisimilar,
-    bot_positions,
     bvar,
     canon,
     cut,
@@ -16,19 +15,25 @@ from ilc.trees import (
     in_dom,
     is_finite,
     is_guarded,
-    label_at,
     lam,
     node_at,
     parse_tree,
     render_tree,
-    subtree_at,
     term_of_tree,
     tree_distance,
     tree_of_term,
     truncate,
     unknown,
 )
-from oracles import random_term, random_tree, term_of_tree_recursive, tree_of_term_recursive
+from oracles import (
+    bot_positions_by_queue,
+    label_at,
+    random_term,
+    random_tree,
+    subtree_at,
+    term_of_tree_recursive,
+    tree_of_term_recursive,
+)
 
 
 def T(src):
@@ -129,7 +134,7 @@ def test_positions_and_labels():
     assert label_at(t, (0, 1)) == ()  # bound by the root lambda
     assert label_at(t, (0, 2, 1)) == ("fvar", "y")
     assert not in_dom(t, (0, 2, 2))
-    assert bot_positions(t, 10) == {(0, 2, 2)}
+    assert bot_positions_by_queue(t, 10) == {(0, 2, 2)}
 
 
 def test_subtree_extraction_escapes_binders():
