@@ -277,7 +277,7 @@ def main(argv: list[str] | None = None, out=None, err=None) -> int:
                 f"{i:4d}  {s.rule:4s} at {''.join(map(str, s.position)) or 'e'}  -> {after}"
                 for i, (s, after) in enumerate(zip(trace.steps, afters))
             ]
-            lines.append(f"stopped: {trace.metadata['stopped']}"
+            lines.append(f"stopped: {trace.stopped}"
                          + (f" (cycle at {trace.cycle_at})" if trace.cycle_at is not None else ""))
             lines.append(f"m-convergence: {report['m']}")
             lines.append(f"p-limit: {report['p_limit']}")

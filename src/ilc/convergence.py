@@ -98,18 +98,17 @@ def p_limit(trace: Trace, depth: int = 16) -> Approximant:
 
     Closed traces converge to their final tree; lassos converge exactly to
     the glb of the cycle's contexts; fuel-truncated traces yield the glb of a
-    recent window of contexts with Unknown marking the still-active regions.
+    recent window of contexts with Unknown marking the still-active regions,
+    and settle nothing without a step.
     """
-    if not trace.steps:
-        return Approximant(trace.start)
+    if trace.is_closed:
+        return Approximant(trace.final)
     if trace.cycle_at is not None:
         ctxs = [s.context for s in trace.cycle_steps]
         return Approximant(glb(trace.sig, ctxs))
-    if trace.metadata.get("stopped") == "normal_form":
-        return Approximant(trace.final)
     window = min(len(trace.steps), max(2, 2 * depth))
     recent = trace.steps[-window:]
-    g = glb(trace.sig, [s.context for s in recent])
+    g = glb(trace.sig, [s.context for s in recent]) if recent else unknown()
     for s in recent:
         g = _poison(g, acut(trace.sig, s.position))
     return Approximant(g, fuel_exhausted=True)
@@ -120,10 +119,10 @@ def analyze_m_convergence(trace: Trace) -> MVerdict:
 
     Finite closed traces m-converge trivially.  A lasso repeats its cycle's
     depths cofinally, so the minimum cycle depth witnesses divergence.
-    Fuel-truncated traces are undecided; a strictly increasing recent depth
-    profile is reported as a diagnostic hint.
+    Fuel-truncated traces, with or without steps, are undecided; a strictly
+    increasing recent depth profile is reported as a diagnostic hint.
     """
-    if not trace.steps or trace.metadata.get("stopped") == "normal_form":
+    if trace.is_closed:
         return MVerdict("yes")
     if trace.cycle_at is not None:
         d = min(s.depth for s in trace.cycle_steps)
@@ -178,7 +177,7 @@ def report_json(trace: Trace, analysis: ConvergenceReport) -> dict:
         "outermost_volatile": sorted(list(p) for p in analysis.outermost_volatile),
         "destructive": analysis.destructive,
         "sig": sig_str(trace.sig),
-        "stopped": trace.metadata.get("stopped"),
+        "stopped": trace.stopped,
     }
     if m.witness_depth is not None:
         doc["witness_depth"] = m.witness_depth

@@ -155,16 +155,13 @@ def descendants(trace: Trace, positions) -> frozenset[Position]:
     for u in us:
         if not in_dom(trace.start, u):
             raise ValueError(f"position {list(u)} is not in the starting tree")
-    if trace.cycle_at is None:
-        if trace.metadata.get("stopped") == "fuel":
-            raise ValueError("descendants through a fuel-truncated trace are undefined")
-        cur = us
-        for s in trace.steps:
-            cur = _desc_step(sig, s, cur)
-        return frozenset(cur)
+    if trace.cycle_at is None and not trace.is_closed:
+        raise ValueError("descendants through a fuel-truncated trace are undefined")
     cur = us
-    for s in trace.steps[: trace.cycle_at]:
+    for s in trace.steps[: trace.cycle_at]:  # all of a finite trace
         cur = _desc_step(sig, s, cur)
+    if trace.cycle_at is None:
+        return frozenset(cur)
     cycle = trace.steps[trace.cycle_at:]
     cuts = [acut(sig, s.position) for s in cycle]
     persisting: set[Position] = set()
@@ -236,16 +233,15 @@ def _develop_raw(
         us = _desc_step(sig, st, us - {p})
         return [st]
 
-    steps, _, cycle_at = drive(
+    steps, stopped, cycle_at = drive(
         index, tree, fuel, next_round, key=lambda n: (index.key(n), frozenset(us))
     )
     if us and len(steps) >= fuel:  # also when the state at fuel closes a lasso
         raise RuntimeError("development did not finish within fuel")
-    if cycle_at is not None:
-        tr = Trace(sig, rules, steps, cycle_at, metadata={"stopped": "cycle"})
-        return tr, p_limit(tr).tree
-    tr = Trace(sig, rules, steps, metadata={"stopped": "normal_form", "start": tree})
-    return tr, steps[-1].after if steps else tree
+    # with no residual left the development is done, even if the fuel ran
+    # out on the last one
+    tr = Trace(sig, rules, tree, steps, stopped if us else "normal_form", cycle_at)
+    return tr, p_limit(tr).tree
 
 
 def develop(sig: Sig, rs: RedexSet, fuel: int = 10_000) -> tuple[Trace, Node]:
@@ -437,18 +433,17 @@ def strip_join(
     u_cur = single.after
     top_steps: list[Step] = []
 
-    for step in long.steps[: long.cycle_at] if long.cycle_at is not None else long.steps:
+    for step in long.steps[: long.cycle_at]:
         us, seg, u_cur = tile(t_cur, us, step, u_cur)
         top_steps.extend(seg)
         t_cur = step.after
 
     if long.cycle_at is None:
-        if long.metadata.get("stopped") == "fuel":
+        if not long.is_closed:
             raise ValueError("cannot join over a fuel-truncated reduction")
         bottom_tr, bottom_raw = _develop_raw(sig, t_cur, us, fuel)
         common = strict_nf(sig, bottom_raw)
-        top_tr = Trace(sig, rules, top_steps,
-                       metadata={"stopped": "normal_form", "start": single.after})
+        top_tr = Trace(sig, rules, single.after, top_steps, "normal_form")
         top_end = strict_nf(sig, u_cur)
         if not bisimilar(common, top_end):
             raise AssertionError("the two sides of the strip diagram disagree")
@@ -475,12 +470,10 @@ def strip_join(
 
     if top_cycle_at == len(top_steps):
         # the projected side stopped producing steps: it is already settled
-        top_tr = Trace(sig, rules, top_steps,
-                       metadata={"stopped": "normal_form", "start": single.after})
+        top_tr = Trace(sig, rules, single.after, top_steps, "normal_form")
         common = strict_nf(sig, u_cur)
     else:
-        top_tr = Trace(sig, rules, top_steps, cycle_at=top_cycle_at,
-                       metadata={"stopped": "cycle", "start": single.after})
+        top_tr = Trace(sig, rules, single.after, top_steps, "cycle", top_cycle_at)
         common = strict_nf(sig, p_limit(top_tr).tree)
 
     long_end = p_limit(long).tree
@@ -513,10 +506,8 @@ def _beta_normalize(sig: Sig, tree: Node, fuel: int, depth: int) -> Node:
         if has_kind(cur, UNKNOWN, CUT):
             return cur
         tr = run_strategy(Beta(), "leftmost-outermost", cur, fuel, sig=sig)
-        if tr.metadata["stopped"] == "normal_form":
-            return tr.final
         nxt = p_limit(tr, depth).tree
-        if bisimilar(nxt, cur):
+        if tr.is_closed or bisimilar(nxt, cur):
             return nxt
         cur = nxt
     return cur

@@ -84,8 +84,9 @@ def _check_tree(sig: Sig, t: Node) -> None:
 # Head reduction: does a subtree ever expose a lambda at its root?
 
 # The two verdict caches and the index that keys them live and die together:
-# a key is a class of ``_index``, which means nothing to another index.
-_whnf_cache: dict[int | tuple, TriVerdict] = {}
+# a key holds a class of ``_index``, which means nothing to another index,
+# and the fuel, which decides what a run can find.
+_whnf_cache: dict[tuple, TriVerdict] = {}
 _active_cache: dict[tuple, TriVerdict] = {}
 _index: NodeIndex | None = None
 
@@ -110,7 +111,7 @@ def reduces_to_lam(t: Node, fuel: int = 10_000) -> TriVerdict:
     # shared index: a node indexed by an earlier call costs nothing again
     index = _node_index()
     index.add(t)
-    key = index.key(t)
+    key = (index.key(t), fuel)
     if key in _whnf_cache:
         return _whnf_cache[key]
 
@@ -224,7 +225,7 @@ def is_active(sig: Sig, t: Node, fuel: int = 10_000) -> TriVerdict:
     """
     index = _node_index()  # as in reduces_to_lam
     index.add(t)
-    key = (sig, index.key(t))
+    key = (sig, index.key(t), fuel)
     if key in _active_cache:
         return _active_cache[key]
     if fuel > 0:
@@ -263,8 +264,7 @@ def is_active(sig: Sig, t: Node, fuel: int = 10_000) -> TriVerdict:
 
     steps, stopped, cycle_at = drive(index, t, fuel, next_round, shifts=redex_key)
     if stopped == "cycle" or stopped == "shifted":
-        meta = {"stopped": "cycle" if cycle_at is not None else "fuel", "evidence": stopped}
-        verdict = _yes(Trace(sig, Beta(), steps, cycle_at, metadata=meta))
+        verdict = _yes(Trace(sig, Beta(), t, steps, stopped, cycle_at))
     elif stopped == "normal_form" and stability.is_yes:
         verdict = _no(steps[-1].after if steps else t)
     else:
@@ -412,11 +412,8 @@ def m_route_tree(sig: Sig, t: Node, depth: int = 16, fuel: int = 10_000) -> Appr
 
     rules = BohmBot(sig, oracle)
     trace = run_strategy(rules, "leftmost-outermost", t, fuel, sig=sig)
-    if trace.metadata["stopped"] == "normal_form":
-        tree = strict_nf(sig, trace.final)
-        return Approximant(tree, fuel_exhausted=flags["fuel"])
-    ap = p_limit(trace, depth)
-    return Approximant(strict_nf(sig, ap.tree), fuel_exhausted=True)
+    tree = strict_nf(sig, p_limit(trace, depth).tree)
+    return Approximant(tree, fuel_exhausted=flags["fuel"] or not trace.is_closed)
 
 
 def clear_caches() -> None:

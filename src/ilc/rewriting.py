@@ -508,29 +508,26 @@ def try_step(rules: RuleSystem, t: Node, p: Position, tag: str | None = None, si
 class Trace:
     sig: Sig
     rules: RuleSystem
+    start: Node
     steps: list[Step]
+    stopped: str  # how the run ended: one of ``STOP_REASONS``, as ``drive`` says
     cycle_at: int | None = None  # lasso: the state after the last step
     # equals the state before step cycle_at
-    metadata: dict = field(default_factory=dict)
+    metadata: dict = field(default_factory=dict)  # JSON scalars, exported as they are
     # the finite classes of the run's states (``NodeIndex.classes``), which
     # printing them reuses; None for a trace not made by ``run_strategy``
     classes: ClassTable | None = field(default=None, compare=False, repr=False)
 
     @property
-    def start(self) -> Node:
-        if self.steps:
-            return self.steps[0].before
-        return self.metadata["start"]
-
-    @property
     def final(self) -> Node:
         if self.steps:
             return self.steps[-1].after
-        return self.metadata["start"]
+        return self.start
 
     @property
     def is_closed(self) -> bool:
-        return self.cycle_at is None and self.metadata.get("stopped") != "fuel"
+        """Did the run reach a normal form?"""
+        return self.stopped == "normal_form"
 
     @property
     def cycle_steps(self) -> list[Step]:
@@ -567,6 +564,9 @@ def _shifted(hist: list[tuple[Position, int | tuple]], pos: Position, key: int |
     return False
 
 
+STOP_REASONS = ("normal_form", "cycle", "shifted", "fuel")
+
+
 def drive(
     index: NodeIndex,
     t: Node,
@@ -589,9 +589,9 @@ def drive(
     to the index, and with ``shifts`` the state before its last step, while
     ``t`` must already be in it.
 
-    Returns the steps, the stop reason (``normal_form``, ``cycle``,
-    ``shifted`` or ``fuel``) and, for a cycle, the number of steps before
-    the state that the final state repeats.
+    Returns the steps, the stop reason (one of ``STOP_REASONS``) and, for a
+    cycle, the number of steps before the state that the final state
+    repeats.
     """
     key = key or index.key
     seen = {key(t): 0}
@@ -665,8 +665,8 @@ def run_strategy(
         return [try_step(rules, cur, p, tag, sig)]
 
     steps, stopped, cycle_at = drive(index, t, fuel, next_round)
-    meta = {"strategy": strategy, "start": t, "stopped": stopped, "fuel_spent": len(steps)}
-    return Trace(sig, rules, steps, cycle_at, meta, index.classes)
+    meta = {"strategy": strategy, "fuel_spent": len(steps)}
+    return Trace(sig, rules, t, steps, stopped, cycle_at, meta, index.classes)
 
 
 # ---------------------------------------------------------------------------
@@ -698,9 +698,7 @@ def trace_export(trace: Trace, report: dict | None = None) -> dict:
             for s in trace.steps
         ],
         "tail": None if trace.cycle_at is None else {"cycle_at": trace.cycle_at},
-        "metadata": {
-            k: v for k, v in trace.metadata.items() if isinstance(v, (str, int, bool))
-        },
+        "metadata": {**trace.metadata, "stopped": trace.stopped},
     }
     if report is not None:
         doc["report"] = report
@@ -708,8 +706,16 @@ def trace_export(trace: Trace, report: dict | None = None) -> dict:
 
 
 def trace_decode(doc: dict) -> Trace:
+    """The trace that ``trace_export`` wrote.  A doc without a stop reason
+    did not close: it is a lasso if it has a tail, else fuel ran out."""
     sig = parse_sig(doc["sig"])
-    fuel = doc.get("metadata", {}).get("oracle_fuel", 10_000)  # bohm's oracle
+    tail = doc.get("tail")
+    cycle_at = None if tail is None else tail["cycle_at"]
+    metadata = dict(doc.get("metadata", {}))
+    stopped = metadata.pop("stopped", "fuel" if cycle_at is None else "cycle")
+    if stopped not in STOP_REASONS or (stopped == "cycle") != (cycle_at is not None):
+        raise ValueError(f"bad stop reason {stopped!r} for the tail {tail!r}")
+    fuel = metadata.get("oracle_fuel", 10_000)  # bohm's oracle
     rules = rule_system(doc.get("rules", "beta"), sig, fuel)
     steps = []
     for s in doc["steps"]:
@@ -717,9 +723,5 @@ def trace_decode(doc: dict) -> Trace:
         after = parse_tree(s["after"])
         context = parse_tree(s["context"])
         steps.append(Step(before, tuple(s["pos"]), s["rule"], after, context, s["depth"]))
-    tail = doc.get("tail")
-    tr = Trace(sig, rules, steps, None if tail is None else tail["cycle_at"])
-    tr.metadata.update(doc.get("metadata", {}))
-    if not steps:
-        tr.metadata["start"] = parse_tree(doc["start"])
-    return tr
+    start = steps[0].before if steps else parse_tree(doc["start"])
+    return Trace(sig, rules, start, steps, stopped, cycle_at, metadata)

@@ -34,17 +34,21 @@ every analysis call afresh and rebound one lambda at a time, which
 normalised where they stand;
 it feeds the shifted-recurrence detector class that ``rewriting._shifted``
 replaced.  After it comes the complete development with its own fuel loop
-and ``canon``-keyed states, which ``rewriting.drive`` replaced.
+and ``canon``-keyed states, which ``rewriting.drive`` replaced.  The file
+ends with a stdlib check of documents against the trace export schema.
 """
 
 from __future__ import annotations
 
 import argparse
 import itertools
+import json
 import math
 import random
+import re
 from collections import deque
 from fractions import Fraction
+from importlib import resources
 
 from ilc.convergence import p_limit
 from ilc.developments import _desc_step
@@ -1369,10 +1373,15 @@ def run_strategy_whole_graph(rules, strategy: str, t: Node, fuel: int, max_len: 
     )
     if sig is None:
         sig = step_sig(rules)
-    trace = Trace(sig, rules, [], metadata={"strategy": strategy, "start": t})
+    steps: list[Step] = []
     seen = {canon(t): 0}
     cur = t
     spent = 0
+
+    def stop(stopped, cycle_at=None):
+        meta = {"strategy": strategy, "fuel_spent": spent}
+        return Trace(sig, rules, t, steps, stopped, cycle_at, meta)
+
     while spent < fuel:
         if strategy == "leftmost-outermost":
             found = first_redex_whole_graph(rules, cur, max_len)
@@ -1386,26 +1395,19 @@ def run_strategy_whole_graph(rules, strategy: str, t: Node, fuel: int, max_len: 
             )
             picks = [rs[0]] if rs else []
         if not picks:
-            trace.metadata["stopped"] = "normal_form"
-            trace.metadata["fuel_spent"] = spent
-            return trace
+            return stop("normal_form")
         for p, tag in picks:
             step = try_step(rules, cur, p, tag, sig)
-            trace.steps.append(step)
+            steps.append(step)
             cur = step.after
             spent += 1
             key = canon(cur)
             if key in seen:
-                trace.cycle_at = seen[key]
-                trace.metadata["stopped"] = "cycle"
-                trace.metadata["fuel_spent"] = spent
-                return trace
-            seen[key] = len(trace.steps)
+                return stop("cycle", seen[key])
+            seen[key] = len(steps)
             if spent >= fuel:
                 break
-    trace.metadata["stopped"] = "fuel"
-    trace.metadata["fuel_spent"] = spent
-    return trace
+    return stop("fuel")
 
 
 # ---------------------------------------------------------------------------
@@ -1714,7 +1716,7 @@ def clear_caches_per_call() -> None:
 
 def reduces_to_lam_per_call(t: Node, fuel: int = 10_000) -> TriVerdict:
     index = NodeIndex(Beta())
-    key = index.canonical(t)
+    key = (index.canonical(t), fuel)
     if key in _whnf_cache_per_call:
         return _whnf_cache_per_call[key]
     index.add(t)
@@ -1794,7 +1796,7 @@ def stability_per_call(sig: Sig, t: Node, fuel: int) -> TriVerdict:
 
 def is_active_per_call(sig: Sig, t: Node, fuel: int = 10_000) -> TriVerdict:
     index = NodeIndex(Beta())
-    key = (sig, index.canonical(t))
+    key = (sig, index.canonical(t), fuel)
     if key in _active_cache_per_call:
         return _active_cache_per_call[key]
     index.add(t)
@@ -1828,14 +1830,12 @@ def is_active_per_call(sig: Sig, t: Node, fuel: int = 10_000) -> TriVerdict:
         index.add(cur)
         ck = index.key(cur)
         if ck in seen:
-            tr = Trace(sig, Beta(), steps, cycle_at=seen[ck],
-                       metadata={"stopped": "cycle", "evidence": "cycle"})
+            tr = Trace(sig, Beta(), t, steps, "cycle", cycle_at=seen[ck])
             verdict = _yes(tr)
             break
         seen[ck] = len(steps)
         if shifted:
-            tr = Trace(sig, Beta(), steps, None,
-                       metadata={"stopped": "fuel", "evidence": "shifted"})
+            tr = Trace(sig, Beta(), t, steps, "shifted")
             verdict = _yes(tr)
             break
     if verdict is None:
@@ -1931,8 +1931,7 @@ def develop_raw_by_canon(sig: Sig, tree: Node, positions: set[Position], fuel: i
             raise RuntimeError("development did not finish within fuel")
         key = (canon(cur), frozenset(us))
         if key in seen:
-            tr = Trace(sig, rules, steps, cycle_at=seen[key],
-                       metadata={"stopped": "cycle"})
+            tr = Trace(sig, rules, tree, steps, "cycle", cycle_at=seen[key])
             return tr, p_limit(tr).tree
         seen[key] = len(steps)
         p = min(us, key=lambda q: (len(q), q))
@@ -1943,5 +1942,63 @@ def develop_raw_by_canon(sig: Sig, tree: Node, positions: set[Position], fuel: i
         steps.append(st)
         us = _desc_step(sig, st, us - {p})
         cur = st.after
-    tr = Trace(sig, rules, steps, metadata={"stopped": "normal_form", "start": tree})
+    tr = Trace(sig, rules, tree, steps, "normal_form")
     return tr, cur
+
+
+# ---------------------------------------------------------------------------
+# A stdlib check of the trace export schema, for the keywords it uses
+
+TRACE_SCHEMA = json.loads(resources.files("ilc").joinpath("schema/trace.schema.json").read_text())
+
+# the JSON Schema keywords that ``schema_errors`` knows, and the annotations
+# it ignores; a schema with any other keyword fails the check
+SCHEMA_KEYWORDS = {"type", "required", "properties", "items", "enum", "pattern", "minimum", "maximum", "oneOf"}
+SCHEMA_ANNOTATIONS = {"$schema", "title"}
+JSON_TYPES = {"object": dict, "array": list, "string": str, "integer": int, "boolean": bool, "null": type(None)}
+
+
+def subschemas(schema: dict):
+    yield schema
+    for sub in [*schema.get("properties", {}).values(), *schema.get("oneOf", [])]:
+        yield from subschemas(sub)
+    if "items" in schema:
+        yield from subschemas(schema["items"])
+
+
+def schema_errors(doc, schema: dict = TRACE_SCHEMA) -> list[str]:
+    """What ``doc`` breaks of ``schema``: a stdlib check of the keywords in
+    ``SCHEMA_KEYWORDS``, which raises on any other keyword."""
+    for sub in subschemas(schema):
+        unchecked = sub.keys() - SCHEMA_KEYWORDS - SCHEMA_ANNOTATIONS
+        if unchecked:
+            raise ValueError(f"unchecked schema keywords {sorted(unchecked)}")
+    return _errors(doc, schema, "$")
+
+
+def _errors(doc, schema: dict, path: str) -> list[str]:
+    if "type" in schema:
+        want = JSON_TYPES[schema["type"]]
+        if not isinstance(doc, want) or (isinstance(doc, bool) and want is not bool):
+            return [f"{path}: not of type {schema['type']}"]
+    errors = []
+    if "enum" in schema and doc not in schema["enum"]:
+        errors.append(f"{path}: {doc!r} is not one of {schema['enum']}")
+    if "pattern" in schema and not re.search(schema["pattern"], doc):
+        errors.append(f"{path}: {doc!r} does not match {schema['pattern']}")
+    if "minimum" in schema and doc < schema["minimum"]:
+        errors.append(f"{path}: {doc} is below {schema['minimum']}")
+    if "maximum" in schema and doc > schema["maximum"]:
+        errors.append(f"{path}: {doc} is above {schema['maximum']}")
+    errors += [f"{path}: no {key!r}" for key in schema.get("required", []) if key not in doc]
+    for key, sub in schema.get("properties", {}).items():
+        if key in doc:
+            errors += _errors(doc[key], sub, f"{path}.{key}")
+    if "items" in schema:
+        for i, item in enumerate(doc):
+            errors += _errors(item, schema["items"], f"{path}[{i}]")
+    if "oneOf" in schema:
+        fits = sum(not _errors(doc, sub, path) for sub in schema["oneOf"])
+        if fits != 1:
+            errors.append(f"{path}: fits {fits} of the oneOf schemas")
+    return errors

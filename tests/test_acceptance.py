@@ -34,6 +34,7 @@ from oracles import (
     random_redexy_term,
     random_term,
     s_normalize,
+    schema_errors,
     term_leq_named,
     term_truncate,
 )
@@ -133,7 +134,7 @@ def lasso(rules, sig, t, p):
     """A one-step cycle: contract the self-reproducing redex at p forever."""
     step = try_step(rules, t, p, "beta", sig=sig)
     assert bisimilar(step.after, t)
-    return Trace(sig, rules, [step], cycle_at=0, metadata={"stopped": "cycle"})
+    return Trace(sig, rules, t, [step], "cycle", cycle_at=0)
 
 
 PEAKS = {
@@ -176,7 +177,7 @@ def random_trace(rng, sig, t, max_steps):
         st = try_step(rules, cur, p, tag, sig=sig)
         steps.append(st)
         cur = st.after
-    return Trace(sig, rules, steps, metadata={"stopped": "normal_form", "start": t})
+    return Trace(sig, rules, t, steps, "normal_form")
 
 
 def test_random_peaks_always_join():
@@ -251,11 +252,8 @@ def test_descendant_algebra_laws():
             assert not (descendants(tr, a) & descendants(tr, b))
         # composition over concatenation
         k = rng.randrange(len(tr.steps) + 1)
-        first = Trace(sig, tr.rules, tr.steps[:k], metadata={"stopped": "normal_form", "start": t})
-        second = Trace(
-            sig, tr.rules, tr.steps[k:],
-            metadata={"stopped": "normal_form", "start": first.final},
-        )
+        first = Trace(sig, tr.rules, t, tr.steps[:k], "normal_form")
+        second = Trace(sig, tr.rules, first.final, tr.steps[k:], "normal_form")
         assert descendants(tr, a) == descendants(second, descendants(first, a))
         # unique ancestors with label preservation
         final_ps = dom_positions(tr.final, 8)
@@ -351,7 +349,7 @@ def test_lasso_limits_and_volatility():
             attempts += 1
             t = random_loopy_tree(rng, sig)
             tr = run_strategy(BetaStrict(sig), rng.choice(["lmo", "po", "d0"]), t, 40)
-            if tr.metadata["stopped"] == "normal_form":
+            if tr.stopped == "normal_form":
                 if closed < 100:
                     assert bisimilar(p_limit(tr).tree, tr.final)
                     closed += 1
@@ -413,54 +411,9 @@ def test_strict_nf_exhaustive_all_sigs():
 # CLI json output validates against the shipped schema
 
 
-def check_schema(schema, doc, defs=None):
-    """A miniature structural validator for the schema subset we ship."""
-    if defs is None:
-        defs = schema.get("definitions", {})
-    if "$ref" in schema:
-        name = schema["$ref"].rsplit("/", 1)[-1]
-        return check_schema(defs[name], doc, defs)
-    if "oneOf" in schema:
-        return any(check_schema(s, doc, defs) for s in schema["oneOf"])
-    typ = schema.get("type")
-    if typ == "object":
-        if not isinstance(doc, dict):
-            return False
-        for k in schema.get("required", []):
-            if k not in doc:
-                return False
-        props = schema.get("properties", {})
-        return all(k not in props or check_schema(props[k], doc[k], defs) for k in doc)
-    if typ == "array":
-        return isinstance(doc, list) and all(
-            check_schema(schema.get("items", {}), x, defs) for x in doc
-        )
-    if typ == "string":
-        if not isinstance(doc, str):
-            return False
-        import re
-
-        pat = schema.get("pattern")
-        return pat is None or re.search(pat, doc) is not None
-    if typ == "integer":
-        return isinstance(doc, int) and not isinstance(doc, bool)
-    if typ == "boolean":
-        return isinstance(doc, bool)
-    if typ == "null":
-        return doc is None
-    if "enum" in schema:
-        return doc in schema["enum"]
-    return True
-
-
 def test_cli_trace_json_validates_against_schema():
-    from importlib import resources
-
     from ilc.cli import main
 
-    schema = json.loads(
-        resources.files("ilc").joinpath("schema/trace.schema.json").read_text()
-    )
     for argv in [
         ["trace", "--format", "json", OMEGA],
         ["trace", "--format", "json", "--sig", "101", "--rules", "betas", r"(\x.x y) bot"],
@@ -470,4 +423,4 @@ def test_cli_trace_json_validates_against_schema():
         code = main(argv, out=out, err=io.StringIO())
         assert code in (0, 2)
         doc = json.loads(out.getvalue())
-        assert check_schema(schema, doc), argv
+        assert not schema_errors(doc), argv

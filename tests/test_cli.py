@@ -12,7 +12,7 @@ import pytest
 import oracles
 from ilc import cli, convergence, meaningless
 from ilc.cli import main
-from ilc.rewriting import rule_system, run_strategy, trace_decode
+from ilc.rewriting import STOP_REASONS, rule_system, run_strategy, trace_decode
 from ilc.terms import ALL_SIGS, sig_str
 from ilc.trees import bisimilar, is_guarded, parse_tree, render_tree
 
@@ -154,14 +154,47 @@ def test_depth0_first_on_a_cyclic_term():
     assert (code, out, err) == (2, "unknown\n", "")
 
 
+@pytest.mark.parametrize("args", [[OMEGA], ["--strategy", "po", r"(\x.x) y"]])
+def test_a_run_that_takes_no_step_settles_nothing(args):
+    # the fuel stops the run before its first step: neither limit is known
+    code, out, _ = run("trace", "--ascii", "--fuel", "0", *args)
+    assert (code, out) == (2, "stopped: fuel\nm-convergence: unknown\np-limit: ?\n")
+    code, out, _ = run("trace", "--format", "json", "--fuel", "0", *args)
+    doc = json.loads(out)
+    assert code == 2 and doc["steps"] == [] and doc["metadata"]["stopped"] == "fuel"
+    assert (doc["report"]["m"], doc["report"]["p_limit"]) == ("unknown", "?")
+
+
+def test_a_join_over_runs_that_take_no_step_is_unknown():
+    code, out, _ = run("join", "--ascii", "--rules", "beta", "--fuel", "0", r"(\x.x) y")
+    assert (code, out) == (2, "unknown\n")
+    code, out, _ = run("join", "--format", "json", "--rules", "beta", "--fuel", "0", r"(\x.x) y")
+    assert code == 2 and json.loads(out)["status"] == "unknown"
+
+
 def test_schema_ships_with_the_package():
-    import ilc
+    assert oracles.TRACE_SCHEMA["properties"]["sig"]["pattern"] == "^[01]{3}$"
 
-    from importlib import resources
 
-    text = resources.files("ilc").joinpath("schema/trace.schema.json").read_text()
-    schema = json.loads(text)
-    assert schema["properties"]["sig"]["pattern"] == "^[01]{3}$"
+def test_the_schema_check_rejects_planted_faults():
+    _, out, _ = run("trace", "--format", "json", "--fuel", "3", r"(\x.x x) ((\y.y) z)")
+    good = json.loads(out)
+    assert not oracles.schema_errors(good) and good["steps"]
+    plants = {
+        "sig": lambda d: d.update(sig="121"),
+        "rule": lambda d: d["steps"][0].update(rule="delta"),
+        "depth": lambda d: d["steps"][0].update(depth=-1),
+        "stop reason": lambda d: d["metadata"].update(stopped="bound"),
+        "tail": lambda d: d.update(tail={"cycle_at": True}),
+    }
+    for what, plant in plants.items():
+        bad = json.loads(out)
+        plant(bad)
+        assert len(oracles.schema_errors(bad)) == 1, what
+    with pytest.raises(ValueError, match="unchecked schema keywords"):
+        oracles.schema_errors(good, {"type": "object", "additionalProperties": False})
+    # the schema's stop reasons are the ones trace_decode accepts
+    assert oracles.TRACE_SCHEMA["properties"]["metadata"]["properties"]["stopped"]["enum"] == list(STOP_REASONS)
 
 
 def test_trace_bohm_oracle_uses_the_fuel_flag(monkeypatch):
@@ -206,12 +239,13 @@ def test_every_exported_trace_decodes_to_its_run(rules):
                     "--sig", sig_text, "--fuel", "6", term]
             code, out, _ = run(*argv)
             assert code in (0, 2), (argv, out)
+            assert not oracles.schema_errors(json.loads(out)), argv
             back = trace_decode(json.loads(out))
             back.check()
             want = run_strategy(rule_system(rules, sig, 6), strategy, t, 6, sig=sig)
             assert back.sig == sig and back.rules == want.rules
             assert bisimilar(back.start, want.start) and back.cycle_at == want.cycle_at
-            assert back.metadata["stopped"] == want.metadata["stopped"]
+            assert back.stopped == want.stopped
             assert len(back.steps) == len(want.steps)
             for a, b in zip(back.steps, want.steps):
                 assert (a.position, a.rule, a.depth) == (b.position, b.rule, b.depth)

@@ -77,7 +77,7 @@ def test_fuel_truncated_traces_are_honest():
     # growing normal-order reduction that never cycles: N = rec-like growth
     n = T(r"(\x.x x y) (\x.x x y)")
     tr = run_strategy(Beta(), "lmo", n, 25)
-    assert tr.metadata["stopped"] == "fuel"
+    assert tr.stopped == "fuel"
     v = analyze_m_convergence(tr)
     assert v.value == "unknown" and v.diagnostic
     ap = p_limit(tr, depth=8)

@@ -50,7 +50,7 @@ def beta_trace(sig, t, positions):
         st = try_step(BetaStrict(sig), cur, p, sig=sig)
         steps.append(st)
         cur = st.after
-    return Trace(sig, BetaStrict(sig), steps, metadata={"stopped": "normal_form", "start": t})
+    return Trace(sig, BetaStrict(sig), t, steps, "normal_form")
 
 
 def test_descendants_through_duplication():
@@ -119,7 +119,7 @@ def test_develop_golden():
     t = T(r"(\x.x x) ((\z.z) a)")
     tr, result = develop(sig, RedexSet(t, [(), (2,)]))
     assert render_tree(result, ascii_only=True) == "a a"
-    assert tr.metadata["stopped"] == "normal_form"
+    assert tr.stopped == "normal_form"
     # developing nothing just S-normalizes
     _, r0 = develop((1, 0, 1), RedexSet(T("bot y"), []))
     assert render_tree(r0, ascii_only=True) == "bot"
@@ -153,7 +153,7 @@ def development_outcome(develop_raw, sig, t, us, fuel):
     except RuntimeError as e:
         return str(e), None
     steps = [(s.position, s.rule) for s in tr.steps]
-    return (steps, tr.cycle_at, tr.metadata["stopped"]), raw
+    return (steps, tr.cycle_at, tr.stopped), raw
 
 
 def test_develop_raw_equals_the_canon_keyed_loop():

@@ -22,6 +22,7 @@ def T(src):
 
 OMEGA = r"(\x.x x) (\x.x x)"
 GROWER = r"(\x.x x y) (\x.x x y)"  # reduces to itself applied to y, forever
+SELF_APPLIER = r"y ((\x.\z.x x z) (\x.\z.x x z))"  # its argument is active; fuel 1 cannot show it
 
 
 def test_reduces_to_lam():
@@ -72,7 +73,7 @@ def test_is_active_shifted_recurrence():
     # the grower never cycles exactly; the shifted-recurrence check ends it
     v = is_active((1, 0, 1), T(GROWER))
     assert v.is_yes
-    assert v.witness.metadata["evidence"] == "shifted"
+    assert v.witness.stopped == "shifted"
     # under 111 one step reaches the stable tree (grower) y
     v2 = is_active((1, 1, 1), T(GROWER))
     assert v2.is_no
@@ -91,6 +92,17 @@ def test_is_active_cache_answers_as_a_fresh_run():
     again = is_active(sig, t)
     assert again is not fresh and again.value == fresh.value == "yes"
     assert [s.position for s in again.witness.steps] == [s.position for s in fresh.witness.steps]
+    # a verdict found with more fuel is no answer for less: each analysis
+    # below is undecided at the first fuel and decided at the second
+    fuel_sensitive = [
+        (lambda fuel: is_active((1, 1, 1), T(OMEGA), fuel).value, 0, 50),
+        (lambda fuel: render_tree(bohm_tree((0, 0, 1), T(SELF_APPLIER), 16, fuel).tree, ascii_only=True), 1, 100),
+    ]
+    for answer, fuel, more in fuel_sensitive:
+        clear_caches()
+        fresh = answer(fuel)
+        assert answer(more) != fresh
+        assert answer(fuel) == fresh
 
 
 def test_in_bot_instances():

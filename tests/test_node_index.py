@@ -91,7 +91,7 @@ def same_run(got, want):
         (s.position, s.rule, s.depth) for s in want.steps
     ]
     assert got.cycle_at == want.cycle_at
-    assert got.metadata["stopped"] == want.metadata["stopped"]
+    assert got.stopped == want.stopped
     assert got.metadata["fuel_spent"] == want.metadata["fuel_spent"]
     for s, w in zip(got.steps, want.steps):
         assert bisimilar(s.before, w.before)
@@ -153,7 +153,7 @@ def test_lasso_keys_call_canon_only_for_states_that_reach_a_cycle(monkeypatch):
     monkeypatch.setattr(rewriting, "canon", lambda n: calls.append(n) or canon(n))
     finite = tree_of_term(parse_term(r"(\f.f (f (f y))) (\x.(\z.z) x)"))
     tr = run_strategy(Beta(), "lmo", finite, 100)
-    assert tr.metadata["stopped"] == "normal_form" and len(tr.steps) > 3
+    assert tr.stopped == "normal_form" and len(tr.steps) > 3
     assert calls == []
     # the second step's contractum is the start node itself, keyed once
     loop = parse_tree(r"rec M. (\x.(\y.y) x) M")

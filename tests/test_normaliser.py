@@ -115,7 +115,7 @@ def active_outcome(active, sig, t, fuel=40):
         return str(e)
     if v.is_yes:
         tr = v.witness
-        return "yes", [(s.position, s.rule) for s in tr.steps], tr.cycle_at, tr.metadata
+        return "yes", [(s.position, s.rule) for s in tr.steps], tr.cycle_at, tr.stopped
     if v.is_no:
         return "no", render_tree(v.witness, ascii_only=True)
     return "unknown"

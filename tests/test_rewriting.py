@@ -3,6 +3,8 @@ import random
 import pytest
 
 from ilc import rewriting
+from ilc.convergence import p_limit
+from ilc.developments import descendants
 from ilc.rewriting import (
     Beta,
     BetaStrict,
@@ -89,14 +91,14 @@ def test_step_context_uses_longest_nonstrict_prefix():
 
 def test_lmo_normal_form():
     tr = run_strategy(Beta(), "lmo", T(r"(\x.y) ((\z.z z) (\z.z z))"), 100)
-    assert tr.metadata["stopped"] == "normal_form"
+    assert tr.stopped == "normal_form"
     assert render_tree(tr.final, ascii_only=True) == "y"
     assert tr.is_closed
 
 
 def test_lmo_detects_cycles():
     tr = run_strategy(Beta(), "lmo", T(r"(\x.x x) (\x.x x)"), 100)
-    assert tr.metadata["stopped"] == "cycle"
+    assert tr.stopped == "cycle"
     assert tr.cycle_at == 0
     assert len(tr.cycle_steps) == 1
     tr.check()
@@ -130,6 +132,25 @@ def test_trace_roundtrip():
     assert bisimilar(back.final, tr.final)
     assert back.cycle_at == tr.cycle_at
     back.check()
+
+
+def test_a_decoded_trace_without_a_stop_reason_did_not_close():
+    # every reader asks the one stop reason: a doc without one is a lasso if
+    # it has a tail, else a run that the fuel stopped
+    doc = trace_export(run_strategy(Beta(), "lmo", T(r"(\x.x) ((\y.y) z)"), 1))
+    del doc["metadata"]["stopped"]
+    back = trace_decode(doc)
+    assert back.stopped == "fuel" and not back.is_closed
+    assert p_limit(back).fuel_exhausted
+    with pytest.raises(ValueError, match="fuel-truncated"):
+        descendants(back, [()])
+    loop = trace_export(run_strategy(Beta(), "lmo", T(r"(\x.x x) (\x.x x)"), 5))
+    del loop["metadata"]["stopped"]
+    assert trace_decode(loop).stopped == "cycle"
+    # a reason outside drive's four, or one that contradicts the tail
+    for stopped, tail in [("bound", None), ("cycle", None), ("normal_form", {"cycle_at": 0})]:
+        with pytest.raises(ValueError, match="bad stop reason"):
+            trace_decode({**doc, "metadata": {"stopped": stopped}, "tail": tail})
 
 
 def test_bad_strategy_and_bad_position():

@@ -129,7 +129,7 @@ def test_render_trees_equals_render_tree_on_seeded_traces():
                 trace = run_strategy(BetaStrict(sig), strategy, t, 12, sig=sig)
             except (ValueError, RuntimeError):  # an unguarded graph, or a limit
                 continue
-            stopped.add(trace.metadata["stopped"])
+            stopped.add(trace.stopped)
             states = trace_states(trace)
             cyclic += not all(map(is_finite, states))
             # the same states again, some with Cut/Unknown leaves, so that
