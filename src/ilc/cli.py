@@ -25,16 +25,20 @@ from typing import NamedTuple
 
 from . import convergence, developments, meaningless
 from .order import _glb
-from .rewriting import BetaStrict, redexes, rule_system, run_strategy, trace_export
+from .rewriting import POSITION_BOUND, BetaStrict, redexes, rule_system, run_strategy, trace_export
 from .terms import ParseError, parse_sig, sig_str
 from .trees import (
+    APP,
     CUT,
+    LAM,
     UNKNOWN,
     _distance,
     bisimilar,
     has_kind,
+    is_finite,
     is_guarded,
     parse_tree,
+    reachable,
     render_tree,
     render_trees,
 )
@@ -200,14 +204,12 @@ def _parse_positions(text: str) -> list[tuple[int, ...]]:
     return out
 
 
-def _emit(doc, args, out) -> int:
-    """Print a result and derive the exit code from its honesty markers.
-    ``doc`` holds the form the format asks for, under "json" or "text"."""
-    if args.format == "json":
-        print(json.dumps(doc["json"], ensure_ascii=True, sort_keys=True), file=out)
-    else:
-        print(doc["text"], file=out)
-    return EXIT_UNKNOWN if doc.get("unknown") else EXIT_OK
+def _emit(args, out, text, doc, unknown: bool) -> int:
+    """Print a result in the format asked for, ``text`` or the JSON of
+    ``doc`` (the other may be None), and derive the exit code from its
+    honesty markers."""
+    print(json.dumps(doc, ensure_ascii=True, sort_keys=True) if args.format == "json" else text, file=out)
+    return EXIT_UNKNOWN if unknown else EXIT_OK
 
 
 def main(argv: list[str] | None = None, out=None, err=None) -> int:
@@ -248,28 +250,22 @@ def main(argv: list[str] | None = None, out=None, err=None) -> int:
             ap = meaningless.bohm_tree(sig, t, args.depth, args.fuel)
             rendered = show(ap.tree)
             doc = {
-                "text": rendered,
-                "json": {
-                    "sig": sig_str(sig),
-                    "tree": rendered,
-                    "fuel_exhausted": ap.fuel_exhausted,
-                    "non_canonical": ap.non_canonical,
-                },
-                "unknown": has_kind(ap.tree, UNKNOWN, CUT),
+                "sig": sig_str(sig),
+                "tree": rendered,
+                "fuel_exhausted": ap.fuel_exhausted,
+                "non_canonical": ap.non_canonical,
             }
-            return _emit(doc, args, out)
+            return _emit(args, out, rendered, doc, has_kind(ap.tree, UNKNOWN, CUT))
 
         if args.command == "trace":
             t = load(args.term)
             rules = rule_system(args.rules, sig, args.fuel)
             trace = run_strategy(rules, args.strategy, t, args.fuel, sig=sig)
-            if args.rules == "bohm":  # what trace_decode needs to rebuild the oracle
-                trace.metadata["oracle_fuel"] = args.fuel
             analysis = convergence.analyze(trace, args.depth)
             report = convergence.report_json(trace, analysis)
             unknown = report["m"] == "unknown" or has_kind(analysis.p_limit.tree, UNKNOWN, CUT)
             if as_json:
-                return _emit({"json": trace_export(trace, report), "unknown": unknown}, args, out)
+                return _emit(args, out, None, trace_export(trace, report), unknown)
             # the states in one call, which reuses what a step left unchanged
             # and the run's class table
             afters = render_trees([s.after for s in trace.steps], ascii_only, trace.classes)
@@ -281,14 +277,13 @@ def main(argv: list[str] | None = None, out=None, err=None) -> int:
                          + (f" (cycle at {trace.cycle_at})" if trace.cycle_at is not None else ""))
             lines.append(f"m-convergence: {report['m']}")
             lines.append(f"p-limit: {report['p_limit']}")
-            return _emit({"text": "\n".join(lines), "unknown": unknown}, args, out)
+            return _emit(args, out, "\n".join(lines), None, unknown)
 
         # load has checked each input, so the unchecked cores answer
         if args.command == "dist":
             a, b = load(args.left), load(args.right)
-            d = _distance(sig, a, b)
-            doc = {"text": str(d), "json": {"distance": str(d)}, "unknown": False}
-            return _emit(doc, args, out)
+            d = str(_distance(sig, a, b))
+            return _emit(args, out, d, {"distance": d}, False)
 
         if args.command == "order":
             a, b = load(args.left), load(args.right)
@@ -300,15 +295,11 @@ def main(argv: list[str] | None = None, out=None, err=None) -> int:
                 f"glb: {gs}"
             )
             doc = {
-                "text": text,
-                "json": {
-                    "leq": leq,
-                    "geq": geq,
-                    "glb": gs,
-                },
-                "unknown": False,
+                "leq": leq,
+                "geq": geq,
+                "glb": gs,
             }
-            return _emit(doc, args, out)
+            return _emit(args, out, text, doc, False)
 
         if args.command == "join":
             t = load(args.term)
@@ -318,18 +309,18 @@ def main(argv: list[str] | None = None, out=None, err=None) -> int:
             res = developments.joinability(sig, t, tr1, tr2, args.fuel, args.depth)
             tree_s = show(res.tree) if res.tree is not None else None
             text = res.status + (f": {tree_s}" if tree_s else "")
-            doc = {
-                "text": text,
-                "json": {"status": res.status, "tree": tree_s, "detail": res.detail},
-                "unknown": res.status == "unknown",
-            }
-            return _emit(doc, args, out)
+            doc = {"status": res.status, "tree": tree_s, "detail": res.detail}
+            return _emit(args, out, text, doc, res.status == "unknown")
 
         if args.command == "dev":
             t = load(args.term)
             if args.all:
-                found = redexes(BetaStrict(sig), t)
-                positions = [p for p, tag in found if tag == "beta"]
+                positions = [p for p, tag in redexes(BetaStrict(sig), t) if tag == "beta"]
+                # a parsed finite term shares no node: one position per redex node
+                if is_finite(t) and len(positions) < sum(
+                    n.kind == APP and n.a.kind == LAM for n in reachable(t)
+                ):
+                    raise ValueError(f"a beta redex lies past the position bound {POSITION_BOUND}")
             else:
                 positions = _parse_positions(args.redexes)
             rs = developments.RedexSet(t, positions)
@@ -339,15 +330,11 @@ def main(argv: list[str] | None = None, out=None, err=None) -> int:
             result_s, labs_s = show(result), show(labs)
             text = f"develop: {result_s}\npath labels: {labs_s}\nagree: {agree}"
             doc = {
-                "text": text,
-                "json": {
-                    "develop": result_s,
-                    "path_labels": labs_s,
-                    "agree": agree,
-                },
-                "unknown": False,
+                "develop": result_s,
+                "path_labels": labs_s,
+                "agree": agree,
             }
-            return _emit(doc, args, out)
+            return _emit(args, out, text, doc, False)
 
         raise AssertionError(args.command)
     except ParseError as e:

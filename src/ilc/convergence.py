@@ -97,9 +97,9 @@ def p_limit(trace: Trace, depth: int = 16) -> Approximant:
     """The p-limit: the limit inferior of the reduction contexts.
 
     Closed traces converge to their final tree; lassos converge exactly to
-    the glb of the cycle's contexts; fuel-truncated traces yield the glb of a
-    recent window of contexts with Unknown marking the still-active regions,
-    and settle nothing without a step.
+    the glb of the cycle's contexts; traces cut by the fuel or the position
+    bound yield the glb of a recent window of contexts with Unknown marking
+    the still-active regions, and settle nothing without a step.
     """
     if trace.is_closed:
         return Approximant(trace.final)
@@ -119,8 +119,9 @@ def analyze_m_convergence(trace: Trace) -> MVerdict:
 
     Finite closed traces m-converge trivially.  A lasso repeats its cycle's
     depths cofinally, so the minimum cycle depth witnesses divergence.
-    Fuel-truncated traces, with or without steps, are undecided; a strictly
-    increasing recent depth profile is reported as a diagnostic hint.
+    Fuel-truncated traces, with or without steps, and runs cut at the
+    position bound are undecided; a strictly increasing recent depth profile
+    is reported as a diagnostic hint.
     """
     if trace.is_closed:
         return MVerdict("yes")
@@ -129,7 +130,9 @@ def analyze_m_convergence(trace: Trace) -> MVerdict:
         return MVerdict("no", witness_depth=d)
     depths = [s.depth for s in trace.steps]
     tail = depths[-16:]
-    if len(tail) >= 2 and all(a < b for a, b in zip(tail, tail[1:])):
+    if trace.stopped == "bound":
+        diag = "a redex lies past the position bound of the redex search"
+    elif len(tail) >= 2 and all(a < b for a, b in zip(tail, tail[1:])):
         diag = "observed contraction depths are strictly increasing"
     else:
         diag = "no cycle detected before fuel ran out"

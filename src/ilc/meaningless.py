@@ -410,7 +410,7 @@ def m_route_tree(sig: Sig, t: Node, depth: int = 16, fuel: int = 10_000) -> Appr
             flags["fuel"] = True
         return v.is_yes
 
-    rules = BohmBot(sig, oracle)
+    rules = BohmBot(sig, oracle, fuel)
     trace = run_strategy(rules, "leftmost-outermost", t, fuel, sig=sig)
     tree = strict_nf(sig, p_limit(trace, depth).tree)
     return Approximant(tree, fuel_exhausted=flags["fuel"] or not trace.is_closed)

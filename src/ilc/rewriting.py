@@ -89,11 +89,13 @@ class BohmBot(RuleSystem):
 
     ``oracle(tree) -> bool | None`` answers whether a subtree belongs to the
     set of trees that may be collapsed to bottom (None = unknown).  The rule
-    never fires on bottom itself.
+    never fires on bottom itself.  ``fuel`` is the oracle's step budget,
+    which a trace exports so that its decoding rebuilds the same oracle.
     """
 
     sig: Sig
     oracle: Callable[[Node], bool | None] = field(compare=False)
+    fuel: int
     name = "bohm"
 
 
@@ -113,7 +115,7 @@ def rule_system(name: str, sig: Sig, fuel: int = 10_000) -> RuleSystem:
         case BohmBot.name:
             from . import meaningless  # which imports this module
 
-            return BohmBot(sig, lambda n: meaningless.in_bot_instances(sig, n, fuel).is_yes)
+            return BohmBot(sig, lambda n: meaningless.in_bot_instances(sig, n, fuel).is_yes, fuel)
     raise ValueError(f"cannot decode rule system {name!r}")
 
 
@@ -510,10 +512,10 @@ class Trace:
     rules: RuleSystem
     start: Node
     steps: list[Step]
-    stopped: str  # how the run ended: one of ``STOP_REASONS``, as ``drive`` says
+    stopped: str  # how the run ended: one of ``STOP_REASONS``
     cycle_at: int | None = None  # lasso: the state after the last step
     # equals the state before step cycle_at
-    metadata: dict = field(default_factory=dict)  # JSON scalars, exported as they are
+    strategy: str | None = None  # the strategy that ``run_strategy`` ran
     # the finite classes of the run's states (``NodeIndex.classes``), which
     # printing them reuses; None for a trace not made by ``run_strategy``
     classes: ClassTable | None = field(default=None, compare=False, repr=False)
@@ -564,7 +566,10 @@ def _shifted(hist: list[tuple[Position, int | tuple]], pos: Position, key: int |
     return False
 
 
-STOP_REASONS = ("normal_form", "cycle", "shifted", "fuel")
+# ``bound``: ``run_strategy`` found no redex within its position bound, but
+# the final state still reaches a redex node (of the rules that
+# ``NodeIndex.live`` follows: a ``bohm`` bottom redex is not among them)
+STOP_REASONS = ("normal_form", "cycle", "shifted", "fuel", "bound")
 
 
 def drive(
@@ -589,9 +594,9 @@ def drive(
     to the index, and with ``shifts`` the state before its last step, while
     ``t`` must already be in it.
 
-    Returns the steps, the stop reason (one of ``STOP_REASONS``) and, for a
-    cycle, the number of steps before the state that the final state
-    repeats.
+    Returns the steps, the stop reason (one of ``STOP_REASONS`` but
+    ``bound``) and, for a cycle, the number of steps before the state that
+    the final state repeats.
     """
     key = key or index.key
     seen = {key(t): 0}
@@ -639,7 +644,9 @@ def run_strategy(
     ``sig`` overrides the signature used for depth/context bookkeeping (the
     plain beta and eta systems default to the all-non-strict 111).  A
     parallel-outermost round goes to ``drive`` one step at a time, so a
-    state repeated in the middle of a round closes a lasso there.
+    state repeated in the middle of a round closes a lasso there.  A run
+    whose search finds no redex within ``max_len`` although the state
+    still reaches one stops as ``bound``, not ``normal_form``.
     """
     strategy = _STRATEGY_ALIASES.get(strategy, strategy)
     if strategy not in STRATEGIES:
@@ -665,8 +672,9 @@ def run_strategy(
         return [try_step(rules, cur, p, tag, sig)]
 
     steps, stopped, cycle_at = drive(index, t, fuel, next_round)
-    meta = {"strategy": strategy, "fuel_spent": len(steps)}
-    return Trace(sig, rules, t, steps, stopped, cycle_at, meta, index.classes)
+    if stopped == "normal_form" and (steps[-1].after if steps else t) in index.live:
+        stopped = "bound"
+    return Trace(sig, rules, t, steps, stopped, cycle_at, strategy, index.classes)
 
 
 # ---------------------------------------------------------------------------
@@ -698,8 +706,10 @@ def trace_export(trace: Trace, report: dict | None = None) -> dict:
             for s in trace.steps
         ],
         "tail": None if trace.cycle_at is None else {"cycle_at": trace.cycle_at},
-        "metadata": {**trace.metadata, "stopped": trace.stopped},
+        "metadata": {"stopped": trace.stopped, "strategy": trace.strategy, "fuel_spent": len(trace.steps)},
     }
+    if isinstance(trace.rules, BohmBot):
+        doc["metadata"]["oracle_fuel"] = trace.rules.fuel
     if report is not None:
         doc["report"] = report
     return doc
@@ -711,8 +721,8 @@ def trace_decode(doc: dict) -> Trace:
     sig = parse_sig(doc["sig"])
     tail = doc.get("tail")
     cycle_at = None if tail is None else tail["cycle_at"]
-    metadata = dict(doc.get("metadata", {}))
-    stopped = metadata.pop("stopped", "fuel" if cycle_at is None else "cycle")
+    metadata = doc.get("metadata", {})
+    stopped = metadata.get("stopped", "fuel" if cycle_at is None else "cycle")
     if stopped not in STOP_REASONS or (stopped == "cycle") != (cycle_at is not None):
         raise ValueError(f"bad stop reason {stopped!r} for the tail {tail!r}")
     fuel = metadata.get("oracle_fuel", 10_000)  # bohm's oracle
@@ -724,4 +734,4 @@ def trace_decode(doc: dict) -> Trace:
         context = parse_tree(s["context"])
         steps.append(Step(before, tuple(s["pos"]), s["rule"], after, context, s["depth"]))
     start = steps[0].before if steps else parse_tree(doc["start"])
-    return Trace(sig, rules, start, steps, stopped, cycle_at, metadata)
+    return Trace(sig, rules, start, steps, stopped, cycle_at, metadata.get("strategy"))

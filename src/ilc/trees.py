@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
 
@@ -1009,11 +1009,7 @@ class Approximant:
     depth: int | None = None
     fuel_exhausted: bool = False
     non_canonical: bool = False
-    metadata: dict = field(default_factory=dict)
 
     @property
     def has_unknown(self) -> bool:
         return has_kind(self.tree, UNKNOWN)
-
-    def render(self, ascii_only: bool = False) -> str:
-        return render_tree(self.tree, ascii_only=ascii_only)

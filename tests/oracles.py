@@ -1379,8 +1379,7 @@ def run_strategy_whole_graph(rules, strategy: str, t: Node, fuel: int, max_len: 
     spent = 0
 
     def stop(stopped, cycle_at=None):
-        meta = {"strategy": strategy, "fuel_spent": spent}
-        return Trace(sig, rules, t, steps, stopped, cycle_at, meta)
+        return Trace(sig, rules, t, steps, stopped, cycle_at, strategy)
 
     while spent < fuel:
         if strategy == "leftmost-outermost":
@@ -1394,8 +1393,8 @@ def run_strategy_whole_graph(rules, strategy: str, t: Node, fuel: int, max_len: 
                 key=lambda pt: (adepth(sig, pt[0]), len(pt[0]), pt[0]),
             )
             picks = [rs[0]] if rs else []
-        if not picks:
-            return stop("normal_form")
+        if not picks:  # the search may have stopped at max_len
+            return stop("bound" if cur in redex_reachability(rules, cur) else "normal_form")
         for p, tag in picks:
             step = try_step(rules, cur, p, tag, sig)
             steps.append(step)

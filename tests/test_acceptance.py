@@ -18,6 +18,7 @@ from ilc.trees import (
     agree_where_defined,
     bisimilar,
     children,
+    has_kind,
     hole,
     map_graph,
     parse_tree,
@@ -392,6 +393,49 @@ def test_two_normalization_routes_agree():
             ap = bohm_tree(sig, t, depth=10)
             bp = m_route_tree(sig, t, depth=10)
             assert agree_where_defined(ap.tree, bp.tree) is not False, (s, R(t))
+
+
+def test_the_paper_route_reaches_the_bohm_like_tree_at_normal_forms():
+    # in 001, 101 and 111, beta plus the strictness rules, run
+    # parallel-outermost with no bottom rule, ends in the Bohm-like tree;
+    # lassos are only counted, since po closes some in the middle of a round
+    stops = {"normal_form": 0, "cycle": 0}
+    for s in ["001", "101", "111"]:
+        sig = parse_sig(s)
+        for seed in range(250):
+            t = random_loopy_tree(random.Random(seed), sig)
+            tr = run_strategy(BetaStrict(sig), "po", t, 300, sig=sig)
+            stops[tr.stopped] = stops.get(tr.stopped, 0) + 1
+            if tr.stopped != "normal_form":
+                continue
+            got = strict_nf(sig, tr.final)
+            want = bohm_tree(sig, t, 16, 300).tree
+            if has_kind(want, CUT, UNKNOWN):
+                assert agree_where_defined(got, want) is not False, (s, seed)
+            else:
+                assert bisimilar(got, want), (s, seed)
+    assert stops["normal_form"] >= 400 and stops["cycle"] > 0, stops
+
+
+def test_a_normal_form_stop_leaves_no_redex_past_the_position_bound():
+    # a search that the position bound cut is no normal form: whenever a run
+    # stops at one, an unbounded search of the finite final tree finds none
+    t = T(GROWER)
+    for sig in [(0, 0, 1), (1, 1, 1)]:
+        tr = run_strategy(Beta(), "lmo", t, 300, sig=sig)
+        assert tr.stopped == "bound" and analyze_m_convergence(tr).value == "unknown"
+        assert "position bound" in analyze_m_convergence(tr).diagnostic
+        assert p_limit(tr).fuel_exhausted
+    ap = m_route_tree((1, 1, 1), t, 16, 300)
+    assert ap.fuel_exhausted and has_kind(ap.tree, UNKNOWN)
+    rng = random.Random(5)
+    for _ in range(150):
+        sig = rng.choice(ALL_SIGS)
+        t = random_loopy_tree(rng, sig)
+        for rules in (Beta(), BetaStrict(sig)):
+            tr = run_strategy(rules, rng.choice(["lmo", "po", "d0"]), t, 100, sig=sig)
+            if tr.stopped == "normal_form":
+                assert not redexes(rules, tr.final, 10**6), (sig, R(t))
 
 
 # ---------------------------------------------------------------------------

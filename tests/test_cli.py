@@ -24,6 +24,7 @@ def run(*argv):
 
 
 OMEGA = r"(\x.x x) (\x.x x)"
+GROWER = r"(\x.x x y) (\x.x x y)"
 
 
 def test_tree_basic():
@@ -165,6 +166,30 @@ def test_a_run_that_takes_no_step_settles_nothing(args):
     assert (doc["report"]["m"], doc["report"]["p_limit"]) == ("unknown", "?")
 
 
+def test_a_run_cut_at_the_position_bound_is_no_normal_form():
+    # lmo finds no redex within the position bound, yet the head redex remains
+    for sig in ["001", "111"]:
+        code, out, _ = run("trace", "--ascii", "--sig", sig, "--fuel", "300", GROWER)
+        assert code == 2 and "stopped: bound\nm-convergence: unknown\n" in out
+        code, out, _ = run("trace", "--format", "json", "--sig", sig, "--fuel", "300", GROWER)
+        doc = json.loads(out)
+        assert code == 2 and doc["metadata"]["stopped"] == "bound" and not oracles.schema_errors(doc)
+    for rules in ["beta", "betas"]:
+        code, out, _ = run("join", "--ascii", "--rules", rules, "--sig", "001", "--fuel", "300", GROWER)
+        assert (code, out) == (2, "unknown\n")
+
+
+def test_dev_all_refuses_a_redex_past_the_position_bound():
+    def nested(n):
+        return "(\\x.x) (" * n + "y" + ")" * n
+
+    code, out, _ = run("dev", "--ascii", "--all", nested(64))
+    assert code == 0 and out.startswith("develop: y\n")
+    for n in [66, 100]:
+        code, out, err = run("dev", "--ascii", "--all", nested(n))
+        assert (code, out, err) == (3, "", "ilc: a beta redex lies past the position bound 64\n")
+
+
 def test_a_join_over_runs_that_take_no_step_is_unknown():
     code, out, _ = run("join", "--ascii", "--rules", "beta", "--fuel", "0", r"(\x.x) y")
     assert (code, out) == (2, "unknown\n")
@@ -184,7 +209,7 @@ def test_the_schema_check_rejects_planted_faults():
         "sig": lambda d: d.update(sig="121"),
         "rule": lambda d: d["steps"][0].update(rule="delta"),
         "depth": lambda d: d["steps"][0].update(depth=-1),
-        "stop reason": lambda d: d["metadata"].update(stopped="bound"),
+        "stop reason": lambda d: d["metadata"].update(stopped="halted"),
         "tail": lambda d: d.update(tail={"cycle_at": True}),
     }
     for what, plant in plants.items():

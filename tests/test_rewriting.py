@@ -8,6 +8,7 @@ from ilc.developments import descendants
 from ilc.rewriting import (
     Beta,
     BetaStrict,
+    BohmBot,
     Eta,
     NodeIndex,
     NotARedex,
@@ -16,6 +17,7 @@ from ilc.rewriting import (
     first_redex,
     outermost_redexes,
     redexes,
+    rule_system,
     run_strategy,
     trace_decode,
     trace_export,
@@ -147,10 +149,20 @@ def test_a_decoded_trace_without_a_stop_reason_did_not_close():
     loop = trace_export(run_strategy(Beta(), "lmo", T(r"(\x.x x) (\x.x x)"), 5))
     del loop["metadata"]["stopped"]
     assert trace_decode(loop).stopped == "cycle"
-    # a reason outside drive's four, or one that contradicts the tail
-    for stopped, tail in [("bound", None), ("cycle", None), ("normal_form", {"cycle_at": 0})]:
+    # a reason outside STOP_REASONS, or one that contradicts the tail
+    for stopped, tail in [("halted", None), ("cycle", None), ("normal_form", {"cycle_at": 0})]:
         with pytest.raises(ValueError, match="bad stop reason"):
             trace_decode({**doc, "metadata": {"stopped": stopped}, "tail": tail})
+
+
+def test_a_decoded_bohm_trace_runs_its_oracle_on_the_exported_fuel():
+    sig = (0, 0, 1)
+    tr = run_strategy(rule_system("bohm", sig, 3), "lmo", parse_tree(r"(\x.x x) (\x.x x) y"), 5, sig=sig)
+    doc = trace_export(tr)
+    assert doc["metadata"]["oracle_fuel"] == 3
+    back = trace_decode(doc)
+    assert isinstance(back.rules, BohmBot) and back.rules.fuel == 3
+    assert back.strategy == tr.strategy == "leftmost-outermost"
 
 
 def test_bad_strategy_and_bad_position():
