@@ -25,20 +25,24 @@ from typing import NamedTuple
 
 from . import convergence, developments, meaningless
 from .order import _glb
-from .rewriting import POSITION_BOUND, BetaStrict, redexes, rule_system, run_strategy, trace_export
+from .rewriting import (
+    _EXPLORATION_LIMIT,
+    POSITION_BOUND,
+    Beta,
+    _search,
+    rule_system,
+    run_strategy,
+    trace_export,
+)
 from .terms import ParseError, parse_sig, sig_str
 from .trees import (
-    APP,
     CUT,
-    LAM,
     UNKNOWN,
     _distance,
     bisimilar,
     has_kind,
-    is_finite,
     is_guarded,
     parse_tree,
-    reachable,
     render_tree,
     render_trees,
 )
@@ -315,12 +319,10 @@ def main(argv: list[str] | None = None, out=None, err=None) -> int:
         if args.command == "dev":
             t = load(args.term)
             if args.all:
-                positions = [p for p, tag in redexes(BetaStrict(sig), t) if tag == "beta"]
-                # a parsed finite term shares no node: one position per redex node
-                if is_finite(t) and len(positions) < sum(
-                    n.kind == APP and n.a.kind == LAM for n in reachable(t)
-                ):
+                found, cut = _search(Beta(), t, POSITION_BOUND, "all", limit=_EXPLORATION_LIMIT)
+                if cut:  # the set would miss a redex, on a finite term or a cyclic one
                     raise ValueError(f"a beta redex lies past the position bound {POSITION_BOUND}")
+                positions = [p for p, _ in found]
             else:
                 positions = _parse_positions(args.redexes)
             rs = developments.RedexSet(t, positions)

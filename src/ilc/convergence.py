@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .order import glb
+from .order import _glb, glb
 from .rewriting import POSITION_BOUND, Step, Trace, replace_at
 from .terms import Position, Sig, acut, sig_str
 from .trees import (
@@ -21,6 +21,7 @@ from .trees import (
     child_at,
     hole,
     in_dom,
+    is_guarded,
     node_at,
     render_tree,
     unknown,
@@ -100,18 +101,41 @@ def p_limit(trace: Trace, depth: int = 16) -> Approximant:
     the glb of the cycle's contexts; traces cut by the fuel or the position
     bound yield the glb of a recent window of contexts with Unknown marking
     the still-active regions, and settle nothing without a step.
+
+    The glb requires guarded contexts without Cut or Unknown leaves.  A
+    trace that ``run_strategy`` made (one that carries its ``classes``)
+    steps from its start by contractions, each of which replaces one
+    subtree by M[N/x] or by a hole, and a context replaces one by a hole.
+    Every infinite branch of the result then ends in an infinite branch of
+    M, of N or of the tree before, so it crosses infinitely many non-strict
+    edges if theirs do: if the start passes the check, every context does
+    (``rewriting.NodeIndex``).  So only its start is checked.  Any other
+    trace, or one whose start fails, has every context checked, since the
+    contexts can be guarded where the start is not.
     """
     if trace.is_closed:
         return Approximant(trace.final)
     if trace.cycle_at is not None:
         ctxs = [s.context for s in trace.cycle_steps]
-        return Approximant(glb(trace.sig, ctxs))
+        return Approximant(_contexts_glb(trace, ctxs))
     window = min(len(trace.steps), max(2, 2 * depth))
     recent = trace.steps[-window:]
-    g = glb(trace.sig, [s.context for s in recent]) if recent else unknown()
+    g = _contexts_glb(trace, [s.context for s in recent]) if recent else unknown()
     for s in recent:
         g = _poison(g, acut(trace.sig, s.position))
     return Approximant(g, fuel_exhausted=True)
+
+
+def _contexts_glb(trace: Trace, ctxs: list[Node]) -> Node:
+    """``glb`` of contexts of the trace, checked as ``p_limit`` says."""
+    if trace.classes is not None and ctxs:
+        try:
+            guarded = is_guarded(trace.sig, trace.start)
+        except ValueError:  # a Cut or Unknown leaf: the full check names it
+            guarded = False
+        if guarded:
+            return _glb(trace.sig, ctxs)[0]
+    return glb(trace.sig, ctxs)
 
 
 def analyze_m_convergence(trace: Trace) -> MVerdict:

@@ -23,8 +23,8 @@ from .rewriting import (
     NodeIndex,
     Step,
     Trace,
-    _node_redex_tag,
     drive,
+    redex_test,
     run_strategy,
     try_step,
 )
@@ -80,10 +80,10 @@ def _check_development_sig(sig: Sig) -> None:
 
 
 def _validate_redexes(sig: Sig, rs: RedexSet) -> dict[Position, str]:
-    rules = BetaStrict(sig)
+    test = redex_test(BetaStrict(sig))
     tags = {}
     for p in rs.positions:
-        tag = _node_redex_tag(rules, node_at(rs.tree, p)) if in_dom(rs.tree, p) else None
+        tag = test(node_at(rs.tree, p)) if in_dom(rs.tree, p) else None
         if tag is None:
             raise ValueError(f"no redex at position {list(p)}")
         tags[p] = tag
@@ -226,7 +226,7 @@ def _develop_raw(
         if not us:
             return []
         p = min(us, key=lambda q: (len(q), q))
-        tag = _node_redex_tag(rules, node_at(cur, p))
+        tag = index.test(node_at(cur, p))
         if tag is None:
             raise RuntimeError(f"residual at {list(p)} stopped being a redex")
         st = try_step(rules, cur, p, tag, sig=sig)

@@ -216,40 +216,46 @@ def _scan_indices(root: Node, index: int, hit: Callable[[int, int], bool]) -> bo
 # Redexes
 
 
-def _node_redex_tag(rules: RuleSystem, n: Node) -> str | None:
-    """The rule tag if the node itself is a redex (bottom rules excluded)."""
-    match rules:
-        case Beta():
-            if n.kind == APP and n.a.kind == LAM:
-                return "beta"
-        case Eta():
-            if (
-                n.kind == LAM
-                and n.a.kind == APP
-                and n.a.b.kind == BVAR
-                and n.a.b.a == 0
-                and not occurs_index(n.a.a, 0)
-            ):
-                return "eta"
-        case Strict(sig):
-            return _strict_tag(sig, n)
-        case BetaStrict(sig):
-            if n.kind == APP and n.a.kind == LAM:
-                return "beta"
-            return _strict_tag(sig, n)
-        case BohmBot(sig, _):
-            if n.kind == APP and n.a.kind == LAM:
-                return "beta"
+def _beta_tag(n: Node) -> str | None:
+    return "beta" if n.kind == APP and n.a.kind == LAM else None
+
+
+def _eta_tag(n: Node) -> str | None:
+    if n.kind == LAM and n.a.kind == APP and n.a.b.kind == BVAR and n.a.b.a == 0 and not occurs_index(n.a.a, 0):
+        return "eta"
     return None
 
 
-def _strict_tag(sig: Sig, n: Node) -> str | None:
+def _strict_test(sig: Sig) -> Callable[[Node], str | None]:
     a0, a1, a2 = sig
-    if n.kind == APP and ((a1 == 0 and n.a.kind == HOLE) or (a2 == 0 and n.b.kind == HOLE)):
-        return "s"
-    if n.kind == LAM and a0 == 0 and n.a.kind == HOLE:
-        return "s"
-    return None
+
+    def strict_tag(n: Node) -> str | None:
+        k = n.kind
+        if k == APP:
+            if (a1 == 0 and n.a.kind == HOLE) or (a2 == 0 and n.b.kind == HOLE):
+                return "s"
+        elif k == LAM and a0 == 0 and n.a.kind == HOLE:
+            return "s"
+        return None
+
+    return strict_tag
+
+
+def redex_test(rules: RuleSystem) -> Callable[[Node], str | None]:
+    """The test of whether a node is itself a redex of ``rules``: it returns
+    the rule tag, or None (bottom rules excluded).  Built once per rule
+    system, so a walk pays no dispatch on the rules per node."""
+    match rules:
+        case Beta() | BohmBot():
+            return _beta_tag
+        case Eta():
+            return _eta_tag
+        case Strict(sig):
+            return _strict_test(sig)
+        case BetaStrict(sig):
+            strict_tag = _strict_test(sig)
+            return lambda n: "beta" if n.kind == APP and n.a.kind == LAM else strict_tag(n)
+    raise ValueError(f"no redex test for {rules!r}")
 
 
 class NodeIndex:
@@ -260,7 +266,8 @@ class NodeIndex:
 
     - its class in ``classes``, a ``trees.ClassTable``: equal classes mean
       bisimilar nodes, and a negative class a node that reaches a cycle;
-    - ``live``: whether it reaches a redex node of the rule system;
+    - ``live``: whether it reaches a redex node of the rule system, by
+      ``test``, the system's ``redex_test``;
     - ``stuck``: whether it reaches a Cut or Unknown leaf.
 
     A finite node takes the last two from its own kind and its children,
@@ -268,12 +275,19 @@ class NodeIndex:
     ``trees.reaching`` spreads them over just those nodes, seeded by each
     node's own kind and its children seen before.  The facts rely on nodes
     never changing once indexed (see the module docstring).
+
+    A run adds only the states and contexts of its steps, and each of them
+    replaces one subtree of the state before it: by M[N/x], every infinite
+    branch of which ends in one of M or of N, or by a hole.  So if the
+    run's start is guarded, all of them are (``convergence.p_limit`` relies
+    on it), and none reaches a Cut or Unknown leaf unless the start does.
     """
 
-    __slots__ = ("rules", "classes", "live", "stuck", "_canons")
+    __slots__ = ("rules", "test", "classes", "live", "stuck", "_canons")
 
     def __init__(self, rules: RuleSystem):
         self.rules = rules
+        self.test = redex_test(rules)
         self.classes = ClassTable()
         self.live: set[Node] = set()
         self.stuck: set[Node] = set()
@@ -281,13 +295,13 @@ class NodeIndex:
 
     def add(self, root: Node) -> None:
         finite, cyclic = self.classes.add(root)
-        live, stuck, rules = self.live, self.stuck, self.rules
+        live, stuck, test = self.live, self.stuck, self.test
         for n in finite:
             k = n.kind
             if k == APP or k == LAM:
                 a = n.a
                 b = n.b if k == APP else a
-                if a in live or b in live or _node_redex_tag(rules, n):
+                if a in live or b in live or test(n):
                     live.add(n)
                 if stuck and (a in stuck or b in stuck):
                     stuck.add(n)
@@ -298,8 +312,7 @@ class NodeIndex:
             # for a node whose facts are final
             live |= reaching(
                 cyclic,
-                lambda n: _node_redex_tag(rules, n) is not None
-                or any(c in live for _, c in children(n)),
+                lambda n: test(n) is not None or any(c in live for _, c in children(n)),
             )
             if stuck:  # else no node seen reaches a Cut or Unknown leaf
                 stuck |= reaching(cyclic, lambda n: any(c in stuck for _, c in children(n)))
@@ -319,6 +332,7 @@ class NodeIndex:
 
 
 _EXPLORATION_LIMIT = 100_000
+_NO_LIMIT = float("inf")
 # the longest position that a redex search, a descendant or a volatile
 # position may have
 POSITION_BOUND = 64
@@ -332,7 +346,7 @@ def _search(
     sig: Sig | None = None,
     limit: int | None = None,
     index: NodeIndex | None = None,
-) -> list[tuple[Position, str]]:
+) -> tuple[list[tuple[Position, str]], bool]:
     """The redex search behind ``redexes``, ``first_redex``,
     ``outermost_redexes`` and ``depth0_redex``.
 
@@ -343,7 +357,16 @@ def _search(
     ``"all"`` (every redex), ``"first"`` (stop at the first) or
     ``"outermost"`` (do not descend below a redex).  For bottom rules the
     oracle is consulted per position and nothing is pruned.  Searches that
-    enumerate (all redexes, or best-first) reject Cut/Unknown leaves.
+    enumerate (all redexes, or best-first) reject Cut/Unknown leaves.  More
+    than ``limit`` nodes visited raise ``RuntimeError``.
+
+    Returns the redexes found and whether the bound cut the walk: it
+    stopped at ``max_len`` on a node with a child that reaches a redex node
+    and that it would have entered, so a redex lies past the bound.  A
+    search for all redexes of a graph with a redex reachable from a cycle
+    is always cut.  The walk needs no guardedness: ``max_len`` ends every
+    path, also one around a cycle of strict edges, and the states of a run
+    from a guarded start are guarded anyway (see ``NodeIndex``).
 
     ``index`` is a run's index for these rules that already holds ``t``;
     without one, a fresh index records the whole graph once.
@@ -353,9 +376,14 @@ def _search(
         index.add(t)
     if (mode == "all" or sig is not None) and t in index.stuck:
         raise ValueError("redex search rejects Cut/Unknown leaves")
+    if limit is None:
+        limit = _NO_LIMIT
     bohm = isinstance(rules, BohmBot)
-    live = index.live
+    if sig is None and not bohm:
+        return _preorder(index, t, max_len, mode, limit)
+    test, live = index.test, index.live
     out: list[tuple[Position, str]] = []
+    cut = False
     # a stack of (position, node), or a heap of (depth, length, position,
     # node); positions are distinct, so the heap never compares nodes
     frontier: list = [((), t)] if sig is None else [(0, 0, (), t)]
@@ -366,18 +394,18 @@ def _search(
         else:
             d, _, p, n = heapq.heappop(frontier)
         explored += 1
-        if limit is not None and explored > limit:
+        if explored > limit:
             raise RuntimeError("redex search exceeded its exploration limit")
         if not bohm and n not in live:
             continue
-        tag = _node_redex_tag(rules, n)
+        tag = test(n)
         found = [tag] if tag else []
         if bohm and n.kind != HOLE and (mode == "all" or not found) and rules.oracle(n):
             found.append("bot")
         if found:
             out += [(p, tag) for tag in found]
             if mode == "first":
-                return out
+                return out, False
             if mode == "outermost":
                 continue
         if len(p) < max_len:
@@ -388,7 +416,72 @@ def _search(
                         frontier.append((q, c))
                     else:
                         heapq.heappush(frontier, (d + sig[i], len(q), q, c))
-    return out
+        elif not cut:
+            cut = any(c in live for _, c in children(n))
+    return out, cut
+
+
+def _preorder(
+    index: NodeIndex, t: Node, max_len: int, mode: str, limit: int
+) -> tuple[list[tuple[Position, str]], bool]:
+    """``_search`` in preorder, for rules without a bottom rule.
+
+    The walk goes down the first live child in place and back up to the
+    next live sibling, keeping the path as one list of child indices and
+    the nodes it leaves; a position is made only for a redex found.  It
+    visits the same nodes in the same order as the stack of positions that
+    it replaced (``search_by_positions`` in the tests), so it finds the same
+    redexes and exceeds ``limit`` at the same node.
+    """
+    test, live = index.test, index.live
+    out: list[tuple[Position, str]] = []
+    if t not in live:
+        if limit < 1:
+            raise RuntimeError("redex search exceeded its exploration limit")
+        return out, False
+    cut = False
+    path: list[int] = []  # the child indices from the root to n
+    up: list[Node] = []  # the node each of them leaves
+    n = t
+    explored = 0
+    while True:
+        explored += 1
+        if explored > limit:
+            raise RuntimeError("redex search exceeded its exploration limit")
+        tag = test(n)
+        down = True
+        if tag:
+            out.append((tuple(path), tag))
+            if mode == "first":
+                return out, False
+            down = mode == "all"
+        if down:
+            k = n.kind
+            c = None
+            if k == APP:
+                if n.a in live:
+                    c, i = n.a, 1
+                elif n.b in live:
+                    c, i = n.b, 2
+            elif k == LAM and n.a in live:
+                c, i = n.a, 0
+            if c is not None:
+                if len(path) < max_len:
+                    path.append(i)
+                    up.append(n)
+                    n = c
+                    continue
+                cut = True
+        # back up to the nearest live right sibling of the path
+        while path:
+            parent = up.pop()
+            if path.pop() == 1 and parent.b in live:
+                path.append(2)
+                up.append(parent)
+                n = parent.b
+                break
+        else:
+            return out, cut
 
 
 def redexes(rules: RuleSystem, t: Node, max_len: int = POSITION_BOUND) -> set[tuple[Position, str]]:
@@ -397,14 +490,14 @@ def redexes(rules: RuleSystem, t: Node, max_len: int = POSITION_BOUND) -> set[tu
     For bottom rules the oracle is consulted per position; for the others the
     search is pruned to subtrees that contain a redex node at all.
     """
-    return set(_search(rules, t, max_len, "all", limit=_EXPLORATION_LIMIT))
+    return set(_search(rules, t, max_len, "all", limit=_EXPLORATION_LIMIT)[0])
 
 
 def first_redex(
     rules: RuleSystem, t: Node, max_len: int = POSITION_BOUND, *, index: NodeIndex | None = None
 ) -> tuple[Position, str] | None:
     """Leftmost-outermost redex: first hit in preorder (1 before 2)."""
-    found = _search(rules, t, max_len, "first", index=index)
+    found, _ = _search(rules, t, max_len, "first", index=index)
     return found[0] if found else None
 
 
@@ -412,7 +505,7 @@ def outermost_redexes(
     rules: RuleSystem, t: Node, max_len: int = POSITION_BOUND, *, index: NodeIndex | None = None
 ) -> list[tuple[Position, str]]:
     """Redexes none of which lies below another, in preorder."""
-    return _search(rules, t, max_len, "outermost", limit=_EXPLORATION_LIMIT, index=index)
+    return _search(rules, t, max_len, "outermost", limit=_EXPLORATION_LIMIT, index=index)[0]
 
 
 def depth0_redex(
@@ -422,7 +515,7 @@ def depth0_redex(
     the least of ``redexes`` by (``adepth``, length, position), found by a
     best-first walk that stops at the first hit, so it explores no more
     than ``redexes`` would."""
-    found = _search(rules, t, max_len, "first", sig, _EXPLORATION_LIMIT, index)
+    found, _ = _search(rules, t, max_len, "first", sig, _EXPLORATION_LIMIT, index)
     return found[0] if found else None
 
 
@@ -444,22 +537,30 @@ class NotARedex(ValueError):
     pass
 
 
-def replace_at(t: Node, p: Position, replacement: Node) -> Node:
-    """Copy the spine down to ``p`` and splice in the replacement."""
-    if not p:
-        return replacement
-    n = t
-    spine = []
+def _spine(t: Node, p: Position) -> list[Node]:
+    """The nodes along ``p``, from ``t`` to the node at ``p``."""
+    spine = [t]
     for i in p:
-        spine.append((n, i))
-        c = child_at(n, i)
+        c = child_at(spine[-1], i)
         if c is None:
-            raise KeyError(f"position {list(p)} leaves the tree")
-        n = c
+            raise KeyError(f"position {list(p)} leaves the tree at edge {i}")
+        spine.append(c)
+    return spine
+
+
+def _splice(spine: list[Node], p: Position, k: int, replacement: Node) -> Node:
+    """Copy the first ``k`` nodes of a spine along ``p`` with the
+    replacement in place of the node at ``p[:k]``."""
     out = replacement
-    for n, i in reversed(spine):
+    for j in range(k - 1, -1, -1):
+        n, i = spine[j], p[j]
         out = Node(LAM, out) if i == 0 else Node(APP, out, n.b) if i == 1 else Node(APP, n.a, out)
     return out
+
+
+def replace_at(t: Node, p: Position, replacement: Node) -> Node:
+    """Copy the spine down to ``p`` and splice in the replacement."""
+    return _splice(_spine(t, p), p, len(p), replacement)
 
 
 def contractum(rules: RuleSystem, n: Node, tag: str) -> Node:
@@ -487,18 +588,20 @@ def try_step(rules: RuleSystem, t: Node, p: Position, tag: str | None = None, si
     """Contract the redex at ``p``.
 
     The recorded reduction context is the tree with the subtree at the
-    longest non-strict prefix of ``p`` removed.
+    longest non-strict prefix of ``p`` removed.  One walk down ``p``
+    collects the spine that the reduct and the context both copy.
     """
     sig = sig if sig is not None else step_sig(rules)
-    n = node_at(t, p)
+    spine = _spine(t, p)
+    n = spine[-1]
     if tag is None:
-        tag = _node_redex_tag(rules, n)
+        tag = redex_test(rules)(n)
         if tag is None and isinstance(rules, BohmBot) and n.kind != HOLE and rules.oracle(n):
             tag = "bot"
         if tag is None:
             raise NotARedex(f"no redex at {list(p)}: node kind {n.kind}")
-    after = replace_at(t, p, contractum(rules, n, tag))
-    context = replace_at(t, acut(sig, p), hole())
+    after = _splice(spine, p, len(p), contractum(rules, n, tag))
+    context = _splice(spine, p, len(acut(sig, p)), hole())
     return Step(t, p, tag, after, context, adepth(sig, p))
 
 
@@ -517,7 +620,10 @@ class Trace:
     # equals the state before step cycle_at
     strategy: str | None = None  # the strategy that ``run_strategy`` ran
     # the finite classes of the run's states (``NodeIndex.classes``), which
-    # printing them reuses; None for a trace not made by ``run_strategy``
+    # printing them reuses; None for a trace not made by ``run_strategy``.
+    # Set, it also vouches that the steps contract redexes from ``start``,
+    # so the contexts are guarded if the start is and ``p_limit`` checks
+    # only the start (see ``NodeIndex``)
     classes: ClassTable | None = field(default=None, compare=False, repr=False)
 
     @property

@@ -18,8 +18,11 @@ references for the linear, iterative versions that replaced them (the
 copying walkers, ``glb``, ``_mark_unstable`` and ``path_labels`` now build
 their results with ``trees.build``), and the union-of-domains construction
 that ``lub_chain`` once ran on every call as a self-check.  At the end are
-the whole-graph redex searches and the ``canon``-keyed ``run_strategy`` loop
-that ``rewriting.NodeIndex`` replaced, the per-node walks of
+the redex test that dispatched on the rule system at every node, the redex
+search that built a position for every node it visited, the ``p_limit``
+that checked every context for guardedness, the whole-graph redex searches
+and the ``canon``-keyed ``run_strategy`` loop that ``rewriting.NodeIndex``
+replaced, the per-node walks of
 ``developments`` that one strongly-connected-components pass replaced, and
 the four hand-written position enumerations that ``trees.positions``
 replaced, with the paper's positional binder labels (``label_at``) and the
@@ -41,6 +44,7 @@ ends with a stdlib check of documents against the trace export schema.
 from __future__ import annotations
 
 import argparse
+import heapq
 import itertools
 import json
 import math
@@ -50,7 +54,7 @@ from collections import deque
 from fractions import Fraction
 from importlib import resources
 
-from ilc.convergence import p_limit
+from ilc.convergence import _poison, p_limit
 from ilc.developments import _desc_step
 from ilc.meaningless import (
     _UNKNOWN,
@@ -61,19 +65,21 @@ from ilc.meaningless import (
     reduces_to_lam,
     strict_nf,
 )
-from ilc.order import OrderVerdict, _check_inputs
+from ilc.order import OrderVerdict, _check_inputs, glb
 from ilc.rewriting import (
     Beta,
     BetaStrict,
     BohmBot,
+    Eta,
     NodeIndex,
     Step,
+    Strict,
     Trace,
-    _node_redex_tag,
+    occurs_index,
     step_sig,
     try_step,
 )
-from ilc.terms import BOT, CANONICAL_SIGS, Abs, App, Bot, ParseError, Position, Sig, Term, Var, adepth, parse_term, tokenize
+from ilc.terms import BOT, CANONICAL_SIGS, Abs, App, Bot, ParseError, Position, Sig, Term, Var, acut, adepth, parse_term, tokenize
 from ilc.trees import (
     APP,
     BVAR,
@@ -547,13 +553,13 @@ def reaching_by_rounds(root: Node, seed, edge=lambda i: True) -> set[int]:
 
 def redex_reachability_by_rounds(rules, t: Node) -> set[int]:
     """ids of the nodes from which some redex node is reachable."""
-    return reaching_by_rounds(t, lambda n: _node_redex_tag(rules, n) is not None)
+    return reaching_by_rounds(t, lambda n: redex_tag_by_match(rules, n) is not None)
 
 
 def redex_reachability(rules, t: Node) -> set[Node]:
     """The nodes from which some redex node is reachable, by one whole-graph
     ``reaching`` pass (the per-search set before ``rewriting.NodeIndex``)."""
-    return reaching(reachable(t), lambda n: _node_redex_tag(rules, n) is not None)
+    return reaching(reachable(t), lambda n: redex_tag_by_match(rules, n) is not None)
 
 
 def collapsible_by_rounds(sig: Sig, t: Node) -> set[int]:
@@ -1298,6 +1304,107 @@ def term_of_tree_recursive(t: Node) -> Term:
 # Whole-graph redex search and lasso keys (the earlier ``rewriting`` loop)
 
 
+def redex_tag_by_match(rules, n: Node) -> str | None:
+    """The rule tag if the node itself is a redex (bottom rules excluded),
+    dispatched on the rule system at every call: ``rewriting.redex_test``
+    before it was built once per rule system."""
+    match rules:
+        case Beta():
+            if n.kind == APP and n.a.kind == LAM:
+                return "beta"
+        case Eta():
+            if (
+                n.kind == LAM
+                and n.a.kind == APP
+                and n.a.b.kind == BVAR
+                and n.a.b.a == 0
+                and not occurs_index(n.a.a, 0)
+            ):
+                return "eta"
+        case Strict(sig):
+            return _strict_tag_by_match(sig, n)
+        case BetaStrict(sig):
+            if n.kind == APP and n.a.kind == LAM:
+                return "beta"
+            return _strict_tag_by_match(sig, n)
+        case BohmBot(sig, _):
+            if n.kind == APP and n.a.kind == LAM:
+                return "beta"
+    return None
+
+
+def _strict_tag_by_match(sig: Sig, n: Node) -> str | None:
+    a0, a1, a2 = sig
+    if n.kind == APP and ((a1 == 0 and n.a.kind == HOLE) or (a2 == 0 and n.b.kind == HOLE)):
+        return "s"
+    if n.kind == LAM and a0 == 0 and n.a.kind == HOLE:
+        return "s"
+    return None
+
+
+def search_by_positions(rules, t: Node, max_len: int, mode: str, sig=None, limit=None, index=None):
+    """``rewriting._search`` as one loop over a stack (or a heap) of
+    (position, node) pairs, building a position for every node it pushes
+    and dispatching on the rule system at every node.  Returns the redexes
+    found and the number of nodes visited, the count that ``limit`` bounds.
+    """
+    if index is None:
+        index = NodeIndex(rules)
+        index.add(t)
+    if (mode == "all" or sig is not None) and t in index.stuck:
+        raise ValueError("redex search rejects Cut/Unknown leaves")
+    bohm = isinstance(rules, BohmBot)
+    live = index.live
+    out: list = []
+    frontier: list = [((), t)] if sig is None else [(0, 0, (), t)]
+    explored = 0
+    while frontier:
+        if sig is None:
+            p, n = frontier.pop()
+        else:
+            d, _, p, n = heapq.heappop(frontier)
+        explored += 1
+        if limit is not None and explored > limit:
+            raise RuntimeError("redex search exceeded its exploration limit")
+        if not bohm and n not in live:
+            continue
+        tag = redex_tag_by_match(rules, n)
+        found = [tag] if tag else []
+        if bohm and n.kind != HOLE and (mode == "all" or not found) and rules.oracle(n):
+            found.append("bot")
+        if found:
+            out += [(p, tag) for tag in found]
+            if mode == "first":
+                return out, explored
+            if mode == "outermost":
+                continue
+        if len(p) < max_len:
+            for i, c in reversed(children(n)):
+                if bohm or c in live:
+                    q = p + (i,)
+                    if sig is None:
+                        frontier.append((q, c))
+                    else:
+                        heapq.heappush(frontier, (d + sig[i], len(q), q, c))
+    return out, explored
+
+
+def p_limit_checked(trace: Trace, depth: int = 16) -> Approximant:
+    """``convergence.p_limit`` with every context of the glb checked for
+    guardedness and Cut/Unknown leaves, whoever made the trace."""
+    if trace.is_closed:
+        return Approximant(trace.final)
+    if trace.cycle_at is not None:
+        return Approximant(glb(trace.sig, [s.context for s in trace.cycle_steps]))
+    window = min(len(trace.steps), max(2, 2 * depth))
+    recent = trace.steps[-window:]
+    g = glb(trace.sig, [s.context for s in recent]) if recent else unknown()
+    for s in recent:
+        g = _poison(g, acut(trace.sig, s.position))
+    return Approximant(g, fuel_exhausted=True)
+
+
+
 def redexes_whole_graph(rules, t: Node, max_len: int = 64, limit: int = 100_000) -> set:
     """``rewriting.redexes`` with its pruning set rebuilt per call."""
     if has_kind(t, CUT, UNKNOWN):
@@ -1313,7 +1420,7 @@ def redexes_whole_graph(rules, t: Node, max_len: int = 64, limit: int = 100_000)
         if explored > limit:
             raise RuntimeError("redex search exceeded its exploration limit")
         if bohm:
-            tag = _node_redex_tag(rules, n)
+            tag = redex_tag_by_match(rules, n)
             if tag:
                 out.add((p, tag))
             if n.kind != HOLE and rules.oracle(n):
@@ -1321,7 +1428,7 @@ def redexes_whole_graph(rules, t: Node, max_len: int = 64, limit: int = 100_000)
         else:
             if n not in good:
                 continue
-            tag = _node_redex_tag(rules, n)
+            tag = redex_tag_by_match(rules, n)
             if tag:
                 out.add((p, tag))
         if len(p) < max_len:
@@ -1340,7 +1447,7 @@ def _preorder_whole_graph(rules, t: Node, max_len: int, first: bool) -> list:
         n, p = stack.pop()
         if not bohm and n not in good:
             continue
-        tag = _node_redex_tag(rules, n)
+        tag = redex_tag_by_match(rules, n)
         if bohm and tag is None and n.kind != HOLE and rules.oracle(n):
             tag = "bot"
         if tag:
@@ -1934,7 +2041,7 @@ def develop_raw_by_canon(sig: Sig, tree: Node, positions: set[Position], fuel: i
             return tr, p_limit(tr).tree
         seen[key] = len(steps)
         p = min(us, key=lambda q: (len(q), q))
-        tag = _node_redex_tag(rules, node_at(cur, p))
+        tag = redex_tag_by_match(rules, node_at(cur, p))
         if tag is None:
             raise RuntimeError(f"residual at {list(p)} stopped being a redex")
         st = try_step(rules, cur, p, tag, sig=sig)

@@ -190,6 +190,16 @@ def test_dev_all_refuses_a_redex_past_the_position_bound():
         assert (code, out, err) == (3, "", "ilc: a beta redex lies past the position bound 64\n")
 
 
+def test_dev_all_refuses_a_cyclic_term_with_a_redex_past_the_position_bound():
+    # a redex on every turn of the cycle: the development within the bound
+    # would keep (\x.x) y below depth 64
+    code, out, err = run("dev", "--ascii", "--all", r"rec M. f ((\x.x) y) M")
+    assert (code, out, err) == (3, "", "ilc: a beta redex lies past the position bound 64\n")
+    # a cycle that holds no redex cuts nothing
+    code, out, _ = run("dev", "--ascii", "--all", r"f ((\x.x) y) (rec M. g M)")
+    assert code == 0 and out.startswith("develop: f y (rec M0. g M0)\n")
+
+
 def test_a_join_over_runs_that_take_no_step_is_unknown():
     code, out, _ = run("join", "--ascii", "--rules", "beta", "--fuel", "0", r"(\x.x) y")
     assert (code, out) == (2, "unknown\n")

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from ilc.convergence import (
@@ -8,9 +10,10 @@ from ilc.convergence import (
     report_json,
     volatile_positions,
 )
-from ilc.rewriting import Beta, BetaStrict, run_strategy, try_step
-from ilc.terms import parse_term
-from ilc.trees import bisimilar, render_tree, tree_of_term
+from ilc.rewriting import Beta, BetaStrict, Eta, Strict, rule_system, run_strategy, try_step
+from ilc.terms import ALL_SIGS, parse_term, render_term
+from ilc.trees import bisimilar, is_finite, is_guarded, parse_tree, render_tree, tree_of_term
+from oracles import p_limit_checked, random_loopy_tree, random_redexy_term
 
 
 def T(src):
@@ -106,3 +109,42 @@ def test_report_json_shape():
     assert doc["sig"] == "111"
     assert doc["stopped"] == "cycle"
     assert doc["volatile"] == [[]]
+
+
+def test_a_run_from_a_guarded_start_stays_guarded():
+    """Every state and context of a run from a guarded start is guarded, so
+    ``p_limit`` checks only the start of a run's trace; from an unguarded
+    start it checks every context, which may all be guarded."""
+
+    def outcome(p_lim, tr):
+        try:
+            a = p_lim(tr)
+        except ValueError as e:
+            return ValueError, str(e)
+        return render_tree(a.tree, ascii_only=True), a.fuel_exhausted
+
+    rng = random.Random(41)
+    starts = [random_loopy_tree(rng, sig) for sig in ALL_SIGS for _ in range(3)]
+    starts += [parse_tree("rec x. " + render_term(random_redexy_term(rng, rng.randrange(3, 12)))) for _ in range(24)]
+    runs = unguarded_contexts = guarded_contexts = 0
+    for t in starts:
+        max_len = 64 if is_finite(t) else 10  # as in the run battery
+        for sig in ALL_SIGS:
+            guarded = is_guarded(sig, t)
+            for rules in (Beta(), Eta(), Strict(sig), BetaStrict(sig), rule_system("bohm", sig, 100)):
+                for strategy in ("lmo", "po", "d0"):
+                    try:
+                        tr = run_strategy(rules, strategy, t, 20, max_len, sig)
+                    except ValueError:  # the bohm oracle rejects an unguarded tree
+                        assert not guarded
+                        continue
+                    runs += 1
+                    if guarded:
+                        for s in tr.steps:
+                            assert is_guarded(sig, s.after) and is_guarded(sig, s.context)
+                    want = outcome(p_limit_checked, tr)
+                    assert outcome(p_limit, tr) == want
+                    if not guarded and tr.steps and not tr.is_closed:
+                        unguarded_contexts += want[0] is ValueError
+                        guarded_contexts += want[0] is not ValueError
+    assert runs > 5000 and unguarded_contexts > 20 and guarded_contexts > 50

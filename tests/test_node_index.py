@@ -1,5 +1,7 @@
 """The run-scoped ``NodeIndex`` records the same facts as the whole-graph
-walks it replaced, and ``run_strategy``, which keys its lasso check and
+walks it replaced, its redex test answers as the ``match`` on the rule
+system did, the redex search that it prunes finds what the search by
+positions found, and ``run_strategy``, which keys its lasso check and
 prunes its redex search through it, takes the same steps as the earlier loop
 that searched and keyed the whole graph on every step."""
 
@@ -11,15 +13,20 @@ from ilc import rewriting
 from ilc.rewriting import (
     Beta,
     BetaStrict,
+    BohmBot,
     Eta,
     NodeIndex,
     Strict,
+    _search,
     depth0_redex,
+    redex_test,
     redexes,
     run_strategy,
+    step_sig,
 )
 from ilc.terms import ALL_SIGS, adepth, parse_term, render_term
 from ilc.trees import (
+    BVAR,
     CUT,
     HOLE,
     UNKNOWN,
@@ -35,7 +42,9 @@ from oracles import (
     random_graph,
     random_redexy_term,
     redex_reachability_by_rounds,
+    redex_tag_by_match,
     run_strategy_whole_graph,
+    search_by_positions,
     unroll,
 )
 
@@ -84,6 +93,66 @@ def test_index_facts_equal_the_whole_graph_walks():
         for _ in range(2000):
             s, t = rng.choice(nodes), rng.choice(nodes)
             assert (index.key(s) == index.key(t)) == bisimilar(s, t)
+
+
+# a bottom rule whose oracle answers at once, so the searches that consult
+# it per position stay cheap
+BOHM = [BohmBot(sig, lambda n: n.kind == BVAR, 0) for sig in ((1, 1, 1), (0, 0, 1))]
+
+
+def test_the_redex_test_equals_the_match_on_every_node():
+    nodes = [n for g in graphs(27, 30, leaves=True) for n in reachable(g)]
+    for rules in RULES + BOHM:
+        test = redex_test(rules)
+        for n in nodes:
+            assert test(n) == redex_tag_by_match(rules, n)
+
+
+def search_outcome(search, *args):
+    try:
+        return search(*args)
+    except (ValueError, RuntimeError) as e:
+        return type(e), str(e)
+
+
+def test_the_search_equals_the_search_by_positions():
+    """The same redexes, the same node at which the limit fires, and a cut
+    exactly where one more edge of bound would visit more nodes."""
+    limit = 300
+    compared = cuts = raised = 0
+    for t in [*graphs(28, 10, leaves=True), *loopy(29, 20)]:
+        for rules in RULES + BOHM:
+            index = NodeIndex(rules)
+            index.add(t)
+            variants = [(mode, None) for mode in ("first", "outermost", "all")] + [("first", step_sig(rules))]
+            for mode, sig in variants:
+                for max_len in (3, 10, 64):
+                    want = search_outcome(search_by_positions, rules, t, max_len, mode, sig, limit, index)
+                    got = search_outcome(_search, rules, t, max_len, mode, sig, limit, index)
+                    compared += 1
+                    if not isinstance(want[1], int):  # raised
+                        assert got == want
+                        raised += 1
+                        continue
+                    found, explored = want
+                    assert got[0] == found
+                    # the limit fires at the same node
+                    assert _search(rules, t, max_len, mode, sig, explored, index)[0] == found
+                    with pytest.raises(RuntimeError, match="exploration limit"):
+                        _search(rules, t, max_len, mode, sig, explored - 1, index)
+                    cut = got[1]
+                    if mode == "first" and found:
+                        assert not cut
+                    elif sig is None and not isinstance(rules, BohmBot):
+                        if mode == "first":  # no hit: the walk of outermost
+                            assert cut == _search(rules, t, max_len, "outermost", None, limit, index)[1]
+                        else:
+                            # a walk that no hit stops visits more nodes
+                            # with one more edge of bound iff the bound cut it
+                            deeper = search_outcome(search_by_positions, rules, t, max_len + 1, mode, None, limit, index)
+                            assert cut == (not isinstance(deeper[1], int) or deeper[1] > explored)
+                        cuts += cut
+    assert compared > 10_000 and cuts > 500 and raised > 500
 
 
 def same_run(got, want):
