@@ -229,7 +229,7 @@ def _develop_raw(
         tag = index.test(node_at(cur, p))
         if tag is None:
             raise RuntimeError(f"residual at {list(p)} stopped being a redex")
-        st = try_step(rules, cur, p, tag, sig=sig)
+        st = try_step(rules, cur, p, tag, sig=sig, index=index)
         us = _desc_step(sig, st, us - {p})
         return [st]
 

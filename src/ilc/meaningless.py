@@ -130,7 +130,7 @@ def reduces_to_lam(t: Node, fuel: int = 10_000) -> TriVerdict:
             spine_ids.add(id(n))
         if n.kind != LAM:
             return []
-        return [try_step(Beta(), cur, (1,) * (m - 1), "beta")]
+        return [try_step(Beta(), cur, (1,) * (m - 1), "beta", index=index)]
 
     steps, stopped, _ = drive(index, t, fuel, next_round, shifts=lambda n, _: index.key(n))
     if stopped == "fuel":
@@ -197,7 +197,7 @@ def _stability(sig: Sig, t: Node, fuel: int) -> TriVerdict:
                 prep: list[Step] = []
                 u = t
                 for q in poss:
-                    prep.append(try_step(Beta(), u, p + (1,) + q, "beta", sig=sig))
+                    prep.append(try_step(Beta(), u, p + (1,) + q, "beta", sig=sig, index=_node_index()))
                     u = prep[-1].after
                 return _no((prep, p, u))
             if v.is_unknown:
@@ -241,7 +241,7 @@ def is_active(sig: Sig, t: Node, fuel: int = 10_000) -> TriVerdict:
         if not stability.is_no:
             return []
         prep, q, u = stability.witness
-        return [*prep, try_step(Beta(), u, q, "beta", sig=sig)]
+        return [*prep, try_step(Beta(), u, q, "beta", sig=sig, index=index)]
 
     def redex_key(n: Node, pos: Position) -> int | tuple:
         # under a strict lambda edge a redex may lie below b binders of t,
@@ -251,6 +251,9 @@ def is_active(sig: Sig, t: Node, fuel: int = 10_000) -> TriVerdict:
         if sig[0] == 1:  # no contracted redex lies under a binder of t
             return index.key(n)
         b = pos.count(0)
+        c = index.classes.cls[n]
+        if c >= 0 and index.classes.free[c] < b:  # no name to give
+            return index.key(n)
         top = max_bvar_index(n)
         if top < b:
             return index.key(n)

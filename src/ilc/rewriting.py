@@ -14,11 +14,17 @@ spine that ``replace_at`` copies and the contractum, so a ``NodeIndex``
 records its facts about a node once and they hold for the whole run.
 
 A step shares what it leaves unchanged with the state before it: the
-siblings of the copied spine, and in a beta step the argument itself when
-it holds no de Bruijn index (``substitute`` builds one shifted copy per
-binder depth otherwise).  So consecutive states of a trace are graphs that overlap, and
-a subgraph may be reached from several places of one state; only the
-unfolded trees, never the node identities, carry meaning.
+siblings of the copied spine, and inside the contractum every finite
+subgraph whose free de Bruijn indices the step leaves as they are, which
+the run's ``ClassTable`` records per class (``free``).  So a beta step
+copies only the paths to the substituted variable, and a finite argument
+without a free index is shared by all its occurrences; one with free
+indices gets one shifted copy per binder depth.  A subgraph that reaches a
+cycle is copied, because a de Bruijn walk unrolls its cycles: the copy is
+bisimilar but not isomorphic, and it prints its ``rec`` binders elsewhere.
+So consecutive states of a trace are graphs that overlap, and a subgraph
+may be reached from several places of one state; only the unfolded trees,
+never the node identities, carry meaning.
 """
 
 from __future__ import annotations
@@ -123,56 +129,92 @@ def rule_system(name: str, sig: Sig, fuel: int = 10_000) -> RuleSystem:
 # Substitution (on graphs, capture-free via de Bruijn indices)
 
 
-def shift(root: Node, by: int) -> Node:
-    """Add ``by`` to all free de Bruijn indices.  A graph without indices
-    (its variables are all free names) would get an isomorphic copy, so it
-    is returned as it is."""
+def _table(classes: ClassTable | None, *roots: Node) -> ClassTable:
+    """``classes``, which must hold the roots, or a fresh table of them."""
+    if classes is None:
+        classes = ClassTable()
+        for r in roots:
+            classes.add(r)
+    return classes
+
+
+def _rewrite(root: Node, var: Callable[[int, int], Node], classes: ClassTable) -> Node:
+    """Copy the graph below ``root`` over (node, binder depth) states, with
+    ``var(i, d)`` in place of each variable of index i >= d at depth d.
+
+    ``classes`` holds the root.  A finite node whose ``free`` index lies
+    below the depth is left unchanged by the walk, so it is returned
+    itself, not rebuilt.  A node that reaches a cycle is always copied: its
+    (node, depth) states unroll the cycle, so even a copy that changes no
+    index is bisimilar to it but not isomorphic, and prints its ``rec``
+    binders elsewhere.  Only such a root needs the depth cap, one above its
+    largest index, which bounds the states; one without any index is
+    returned as it is, since its copy would be isomorphic.
+    """
+    cls, free = classes.cls, classes.free
+    cap = None
+    if cls[root] < 0:
+        cap = max_bvar_index(root) + 1
+        if cap == 0:
+            return root
+
+    def leaf(n: Node, d: int) -> Node | None:
+        c = cls[n]
+        if c >= 0:
+            if free[c] < d:
+                return n
+            if n.kind == BVAR:
+                return var(n.a, d)
+        return None
+
+    return transform(root, leaf, cap=cap)
+
+
+def shift(root: Node, by: int, classes: ClassTable | None = None) -> Node:
+    """Add ``by`` to all free de Bruijn indices.  Each finite subgraph
+    without a free index, the root included, is shared, not copied (see
+    ``_rewrite``).  ``classes`` is a table that holds the root, such as a
+    run's; without one a fresh table is built."""
     if by == 0:
         return root
-    cap = max_bvar_index(root) + 1
-    if cap == 0:
-        return root
-
-    def up(n: Node, c: int) -> Node | None:
-        return bvar(n.a + by) if n.kind == BVAR and n.a >= c else None
-
-    return transform(root, up, cap=cap)
+    return _rewrite(root, lambda i, d: bvar(i + by), _table(classes, root))
 
 
-def substitute(body: Node, arg: Node) -> Node:
+def substitute(body: Node, arg: Node, classes: ClassTable | None = None) -> Node:
     """Replace index 0 of ``body`` by ``arg`` (and shift the rest down).
 
-    The occurrences at one binder depth share one shifted copy of ``arg``,
-    and an ``arg`` without de Bruijn indices is shared by all of them.
+    The walk shares each finite subgraph of ``body`` that holds no free
+    index at or above its binder depth, and copies only the paths to the
+    variables it replaces (see ``_rewrite``).  The occurrences at one binder
+    depth share one shifted copy of ``arg``, and a finite ``arg`` without a
+    free index, or one without any de Bruijn index, is shared by all of
+    them.  ``classes`` is a table that holds both, such as a run's;
+    without one a fresh table is built.
     """
+    classes = _table(classes, body, arg)
     copies: dict[int, Node] = {}  # binder depth -> arg shifted by it
 
-    def put(n: Node, d: int) -> Node | None:
-        if n.kind == BVAR:
-            if n.a == d:
-                copy = copies.get(d)
-                if copy is None:
-                    copy = copies[d] = shift(arg, d)
-                return copy
-            if n.a > d:
-                return bvar(n.a - 1)
-        return None
+    def put(i: int, d: int) -> Node:
+        if i > d:
+            return bvar(i - 1)
+        copy = copies.get(d)
+        if copy is None:
+            copy = copies[d] = shift(arg, d, classes)
+        return copy
 
-    return transform(body, put, cap=max_bvar_index(body) + 1)
+    return _rewrite(body, put, classes)
 
 
-def unshift_free(root: Node) -> Node:
-    """Shift free indices down by one (used by eta; index 0 must not occur)."""
+def unshift_free(root: Node, classes: ClassTable | None = None) -> Node:
+    """Shift free indices down by one (used by eta; index 0 must not occur).
+    Shares as ``shift`` does."""
 
-    def down(n: Node, c: int) -> Node | None:
-        if n.kind == BVAR:
-            if n.a == c:
-                raise ValueError("eta: the bound variable occurs in the function")
-            if n.a > c:
-                return bvar(n.a - 1)
-        return None
+    def down(i: int, d: int) -> Node:
+        if i == d:
+            raise ValueError("eta: the bound variable occurs in the function")
+        return bvar(i - 1)
 
-    return transform(root, down, cap=max_bvar_index(root) + 1)
+    return _rewrite(root, down, _table(classes, root))
 
 
 def occurs_index(root: Node, index: int) -> bool:
@@ -220,10 +262,24 @@ def _beta_tag(n: Node) -> str | None:
     return "beta" if n.kind == APP and n.a.kind == LAM else None
 
 
-def _eta_tag(n: Node) -> str | None:
-    if n.kind == LAM and n.a.kind == APP and n.a.b.kind == BVAR and n.a.b.a == 0 and not occurs_index(n.a.a, 0):
-        return "eta"
-    return None
+def _eta_test(classes: ClassTable | None) -> Callable[[Node], str | None]:
+    """The eta test: is a node ``\\. M 0`` with index 0 not free in M?  For
+    an M of a finite class in ``classes`` its ``free`` index answers when it
+    is below 1; any other M is scanned (``occurs_index``)."""
+    if classes is None:
+        classes = ClassTable()
+    cls, free = classes.cls, classes.free
+
+    def eta_tag(n: Node) -> str | None:
+        if n.kind != LAM or n.a.kind != APP or n.a.b.kind != BVAR or n.a.b.a != 0:
+            return None
+        m = n.a.a
+        c = cls.get(m, -1)
+        if c >= 0 and free[c] < 1:
+            return "eta" if free[c] < 0 else None
+        return None if occurs_index(m, 0) else "eta"
+
+    return eta_tag
 
 
 def _strict_test(sig: Sig) -> Callable[[Node], str | None]:
@@ -241,15 +297,16 @@ def _strict_test(sig: Sig) -> Callable[[Node], str | None]:
     return strict_tag
 
 
-def redex_test(rules: RuleSystem) -> Callable[[Node], str | None]:
+def redex_test(rules: RuleSystem, classes: ClassTable | None = None) -> Callable[[Node], str | None]:
     """The test of whether a node is itself a redex of ``rules``: it returns
     the rule tag, or None (bottom rules excluded).  Built once per rule
-    system, so a walk pays no dispatch on the rules per node."""
+    system, so a walk pays no dispatch on the rules per node.  The eta test
+    reads the free indices of the nodes that ``classes`` holds."""
     match rules:
         case Beta() | BohmBot():
             return _beta_tag
         case Eta():
-            return _eta_tag
+            return _eta_test(classes)
         case Strict(sig):
             return _strict_test(sig)
         case BetaStrict(sig):
@@ -266,6 +323,8 @@ class NodeIndex:
 
     - its class in ``classes``, a ``trees.ClassTable``: equal classes mean
       bisimilar nodes, and a negative class a node that reaches a cycle;
+      a finite class also has its largest free index, which the eta test
+      and the de Bruijn walkers of a step read;
     - ``live``: whether it reaches a redex node of the rule system, by
       ``test``, the system's ``redex_test``;
     - ``stuck``: whether it reaches a Cut or Unknown leaf.
@@ -287,8 +346,8 @@ class NodeIndex:
 
     def __init__(self, rules: RuleSystem):
         self.rules = rules
-        self.test = redex_test(rules)
         self.classes = ClassTable()
+        self.test = redex_test(rules, self.classes)
         self.live: set[Node] = set()
         self.stuck: set[Node] = set()
         self._canons: dict[Node, tuple] = {}
@@ -563,17 +622,19 @@ def replace_at(t: Node, p: Position, replacement: Node) -> Node:
     return _splice(_spine(t, p), p, len(p), replacement)
 
 
-def contractum(rules: RuleSystem, n: Node, tag: str) -> Node:
+def contractum(rules: RuleSystem, n: Node, tag: str, classes: ClassTable | None = None) -> Node:
+    """The contractum of the redex ``n``; ``classes`` is a table that holds
+    ``n``, which the de Bruijn walkers read."""
     if tag == "beta":
         if n.kind != APP or n.a.kind != LAM:
             raise NotARedex(f"no beta redex at node of kind {n.kind}")
-        return substitute(n.a.a, n.b)
+        return substitute(n.a.a, n.b, classes)
     if tag == "s" or tag == "bot":
         return hole()
     if tag == "eta":
         if n.kind != LAM or n.a.kind != APP or n.a.b.kind != BVAR or n.a.b.a != 0:
             raise NotARedex("no eta redex here")
-        return unshift_free(n.a.a)
+        return unshift_free(n.a.a, classes)
     raise ValueError(f"unknown rule tag {tag!r}")
 
 
@@ -584,23 +645,39 @@ def step_sig(rules: RuleSystem) -> Sig:
     return (1, 1, 1)
 
 
-def try_step(rules: RuleSystem, t: Node, p: Position, tag: str | None = None, sig: Sig | None = None) -> Step:
+def try_step(
+    rules: RuleSystem,
+    t: Node,
+    p: Position,
+    tag: str | None = None,
+    sig: Sig | None = None,
+    *,
+    index: NodeIndex | None = None,
+) -> Step:
     """Contract the redex at ``p``.
 
     The recorded reduction context is the tree with the subtree at the
     longest non-strict prefix of ``p`` removed.  One walk down ``p``
-    collects the spine that the reduct and the context both copy.
+    collects the spine that the reduct and the context both copy.  Given a
+    run's ``index``, the redex is added to it (nothing to do if it is
+    there already) and the contraction reads its classes; without one, the
+    contraction builds a table of the redex.
     """
     sig = sig if sig is not None else step_sig(rules)
     spine = _spine(t, p)
     n = spine[-1]
+    classes = None
+    if index is not None:
+        classes = index.classes
+        if n not in classes.cls:
+            index.add(n)
     if tag is None:
         tag = redex_test(rules)(n)
         if tag is None and isinstance(rules, BohmBot) and n.kind != HOLE and rules.oracle(n):
             tag = "bot"
         if tag is None:
             raise NotARedex(f"no redex at {list(p)}: node kind {n.kind}")
-    after = _splice(spine, p, len(p), contractum(rules, n, tag))
+    after = _splice(spine, p, len(p), contractum(rules, n, tag, classes))
     context = _splice(spine, p, len(acut(sig, p)), hole())
     return Step(t, p, tag, after, context, adepth(sig, p))
 
@@ -775,7 +852,7 @@ def run_strategy(
         if not pending:
             return []
         p, tag = pending.pop()
-        return [try_step(rules, cur, p, tag, sig)]
+        return [try_step(rules, cur, p, tag, sig, index=index)]
 
     steps, stopped, cycle_at = drive(index, t, fuel, next_round)
     if stopped == "normal_form" and (steps[-1].after if steps else t) in index.live:

@@ -321,19 +321,29 @@ class ClassTable:
     share a class iff they are bisimilar.  A node that reaches a cycle gets
     the negative ``_CYCLIC``: its unfolding is infinite, so it is bisimilar
     to no finite node.  The classes hold while the nodes seen never change.
+
+    Each finite class c also records ``free[c]``, the largest de Bruijn
+    index that escapes its members, or -1 if none does.  It is set once,
+    when the class is interned, from the label and the children's classes:
+    a variable of index i gives i, a lambda its body's less one (at least
+    -1), an application the larger of its children's.  So the de Bruijn
+    walkers of a step (``rewriting.substitute``, ``shift``,
+    ``unshift_free``) know without a walk which finite subgraphs they leave
+    unchanged.  A node that reaches a cycle has no entry.
     """
 
-    __slots__ = ("cls", "table", "rep")
+    __slots__ = ("cls", "table", "rep", "free")
 
     def __init__(self):
         self.cls: dict[Node, int] = {}  # node -> class, _OPEN or _CYCLIC
         self.table: dict[tuple, int] = {}  # (label, child classes) -> class
         self.rep: list[Node] = []  # class -> a member
+        self.free: list[int] = []  # class -> its largest free index, or -1
 
     def add(self, root: Node) -> tuple[list[Node], list[Node]]:
         """The new nodes with a finite class, in postorder, and the new
         nodes that reach a cycle."""
-        cls, table, rep = self.cls, self.table, self.rep
+        cls, table, rep, free = self.cls, self.table, self.rep, self.free
         finite: list[Node] = []
         cyclic: list[Node] = []
         stack = [root]
@@ -376,6 +386,13 @@ class ClassTable:
             if c is None:
                 c = table[key] = len(rep)
                 rep.append(n)
+                if k == APP:
+                    f = free[x] if free[x] > free[y] else free[y]
+                elif k == LAM:
+                    f = free[x] - 1 if free[x] > 0 else -1
+                else:
+                    f = n.a if k == BVAR else -1
+                free.append(f)
             cls[n] = c
             finite.append(n)
         return finite, cyclic

@@ -79,7 +79,7 @@ from ilc.rewriting import (
     step_sig,
     try_step,
 )
-from ilc.terms import BOT, CANONICAL_SIGS, Abs, App, Bot, ParseError, Position, Sig, Term, Var, acut, adepth, parse_term, tokenize
+from ilc.terms import BOT, CANONICAL_SIGS, Abs, App, Bot, ParseError, Position, Sig, Term, Var, acut, adepth, parse_term, render_term, tokenize
 from ilc.trees import (
     APP,
     BVAR,
@@ -110,6 +110,7 @@ from ilc.trees import (
     map_graph,
     max_bvar_index,
     node_at,
+    parse_tree,
     positions,
     reachable,
     reaching,
@@ -478,6 +479,14 @@ def random_graph(rng: random.Random, size: int, cyclic: bool = True) -> Node:
         elif kind == "fvar":
             n.kind, n.a = FVAR, rng.choice("xy")
     return nodes[0]
+
+
+def loopy(seed: int, count: int):
+    """``rec x. M`` for redex-rich terms M with x free: these often reduce
+    to a lasso."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        yield parse_tree("rec x. " + render_term(random_redexy_term(rng, rng.randrange(3, 12))))
 
 
 def unroll(root: Node, depth: int) -> Node:
@@ -1045,6 +1054,44 @@ def occurs_index_recursive(root: Node, index: int) -> bool:
         return False
 
     return go(root, index)
+
+
+def free_index_by_scan(root: Node) -> int:
+    """The largest de Bruijn index that escapes a finite graph, or -1: a
+    scan of its (node, binders crossed) states, with no class table
+    (``trees.ClassTable.free``)."""
+    top = -1
+    seen: set[tuple[Node, int]] = set()
+    stack = [(root, 0)]
+    while stack:
+        n, k = stack.pop()
+        if (n, k) in seen:
+            continue
+        seen.add((n, k))
+        if n.kind == BVAR:
+            top = max(top, n.a - k)
+        for i, c in children(n):
+            stack.append((c, k + 1 if i == 0 else k))
+    return top
+
+
+def redex_key_by_walk(index: NodeIndex, sig: Sig, n: Node, pos: Position) -> int | tuple:
+    """``meaningless.is_active``'s key of a contracted redex subtree as it
+    was before it read the free index: a ``max_bvar_index`` walk, then a
+    copy that names each variable bound outside ``t``, unless none is."""
+    if sig[0] == 1:
+        return index.key(n)
+    b = pos.count(0)
+    top = max_bvar_index(n)
+    if top < b:
+        return index.key(n)
+
+    def name(m: Node, k: int) -> Node | None:
+        return Node(FVAR, m.a - k - b) if m.kind == BVAR and m.a >= k + b else None
+
+    named = transform(n, name, cap=top + 1)
+    index.add(named)
+    return index.key(named)
 
 
 def mark_unstable_recursive(cur: Node, prev: Node | None) -> Node:

@@ -1,9 +1,11 @@
 """The linear per-step graph work and ``glb`` agree with the round-by-round
 fixpoints they replaced, and ``compare`` with ``tree_leq`` both ways and the
-earlier ``glb``; every state of an ``is_active`` run stays guarded; the
-iterative ``is_guarded`` and ``render_tree``, the eight walkers built on
-``trees.transform`` and ``_mark_unstable`` agree with the recursive versions
-they replaced; the position enumerations built on ``trees.positions`` agree
+earlier ``glb``; every state of an ``is_active`` run stays guarded, and its
+redex keys equal those of the naming walk they replaced; a class's free
+index equals a scan; the iterative ``is_guarded`` and ``render_tree``, the
+eight walkers built on ``trees.transform`` and ``_mark_unstable`` agree with
+the recursive versions they replaced, and the de Bruijn walkers share only
+the finite input nodes that they leave unchanged; the position enumerations built on ``trees.positions`` agree
 with the hand-written walks they replaced; and all of them finish on graphs
 far deeper than Python's stack, open and closed into cycles.  The one
 guardedness search over a glb's members and ``is_stable``'s walk over nodes
@@ -26,6 +28,7 @@ from ilc.rewriting import (
     Beta,
     BetaStrict,
     Eta,
+    NodeIndex,
     Strict,
     first_redex,
     occurs_index,
@@ -42,11 +45,13 @@ from ilc.trees import (
     FVAR,
     HOLE,
     UNKNOWN,
+    ClassTable,
     app,
     bind_fvars,
     bisimilar,
     bvar,
     canon,
+    children,
     close_subtree,
     components,
     cut,
@@ -56,6 +61,7 @@ from ilc.trees import (
     is_guarded,
     lam,
     map_graph,
+    max_bvar_index,
     max_bvar_indices,
     parse_tree,
     positions,
@@ -75,10 +81,12 @@ from oracles import (
     collapsible_by_rounds,
     depth0_positions_by_layers,
     dom_positions_by_queue,
+    free_index_by_scan,
     glb_by_rounds,
     glb_by_tuples,
     is_guarded_by_walks,
     is_stable_by_paths,
+    loopy,
     map_graph_recursive,
     mark_unstable_recursive,
     max_bvar_indices_by_walks,
@@ -87,6 +95,7 @@ from oracles import (
     random_term,
     redex_reachability,
     redex_reachability_by_rounds,
+    redex_key_by_walk,
     render_tree_recursive,
     shift_recursive,
     substitute_recursive,
@@ -473,25 +482,95 @@ def agree(walk, oracle, *args) -> str:
     return "tree"
 
 
+def test_the_free_index_of_a_class_equals_the_scan():
+    classes = ClassTable()  # one table across all inputs, as in a run
+    seen = Counter()
+    for g in [*graphs(36, 300), *loopy(37, 100)]:
+        classes.add(g)
+        for n in reachable(g):
+            c = classes.cls[n]
+            if c >= 0:
+                assert classes.free[c] == free_index_by_scan(n)
+                seen[min(classes.free[c], 2)] += 1
+    assert set(seen) == {-1, 0, 1, 2}
+
+
+def shared_states(out, root, classes, arg=None) -> int:
+    """Assert that every node of ``out`` that is not new is a node below
+    ``root`` with a finite class in ``classes`` whose free index lies below
+    the binder depth at which ``out`` reaches it, or one that reaches no de
+    Bruijn index at all; return the number of such (node, depth) states.
+    The nodes below ``arg``, a substituted argument, are left to the check
+    of ``shift``: unshifted, at depth 0, they may hold any index."""
+    old = set(reachable(root))
+    skip = set() if arg is None else set(reachable(arg))
+    cap = max_bvar_index(root) + 1  # bounds the states of a cyclic out
+    shared = 0
+    seen = set()
+    stack = [(out, 0)]
+    while stack:
+        state = stack.pop()
+        if state in seen:
+            continue
+        seen.add(state)
+        n, d = state
+        if n in skip:
+            continue
+        if n in old:
+            c = classes.cls[n]
+            assert (c >= 0 and classes.free[c] < d) or max_bvar_index(n) < 0
+            shared += 1
+            continue
+        for i, child in children(n):
+            stack.append((child, min(d + (i == 0), cap)))
+    return shared
+
+
 def test_de_bruijn_walkers_equal_the_recursive_versions():
+    # shift, substitute and unshift_free run with a run's class table, which
+    # holds both inputs, and without one (they build their own); they must
+    # share only the input nodes that they leave unchanged
     rng = random.Random(31)
     seen = set()
-    for g in graphs(32, 1000):
+    shared = Counter()
+    for g in [*graphs(32, 1000), *loopy(40, 100)]:
         arg = random_graph(rng, rng.randrange(1, 6), cyclic=rng.random() < 0.5)
         by, k = rng.randrange(3), rng.randrange(3)
-        agree(shift, shift_recursive, g, by)
-        agree(substitute, substitute_recursive, g, arg)
+        index = NodeIndex(Beta())
+        index.add(g)
+        index.add(arg)
+        cases = [
+            (shift, shift_recursive, (g, by), g, None),
+            (shift, shift_recursive, (arg, by), arg, None),
+            (substitute, substitute_recursive, (g, arg), g, arg),
+            (unshift_free, unshift_free_recursive, (g,), g, None),
+        ]
+        for walk, oracle, args, root, skip in cases:
+            want = outcome(oracle, *args)
+            for classes in (None, index.classes):
+                got = outcome(walk, *args, classes)
+                if isinstance(want, tuple):
+                    assert got == want
+                    seen.add((walk.__name__, "error"))
+                    continue
+                assert bisimilar(got, want)
+                assert render_tree(got, ascii_only=True) == render_tree(want, ascii_only=True)
+                seen.add((walk.__name__, "tree" if is_finite(got) else "cyclic tree"))
+                if walk is shift and by == 0:
+                    assert got is root
+                else:
+                    shared[walk.__name__] += shared_states(got, root, index.classes, skip)
         agree(close_subtree, close_subtree_recursive, g)
-        seen.add(("unshift_free", agree(unshift_free, unshift_free_recursive, g)))
         found = occurs_index(g, k)
         assert found == occurs_index_recursive(g, k)
         seen.add(("occurs_index", found))
-    assert seen == {
-        ("unshift_free", "tree"),
+    walks = ("shift", "substitute", "unshift_free")
+    assert seen == {(w, t) for w in walks for t in ("tree", "cyclic tree")} | {
         ("unshift_free", "error"),
         ("occurs_index", True),
         ("occurs_index", False),
     }
+    assert set(shared) == set(walks) and min(shared.values()) > 1000, shared
 
 
 def test_map_graph_equals_the_recursive_version():
@@ -870,6 +949,49 @@ def test_every_state_of_is_active_and_reduces_to_lam_stays_guarded(monkeypatch):
             checked += len(states)
             loopy += sum(not is_finite(u) for u in states)
     assert checked > 5000 and loopy > 2000
+
+
+def test_is_active_keys_a_redex_as_the_naming_walk_did(monkeypatch):
+    # under a strict lambda edge, is_active keys the redex subtree it
+    # contracts by naming the variables bound outside its input; a finite
+    # subtree whose class has no free index that high has none to name
+    real_drive = meaningless.drive
+    paths = Counter()
+    sig = None
+
+    def checking_drive(index, t, fuel, next_round, shifts=None, key=None):
+        if shifts is None or shifts.__name__ != "redex_key":  # reduces_to_lam's
+            return real_drive(index, t, fuel, next_round, shifts, key)
+
+        def both(n, pos):
+            got = shifts(n, pos)
+            assert got == redex_key_by_walk(index, sig, n, pos)
+            b = pos.count(0)
+            c = index.classes.cls[n]
+            if c < 0:
+                paths["cyclic"] += 1
+            elif b == 0:
+                paths["no binder above"] += 1
+            else:
+                paths["named" if index.classes.free[c] >= b else "by class"] += 1
+            return got
+
+        return real_drive(index, t, fuel, next_round, both, key)
+
+    monkeypatch.setattr(meaningless, "drive", checking_drive)
+    rng = random.Random(58)
+    # (\y. y y z) (\y. y y z) under a lambda of t, with z bound outside t
+    half = lam(app(app(bvar(0), bvar(0)), bvar(2)))
+    for g in [*graphs(57, 150), *loopy(59, 100)]:
+        dup = app(lam(app(bvar(0), app(bvar(0), random_graph(rng, rng.randrange(1, 8))))), g)
+        for t in [g, dup, app(g, lam(app(bvar(0), bvar(0)))), lam(g), lam(app(app(half, half), g))]:
+            for sig in ALL_SIGS:
+                if sig[0] != 0 or not is_guarded(sig, t):
+                    continue
+                meaningless.clear_caches()
+                meaningless.is_active(sig, t, fuel=30)
+    assert set(paths) == {"cyclic", "no binder above", "named", "by class"}
+    assert min(paths.values()) > 20, paths
 
 
 def test_is_stable_scans_a_shared_region_once():

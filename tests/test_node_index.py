@@ -6,6 +6,7 @@ prunes its redex search through it, takes the same steps as the earlier loop
 that searched and keyed the whole graph on every step."""
 
 import random
+from collections import Counter
 
 import pytest
 
@@ -24,21 +25,28 @@ from ilc.rewriting import (
     run_strategy,
     step_sig,
 )
-from ilc.terms import ALL_SIGS, adepth, parse_term, render_term
+from ilc.terms import ALL_SIGS, adepth, parse_term
 from ilc.trees import (
+    APP,
     BVAR,
     CUT,
     HOLE,
+    LAM,
     UNKNOWN,
+    app,
     bisimilar,
+    bvar,
     canon,
+    fvar,
     has_kind,
     is_finite,
+    lam,
     parse_tree,
     reachable,
     tree_of_term,
 )
 from oracles import (
+    loopy,
     random_graph,
     random_redexy_term,
     redex_reachability_by_rounds,
@@ -69,14 +77,6 @@ def graphs(seed: int, count: int, leaves: bool = False):
         yield tree_of_term(random_redexy_term(rng, rng.randrange(3, 12)))
 
 
-def loopy(seed: int, count: int):
-    """``rec x. M`` for redex-rich terms M with x free: these often reduce
-    to a lasso."""
-    rng = random.Random(seed)
-    for _ in range(count):
-        yield parse_tree("rec x. " + render_term(random_redexy_term(rng, rng.randrange(3, 12))))
-
-
 def test_index_facts_equal_the_whole_graph_walks():
     for rules in RULES:
         index = NodeIndex(rules)  # one index across all graphs, as in a run
@@ -101,11 +101,55 @@ BOHM = [BohmBot(sig, lambda n: n.kind == BVAR, 0) for sig in ((1, 1, 1), (0, 0, 
 
 
 def test_the_redex_test_equals_the_match_on_every_node():
-    nodes = [n for g in graphs(27, 30, leaves=True) for n in reachable(g)]
+    # with a class table of every node, as a run's index builds it (the eta
+    # test reads the free indices), and without one; each graph g also in
+    # the M of \x. M x, as M = g, g y and g x, y bound outside
+    roots = [*graphs(27, 30, leaves=True), *loopy(30, 30)]
+    roots += [lam(app(m, bvar(0))) for g in roots for m in (g, app(g, bvar(1)), app(g, bvar(0)))]
+    nodes = [n for g in roots for n in reachable(g)]
+    index = NodeIndex(Eta())
+    for g in roots:
+        index.add(g)
     for rules in RULES + BOHM:
-        test = redex_test(rules)
-        for n in nodes:
-            assert test(n) == redex_tag_by_match(rules, n)
+        for test in (redex_test(rules), redex_test(rules, index.classes)):
+            for n in nodes:
+                assert test(n) == redex_tag_by_match(rules, n)
+    # the function parts of the candidates: closed, with index 0 free, with
+    # only higher indices free (scanned), and reaching a cycle (scanned)
+    kinds = Counter()
+    for n in set(nodes):
+        if n.kind == LAM and n.a.kind == APP and n.a.b.kind == BVAR and n.a.b.a == 0:
+            c = index.classes.cls[n.a.a]
+            kinds["cyclic" if c < 0 else min(index.classes.free[c], 1), index.test(n)] += 1
+    assert set(kinds) == {(-1, "eta"), (0, None), (1, "eta"), (1, None), ("cyclic", "eta"), ("cyclic", None)}
+    assert min(kinds.values()) >= 3, kinds
+
+
+def test_nested_eta_redexes_need_no_scan(monkeypatch):
+    # \x1. (\x2. (... (\xn. f xn) ...) x2) x1: each lambda's function part
+    # is closed, which its class records, so no lambda is scanned for index 0
+    n = 2000
+    t = lam(app(fvar("f"), bvar(0)))
+    for _ in range(n - 1):
+        t = lam(app(t, bvar(0)))
+    scans = 0
+    real_scan = rewriting._scan_indices
+
+    def counting_scan(*args):
+        nonlocal scans
+        scans += 1
+        return real_scan(*args)
+
+    monkeypatch.setattr(rewriting, "_scan_indices", counting_scan)
+    found = redexes(Eta(), t, max_len=3 * n)
+    assert scans == 0
+    assert len(found) == n and {tag for _, tag in found} == {"eta"}
+    # a function part that holds index 0 free is no redex, which its class
+    # settles too; one that holds only a higher free index is scanned
+    no = lam(app(lam(app(t, bvar(1))), bvar(0)))
+    assert len(redexes(Eta(), no, max_len=3 * n + 6)) == n and scans == 0
+    yes = lam(lam(lam(app(app(t, bvar(2)), bvar(0)))))
+    assert len(redexes(Eta(), yes, max_len=3 * n + 6)) == n + 1 and scans == 1
 
 
 def search_outcome(search, *args):

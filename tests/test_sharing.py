@@ -1,9 +1,13 @@
 """What a reduction step leaves unchanged is shared, not rebuilt.
 
-``substitute`` shares an argument without de Bruijn indices among all its
-occurrences and builds one shifted copy of any other per binder depth; ``render_trees``
-prints the states of a trace as ``render_tree`` prints each of them, while
-it reuses the text of the subtrees that an earlier state already printed.
+``substitute`` copies only the paths to the variable it replaces.  It
+shares a finite argument without a free de Bruijn index, and any argument
+without indices, among all its occurrences, and builds one shifted copy of
+any other per binder depth; a closed argument that reaches a cycle still
+gets a copy per depth, because the copy unrolls the cycles and prints its
+``rec`` binders elsewhere.  ``render_trees`` prints the states of a trace
+as ``render_tree`` prints each of them, while it reuses the text of the
+subtrees that an earlier state already printed.
 """
 
 import io
@@ -62,10 +66,39 @@ def test_a_closed_argument_is_shared_by_all_occurrences():
         for p in ps:
             assert node_at(out, p) is arg
     assert bisimilar(out, substitute_recursive(BODY, arg))
-    # a closed cyclic argument too
+    # a closed cyclic argument without indices too
     loop = app(fvar("g"), None)
     loop.b = loop
     assert node_at(substitute(BODY, loop), (2, 2, 0, 0)) is loop
+    # a closed finite argument with binders: its class has no free index
+    ident = lam(bvar(0))
+    out = substitute(BODY, ident)
+    for ps in OCCURRENCES.values():
+        for p in ps:
+            assert node_at(out, p) is ident
+    assert render_tree(out) == render_tree(substitute_recursive(BODY, ident))
+
+
+def test_a_closed_cyclic_argument_with_binders_gets_a_copy_per_depth():
+    # rec M0. (\x0.rec M1. x0 (M1 M0)) x: its copy at a depth unrolls the
+    # cycles, so it is bisimilar but prints its rec binders elsewhere,
+    # as (\x0.rec M0. x0 (M0 ((\x1.M0) x))) x
+    m1 = app(bvar(0), None)
+    m0 = app(lam(m1), fvar("x"))
+    m1.b = app(m1, m0)
+    assert render_tree(m0, ascii_only=True) == "rec M0. (\\x0.rec M1. x0 (M1 M0)) x"
+    out = substitute(BODY, m0)
+    copies = {}
+    for depth, ps in OCCURRENCES.items():
+        assert len({id(node_at(out, p)) for p in ps}) == 1
+        copies[depth] = node_at(out, ps[0])
+    assert copies[0] is m0  # depth 0 needs no shift
+    assert len({id(c) for c in copies.values()}) == 3
+    assert render_tree(copies[1], ascii_only=True) == "(\\x0.rec M0. x0 (M0 ((\\x1.M0) x))) x"
+    want = substitute_recursive(BODY, m0)
+    assert bisimilar(out, want)
+    for ascii_only in (True, False):
+        assert render_tree(out, ascii_only) == render_tree(want, ascii_only)
 
 
 def test_an_open_argument_gets_one_shifted_copy_per_binder_depth():
