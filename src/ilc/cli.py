@@ -29,6 +29,7 @@ from .rewriting import (
     _EXPLORATION_LIMIT,
     POSITION_BOUND,
     Beta,
+    NodeIndex,
     _search,
     rule_system,
     run_strategy,
@@ -248,10 +249,11 @@ def main(argv: list[str] | None = None, out=None, err=None) -> int:
             raise ParseError("the tree is not guarded for this signature", 0)
         return t
 
+    # load checks each input, so the unchecked cores answer
     try:
         if args.command == "tree":
             t = load(args.term)
-            ap = meaningless.bohm_tree(sig, t, args.depth, args.fuel)
+            ap = meaningless._bohm_tree(sig, t, args.depth, args.fuel)
             rendered = show(ap.tree)
             doc = {
                 "sig": sig_str(sig),
@@ -283,7 +285,6 @@ def main(argv: list[str] | None = None, out=None, err=None) -> int:
             lines.append(f"p-limit: {report['p_limit']}")
             return _emit(args, out, "\n".join(lines), None, unknown)
 
-        # load has checked each input, so the unchecked cores answer
         if args.command == "dist":
             a, b = load(args.left), load(args.right)
             d = str(_distance(sig, a, b))
@@ -308,8 +309,11 @@ def main(argv: list[str] | None = None, out=None, err=None) -> int:
         if args.command == "join":
             t = load(args.term)
             rules = rule_system(args.rules, sig, args.fuel)
-            tr1 = run_strategy(rules, "lmo", t, args.fuel, sig=sig)
-            tr2 = run_strategy(rules, "d0", t, args.fuel, sig=sig)
+            # one index for both runs: the d0 run reuses the lmo run's steps
+            # while the two coincide, and both share their contracta
+            index = NodeIndex(rules)
+            tr1 = run_strategy(rules, "lmo", t, args.fuel, sig=sig, index=index)
+            tr2 = run_strategy(rules, "d0", t, args.fuel, sig=sig, index=index)
             res = developments.joinability(sig, t, tr1, tr2, args.fuel, args.depth)
             tree_s = show(res.tree) if res.tree is not None else None
             text = res.status + (f": {tree_s}" if tree_s else "")

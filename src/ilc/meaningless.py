@@ -335,6 +335,12 @@ def bohm_tree(
     lambda of the reduct.
     """
     _check_tree(sig, t)
+    return _bohm_tree(sig, t, depth, fuel)
+
+
+def _bohm_tree(sig: Sig, t: Node, depth: int, fuel: int) -> Approximant:
+    """``bohm_tree`` on a tree already known to be guarded and free of
+    Cut/Unknown leaves."""
     flags = {"fuel": False}
     done: list[Node] = []  # finished copies
     # the work: (node, edge is strict, depth level), LAM to close a lambda

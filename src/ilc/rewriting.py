@@ -22,9 +22,13 @@ without a free index is shared by all its occurrences; one with free
 indices gets one shifted copy per binder depth.  A subgraph that reaches a
 cycle is copied, because a de Bruijn walk unrolls its cycles: the copy is
 bisimilar but not isomorphic, and it prints its ``rec`` binders elsewhere.
-So consecutive states of a trace are graphs that overlap, and a subgraph
-may be reached from several places of one state; only the unfolded trees,
-never the node identities, carry meaning.
+Across steps, the runs that share a ``NodeIndex`` contract each finite
+class of redex once per rule tag and reuse its contractum, and a run that
+steps a state node that an earlier run stepped, at the same position,
+reuses that run's ``Step``.  So consecutive states of a trace are graphs
+that overlap, a subgraph may be reached from several places of one state
+and from several states, and two traces may share steps; only the
+unfolded trees, never the node identities, carry meaning.
 """
 
 from __future__ import annotations
@@ -316,7 +320,8 @@ def redex_test(rules: RuleSystem, classes: ClassTable | None = None) -> Callable
 
 
 class NodeIndex:
-    """Facts about the nodes of one run, each recorded once per node.
+    """Facts about the nodes of the runs that share it, under one rule
+    system, each recorded once per node.
 
     ``add(root)`` records three facts about each node below the root that
     the index has not seen:
@@ -332,8 +337,22 @@ class NodeIndex:
     A finite node takes the last two from its own kind and its children,
     which finish before it.  For the new nodes that reach a cycle,
     ``trees.reaching`` spreads them over just those nodes, seeded by each
-    node's own kind and its children seen before.  The facts rely on nodes
-    never changing once indexed (see the module docstring).
+    node's own kind and its children seen before.
+
+    ``try_step`` keeps two memos in the index, so that each redex is
+    contracted once per index:
+
+    - ``contracta``: (finite class of a redex, rule tag) -> its contractum.
+      A bisimilar finite redex has a bisimilar finite contractum, which
+      prints the same text.  A redex that reaches a cycle is not memoised:
+      its contractum is a copy that prints its ``rec`` binders elsewhere;
+    - ``steps``: state node -> {(position, rule tag, signature): ``Step``},
+      so a run that contracts the same redex of the same state node as an
+      earlier run of the index, as the two runs of ``ilc join`` do while
+      they coincide, gets the earlier ``Step`` itself.
+
+    The facts and the memos rely on nodes never changing once indexed (see
+    the module docstring).
 
     A run adds only the states and contexts of its steps, and each of them
     replaces one subtree of the state before it: by M[N/x], every infinite
@@ -342,7 +361,7 @@ class NodeIndex:
     on it), and none reaches a Cut or Unknown leaf unless the start does.
     """
 
-    __slots__ = ("rules", "test", "classes", "live", "stuck", "_canons")
+    __slots__ = ("rules", "test", "classes", "live", "stuck", "contracta", "steps", "_canons")
 
     def __init__(self, rules: RuleSystem):
         self.rules = rules
@@ -350,6 +369,8 @@ class NodeIndex:
         self.test = redex_test(rules, self.classes)
         self.live: set[Node] = set()
         self.stuck: set[Node] = set()
+        self.contracta: dict[tuple[int, str], Node] = {}
+        self.steps: dict[Node, dict[tuple[Position, str, Sig], Step]] = {}
         self._canons: dict[Node, tuple] = {}
 
     def add(self, root: Node) -> None:
@@ -660,26 +681,51 @@ def try_step(
     longest non-strict prefix of ``p`` removed.  One walk down ``p``
     collects the spine that the reduct and the context both copy.  Given a
     run's ``index``, the redex is added to it (nothing to do if it is
-    there already) and the contraction reads its classes; without one, the
-    contraction builds a table of the redex.
+    there already), the contraction reads its classes, and the step goes
+    through the index's memos (see ``NodeIndex``): a call that names its
+    ``tag`` returns the memoised step of the same state node, position,
+    tag and signature, and a redex of a finite class seen before gets the
+    memoised contractum.  Without an index, the contraction builds a table
+    of the redex.
     """
     sig = sig if sig is not None else step_sig(rules)
+    done = None  # the memoised steps of this state
+    if index is not None:
+        done = index.steps.get(t)
+        if done is not None and tag is not None:
+            step = done.get((p, tag, sig))
+            if step is not None:
+                return step
     spine = _spine(t, p)
     n = spine[-1]
-    classes = None
-    if index is not None:
-        classes = index.classes
-        if n not in classes.cls:
-            index.add(n)
     if tag is None:
         tag = redex_test(rules)(n)
         if tag is None and isinstance(rules, BohmBot) and n.kind != HOLE and rules.oracle(n):
             tag = "bot"
         if tag is None:
             raise NotARedex(f"no redex at {list(p)}: node kind {n.kind}")
-    after = _splice(spine, p, len(p), contractum(rules, n, tag, classes))
+    if index is None:
+        reduct = contractum(rules, n, tag)
+    else:
+        classes = index.classes
+        c = classes.cls.get(n)
+        if c is None:
+            index.add(n)
+            c = classes.cls[n]
+        if c < 0:
+            reduct = contractum(rules, n, tag, classes)
+        else:
+            reduct = index.contracta.get((c, tag))
+            if reduct is None:
+                reduct = index.contracta[c, tag] = contractum(rules, n, tag, classes)
+    after = _splice(spine, p, len(p), reduct)
     context = _splice(spine, p, len(acut(sig, p)), hole())
-    return Step(t, p, tag, after, context, adepth(sig, p))
+    step = Step(t, p, tag, after, context, adepth(sig, p))
+    if index is not None:
+        if done is None:
+            done = index.steps[t] = {}
+        done[p, tag, sig] = step
+    return step
 
 
 # ---------------------------------------------------------------------------
@@ -821,6 +867,8 @@ def run_strategy(
     fuel: int,
     max_len: int = POSITION_BOUND,
     sig: Sig | None = None,
+    *,
+    index: NodeIndex | None = None,
 ) -> Trace:
     """Reduce until normal form, fuel exhaustion, or state repetition.
 
@@ -830,13 +878,20 @@ def run_strategy(
     state repeated in the middle of a round closes a lasso there.  A run
     whose search finds no redex within ``max_len`` although the state
     still reaches one stops as ``bound``, not ``normal_form``.
+
+    ``index`` is an index for ``rules`` that the run shares with earlier
+    runs, whose memoised steps and contracta it reuses (see ``NodeIndex``);
+    without one the run makes its own.
     """
     strategy = _STRATEGY_ALIASES.get(strategy, strategy)
     if strategy not in STRATEGIES:
         raise ValueError(f"unknown strategy {strategy!r}")
     if sig is None:
         sig = step_sig(rules)
-    index = NodeIndex(rules)
+    if index is None:
+        index = NodeIndex(rules)
+    elif index.rules != rules:
+        raise ValueError(f"an index for {index.rules!r} cannot run {rules!r}")
     index.add(t)
     pending: list[tuple[Position, str]] = []  # the redexes left to contract, last first
 

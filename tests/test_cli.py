@@ -301,10 +301,27 @@ def test_stack_and_memory_exhaustion_exit_with_code_3(monkeypatch):
         def fail(*args, **kwargs):
             raise error("too deep")
 
-        monkeypatch.setattr(meaningless, "bohm_tree", fail)
+        monkeypatch.setattr(meaningless, "_bohm_tree", fail)
         code, out, err = run("tree", "x")
         assert code == 3 and out == ""
         assert err.startswith("ilc: ") and error.__name__ in err
+
+
+def test_tree_checks_its_input_once(monkeypatch):
+    calls = []
+    real = is_guarded
+
+    def spy(sig, t):
+        calls.append(t)
+        return real(sig, t)
+
+    monkeypatch.setattr(cli, "is_guarded", spy)
+    monkeypatch.setattr(meaningless, "is_guarded", spy)
+    code, out, _ = run("tree", "--ascii", "--sig", "101", r"\x.x (\y.(\z.z z) (\z.z z)) (\w.w x)")
+    assert (code, out, len(calls)) == (0, "\\x0.x0 (\\x1.bot) (\\x1.x1 x0)\n", 1)
+    # an unguarded input is still refused before any analysis
+    code, _, err = run("tree", "--sig", "000", "rec M. M y")
+    assert code == 1 and "not guarded" in err and len(calls) == 2
 
 
 def test_deeply_nested_input_never_escapes_the_exit_codes():

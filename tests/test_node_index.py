@@ -24,6 +24,7 @@ from ilc.rewriting import (
     redexes,
     run_strategy,
     step_sig,
+    trace_export,
 )
 from ilc.terms import ALL_SIGS, adepth, parse_term
 from ilc.trees import (
@@ -41,6 +42,7 @@ from ilc.trees import (
     has_kind,
     is_finite,
     lam,
+    node_at,
     parse_tree,
     reachable,
     tree_of_term,
@@ -213,19 +215,82 @@ def same_run(got, want):
 
 
 def test_run_strategy_equals_the_whole_graph_loop():
+    # the runs of one start under equal rules share an index, whose memoised
+    # contracta and steps must print exactly what the oracle's fresh
+    # contractions print (it calls try_step without an index)
     runs = cycles = 0
     for t in [*graphs(23, 8), *loopy(25, 48)]:
         # on a cyclic graph the outermost redexes, and the redexes that the
         # earlier depth0-first enumerated, can number 2^max_len
         max_len = 64 if is_finite(t) else 10
+        indexes = {}
         for sig in ALL_SIGS:
             for rules in (Beta(), Eta(), Strict(sig), BetaStrict(sig)):
+                index = indexes.setdefault(rules, NodeIndex(rules))
                 for strategy in ("lmo", "po", "d0"):
                     want = run_strategy_whole_graph(rules, strategy, t, 10, max_len, sig)
-                    same_run(run_strategy(rules, strategy, t, 10, max_len, sig), want)
+                    got = run_strategy(rules, strategy, t, 10, max_len, sig, index=index)
+                    same_run(got, want)
+                    assert trace_export(got) == trace_export(want)
                     runs += 1
                     cycles += want.cycle_at is not None
     assert runs > 3000 and cycles > 100
+
+
+def test_run_strategy_rejects_an_index_for_other_rules():
+    t = parse_tree(r"(\x.x) y")
+    for rules, other in (
+        (Beta(), Eta()),
+        (Beta(), BetaStrict((1, 1, 1))),
+        (BetaStrict((0, 0, 1)), BetaStrict((1, 1, 1))),
+        (Strict((1, 0, 1)), BetaStrict((1, 0, 1))),
+    ):
+        with pytest.raises(ValueError, match="cannot run"):
+            run_strategy(rules, "lmo", t, 5, index=NodeIndex(other))
+    index = NodeIndex(BetaStrict((1, 0, 1)))  # equal rules share one
+    assert run_strategy(BetaStrict((1, 0, 1)), "lmo", t, 5, index=index).stopped == "normal_form"
+
+
+def test_a_redex_class_is_contracted_once_per_index(monkeypatch):
+    calls = []
+    real = rewriting.substitute
+    monkeypatch.setattr(rewriting, "substitute", lambda *args: calls.append(args) or real(*args))
+    five = r"(\f.\x.f (f (f (f (f x)))))"
+    t = parse_tree(f"{five} {five}")
+    index = NodeIndex(Beta())
+    tr = run_strategy(Beta(), "d0", t, 14, index=index)
+    assert len(tr.steps) == 14 and len(calls) < 14
+    # one contraction per class of redex that the run met
+    classes = {index.classes.cls[node_at(s.before, s.position)] for s in tr.steps}
+    assert len(calls) == len(classes) == len(index.contracta)
+    # a second run of the index steps the same state nodes: it takes the
+    # first run's steps and contracts nothing
+    calls.clear()
+    again = run_strategy(Beta(), "d0", t, 14, index=index)
+    assert calls == [] and all(a is b for a, b in zip(again.steps, tr.steps, strict=True))
+    # the memoised contracta print what fresh contractions print
+    assert trace_export(again) == trace_export(run_strategy(Beta(), "d0", t, 14))
+
+
+@pytest.mark.parametrize("text", [r"(\x.x x y) (\x.x x y)", r"(\f.(\x.f (x x)) (\x.f (x x))) (\s.\c.c a s)"])
+def test_a_join_shares_the_steps_of_its_runs_while_they_coincide(text):
+    t = parse_tree(text)
+    shared = 0
+    for sig in ((0, 0, 1), (1, 0, 1), (1, 1, 1)):
+        for rules in (Beta(), BetaStrict(sig)):
+            index = NodeIndex(rules)  # as ilc join builds it
+            lmo = run_strategy(rules, "lmo", t, 30, sig=sig, index=index)
+            d0 = run_strategy(rules, "d0", t, 30, sig=sig, index=index)
+            alone = run_strategy(rules, "d0", t, 30, sig=sig)
+            assert [s.position for s in d0.steps] == [s.position for s in alone.steps]
+            assert (d0.stopped, d0.cycle_at) == (alone.stopped, alone.cycle_at)
+            assert trace_export(d0) == trace_export(alone)
+            k = 0  # the common prefix of the two runs
+            while k < min(len(lmo.steps), len(d0.steps)) and lmo.steps[k].position == d0.steps[k].position:
+                assert d0.steps[k] is lmo.steps[k]
+                k += 1
+            shared += k
+    assert shared > 0
 
 
 def test_depth0_pick_is_the_least_of_all_redexes():
