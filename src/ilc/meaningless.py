@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .convergence import p_limit
-from .rewriting import Beta, BohmBot, NodeIndex, Step, Trace, drive, escapes, run_strategy, try_step
+from .rewriting import Beta, BohmBot, NodeIndex, Step, Trace, _rewrite, drive, escapes, run_strategy, try_step
 from .terms import CANONICAL_SIGS, Position, Sig, parse_term
 from .trees import (
     APP,
@@ -24,6 +24,7 @@ from .trees import (
     Node,
     app,
     back_edges,
+    bvar,
     children,
     cut,
     hole,
@@ -31,10 +32,8 @@ from .trees import (
     lam,
     link_position,
     map_graph,
-    max_bvar_index,
     reachable,
     reaching,
-    transform,
     tree_of_term,
     unknown,
 )
@@ -254,14 +253,11 @@ def is_active(sig: Sig, t: Node, fuel: int = 10_000) -> TriVerdict:
         c = index.classes.cls[n]
         if c >= 0 and index.classes.free[c] < b:  # no name to give
             return index.key(n)
-        top = max_bvar_index(n)
-        if top < b:
-            return index.key(n)
 
-        def name(m: Node, k: int) -> Node | None:
-            return Node(FVAR, m.a - k - b) if m.kind == BVAR and m.a >= k + b else None
+        def name(i: int, k: int) -> Node:
+            return Node(FVAR, i - k - b) if i >= k + b else bvar(i)
 
-        named = transform(n, name, cap=top + 1)
+        named = _rewrite(n, name, index.classes)
         index.add(named)
         return index.key(named)
 

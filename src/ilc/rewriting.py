@@ -22,10 +22,12 @@ without a free index is shared by all its occurrences; one with free
 indices gets one shifted copy per binder depth.  A subgraph that reaches a
 cycle is copied, because a de Bruijn walk unrolls its cycles: the copy is
 bisimilar but not isomorphic, and it prints its ``rec`` binders elsewhere.
-Across steps, the runs that share a ``NodeIndex`` contract each finite
-class of redex once per rule tag and reuse its contractum, and a run that
-steps a state node that an earlier run stepped, at the same position,
-reuses that run's ``Step``.  So consecutive states of a trace are graphs
+Every step runs on a ``NodeIndex``, a run's or, for a step taken alone, a
+fresh one, and every de Bruijn walk reads the class table of its caller.
+Across steps, the runs that share an index contract each finite class of
+redex once per rule tag and reuse its contractum, and a run that steps a
+state node that an earlier run stepped, at the same position, reuses that
+run's ``Step``.  So consecutive states of a trace are graphs
 that overlap, a subgraph may be reached from several places of one state
 and from several states, and two traces may share steps; only the
 unfolded trees, never the node identities, carry meaning.
@@ -133,15 +135,6 @@ def rule_system(name: str, sig: Sig, fuel: int = 10_000) -> RuleSystem:
 # Substitution (on graphs, capture-free via de Bruijn indices)
 
 
-def _table(classes: ClassTable | None, *roots: Node) -> ClassTable:
-    """``classes``, which must hold the roots, or a fresh table of them."""
-    if classes is None:
-        classes = ClassTable()
-        for r in roots:
-            classes.add(r)
-    return classes
-
-
 def _rewrite(root: Node, var: Callable[[int, int], Node], classes: ClassTable) -> Node:
     """Copy the graph below ``root`` over (node, binder depth) states, with
     ``var(i, d)`` in place of each variable of index i >= d at depth d.
@@ -174,17 +167,17 @@ def _rewrite(root: Node, var: Callable[[int, int], Node], classes: ClassTable) -
     return transform(root, leaf, cap=cap)
 
 
-def shift(root: Node, by: int, classes: ClassTable | None = None) -> Node:
+def shift(root: Node, by: int, classes: ClassTable) -> Node:
     """Add ``by`` to all free de Bruijn indices.  Each finite subgraph
     without a free index, the root included, is shared, not copied (see
     ``_rewrite``).  ``classes`` is a table that holds the root, such as a
-    run's; without one a fresh table is built."""
+    run's."""
     if by == 0:
         return root
-    return _rewrite(root, lambda i, d: bvar(i + by), _table(classes, root))
+    return _rewrite(root, lambda i, d: bvar(i + by), classes)
 
 
-def substitute(body: Node, arg: Node, classes: ClassTable | None = None) -> Node:
+def substitute(body: Node, arg: Node, classes: ClassTable) -> Node:
     """Replace index 0 of ``body`` by ``arg`` (and shift the rest down).
 
     The walk shares each finite subgraph of ``body`` that holds no free
@@ -192,10 +185,8 @@ def substitute(body: Node, arg: Node, classes: ClassTable | None = None) -> Node
     variables it replaces (see ``_rewrite``).  The occurrences at one binder
     depth share one shifted copy of ``arg``, and a finite ``arg`` without a
     free index, or one without any de Bruijn index, is shared by all of
-    them.  ``classes`` is a table that holds both, such as a run's;
-    without one a fresh table is built.
+    them.  ``classes`` is a table that holds both, such as a run's.
     """
-    classes = _table(classes, body, arg)
     copies: dict[int, Node] = {}  # binder depth -> arg shifted by it
 
     def put(i: int, d: int) -> Node:
@@ -209,16 +200,16 @@ def substitute(body: Node, arg: Node, classes: ClassTable | None = None) -> Node
     return _rewrite(body, put, classes)
 
 
-def unshift_free(root: Node, classes: ClassTable | None = None) -> Node:
+def unshift_free(root: Node, classes: ClassTable) -> Node:
     """Shift free indices down by one (used by eta; index 0 must not occur).
-    Shares as ``shift`` does."""
+    Shares as ``shift`` does; ``classes`` is a table that holds the root."""
 
     def down(i: int, d: int) -> Node:
         if i == d:
             raise ValueError("eta: the bound variable occurs in the function")
         return bvar(i - 1)
 
-    return _rewrite(root, down, _table(classes, root))
+    return _rewrite(root, down, classes)
 
 
 def occurs_index(root: Node, index: int) -> bool:
@@ -399,12 +390,11 @@ class NodeIndex:
 
     def key(self, n: Node) -> int | tuple:
         """A key of an indexed node: equal keys iff bisimilar.  Its finite
-        class, or ``canon`` for a node that reaches a cycle."""
+        class, or, for a node that reaches a cycle, ``canon``, computed
+        once per node."""
         c = self.classes.cls[n]
-        return c if c >= 0 else self.canonical(n)
-
-    def canonical(self, n: Node) -> tuple:
-        """``canon(n)``, computed once per node; it compares across runs."""
+        if c >= 0:
+            return c
         k = self._canons.get(n)
         if k is None:
             k = self._canons[n] = canon(n)
@@ -643,7 +633,7 @@ def replace_at(t: Node, p: Position, replacement: Node) -> Node:
     return _splice(_spine(t, p), p, len(p), replacement)
 
 
-def contractum(rules: RuleSystem, n: Node, tag: str, classes: ClassTable | None = None) -> Node:
+def contractum(rules: RuleSystem, n: Node, tag: str, classes: ClassTable) -> Node:
     """The contractum of the redex ``n``; ``classes`` is a table that holds
     ``n``, which the de Bruijn walkers read."""
     if tag == "beta":
@@ -679,52 +669,48 @@ def try_step(
 
     The recorded reduction context is the tree with the subtree at the
     longest non-strict prefix of ``p`` removed.  One walk down ``p``
-    collects the spine that the reduct and the context both copy.  Given a
-    run's ``index``, the redex is added to it (nothing to do if it is
-    there already), the contraction reads its classes, and the step goes
-    through the index's memos (see ``NodeIndex``): a call that names its
-    ``tag`` returns the memoised step of the same state node, position,
-    tag and signature, and a redex of a finite class seen before gets the
-    memoised contractum.  Without an index, the contraction builds a table
-    of the redex.
+    collects the spine that the reduct and the context both copy.  The step
+    runs on ``index``, a run's index, or a fresh ``NodeIndex(rules)``: the
+    redex is added to it (nothing to do if it is there already), the
+    contraction reads its classes, and the step goes through its memos (see
+    ``NodeIndex``).  A call that names its ``tag`` returns the memoised step
+    of the same state node, position, tag and signature, and a redex of a
+    finite class seen before gets the memoised contractum.  A call without
+    a tag takes the one that ``rules`` give the node at ``p``.
     """
     sig = sig if sig is not None else step_sig(rules)
-    done = None  # the memoised steps of this state
-    if index is not None:
-        done = index.steps.get(t)
-        if done is not None and tag is not None:
-            step = done.get((p, tag, sig))
-            if step is not None:
-                return step
+    if index is None:
+        index = NodeIndex(rules)
+    done = index.steps.get(t)  # the memoised steps of this state
+    if done is not None and tag is not None:
+        step = done.get((p, tag, sig))
+        if step is not None:
+            return step
     spine = _spine(t, p)
     n = spine[-1]
+    classes = index.classes
+    c = classes.cls.get(n)
+    if c is None:
+        index.add(n)
+        c = classes.cls[n]
     if tag is None:
-        tag = redex_test(rules)(n)
+        tag = redex_test(rules, classes)(n)
         if tag is None and isinstance(rules, BohmBot) and n.kind != HOLE and rules.oracle(n):
             tag = "bot"
         if tag is None:
             raise NotARedex(f"no redex at {list(p)}: node kind {n.kind}")
-    if index is None:
-        reduct = contractum(rules, n, tag)
+    if c < 0:
+        reduct = contractum(rules, n, tag, classes)
     else:
-        classes = index.classes
-        c = classes.cls.get(n)
-        if c is None:
-            index.add(n)
-            c = classes.cls[n]
-        if c < 0:
-            reduct = contractum(rules, n, tag, classes)
-        else:
-            reduct = index.contracta.get((c, tag))
-            if reduct is None:
-                reduct = index.contracta[c, tag] = contractum(rules, n, tag, classes)
+        reduct = index.contracta.get((c, tag))
+        if reduct is None:
+            reduct = index.contracta[c, tag] = contractum(rules, n, tag, classes)
     after = _splice(spine, p, len(p), reduct)
     context = _splice(spine, p, len(acut(sig, p)), hole())
     step = Step(t, p, tag, after, context, adepth(sig, p))
-    if index is not None:
-        if done is None:
-            done = index.steps[t] = {}
-        done[p, tag, sig] = step
+    if done is None:
+        done = index.steps[t] = {}
+    done[p, tag, sig] = step
     return step
 
 

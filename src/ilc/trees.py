@@ -460,12 +460,13 @@ def canon(root: Node) -> tuple:
 
 
 def bisimilar(s: Node, t: Node) -> bool:
-    """Graph bisimulation; equality of the unfolded trees."""
+    """Graph bisimulation; equality of the unfolded trees.  A node is
+    bisimilar to itself, so a pair of one node is not walked."""
     seen: set[tuple[int, int]] = set()
     stack = [(s, t)]
     while stack:
         x, y = stack.pop()
-        if (id(x), id(y)) in seen:
+        if x is y or (id(x), id(y)) in seen:
             continue
         seen.add((id(x), id(y)))
         if label(x) != label(y):

@@ -89,6 +89,7 @@ from ilc.trees import (
     LAM,
     UNKNOWN,
     Approximant,
+    ClassTable,
     Node,
     app,
     bind_fvars,
@@ -946,6 +947,15 @@ def truncate_recursive(sig: Sig, t: Node, d: int) -> Node:
         return Node(n.kind, n.a, n.b)
 
     return go(t, 0)
+
+
+def class_table(*roots: Node) -> ClassTable:
+    """A fresh class table of the roots, for a direct call of a de Bruijn
+    walker (``rewriting.shift``, ``substitute``, ``unshift_free``)."""
+    classes = ClassTable()
+    for r in roots:
+        classes.add(r)
+    return classes
 
 
 def shift_recursive(root: Node, by: int, cutoff: int = 0) -> Node:
@@ -1869,7 +1879,7 @@ def clear_caches_per_call() -> None:
 
 def reduces_to_lam_per_call(t: Node, fuel: int = 10_000) -> TriVerdict:
     index = NodeIndex(Beta())
-    key = (index.canonical(t), fuel)
+    key = (canon(t), fuel)
     if key in _whnf_cache_per_call:
         return _whnf_cache_per_call[key]
     index.add(t)
@@ -1949,7 +1959,7 @@ def stability_per_call(sig: Sig, t: Node, fuel: int) -> TriVerdict:
 
 def is_active_per_call(sig: Sig, t: Node, fuel: int = 10_000) -> TriVerdict:
     index = NodeIndex(Beta())
-    key = (sig, index.canonical(t), fuel)
+    key = (sig, canon(t), fuel)
     if key in _active_cache_per_call:
         return _active_cache_per_call[key]
     index.add(t)

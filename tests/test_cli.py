@@ -5,6 +5,7 @@ import itertools
 import json
 import random
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -338,6 +339,40 @@ def test_deeply_nested_input_never_escapes_the_exit_codes():
     for argv in [("tree", nested), ("order", nested, nested)]:
         code, out, err = run(*argv)
         assert code in (0, 2) and err == "", argv[0]
+
+
+def test_seeded_tree_and_trace_keep_the_cli_contract():
+    # seeded loopy terms under every signature, each under tree and under a
+    # trace with a seeded rule system and strategy, in text and in JSON
+    rng = random.Random(9)
+    flags = ("--ascii", "--depth", "6", "--fuel", "150")
+    codes = Counter()
+    for k in range(200):
+        sig = ALL_SIGS[k % len(ALL_SIGS)]
+        term = render_tree(oracles.random_loopy_tree(rng, sig), ascii_only=True)
+        common = (*flags, "--sig", sig_str(sig))
+        rules = ("--rules", rng.choice(("beta", "eta", "strict", "betas", "bohm")))
+        strategy = ("--strategy", rng.choice(("lmo", "po", "d0")))
+        for argv in [("tree", *common), ("trace", *common, *rules, *strategy)]:
+            code, text, err = run(*argv, term)
+            json_code, doc, json_err = run(*argv, "--format", "json", term)
+            assert code == json_code and 0 <= code <= 3, (argv, term)
+            assert "Traceback" not in err + json_err, (argv, term)
+            codes[argv[0], code] += 1
+            if code in (1, 3):  # an error: no answer to compare
+                continue
+            doc = json.loads(doc)
+            if argv[0] == "trace":
+                report = doc["report"]
+                stopped, m, p_limit = text.splitlines()[-3:]
+                assert stopped.split()[:2] == ["stopped:", report["stopped"]], (argv, term)
+                assert (m, p_limit) == (f"m-convergence: {report['m']}", f"p-limit: {report['p_limit']}")
+                continue
+            assert doc["tree"] + "\n" == text, (argv, term)
+            if code == 0:  # a normal form: normalising it again prints it
+                assert run(*argv, doc["tree"]) == (0, text, ""), (argv, term)
+    assert {c for _, c in codes} >= {0, 2}, codes
+    assert codes["tree", 0] > 50 and codes["trace", 0] > 50, codes
 
 
 def test_dev_all_on_a_long_argument_spine():

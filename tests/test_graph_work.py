@@ -72,6 +72,7 @@ from ilc.trees import (
     unknown,
 )
 from oracles import (
+    class_table,
     bind_fvars_by_rounds,
     check_inputs_per_member,
     bot_positions_by_queue,
@@ -528,8 +529,8 @@ def shared_states(out, root, classes, arg=None) -> int:
 
 def test_de_bruijn_walkers_equal_the_recursive_versions():
     # shift, substitute and unshift_free run with a run's class table, which
-    # holds both inputs, and without one (they build their own); they must
-    # share only the input nodes that they leave unchanged
+    # holds both inputs, and with a fresh table of just their own inputs;
+    # they must share only the input nodes that they leave unchanged
     rng = random.Random(31)
     seen = set()
     shared = Counter()
@@ -547,7 +548,8 @@ def test_de_bruijn_walkers_equal_the_recursive_versions():
         ]
         for walk, oracle, args, root, skip in cases:
             want = outcome(oracle, *args)
-            for classes in (None, index.classes):
+            fresh = class_table(root) if skip is None else class_table(root, skip)
+            for classes in (fresh, index.classes):
                 got = outcome(walk, *args, classes)
                 if isinstance(want, tuple):
                     assert got == want
@@ -691,6 +693,7 @@ def closed_then(n: int, first_leaf, later_leaf):
 
 
 N = DEPTH
+W = fvar("w")  # the argument that the deep substitutions put in
 
 
 def truncate_chain(sig):
@@ -701,19 +704,19 @@ def truncate_chain(sig):
 # with None where the walk raises the ValueError its recursive version
 # raises too)
 DEEP_CASES = {
-    "shift": (lambda g: shift(g, 1), lambda: [
+    "shift": (lambda g: shift(g, 1, class_table(g)), lambda: [
         (spine(N, bvar(1)), spine(N, bvar(2))),
         (spine(N, bvar(1), True), spine(N, bvar(2), True)),
         (open_nesting(N, bvar(N + 1)), open_nesting(N, bvar(N + 2))),
         (nesting(N, bvar(N + 1)), closed_then(N, bvar(N + 2), bvar(N + 1))),
     ]),
-    "substitute": (lambda g: substitute(g, fvar("w")), lambda: [
+    "substitute": (lambda g: substitute(g, W, class_table(g, W)), lambda: [
         (spine(N, bvar(0)), spine(N, fvar("w"))),
         (spine(N, bvar(0), True), spine(N, fvar("w"), True)),
         (open_nesting(N, bvar(N)), open_nesting(N, fvar("w"))),
         (nesting(N, bvar(N)), closed_then(N, fvar("w"), bvar(N))),
     ]),
-    "unshift_free": (unshift_free, lambda: [
+    "unshift_free": (lambda g: unshift_free(g, class_table(g)), lambda: [
         (spine(N, bvar(1)), spine(N, bvar(0))),
         (spine(N, bvar(1), True), spine(N, bvar(0), True)),
         (open_nesting(N, bvar(N + 1)), open_nesting(N, bvar(N))),

@@ -3,7 +3,8 @@ walks it replaced, its redex test answers as the ``match`` on the rule
 system did, the redex search that it prunes finds what the search by
 positions found, and ``run_strategy``, which keys its lasso check and
 prunes its redex search through it, takes the same steps as the earlier loop
-that searched and keyed the whole graph on every step."""
+that searched and keyed the whole graph on every step.  A step taken alone
+answers as the same step on a run's index does."""
 
 import random
 from collections import Counter
@@ -17,6 +18,7 @@ from ilc.rewriting import (
     BohmBot,
     Eta,
     NodeIndex,
+    NotARedex,
     Strict,
     _search,
     depth0_redex,
@@ -25,6 +27,7 @@ from ilc.rewriting import (
     run_strategy,
     step_sig,
     trace_export,
+    try_step,
 )
 from ilc.terms import ALL_SIGS, adepth, parse_term
 from ilc.trees import (
@@ -38,6 +41,7 @@ from ilc.trees import (
     bisimilar,
     bvar,
     canon,
+    child_at,
     fvar,
     has_kind,
     is_finite,
@@ -45,6 +49,7 @@ from ilc.trees import (
     node_at,
     parse_tree,
     reachable,
+    render_tree,
     tree_of_term,
 )
 from oracles import (
@@ -270,6 +275,56 @@ def test_a_redex_class_is_contracted_once_per_index(monkeypatch):
     assert calls == [] and all(a is b for a, b in zip(again.steps, tr.steps, strict=True))
     # the memoised contracta print what fresh contractions print
     assert trace_export(again) == trace_export(run_strategy(Beta(), "d0", t, 14))
+
+
+# the rule tags of each rule system, by its name
+TAGS = {"beta": ("beta",), "eta": ("eta",), "s": ("s",), "betas": ("beta", "s"), "bohm": ("beta", "bot")}
+
+
+def step_outcome(rules, t, p, tag=None, index=None):
+    """What ``try_step`` answers: the step's position, rule, depth and
+    printed reduct and context, or the type and message of its error."""
+    try:
+        s = try_step(rules, t, p, tag, index=index)
+    except (ValueError, KeyError) as e:
+        return type(e), str(e)
+    return s.position, s.rule, s.depth, render_tree(s.after, ascii_only=True), render_tree(s.context, ascii_only=True)
+
+
+def test_a_step_without_an_index_equals_a_step_on_a_runs_index():
+    # every position up to length 3, and each one edge off the tree, with
+    # the tag inferred and with each tag of the rules named, whether the
+    # node is such a redex or not; one index per rule system across all
+    # graphs, so bisimilar redexes of earlier graphs and tags hand their
+    # memoised contracta on.  Each graph g also in the M of \x. M x, as
+    # M = g and g y, y bound outside, for eta redexes
+    roots = [*graphs(41, 6, leaves=True), *loopy(42, 8)]
+    roots += [lam(app(m, bvar(0))) for g in roots for m in (g, app(g, bvar(1)))]
+    positions = {}
+    for t in roots:
+        ps = positions[t] = [()]
+        frontier = [((), t)]
+        for _ in range(3):
+            frontier = [(p + (i,), child_at(n, i)) for p, n in frontier for i in (0, 1, 2)]
+            ps += [p for p, _ in frontier]
+            frontier = [(p, n) for p, n in frontier if n is not None]
+    seen = Counter()
+    for rules in RULES + BOHM:
+        index = NodeIndex(rules)
+        for t in roots:
+            index.add(t)  # as a run adds its states
+            for p in positions[t]:
+                for tag in (None, *TAGS[rules.name]):
+                    want = step_outcome(rules, t, p, tag)
+                    assert step_outcome(rules, t, p, tag, index) == want
+                    if isinstance(want[0], type):
+                        seen[want[0].__name__] += 1
+                        continue
+                    seen[want[1]] += 1
+                    step = try_step(rules, t, p, want[1], index=index)
+                    assert try_step(rules, t, p, want[1], index=index) is step  # the memo
+    assert set(seen) == {"beta", "eta", "s", "bot", "NotARedex", "ValueError", "KeyError"}
+    assert min(seen.values()) > 5, seen
 
 
 @pytest.mark.parametrize("text", [r"(\x.x x y) (\x.x x y)", r"(\f.(\x.f (x x)) (\x.f (x x))) (\s.\c.c a s)"])
