@@ -513,6 +513,19 @@ def _beta_normalize(sig: Sig, tree: Node, fuel: int, depth: int) -> Node:
     return cur
 
 
+def _same_run(a: Trace, b: Trace) -> bool:
+    """Do two traces hold the same steps, one for one, from the same start
+    with the same stop, so that ``p_limit`` gives both the same endpoint?"""
+    return (
+        a.start is b.start
+        and a.sig == b.sig
+        and (a.classes is None) == (b.classes is None)
+        and (a.stopped, a.cycle_at) == (b.stopped, b.cycle_at)
+        and len(a.steps) == len(b.steps)
+        and all(x is y for x, y in zip(a.steps, b.steps))
+    )
+
+
 def joinability(
     sig: Sig,
     t: Node,
@@ -525,7 +538,11 @@ def joinability(
 
     Both endpoints are normalized under the traces' own rule discipline:
     plain beta traces get iterated beta normalization (no bottom rules), any
-    other discipline gets the full infinitary normal form.
+    other discipline gets the full infinitary normal form.  A second trace
+    that holds the first one's ``Step`` objects one for one, from the same
+    start with the same stop, as the two runs of ``ilc join`` on one index
+    often do, has the first one's endpoint and normal form, which are not
+    taken again.
     """
     for tr in (trace1, trace2):
         if not bisimilar(tr.start, t):
@@ -533,6 +550,9 @@ def joinability(
     pure_beta = isinstance(trace1.rules, Beta) and isinstance(trace2.rules, Beta)
     norms = []
     for tr in (trace1, trace2):
+        if norms and _same_run(trace1, trace2):
+            norms.append(norms[0])
+            continue
         end = p_limit(tr, depth).tree
         if pure_beta:
             norms.append(_beta_normalize(sig, end, fuel, depth))

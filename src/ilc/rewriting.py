@@ -9,21 +9,27 @@ which stands for the omega-length reduction that repeats the cycle forever.
 Nodes are immutable once they are handed to ``run_strategy`` or to a redex
 search.  Every node mutation in the library happens inside the builder that
 allocated the node, before the builder returns it: ``trees.build``,
-``trees._tie`` and ``trees.tree_of_term``.  A step only adds nodes, the
-spine that ``replace_at`` copies and the contractum, so a ``NodeIndex``
-records its facts about a node once and they hold for the whole run.
+``trees._tie``, ``trees.tree_of_term`` and ``NodeIndex.splice``.  A step
+only adds nodes, the spines of its reduct and context and the contractum,
+so a ``NodeIndex`` records its facts about a node once and they hold for
+the whole run.
 
 A step shares what it leaves unchanged with the state before it: the
-siblings of the copied spine, and inside the contractum every finite
-subgraph whose free de Bruijn indices the step leaves as they are, which
-the run's ``ClassTable`` records per class (``free``).  So a beta step
-copies only the paths to the substituted variable, and a finite argument
-without a free index is shared by all its occurrences; one with free
-indices gets one shifted copy per binder depth.  A subgraph that reaches a
-cycle is copied, because a de Bruijn walk unrolls its cycles: the copy is
-bisimilar but not isomorphic, and it prints its ``rec`` binders elsewhere.
-Every step runs on a ``NodeIndex``, a run's or, for a step taken alone, a
-fresh one, and every de Bruijn walk reads the class table of its caller.
+siblings of its spines, and inside the contractum every finite subgraph
+whose free de Bruijn indices the step leaves as they are, which the run's
+``ClassTable`` records per class (``free``).  So a beta step copies only
+the paths to the substituted variable, and a finite argument without a
+free index is shared by all its occurrences; one with free indices gets
+one shifted copy per binder depth.  A subgraph that reaches a cycle is
+copied, because a de Bruijn walk unrolls its cycles: the copy is bisimilar
+but not isomorphic, and it prints its ``rec`` binders elsewhere.  Every
+step runs on a ``NodeIndex``, a run's or, for a step taken alone, a fresh
+one, and every de Bruijn walk reads the class table of its caller.  A step
+builds the spines of its reduct and its context through the index's class
+table, bottom-up: a spine node whose children are finite is the table's
+member of its class if the table has one, so a finite node may be shared
+by every state and context of the index that holds a bisimilar subtree,
+while a spine node that reaches a cycle is made fresh, as a copy would be.
 Across steps, the runs that share an index contract each finite class of
 redex once per rule tag and reuse its contractum, and a run that steps a
 state node that an earlier run stepped, at the same position, reuses that
@@ -42,6 +48,7 @@ from typing import Callable
 
 from .terms import Position, Sig, acut, adepth, parse_sig, sig_str
 from .trees import (
+    _CYCLIC,
     APP,
     BVAR,
     CUT,
@@ -342,6 +349,16 @@ class NodeIndex:
       earlier run of the index, as the two runs of ``ilc join`` do while
       they coincide, gets the earlier ``Step`` itself.
 
+    ``splice`` builds the spines of a step's reduct and context through
+    the index, so each new node is classed and gets its facts as it is
+    made, and a finite one that the table holds already is not made at
+    all: a finite node may be shared by every state and context of the
+    index that holds a bisimilar subtree.  ``hole`` is the index's one
+    hole node, which every context holds.  The class table gains nodes
+    only through ``add`` and ``splice``, so a node that ``splice`` takes
+    from the table has its facts; ``render_trees`` adds the unseen nodes
+    of the states it prints, and a run leaves none unseen.
+
     The facts and the memos rely on nodes never changing once indexed (see
     the module docstring).
 
@@ -352,7 +369,7 @@ class NodeIndex:
     on it), and none reaches a Cut or Unknown leaf unless the start does.
     """
 
-    __slots__ = ("rules", "test", "classes", "live", "stuck", "contracta", "steps", "_canons")
+    __slots__ = ("rules", "test", "classes", "live", "stuck", "contracta", "steps", "hole", "_canons")
 
     def __init__(self, rules: RuleSystem):
         self.rules = rules
@@ -363,6 +380,8 @@ class NodeIndex:
         self.contracta: dict[tuple[int, str], Node] = {}
         self.steps: dict[Node, dict[tuple[Position, str, Sig], Step]] = {}
         self._canons: dict[Node, tuple] = {}
+        self.hole = hole()
+        self.add(self.hole)
 
     def add(self, root: Node) -> None:
         finite, cyclic = self.classes.add(root)
@@ -387,6 +406,61 @@ class NodeIndex:
             )
             if stuck:  # else no node seen reaches a Cut or Unknown leaf
                 stuck |= reaching(cyclic, lambda n: any(c in stuck for _, c in children(n)))
+
+    def splice(self, spine: list[Node], p: Position, k: int, replacement: Node) -> Node:
+        """The first ``k`` nodes of a spine along ``p`` (``_spine``) built
+        again, with ``replacement`` in place of the node at ``p[:k]``; the
+        spine and the replacement are indexed.
+
+        Each node is built bottom-up over children that the index holds.
+        One whose children have finite classes is interned: the table's
+        member of its label and child classes, if it has one, is taken
+        itself, else a new node is made and classed as ``ClassTable.add``
+        classes it.  One with a child that reaches a cycle is made fresh,
+        classed ``_CYCLIC`` and never interned, so the ``rec`` binders of a
+        printed state stay where a copy puts them.  A new node lies on no
+        cycle, so its ``live`` and ``stuck`` facts follow from its own redex
+        test and its children's, as ``add`` takes them for a finite node.
+        """
+        cls, table, rep, free = self.classes.cls, self.classes.table, self.classes.rep, self.classes.free
+        live, stuck, test = self.live, self.stuck, self.test
+        out = replacement
+        c = cls[out]
+        for j in range(k - 1, -1, -1):
+            i = p[j]
+            if i == 0:
+                a = b = out
+                x = y = c
+                key = (LAM, c)
+            else:
+                n = spine[j]
+                if i == 1:
+                    a, b = out, n.b
+                else:
+                    a, b = n.a, out
+                x, y = cls[a], cls[b]
+                key = (APP, x, y)
+            if x >= 0 and y >= 0:
+                c = table.get(key)
+                if c is not None:
+                    out = rep[c]
+                    continue
+                c = table[key] = len(rep)
+                if i == 0:
+                    free.append(free[x] - 1 if free[x] > 0 else -1)
+                else:
+                    free.append(free[x] if free[x] > free[y] else free[y])
+            else:
+                c = _CYCLIC
+            out = Node(LAM, a) if i == 0 else Node(APP, a, b)
+            if c >= 0:
+                rep.append(out)
+            cls[out] = c
+            if a in live or b in live or test(out):
+                live.add(out)
+            if stuck and (a in stuck or b in stuck):
+                stuck.add(out)
+        return out
 
     def key(self, n: Node) -> int | tuple:
         """A key of an indexed node: equal keys iff bisimilar.  Its finite
@@ -618,29 +692,32 @@ def _spine(t: Node, p: Position) -> list[Node]:
     return spine
 
 
-def _splice(spine: list[Node], p: Position, k: int, replacement: Node) -> Node:
-    """Copy the first ``k`` nodes of a spine along ``p`` with the
-    replacement in place of the node at ``p[:k]``."""
+def replace_at(t: Node, p: Position, replacement: Node) -> Node:
+    """Copy the spine down to ``p`` and splice in the replacement."""
+    spine = _spine(t, p)
     out = replacement
-    for j in range(k - 1, -1, -1):
+    for j in range(len(p) - 1, -1, -1):
         n, i = spine[j], p[j]
         out = Node(LAM, out) if i == 0 else Node(APP, out, n.b) if i == 1 else Node(APP, n.a, out)
     return out
 
 
-def replace_at(t: Node, p: Position, replacement: Node) -> Node:
-    """Copy the spine down to ``p`` and splice in the replacement."""
-    return _splice(_spine(t, p), p, len(p), replacement)
-
-
 def contractum(rules: RuleSystem, n: Node, tag: str, classes: ClassTable) -> Node:
-    """The contractum of the redex ``n``; ``classes`` is a table that holds
-    ``n``, which the de Bruijn walkers read."""
+    """The contractum of the redex ``n`` under ``rules``; ``classes`` is a
+    table that holds ``n``, which the de Bruijn walkers read.  An ``s`` or
+    ``bot`` tag must name a rule of ``rules`` that applies to ``n``: the
+    strictness test of its signature, or its oracle."""
     if tag == "beta":
         if n.kind != APP or n.a.kind != LAM:
             raise NotARedex(f"no beta redex at node of kind {n.kind}")
         return substitute(n.a.a, n.b, classes)
-    if tag == "s" or tag == "bot":
+    if tag == "s":
+        if not isinstance(rules, (Strict, BetaStrict)) or _strict_test(rules.sig)(n) is None:
+            raise NotARedex(f"no strictness redex at node of kind {n.kind}")
+        return hole()
+    if tag == "bot":
+        if not isinstance(rules, BohmBot) or n.kind == HOLE or not rules.oracle(n):
+            raise NotARedex(f"no bottom redex at node of kind {n.kind}")
         return hole()
     if tag == "eta":
         if n.kind != LAM or n.a.kind != APP or n.a.b.kind != BVAR or n.a.b.a != 0:
@@ -669,14 +746,16 @@ def try_step(
 
     The recorded reduction context is the tree with the subtree at the
     longest non-strict prefix of ``p`` removed.  One walk down ``p``
-    collects the spine that the reduct and the context both copy.  The step
-    runs on ``index``, a run's index, or a fresh ``NodeIndex(rules)``: the
-    redex is added to it (nothing to do if it is there already), the
-    contraction reads its classes, and the step goes through its memos (see
-    ``NodeIndex``).  A call that names its ``tag`` returns the memoised step
-    of the same state node, position, tag and signature, and a redex of a
-    finite class seen before gets the memoised contractum.  A call without
-    a tag takes the one that ``rules`` give the node at ``p``.
+    collects the spine that the reduct and the context both rebuild.  The
+    step runs on ``index``, a run's index, or a fresh ``NodeIndex(rules)``:
+    the state is added to it (nothing to do if it is there already), the
+    contraction reads its classes, the contractum is added, the reduct and
+    the context are built through it (``NodeIndex.splice``), and the step
+    goes through its memos (see ``NodeIndex``).  A call that names its
+    ``tag`` returns the memoised step of the same state node, position, tag
+    and signature, and a redex of a finite class seen before gets the
+    memoised contractum.  A call without a tag takes the one that ``rules``
+    give the node at ``p``.
     """
     sig = sig if sig is not None else step_sig(rules)
     if index is None:
@@ -689,24 +768,24 @@ def try_step(
     spine = _spine(t, p)
     n = spine[-1]
     classes = index.classes
-    c = classes.cls.get(n)
-    if c is None:
-        index.add(n)
-        c = classes.cls[n]
+    if t not in classes.cls:
+        index.add(t)
+    c = classes.cls[n]
     if tag is None:
         tag = redex_test(rules, classes)(n)
         if tag is None and isinstance(rules, BohmBot) and n.kind != HOLE and rules.oracle(n):
             tag = "bot"
         if tag is None:
             raise NotARedex(f"no redex at {list(p)}: node kind {n.kind}")
-    if c < 0:
+    reduct = index.contracta.get((c, tag)) if c >= 0 else None
+    if reduct is None:
         reduct = contractum(rules, n, tag, classes)
-    else:
-        reduct = index.contracta.get((c, tag))
-        if reduct is None:
-            reduct = index.contracta[c, tag] = contractum(rules, n, tag, classes)
-    after = _splice(spine, p, len(p), reduct)
-    context = _splice(spine, p, len(acut(sig, p)), hole())
+        if reduct not in classes.cls:
+            index.add(reduct)
+        if c >= 0:
+            index.contracta[c, tag] = reduct
+    after = index.splice(spine, p, len(p), reduct)
+    context = index.splice(spine, p, len(acut(sig, p)), index.hole)
     step = Step(t, p, tag, after, context, adepth(sig, p))
     if done is None:
         done = index.steps[t] = {}
@@ -728,8 +807,9 @@ class Trace:
     cycle_at: int | None = None  # lasso: the state after the last step
     # equals the state before step cycle_at
     strategy: str | None = None  # the strategy that ``run_strategy`` ran
-    # the finite classes of the run's states (``NodeIndex.classes``), which
-    # printing them reuses; None for a trace not made by ``run_strategy``.
+    # the finite classes of the run's states and contexts
+    # (``NodeIndex.classes``), which printing them reuses; None for a trace
+    # not made by ``run_strategy``.
     # Set, it also vouches that the steps contract redexes from ``start``,
     # so the contexts are guarded if the start is and ``p_limit`` checks
     # only the start (see ``NodeIndex``)

@@ -20,9 +20,10 @@ their results with ``trees.build``), and the union-of-domains construction
 that ``lub_chain`` once ran on every call as a self-check.  At the end are
 the redex test that dispatched on the rule system at every node, the redex
 search that built a position for every node it visited, the ``p_limit``
-that checked every context for guardedness, the whole-graph redex searches
-and the ``canon``-keyed ``run_strategy`` loop that ``rewriting.NodeIndex``
-replaced, the per-node walks of
+that checked every context for guardedness, the step that copied the
+spines of its reduct and context as fresh nodes, the whole-graph redex
+searches and the ``canon``-keyed ``run_strategy`` loop that
+``rewriting.NodeIndex`` replaced, the per-node walks of
 ``developments`` that one strongly-connected-components pass replaced, and
 the four hand-written position enumerations that ``trees.positions``
 replaced, with the paper's positional binder labels (``label_at``) and the
@@ -72,10 +73,14 @@ from ilc.rewriting import (
     BohmBot,
     Eta,
     NodeIndex,
+    NotARedex,
     Step,
     Strict,
     Trace,
+    _spine,
+    contractum,
     occurs_index,
+    replace_at,
     step_sig,
     try_step,
 )
@@ -1459,6 +1464,25 @@ def p_limit_checked(trace: Trace, depth: int = 16) -> Approximant:
     for s in recent:
         g = _poison(g, acut(trace.sig, s.position))
     return Approximant(g, fuel_exhausted=True)
+
+
+def try_step_by_copy(rules, t: Node, p: Position, tag: str | None = None, sig: Sig | None = None) -> Step:
+    """``rewriting.try_step`` as it built a step before its spines went
+    through the index: the reduct and the context copy the spine down ``p``
+    as fresh nodes (``replace_at``), with the contractum, or a new hole at
+    the longest non-strict prefix of ``p``, in place; no memo."""
+    sig = sig if sig is not None else step_sig(rules)
+    n = _spine(t, p)[-1]
+    if tag is None:
+        tag = redex_tag_by_match(rules, n)
+        if tag is None and isinstance(rules, BohmBot) and n.kind != HOLE and rules.oracle(n):
+            tag = "bot"
+        if tag is None:
+            raise NotARedex(f"no redex at {list(p)}: node kind {n.kind}")
+    reduct = contractum(rules, n, tag, class_table(n))
+    after = replace_at(t, p, reduct)
+    context = replace_at(t, acut(sig, p), hole())
+    return Step(t, p, tag, after, context, adepth(sig, p))
 
 
 

@@ -12,7 +12,8 @@ from ilc.developments import (
     path_labels,
     strip_join,
 )
-from ilc.rewriting import Beta, BetaStrict, Trace, redexes, run_strategy, try_step
+from ilc import developments
+from ilc.rewriting import Beta, BetaStrict, NodeIndex, Trace, redexes, run_strategy, try_step
 from ilc.terms import parse_term
 from ilc.trees import bisimilar, parse_tree, render_tree, tree_of_term
 from oracles import develop_raw_by_canon, random_loopy_tree, random_redexy_term
@@ -256,3 +257,38 @@ def test_joinability_of_omega_loops():
     res = joinability(sig, t, tr1, tr2)
     assert res.joined
     assert render_tree(res.tree, ascii_only=True) == "bot"
+
+
+@pytest.mark.parametrize(
+    "text, shared",
+    [
+        (r"(\f.\x.f (f x)) (\f.\x.f (f (f x)))", True),
+        (r"(\x.x x y) (\x.x x y)", True),
+        (OMEGA + " y", True),
+        (r"y ((\x.x) a) ((\z.z) b)", False),  # lmo contracts a first, d0 b
+    ],
+)
+def test_a_join_of_one_run_takes_its_endpoint_once(monkeypatch, text, shared):
+    # as ilc join runs it, on one index: a d0 run that holds the lmo run's
+    # steps has its p-limit and normal form taken once, with the answer of
+    # a d0 run on its own index, whose steps are other objects
+    t = T(text)
+    calls = []
+    real = developments.p_limit
+    monkeypatch.setattr(developments, "p_limit", lambda tr, *a: calls.append(tr) or real(tr, *a))
+    for sig in ((0, 0, 1), (1, 0, 1), (1, 1, 1)):
+        for rules in (Beta(), BetaStrict(sig)):
+            index = NodeIndex(rules)
+            lmo = run_strategy(rules, "lmo", t, 30, sig=sig, index=index)
+            d0 = run_strategy(rules, "d0", t, 30, sig=sig, index=index)
+            alone = run_strategy(rules, "d0", t, 30, sig=sig)
+            assert developments._same_run(lmo, d0) == shared
+            assert not developments._same_run(lmo, alone)
+            calls.clear()
+            got = joinability(sig, t, lmo, d0, 30)
+            # the beta normaliser takes p-limits of runs of its own
+            assert [tr for tr in calls if tr is lmo or tr is d0] == ([lmo] if shared else [lmo, d0])
+            want = joinability(sig, t, lmo, alone, 30)
+            assert (got.status, got.detail) == (want.status, want.detail)
+            if got.tree is not None:
+                assert render_tree(got.tree, ascii_only=True) == render_tree(want.tree, ascii_only=True)

@@ -4,7 +4,9 @@ system did, the redex search that it prunes finds what the search by
 positions found, and ``run_strategy``, which keys its lasso check and
 prunes its redex search through it, takes the same steps as the earlier loop
 that searched and keyed the whole graph on every step.  A step taken alone
-answers as the same step on a run's index does."""
+answers as the same step on a run's index does, and a step whose spines
+the index builds prints what the step that copied them printed, with
+every spliced node classed, interned and given its facts as it is made."""
 
 import random
 from collections import Counter
@@ -29,7 +31,7 @@ from ilc.rewriting import (
     trace_export,
     try_step,
 )
-from ilc.terms import ALL_SIGS, adepth, parse_term
+from ilc.terms import ALL_SIGS, acut, adepth, parse_term
 from ilc.trees import (
     APP,
     BVAR,
@@ -42,6 +44,7 @@ from ilc.trees import (
     bvar,
     canon,
     child_at,
+    cut,
     fvar,
     has_kind,
     is_finite,
@@ -49,6 +52,7 @@ from ilc.trees import (
     node_at,
     parse_tree,
     reachable,
+    reaching,
     render_tree,
     tree_of_term,
 )
@@ -56,10 +60,12 @@ from oracles import (
     loopy,
     random_graph,
     random_redexy_term,
+    redex_reachability,
     redex_reachability_by_rounds,
     redex_tag_by_match,
     run_strategy_whole_graph,
     search_by_positions,
+    try_step_by_copy,
     unroll,
 )
 
@@ -235,6 +241,8 @@ def test_run_strategy_equals_the_whole_graph_loop():
                 for strategy in ("lmo", "po", "d0"):
                     want = run_strategy_whole_graph(rules, strategy, t, 10, max_len, sig)
                     got = run_strategy(rules, strategy, t, 10, max_len, sig, index=index)
+                    for s in got.steps:  # each step classed its reduct and context
+                        assert index.classes.add(s.after) == index.classes.add(s.context) == ([], [])
                     same_run(got, want)
                     assert trace_export(got) == trace_export(want)
                     runs += 1
@@ -281,11 +289,23 @@ def test_a_redex_class_is_contracted_once_per_index(monkeypatch):
 TAGS = {"beta": ("beta",), "eta": ("eta",), "s": ("s",), "betas": ("beta", "s"), "bohm": ("beta", "bot")}
 
 
-def step_outcome(rules, t, p, tag=None, index=None):
-    """What ``try_step`` answers: the step's position, rule, depth and
-    printed reduct and context, or the type and message of its error."""
+def short_positions(t):
+    """Every position of ``t`` up to length 3, and each one edge off it."""
+    ps = [()]
+    frontier = [((), t)]
+    for _ in range(3):
+        frontier = [(p + (i,), child_at(n, i)) for p, n in frontier for i in (0, 1, 2)]
+        ps += [p for p, _ in frontier]
+        frontier = [(p, n) for p, n in frontier if n is not None]
+    return ps
+
+
+def step_outcome(rules, t, p, tag=None, index=None, sig=None, step=try_step):
+    """What ``try_step``, or ``step``, answers: the step's position, rule,
+    depth and printed reduct and context, or the type and message of its
+    error."""
     try:
-        s = try_step(rules, t, p, tag, index=index)
+        s = step(rules, t, p, tag, sig) if index is None else step(rules, t, p, tag, sig, index=index)
     except (ValueError, KeyError) as e:
         return type(e), str(e)
     return s.position, s.rule, s.depth, render_tree(s.after, ascii_only=True), render_tree(s.context, ascii_only=True)
@@ -300,14 +320,7 @@ def test_a_step_without_an_index_equals_a_step_on_a_runs_index():
     # M = g and g y, y bound outside, for eta redexes
     roots = [*graphs(41, 6, leaves=True), *loopy(42, 8)]
     roots += [lam(app(m, bvar(0))) for g in roots for m in (g, app(g, bvar(1)))]
-    positions = {}
-    for t in roots:
-        ps = positions[t] = [()]
-        frontier = [((), t)]
-        for _ in range(3):
-            frontier = [(p + (i,), child_at(n, i)) for p, n in frontier for i in (0, 1, 2)]
-            ps += [p for p, _ in frontier]
-            frontier = [(p, n) for p, n in frontier if n is not None]
+    positions = {t: short_positions(t) for t in roots}
     seen = Counter()
     for rules in RULES + BOHM:
         index = NodeIndex(rules)
@@ -325,6 +338,73 @@ def test_a_step_without_an_index_equals_a_step_on_a_runs_index():
                     assert try_step(rules, t, p, want[1], index=index) is step  # the memo
     assert set(seen) == {"beta", "eta", "s", "bot", "NotARedex", "ValueError", "KeyError"}
     assert min(seen.values()) > 5, seen
+
+
+def test_a_step_equals_the_step_by_copy():
+    # the spliced reduct and context print what the fresh copies print, under
+    # every rule system and with each of the 8 signatures as the step's, one
+    # index per rule system across all graphs, so that splices meet classes
+    # that earlier graphs, signatures and steps interned
+    roots = [*graphs(43, 3, leaves=True), *loopy(44, 6)]
+    roots += [lam(app(m, bvar(0))) for g in roots for m in (g, app(g, bvar(1)))]
+    positions = {t: short_positions(t) for t in roots}
+    seen = Counter()
+    for rules in RULES + BOHM:
+        index = NodeIndex(rules)
+        sigs = [step_sig(rules)] if isinstance(rules, (Strict, BetaStrict)) else ALL_SIGS
+        for sig in sigs:
+            for t in roots:
+                for p in positions[t]:
+                    for tag in (None, *TAGS[rules.name]):
+                        want = step_outcome(rules, t, p, tag, sig=sig, step=try_step_by_copy)
+                        assert step_outcome(rules, t, p, tag, index, sig) == want
+                        seen[want[0].__name__ if isinstance(want[0], type) else want[1]] += 1
+    assert set(seen) == {"beta", "eta", "s", "bot", "NotARedex", "ValueError", "KeyError"}
+    assert min(seen.values()) > 5, seen
+
+
+def spliced(sig, s):
+    """The nodes that the spines of a step's reduct and context hold."""
+    p, k = s.position, len(acut(sig, s.position))
+    return [node_at(s.after, p[:j]) for j in range(len(p))] + [node_at(s.context, p[:j]) for j in range(k)]
+
+
+def test_a_step_classes_its_spines_as_it_builds_them():
+    # over runs from seeded graphs, with Cut and Unknown leaves, and loopy
+    # ones, each also applied to a Cut: after each step the index holds the
+    # reduct and the context, a finite spliced node is its class's member,
+    # and the facts of every node of both are the whole-graph fixpoints
+    made = Counter()
+    starts = [*graphs(45, 8, leaves=True), *loopy(46, 24)]
+    for t in starts + [app(t, cut()) for t in starts]:
+        max_len = 64 if is_finite(t) else 10
+        for sig in ALL_SIGS:
+            for rules in (Beta(), Eta(), BetaStrict(sig)):
+                index = NodeIndex(rules)
+                cls, rep = index.classes.cls, index.classes.rep
+                for strategy in ("lmo", "po"):  # d0 rejects Cut/Unknown leaves
+                    tr = run_strategy(rules, strategy, t, 8, max_len, sig, index=index)
+                    for s in tr.steps:
+                        assert index.classes.add(s.after) == ([], [])
+                        assert index.classes.add(s.context) == ([], [])
+                        before = set(reachable(s.before))
+                        for n in spliced(sig, s):
+                            c = cls[n]
+                            assert c < 0 or rep[c] is n
+                            made["finite" if c >= 0 else "cyclic"] += 1
+                            made["from the state"] += n in before
+                        for root in (s.after, s.context):
+                            live = redex_reachability(rules, root)
+                            stuck = reaching(reachable(root), lambda n: n.kind in (CUT, UNKNOWN))
+                            for n in reachable(root):
+                                assert (n in index.live) == (n in live)
+                                assert (n in index.stuck) == (n in stuck)
+                                made["stuck"] += n in stuck
+    assert min(made.values()) > 100, made
+    # a spine node bisimilar to a subtree of the state is that subtree
+    t = parse_tree(r"g (f ((\x.x) y)) (f y)")
+    s = try_step(Beta(), t, (1, 2, 2), "beta")
+    assert node_at(s.after, (1, 2)) is node_at(t, (2,))
 
 
 @pytest.mark.parametrize("text", [r"(\x.x x y) (\x.x x y)", r"(\f.(\x.f (x x)) (\x.f (x x))) (\s.\c.c a s)"])

@@ -172,6 +172,30 @@ def test_bad_strategy_and_bad_position():
         try_step(Beta(), T("x y"), ())
 
 
+def test_a_named_bottom_tag_needs_its_rule():
+    # an s or bot tag contracts only a node that the rules' strictness test
+    # or oracle makes a redex, as a call without the tag infers it
+    xy, fbot = T("x y"), parse_tree("f bot")
+    never = BohmBot((1, 1, 1), lambda n: False, 0)
+    for rules, t, tag in (
+        (Strict((1, 1, 1)), xy, "s"),
+        (Strict((1, 1, 1)), fbot, "s"),
+        (BetaStrict((0, 1, 1)), fbot, "s"),
+        (Beta(), fbot, "s"),
+        (never, xy, "bot"),
+        (BetaStrict((0, 1, 1)), fbot, "bot"),
+    ):
+        with pytest.raises(NotARedex):
+            try_step(rules, t, (), tag)
+        with pytest.raises(NotARedex):
+            try_step(rules, t, ())
+    assert render_tree(try_step(Strict((1, 1, 0)), fbot, (), "s").after) == "⊥"
+    always = BohmBot((1, 1, 1), lambda n: True, 0)
+    assert render_tree(try_step(always, xy, (), "bot").after) == "⊥"
+    with pytest.raises(NotARedex):  # bottom itself is never collapsed
+        try_step(always, fbot, (2,), "bot")
+
+
 # ---------------------------------------------------------------------------
 # The reduction driver's contract, with scripted rounds
 
