@@ -24,7 +24,6 @@ from .trees import (
     Node,
     app,
     back_edges,
-    bvar,
     children,
     cut,
     hole,
@@ -255,10 +254,10 @@ def is_active(sig: Sig, t: Node, fuel: int = 10_000) -> TriVerdict:
             return index.key(n)
 
         def name(i: int, k: int) -> Node:
-            return Node(FVAR, i - k - b) if i >= k + b else bvar(i)
+            return index.node(FVAR, i - k - b) if i >= k + b else index.node(BVAR, i)
 
-        named = _rewrite(n, name, index.classes)
-        index.add(named)
+        named = _rewrite(n, name, index)
+        index.add(named)  # a copy of an n that reaches a cycle
         return index.key(named)
 
     steps, stopped, cycle_at = drive(index, t, fuel, next_round, shifts=redex_key)
@@ -323,8 +322,16 @@ def bohm_tree(
     Active subtrees become Hole; stable ones contribute their frozen depth-0
     skeleton, and normalization recurses into the children hanging off
     non-strict edges one depth level down.  Leaves record honesty: Cut at the
-    depth bound, Unknown on fuel exhaustion.  The final tree is S-normalized;
-    Cut/Unknown block the collapse.
+    depth bound, Unknown on fuel exhaustion.
+
+    The result is S-normal, as ``strict_nf`` would leave it.  The
+    strictness rules, the only rules beyond beta that the paper's 001 and
+    101 calculi need (lambda x. bot -> bot and bot M -> bot), are applied
+    as each node closes: a lambda over bottom at a strict lambda edge, and
+    an application with bottom at a strict edge, become bottom.  The copy
+    closes bottom-up, so a collapse reaches every node above it along
+    strict edges.  Cut and Unknown are inert: they neither collapse nor
+    seed a collapse.
 
     Each child is normalized where it stands: a de Bruijn index escaping it
     points at a lambda of the copy above it, as it pointed at the same
@@ -336,18 +343,32 @@ def bohm_tree(
 
 def _bohm_tree(sig: Sig, t: Node, depth: int, fuel: int) -> Approximant:
     """``bohm_tree`` on a tree already known to be guarded and free of
-    Cut/Unknown leaves."""
+    Cut/Unknown leaves.
+
+    Every node it reads is in the shared index: ``t``, the reducts that
+    ``is_active`` returns, and their subgraphs.  With fuel, a finite
+    subtree that reaches no beta redex (a leaf among them) is its own
+    stable reduct, so it is copied without an ``is_active`` run.
+    """
+    if depth > 0:  # else t is a Cut leaf, found without any analysis
+        index = _node_index()
+        index.add(t)
+        cls, free, live = index.classes.cls, index.classes.free, index.live
     flags = {"fuel": False}
     done: list[Node] = []  # finished copies
     # the work: (node, edge is strict, depth level), LAM to close a lambda
     # and APP to close an application
     stack: list = []
     lambdas = 0  # the lambdas open on the path
+    strict_body, strict_fun, strict_arg = sig[0] == 0, sig[1] == 0, sig[2] == 0
 
     def norm(sub: Node, d: int) -> None:
         # a leaf for sub goes to done; a stable reduct is copied by the loop
         if d >= depth:
             done.append(cut())
+            return
+        if fuel > 0 and cls[sub] >= 0 and sub not in live:
+            stack.append((sub, True, d))
             return
         v = is_active(sig, sub, fuel)
         if v.is_yes:
@@ -365,11 +386,16 @@ def _bohm_tree(sig: Sig, t: Node, depth: int, fuel: int) -> Approximant:
         item = stack.pop()
         if item == APP:
             arg = done.pop()
-            done.append(app(done.pop(), arg))
+            fun = done.pop()
+            if (strict_fun and fun.kind == HOLE) or (strict_arg and arg.kind == HOLE):
+                done.append(hole())
+            else:
+                done.append(app(fun, arg))
             continue
         if item == LAM:
             lambdas -= 1
-            done.append(lam(done.pop()))
+            if not (strict_body and done[-1].kind == HOLE):
+                done.append(lam(done.pop()))
             continue
         n, strict, d = item
         if not strict:
@@ -377,21 +403,23 @@ def _bohm_tree(sig: Sig, t: Node, depth: int, fuel: int) -> Approximant:
             # lambda above it binds: a reduct names no variable that its
             # source does not, and every deeper child descends from one
             # checked here
-            if d == 0 and escapes(n, lambdas):
-                raise ValueError("a bound variable escapes the input tree")
+            if d == 0:
+                c = cls[n]
+                if free[c] >= lambdas if c >= 0 else escapes(n, lambdas):
+                    raise ValueError("a bound variable escapes the input tree")
             norm(n, d + 1)
         elif n.kind in (HOLE, BVAR, FVAR):
             done.append(Node(n.kind, n.a))
         elif n.kind == LAM:
             lambdas += 1
-            stack += (LAM, (n.a, sig[0] == 0, d))
+            stack += (LAM, (n.a, strict_body, d))
         elif n.kind == APP:
-            stack += (APP, (n.b, sig[2] == 0, d), (n.a, sig[1] == 0, d))
+            stack += (APP, (n.b, strict_arg, d), (n.a, strict_fun, d))
         else:
             raise TypeError(n.kind)
 
     return Approximant(
-        strict_nf(sig, done[0]),
+        done[0],
         depth=depth,
         fuel_exhausted=flags["fuel"],
         non_canonical=sig not in CANONICAL_SIGS,

@@ -24,12 +24,13 @@ one shifted copy per binder depth.  A subgraph that reaches a cycle is
 copied, because a de Bruijn walk unrolls its cycles: the copy is bisimilar
 but not isomorphic, and it prints its ``rec`` binders elsewhere.  Every
 step runs on a ``NodeIndex``, a run's or, for a step taken alone, a fresh
-one, and every de Bruijn walk reads the class table of its caller.  A step
-builds the spines of its reduct and its context through the index's class
-table, bottom-up: a spine node whose children are finite is the table's
-member of its class if the table has one, so a finite node may be shared
-by every state and context of the index that holds a bisimilar subtree,
-while a spine node that reaches a cycle is made fresh, as a copy would be.
+one, and every de Bruijn walk builds through the index of its caller.  A
+step builds its contractum, when the walk's root is finite, and the spines
+of its reduct and its context through the index's class table, bottom-up:
+a node whose children are finite is the table's member of its class if
+the table has one, so a finite node may be shared by every state, context
+and contractum of the index that holds a bisimilar subtree, while a node
+that reaches a cycle is made fresh, as a copy would be.
 Across steps, the runs that share an index contract each finite class of
 redex once per rule tag and reuse its contractum, and a run that steps a
 state node that an earlier run stepped, at the same position, reuses that
@@ -58,7 +59,6 @@ from .trees import (
     ClassTable,
     Node,
     bisimilar,
-    bvar,
     canon,
     child_at,
     children,
@@ -121,7 +121,10 @@ class BohmBot(RuleSystem):
 def rule_system(name: str, sig: Sig, fuel: int = 10_000) -> RuleSystem:
     """The rule system of a name: a class's ``name``, or ``strict`` for
     ``Strict``.  ``bohm``'s oracle is ``meaningless.in_bot_instances`` on
-    ``fuel``, as ``ilc trace --rules bohm`` runs it."""
+    ``fuel``, as ``ilc trace --rules bohm`` runs it, asked once per node:
+    nodes never change once made, so a node that the redex search asked
+    about, and then ``contractum``'s check, or that a later state shares,
+    gets the answer it got."""
     match name:
         case Beta.name:
             return Beta()
@@ -134,7 +137,15 @@ def rule_system(name: str, sig: Sig, fuel: int = 10_000) -> RuleSystem:
         case BohmBot.name:
             from . import meaningless  # which imports this module
 
-            return BohmBot(sig, lambda n: meaningless.in_bot_instances(sig, n, fuel).is_yes, fuel)
+            answers: dict[Node, bool] = {}
+
+            def oracle(n: Node) -> bool:
+                yes = answers.get(n)
+                if yes is None:
+                    yes = answers[n] = meaningless.in_bot_instances(sig, n, fuel).is_yes
+                return yes
+
+            return BohmBot(sig, oracle, fuel)
     raise ValueError(f"cannot decode rule system {name!r}")
 
 
@@ -142,81 +153,131 @@ def rule_system(name: str, sig: Sig, fuel: int = 10_000) -> RuleSystem:
 # Substitution (on graphs, capture-free via de Bruijn indices)
 
 
-def _rewrite(root: Node, var: Callable[[int, int], Node], classes: ClassTable) -> Node:
-    """Copy the graph below ``root`` over (node, binder depth) states, with
-    ``var(i, d)`` in place of each variable of index i >= d at depth d.
+def _rewrite(root: Node, var: Callable[[int, int], Node], index: NodeIndex) -> Node:
+    """The graph below ``root`` with ``var(i, d)`` in place of each variable
+    of index i >= d at binder depth d; ``index`` holds the root, and
+    ``var`` returns a node that it holds or that ``index.add`` may add.
 
-    ``classes`` holds the root.  A finite node whose ``free`` index lies
-    below the depth is left unchanged by the walk, so it is returned
-    itself, not rebuilt.  A node that reaches a cycle is always copied: its
-    (node, depth) states unroll the cycle, so even a copy that changes no
-    index is bisimilar to it but not isomorphic, and prints its ``rec``
+    A finite node whose ``free`` index lies below the depth is left
+    unchanged by the walk, so it is returned itself, not rebuilt.  A finite
+    root is rebuilt bottom-up with an explicit stack, one memo entry per
+    (class, binder depth) state, so bisimilar nodes at one depth are
+    rebuilt once.  Each node made goes through ``NodeIndex.node``, as a
+    step's spines do: the index's member of its class if it has one, else
+    a new node, classed and given its facts as it is made.  So the result
+    of a finite root is indexed when the walk returns it.
+
+    A root that reaches a cycle is copied over (node, depth) states by
+    ``trees.transform``, and its caller adds the copy to the index: the
+    states unroll the cycles, so even a copy that changes no index is
+    bisimilar to the root but not isomorphic, and prints its ``rec``
     binders elsewhere.  Only such a root needs the depth cap, one above its
     largest index, which bounds the states; one without any index is
     returned as it is, since its copy would be isomorphic.
     """
-    cls, free = classes.cls, classes.free
-    cap = None
-    if cls[root] < 0:
+    cls, free = index.classes.cls, index.classes.free
+    c = cls[root]
+    if c < 0:
         cap = max_bvar_index(root) + 1
         if cap == 0:
             return root
 
-    def leaf(n: Node, d: int) -> Node | None:
-        c = cls[n]
-        if c >= 0:
-            if free[c] < d:
-                return n
-            if n.kind == BVAR:
-                return var(n.a, d)
-        return None
+        def leaf(n: Node, d: int) -> Node | None:
+            c = cls[n]
+            if c >= 0:
+                if free[c] < d:
+                    return n
+                if n.kind == BVAR:
+                    return var(n.a, d)
+            return None
 
-    return transform(root, leaf, cap=cap)
+        return transform(root, leaf, cap=cap)
+    if free[c] < 0:
+        return root
+    make = index.node
+    memo: dict[tuple[int, int], Node] = {}  # (class, depth) -> its result
+    stack = [(root, 0)]
+    while stack:
+        n, d = stack[-1]
+        key = (cls[n], d)
+        if key in memo:
+            stack.pop()
+            continue
+        # a child is itself below its depth, or its state's result, or it
+        # is pushed to be rebuilt first
+        k = n.kind
+        if k == APP:
+            x, y = n.a, n.b
+            cx, cy = cls[x], cls[y]
+            a = x if free[cx] < d else memo.get((cx, d))
+            b = y if free[cy] < d else memo.get((cy, d))
+            if a is None or b is None:
+                if b is None:
+                    stack.append((y, d))
+                if a is None:
+                    stack.append((x, d))
+                continue
+            out = make(APP, a, b)
+        elif k == LAM:
+            x = n.a
+            cx = cls[x]
+            a = x if free[cx] <= d else memo.get((cx, d + 1))
+            if a is None:
+                stack.append((x, d + 1))
+                continue
+            out = make(LAM, a)
+        else:  # a variable of index n.a >= d
+            out = var(n.a, d)
+            if out not in cls:
+                index.add(out)
+        stack.pop()
+        memo[key] = out
+    return memo[c, 0]
 
 
-def shift(root: Node, by: int, classes: ClassTable) -> Node:
+def shift(root: Node, by: int, index: NodeIndex) -> Node:
     """Add ``by`` to all free de Bruijn indices.  Each finite subgraph
-    without a free index, the root included, is shared, not copied (see
-    ``_rewrite``).  ``classes`` is a table that holds the root, such as a
-    run's."""
+    without a free index, the root included, is shared, not copied, and a
+    finite root's result is built through ``index``, which holds the root,
+    such as a run's (see ``_rewrite``)."""
     if by == 0:
         return root
-    return _rewrite(root, lambda i, d: bvar(i + by), classes)
+    return _rewrite(root, lambda i, d: index.node(BVAR, i + by), index)
 
 
-def substitute(body: Node, arg: Node, classes: ClassTable) -> Node:
+def substitute(body: Node, arg: Node, index: NodeIndex) -> Node:
     """Replace index 0 of ``body`` by ``arg`` (and shift the rest down).
 
     The walk shares each finite subgraph of ``body`` that holds no free
-    index at or above its binder depth, and copies only the paths to the
-    variables it replaces (see ``_rewrite``).  The occurrences at one binder
-    depth share one shifted copy of ``arg``, and a finite ``arg`` without a
-    free index, or one without any de Bruijn index, is shared by all of
-    them.  ``classes`` is a table that holds both, such as a run's.
+    index at or above its binder depth, and rebuilds only the paths to the
+    variables it replaces, through ``index``, which holds both, such as a
+    run's (see ``_rewrite``).  The occurrences at one binder depth share
+    one shifted copy of ``arg``, and a finite ``arg`` without a free index,
+    or one without any de Bruijn index, is shared by all of them.
     """
     copies: dict[int, Node] = {}  # binder depth -> arg shifted by it
 
     def put(i: int, d: int) -> Node:
         if i > d:
-            return bvar(i - 1)
+            return index.node(BVAR, i - 1)
         copy = copies.get(d)
         if copy is None:
-            copy = copies[d] = shift(arg, d, classes)
+            copy = copies[d] = shift(arg, d, index)
         return copy
 
-    return _rewrite(body, put, classes)
+    return _rewrite(body, put, index)
 
 
-def unshift_free(root: Node, classes: ClassTable) -> Node:
+def unshift_free(root: Node, index: NodeIndex) -> Node:
     """Shift free indices down by one (used by eta; index 0 must not occur).
-    Shares as ``shift`` does; ``classes`` is a table that holds the root."""
+    Shares and builds as ``shift`` does; ``index`` holds the root."""
 
     def down(i: int, d: int) -> Node:
         if i == d:
             raise ValueError("eta: the bound variable occurs in the function")
-        return bvar(i - 1)
+        return index.node(BVAR, i - 1)
 
-    return _rewrite(root, down, classes)
+    return _rewrite(root, down, index)
 
 
 def occurs_index(root: Node, index: int) -> bool:
@@ -349,15 +410,18 @@ class NodeIndex:
       earlier run of the index, as the two runs of ``ilc join`` do while
       they coincide, gets the earlier ``Step`` itself.
 
-    ``splice`` builds the spines of a step's reduct and context through
-    the index, so each new node is classed and gets its facts as it is
-    made, and a finite one that the table holds already is not made at
-    all: a finite node may be shared by every state and context of the
-    index that holds a bisimilar subtree.  ``hole`` is the index's one
-    hole node, which every context holds.  The class table gains nodes
-    only through ``add`` and ``splice``, so a node that ``splice`` takes
-    from the table has its facts; ``render_trees`` adds the unseen nodes
-    of the states it prints, and a run leaves none unseen.
+    ``node`` interns one node.  ``splice`` builds the spines of a step's
+    reduct and context as it does, and the de Bruijn walks (``_rewrite``)
+    build a finite root's result through it, so each new node is classed
+    and gets its facts as it is made, and a finite one that the table
+    holds already is not made at all: a finite node may be shared by every
+    state, context and contractum of the index that holds a bisimilar
+    subtree.  ``hole`` is the index's one hole node, which every context
+    holds.  The class table gains nodes only through ``add``, ``splice``
+    and the de Bruijn walks, all of which give each node its facts, so a
+    node that ``node`` takes from the table has them; ``render_trees``
+    adds the unseen nodes of the states it prints, and a run leaves none
+    unseen.
 
     The facts and the memos rely on nodes never changing once indexed (see
     the module docstring).
@@ -407,20 +471,63 @@ class NodeIndex:
             if stuck:  # else no node seen reaches a Cut or Unknown leaf
                 stuck |= reaching(cyclic, lambda n: any(c in stuck for _, c in children(n)))
 
+    def node(self, kind: str, a, b=None) -> Node:
+        """The node of ``kind`` over children ``a`` and ``b`` that the
+        index holds (``a`` alone under a lambda), or the variable of
+        payload ``a``, interned: the class table's member of its label and
+        child classes, if it has one, is taken itself, else a new node is
+        made and classed as ``ClassTable.add`` classes it.  A node with a
+        child that reaches a cycle is made fresh, classed ``_CYCLIC`` and
+        never interned, so the ``rec`` binders of a printed state stay
+        where a copy puts them.  A new node lies on no cycle, so its
+        ``live`` and ``stuck`` facts follow from its own redex test and its
+        children's, as ``add`` takes them for a finite node.
+        """
+        classes = self.classes
+        cls, free = classes.cls, classes.free
+        if kind == APP:
+            x, y = cls[a], cls[b]
+            key = (APP, x, y) if x >= 0 and y >= 0 else None
+        elif kind == LAM:
+            x = cls[a]
+            key = (LAM, x) if x >= 0 else None
+        else:  # BVAR or FVAR: a leaf, neither live nor stuck
+            x = None
+            key = (kind, a)
+        if key is None:
+            c = _CYCLIC
+        else:
+            c = classes.table.get(key)
+            if c is not None:
+                return classes.rep[c]
+            c = classes.table[key] = len(classes.rep)
+            if x is None:
+                free.append(a if kind == BVAR else -1)
+            elif kind == LAM:
+                free.append(free[x] - 1 if free[x] > 0 else -1)
+            else:
+                free.append(free[x] if free[x] > free[y] else free[y])
+        n = Node(kind, a, b)
+        cls[n] = c
+        if c >= 0:
+            classes.rep.append(n)
+        if x is not None:
+            live, stuck = self.live, self.stuck
+            if a in live or b in live or self.test(n):
+                live.add(n)
+            if stuck and (a in stuck or b in stuck):
+                stuck.add(n)
+        return n
+
     def splice(self, spine: list[Node], p: Position, k: int, replacement: Node) -> Node:
         """The first ``k`` nodes of a spine along ``p`` (``_spine``) built
         again, with ``replacement`` in place of the node at ``p[:k]``; the
         spine and the replacement are indexed.
 
-        Each node is built bottom-up over children that the index holds.
-        One whose children have finite classes is interned: the table's
-        member of its label and child classes, if it has one, is taken
-        itself, else a new node is made and classed as ``ClassTable.add``
-        classes it.  One with a child that reaches a cycle is made fresh,
-        classed ``_CYCLIC`` and never interned, so the ``rec`` binders of a
-        printed state stay where a copy puts them.  A new node lies on no
-        cycle, so its ``live`` and ``stuck`` facts follow from its own redex
-        test and its children's, as ``add`` takes them for a finite node.
+        Each node is built bottom-up over children that the index holds and
+        interned as ``node`` interns it.  The loop does ``node``'s work in
+        line: a call per spine node made ``ilc trace`` on the ``lasso``
+        workload about 5% slower.
         """
         cls, table, rep, free = self.classes.cls, self.classes.table, self.classes.rep, self.classes.free
         live, stuck, test = self.live, self.stuck, self.test
@@ -702,15 +809,16 @@ def replace_at(t: Node, p: Position, replacement: Node) -> Node:
     return out
 
 
-def contractum(rules: RuleSystem, n: Node, tag: str, classes: ClassTable) -> Node:
-    """The contractum of the redex ``n`` under ``rules``; ``classes`` is a
-    table that holds ``n``, which the de Bruijn walkers read.  An ``s`` or
-    ``bot`` tag must name a rule of ``rules`` that applies to ``n``: the
-    strictness test of its signature, or its oracle."""
+def contractum(rules: RuleSystem, n: Node, tag: str, index: NodeIndex) -> Node:
+    """The contractum of the redex ``n`` under ``rules``; ``index`` holds
+    ``n``, and the de Bruijn walkers build through it, so a finite redex's
+    contractum comes back indexed.  An ``s`` or ``bot`` tag must name a
+    rule of ``rules`` that applies to ``n``: the strictness test of its
+    signature, or its oracle."""
     if tag == "beta":
         if n.kind != APP or n.a.kind != LAM:
             raise NotARedex(f"no beta redex at node of kind {n.kind}")
-        return substitute(n.a.a, n.b, classes)
+        return substitute(n.a.a, n.b, index)
     if tag == "s":
         if not isinstance(rules, (Strict, BetaStrict)) or _strict_test(rules.sig)(n) is None:
             raise NotARedex(f"no strictness redex at node of kind {n.kind}")
@@ -722,7 +830,7 @@ def contractum(rules: RuleSystem, n: Node, tag: str, classes: ClassTable) -> Nod
     if tag == "eta":
         if n.kind != LAM or n.a.kind != APP or n.a.b.kind != BVAR or n.a.b.a != 0:
             raise NotARedex("no eta redex here")
-        return unshift_free(n.a.a, classes)
+        return unshift_free(n.a.a, index)
     raise ValueError(f"unknown rule tag {tag!r}")
 
 
@@ -749,8 +857,9 @@ def try_step(
     collects the spine that the reduct and the context both rebuild.  The
     step runs on ``index``, a run's index, or a fresh ``NodeIndex(rules)``:
     the state is added to it (nothing to do if it is there already), the
-    contraction reads its classes, the contractum is added, the reduct and
-    the context are built through it (``NodeIndex.splice``), and the step
+    contraction builds through it (a contractum that copies a root that
+    reaches a cycle is added after), the reduct and the context are built
+    through it (``NodeIndex.splice``), and the step
     goes through its memos (see ``NodeIndex``).  A call that names its
     ``tag`` returns the memoised step of the same state node, position, tag
     and signature, and a redex of a finite class seen before gets the
@@ -779,8 +888,8 @@ def try_step(
             raise NotARedex(f"no redex at {list(p)}: node kind {n.kind}")
     reduct = index.contracta.get((c, tag)) if c >= 0 else None
     if reduct is None:
-        reduct = contractum(rules, n, tag, classes)
-        if reduct not in classes.cls:
+        reduct = contractum(rules, n, tag, index)
+        if reduct not in classes.cls:  # a copy of a root that reaches a cycle
             index.add(reduct)
         if c >= 0:
             index.contracta[c, tag] = reduct

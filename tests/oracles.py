@@ -955,12 +955,89 @@ def truncate_recursive(sig: Sig, t: Node, d: int) -> Node:
 
 
 def class_table(*roots: Node) -> ClassTable:
-    """A fresh class table of the roots, for a direct call of a de Bruijn
-    walker (``rewriting.shift``, ``substitute``, ``unshift_free``)."""
+    """A fresh class table of the roots, for a call of a walker by
+    ``transform`` (``rewrite_by_transform`` and the walkers over it)."""
     classes = ClassTable()
     for r in roots:
         classes.add(r)
     return classes
+
+
+def node_index(*roots: Node) -> NodeIndex:
+    """A fresh beta index of the roots, for a direct call of a de Bruijn
+    walker (``rewriting.shift``, ``substitute``, ``unshift_free``)."""
+    index = NodeIndex(Beta())
+    for r in roots:
+        index.add(r)
+    return index
+
+
+def rewrite_by_transform(root: Node, var, classes: ClassTable) -> Node:
+    """``rewriting._rewrite`` as it was before it built through the index:
+    a ``transform`` copy over (node, depth) states of every root, which
+    returns a finite node whose free index lies below the depth as it is.
+    ``classes`` holds the root."""
+    cls, free = classes.cls, classes.free
+    cap = None
+    if cls[root] < 0:
+        cap = max_bvar_index(root) + 1
+        if cap == 0:
+            return root
+
+    def leaf(n: Node, d: int) -> Node | None:
+        c = cls[n]
+        if c >= 0:
+            if free[c] < d:
+                return n
+            if n.kind == BVAR:
+                return var(n.a, d)
+        return None
+
+    return transform(root, leaf, cap=cap)
+
+
+def shift_by_transform(root: Node, by: int, classes: ClassTable) -> Node:
+    """``rewriting.shift`` over ``rewrite_by_transform``."""
+    if by == 0:
+        return root
+    return rewrite_by_transform(root, lambda i, d: bvar(i + by), classes)
+
+
+def substitute_by_transform(body: Node, arg: Node, classes: ClassTable) -> Node:
+    """``rewriting.substitute`` over ``rewrite_by_transform``: one shifted
+    copy of ``arg`` per binder depth."""
+    copies: dict[int, Node] = {}
+
+    def put(i: int, d: int) -> Node:
+        if i > d:
+            return bvar(i - 1)
+        if d not in copies:
+            copies[d] = shift_by_transform(arg, d, classes)
+        return copies[d]
+
+    return rewrite_by_transform(body, put, classes)
+
+
+def unshift_free_by_transform(root: Node, classes: ClassTable) -> Node:
+    """``rewriting.unshift_free`` over ``rewrite_by_transform``."""
+
+    def down(i: int, d: int) -> Node:
+        if i == d:
+            raise ValueError("eta: the bound variable occurs in the function")
+        return bvar(i - 1)
+
+    return rewrite_by_transform(root, down, classes)
+
+
+def contractum_by_transform(rules, n: Node, tag: str) -> Node:
+    """``rewriting.contractum`` with a beta or eta redex contracted by the
+    walkers over ``rewrite_by_transform``, as fresh copies; every other
+    case, errors included, is ``contractum``'s."""
+    if tag == "beta" and n.kind == APP and n.a.kind == LAM:
+        return substitute_by_transform(n.a.a, n.b, class_table(n))
+    if tag == "eta" and n.kind == LAM and n.a.kind == APP and n.a.b.kind == BVAR and n.a.b.a == 0:
+        return unshift_free_by_transform(n.a.a, class_table(n))
+    return contractum(rules, n, tag, NodeIndex(rules))
 
 
 def shift_recursive(root: Node, by: int, cutoff: int = 0) -> Node:
@@ -1467,10 +1544,11 @@ def p_limit_checked(trace: Trace, depth: int = 16) -> Approximant:
 
 
 def try_step_by_copy(rules, t: Node, p: Position, tag: str | None = None, sig: Sig | None = None) -> Step:
-    """``rewriting.try_step`` as it built a step before its spines went
-    through the index: the reduct and the context copy the spine down ``p``
-    as fresh nodes (``replace_at``), with the contractum, or a new hole at
-    the longest non-strict prefix of ``p``, in place; no memo."""
+    """``rewriting.try_step`` as it built a step before its spines and its
+    contractum went through the index: the reduct and the context copy the
+    spine down ``p`` as fresh nodes (``replace_at``), with the contractum
+    (``contractum_by_transform``), or a new hole at the longest non-strict
+    prefix of ``p``, in place; no memo."""
     sig = sig if sig is not None else step_sig(rules)
     n = _spine(t, p)[-1]
     if tag is None:
@@ -1479,7 +1557,7 @@ def try_step_by_copy(rules, t: Node, p: Position, tag: str | None = None, sig: S
             tag = "bot"
         if tag is None:
             raise NotARedex(f"no redex at {list(p)}: node kind {n.kind}")
-    reduct = contractum(rules, n, tag, class_table(n))
+    reduct = contractum_by_transform(rules, n, tag)
     after = replace_at(t, p, reduct)
     context = replace_at(t, acut(sig, p), hole())
     return Step(t, p, tag, after, context, adepth(sig, p))

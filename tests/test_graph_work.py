@@ -4,8 +4,10 @@ earlier ``glb``; every state of an ``is_active`` run stays guarded, and its
 redex keys equal those of the naming walk they replaced; a class's free
 index equals a scan; the iterative ``is_guarded`` and ``render_tree``, the
 eight walkers built on ``trees.transform`` and ``_mark_unstable`` agree with
-the recursive versions they replaced, and the de Bruijn walkers share only
-the finite input nodes that they leave unchanged; the position enumerations built on ``trees.positions`` agree
+the recursive versions they replaced, and the de Bruijn walkers print and
+class as the walk by ``transform`` they replaced, share only the finite
+input nodes that they leave unchanged and intern what they make; the
+position enumerations built on ``trees.positions`` agree
 with the hand-written walks they replaced; and all of them finish on graphs
 far deeper than Python's stack, open and closed into cycles.  The one
 guardedness search over a glb's members and ``is_stable``'s walk over nodes
@@ -73,6 +75,10 @@ from ilc.trees import (
 )
 from oracles import (
     class_table,
+    node_index,
+    shift_by_transform,
+    substitute_by_transform,
+    unshift_free_by_transform,
     bind_fvars_by_rounds,
     check_inputs_per_member,
     bot_positions_by_queue,
@@ -496,13 +502,21 @@ def test_the_free_index_of_a_class_equals_the_scan():
     assert set(seen) == {-1, 0, 1, 2}
 
 
-def shared_states(out, root, classes, arg=None) -> int:
-    """Assert that every node of ``out`` that is not new is a node below
-    ``root`` with a finite class in ``classes`` whose free index lies below
-    the binder depth at which ``out`` reaches it, or one that reaches no de
-    Bruijn index at all; return the number of such (node, depth) states.
-    The nodes below ``arg``, a substituted argument, are left to the check
-    of ``shift``: unshifted, at depth 0, they may hold any index."""
+def shared_states(out, root, index, known, arg=None) -> int:
+    """Assert that every node of ``out`` that the walk did not make is a
+    node below ``root`` with a finite class in ``index`` whose free index
+    lies below the binder depth at which ``out`` reaches it, or one that
+    reaches no de Bruijn index at all, or else a node of ``known``, the
+    nodes that the index held before the walk, that is the index's member
+    of its class, as ``NodeIndex.node`` takes it; and that every finite
+    node the walk made is such a member too.  Return the number of shared
+    (node, depth) states.  The nodes below ``arg``, a substituted argument,
+    are left to the check of ``shift``: unshifted, at depth 0, they may
+    hold any index.  A walk from a root that reaches a cycle copies it by
+    ``transform``, as does a walk that substitutes such an argument, so
+    the nodes that such a walk makes are not interned."""
+    cls, rep, free = index.classes.cls, index.classes.rep, index.classes.free
+    interned = cls[root] >= 0 and (arg is None or cls[arg] >= 0)
     old = set(reachable(root))
     skip = set() if arg is None else set(reachable(arg))
     cap = max_bvar_index(root) + 1  # bounds the states of a cyclic out
@@ -517,51 +531,60 @@ def shared_states(out, root, classes, arg=None) -> int:
         n, d = state
         if n in skip:
             continue
-        if n in old:
-            c = classes.cls[n]
-            assert (c >= 0 and classes.free[c] < d) or max_bvar_index(n) < 0
+        c = cls[n]
+        if n in old and ((c >= 0 and free[c] < d) or max_bvar_index(n) < 0):
             shared += 1
             continue
+        if n in known:  # what lies below it is not the walk's
+            assert c >= 0 and rep[c] is n
+            continue
+        assert not interned or c < 0 or rep[c] is n
         for i, child in children(n):
             stack.append((child, min(d + (i == 0), cap)))
     return shared
 
 
 def test_de_bruijn_walkers_equal_the_recursive_versions():
-    # shift, substitute and unshift_free run with a run's class table, which
-    # holds both inputs, and with a fresh table of just their own inputs;
-    # they must share only the input nodes that they leave unchanged
+    # shift, substitute and unshift_free run through a run's index, which
+    # holds both inputs, and through a fresh index of just their own inputs;
+    # each prints as the recursive copy and as the walk by transform that
+    # they replaced, and has the same class as the latter, and they share
+    # only the input nodes that they leave unchanged
     rng = random.Random(31)
     seen = set()
     shared = Counter()
     for g in [*graphs(32, 1000), *loopy(40, 100)]:
         arg = random_graph(rng, rng.randrange(1, 6), cyclic=rng.random() < 0.5)
         by, k = rng.randrange(3), rng.randrange(3)
-        index = NodeIndex(Beta())
-        index.add(g)
-        index.add(arg)
+        index = node_index(g, arg)
         cases = [
-            (shift, shift_recursive, (g, by), g, None),
-            (shift, shift_recursive, (arg, by), arg, None),
-            (substitute, substitute_recursive, (g, arg), g, arg),
-            (unshift_free, unshift_free_recursive, (g,), g, None),
+            (shift, shift_recursive, shift_by_transform, (g, by), g, None),
+            (shift, shift_recursive, shift_by_transform, (arg, by), arg, None),
+            (substitute, substitute_recursive, substitute_by_transform, (g, arg), g, arg),
+            (unshift_free, unshift_free_recursive, unshift_free_by_transform, (g,), g, None),
         ]
-        for walk, oracle, args, root, skip in cases:
+        for walk, oracle, by_transform, args, root, skip in cases:
+            roots = (root,) if skip is None else (root, skip)
             want = outcome(oracle, *args)
-            fresh = class_table(root) if skip is None else class_table(root, skip)
-            for classes in (fresh, index.classes):
-                got = outcome(walk, *args, classes)
+            old = outcome(by_transform, *args, class_table(*roots))
+            for idx in (node_index(*roots), index):
+                known = set(idx.classes.cls)
+                got = outcome(walk, *args, idx)
                 if isinstance(want, tuple):
-                    assert got == want
+                    assert got == want == old
                     seen.add((walk.__name__, "error"))
                     continue
                 assert bisimilar(got, want)
-                assert render_tree(got, ascii_only=True) == render_tree(want, ascii_only=True)
+                text = render_tree(got, ascii_only=True)
+                assert text == render_tree(want, ascii_only=True) == render_tree(old, ascii_only=True)
+                idx.add(got)
+                idx.add(old)
+                assert idx.key(got) == idx.key(old)
                 seen.add((walk.__name__, "tree" if is_finite(got) else "cyclic tree"))
                 if walk is shift and by == 0:
                     assert got is root
                 else:
-                    shared[walk.__name__] += shared_states(got, root, index.classes, skip)
+                    shared[walk.__name__] += shared_states(got, root, idx, known, skip)
         agree(close_subtree, close_subtree_recursive, g)
         found = occurs_index(g, k)
         assert found == occurs_index_recursive(g, k)
@@ -704,19 +727,19 @@ def truncate_chain(sig):
 # with None where the walk raises the ValueError its recursive version
 # raises too)
 DEEP_CASES = {
-    "shift": (lambda g: shift(g, 1, class_table(g)), lambda: [
+    "shift": (lambda g: shift(g, 1, node_index(g)), lambda: [
         (spine(N, bvar(1)), spine(N, bvar(2))),
         (spine(N, bvar(1), True), spine(N, bvar(2), True)),
         (open_nesting(N, bvar(N + 1)), open_nesting(N, bvar(N + 2))),
         (nesting(N, bvar(N + 1)), closed_then(N, bvar(N + 2), bvar(N + 1))),
     ]),
-    "substitute": (lambda g: substitute(g, W, class_table(g, W)), lambda: [
+    "substitute": (lambda g: substitute(g, W, node_index(g, W)), lambda: [
         (spine(N, bvar(0)), spine(N, fvar("w"))),
         (spine(N, bvar(0), True), spine(N, fvar("w"), True)),
         (open_nesting(N, bvar(N)), open_nesting(N, fvar("w"))),
         (nesting(N, bvar(N)), closed_then(N, fvar("w"), bvar(N))),
     ]),
-    "unshift_free": (lambda g: unshift_free(g, class_table(g)), lambda: [
+    "unshift_free": (lambda g: unshift_free(g, node_index(g)), lambda: [
         (spine(N, bvar(1)), spine(N, bvar(0))),
         (spine(N, bvar(1), True), spine(N, bvar(0), True)),
         (open_nesting(N, bvar(N + 1)), open_nesting(N, bvar(N))),
@@ -753,6 +776,15 @@ DEEP_CASES = {
 }
 
 
+# the de Bruijn walkers by transform, which the walks through an index
+# must print as and class with
+BY_TRANSFORM = {
+    "shift": lambda g: shift_by_transform(g, 1, class_table(g)),
+    "substitute": lambda g: substitute_by_transform(g, W, class_table(g, W)),
+    "unshift_free": lambda g: unshift_free_by_transform(g, class_table(g)),
+}
+
+
 @pytest.mark.parametrize("walker", sorted(DEEP_CASES))
 def test_walkers_on_deep_inputs(walker):
     walk, cases = DEEP_CASES[walker]
@@ -760,8 +792,14 @@ def test_walkers_on_deep_inputs(walker):
         if want is None:
             with pytest.raises(ValueError, match="unbounded depth"):
                 walk(g)
-        else:
-            assert bisimilar(walk(g), want)
+            continue
+        got = walk(g)
+        assert bisimilar(got, want)
+        if walker in BY_TRANSFORM:
+            old = BY_TRANSFORM[walker](g)
+            assert render_tree(got, ascii_only=True) == render_tree(old, ascii_only=True)
+            classes = class_table(got, old)
+            assert classes.cls[got] == classes.cls[old]
 
 
 def test_occurs_index_on_deep_inputs():

@@ -373,7 +373,9 @@ def test_a_step_classes_its_spines_as_it_builds_them():
     # over runs from seeded graphs, with Cut and Unknown leaves, and loopy
     # ones, each also applied to a Cut: after each step the index holds the
     # reduct and the context, a finite spliced node is its class's member,
-    # and the facts of every node of both are the whole-graph fixpoints
+    # and so is each finite node that the de Bruijn walks of a beta or eta
+    # contraction of a finite redex made, and the facts of every node of
+    # both are the whole-graph fixpoints
     made = Counter()
     starts = [*graphs(45, 8, leaves=True), *loopy(46, 24)]
     for t in starts + [app(t, cut()) for t in starts]:
@@ -382,17 +384,26 @@ def test_a_step_classes_its_spines_as_it_builds_them():
             for rules in (Beta(), Eta(), BetaStrict(sig)):
                 index = NodeIndex(rules)
                 cls, rep = index.classes.cls, index.classes.rep
+                states = set()  # the nodes of the states that the index's runs stepped
                 for strategy in ("lmo", "po"):  # d0 rejects Cut/Unknown leaves
                     tr = run_strategy(rules, strategy, t, 8, max_len, sig, index=index)
                     for s in tr.steps:
                         assert index.classes.add(s.after) == ([], [])
                         assert index.classes.add(s.context) == ([], [])
                         before = set(reachable(s.before))
+                        states |= before
                         for n in spliced(sig, s):
                             c = cls[n]
                             assert c < 0 or rep[c] is n
                             made["finite" if c >= 0 else "cyclic"] += 1
                             made["from the state"] += n in before
+                        # a contractum, the memo's among them, holds what the
+                        # walks made and subgraphs of states stepped so far
+                        if s.rule in ("beta", "eta") and cls[node_at(s.before, s.position)] >= 0:
+                            for n in reachable(node_at(s.after, s.position)):
+                                if n not in states:
+                                    assert rep[cls[n]] is n
+                                    made["made by a walk"] += 1
                         for root in (s.after, s.context):
                             live = redex_reachability(rules, root)
                             stuck = reaching(reachable(root), lambda n: n.kind in (CUT, UNKNOWN))

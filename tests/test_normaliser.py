@@ -23,7 +23,9 @@ from ilc import cli, meaningless, order, rewriting, trees
 from ilc.meaningless import bohm_tree, clear_caches, is_active, reduces_to_lam
 from ilc.terms import ALL_SIGS, parse_sig
 from ilc.trees import (
+    BVAR,
     CUT,
+    FVAR,
     HOLE,
     UNKNOWN,
     app,
@@ -35,9 +37,10 @@ from ilc.trees import (
     parse_tree,
     reachable,
     render_tree,
+    tree_of_term,
     unknown,
 )
-from oracles import random_graph, random_loopy_tree, unroll
+from oracles import random_graph, random_loopy_tree, random_term, unroll
 
 CORPUS = Path(__file__).resolve().parents[1] / "perfbench" / "corpus" / "normal-form.json"
 
@@ -101,6 +104,48 @@ def test_bohm_tree_equals_the_per_call_normaliser(clear):
         "analysis requires a guarded tree",
         "a bound variable escapes the input tree",
     }
+
+
+def test_the_normaliser_copies_a_child_without_a_redex_unanalysed(monkeypatch):
+    # with fuel, a leaf child and a finite child that reaches no beta redex
+    # are their own stable reducts, copied with no is_active run, where the
+    # per-call normaliser runs one on each; without fuel, such a tree is
+    # still Unknown; and the depth-0 escape check's free index of a finite
+    # class answers as the scan
+    ours, theirs = [], []
+    real, per_call = meaningless.is_active, oracles.is_active_per_call
+    monkeypatch.setattr(meaningless, "is_active", lambda sig, t, fuel=10_000: ours.append((t, fuel)) or real(sig, t, fuel))
+    monkeypatch.setattr(oracles, "is_active_per_call", lambda sig, t, fuel=10_000: theirs.append(t) or per_call(sig, t, fuel))
+    rng = random.Random(37)
+    inputs = loopy_inputs(35, 30) + [(tree_of_term(random_term(rng, rng.randrange(1, 12))), 8, 100) for _ in range(60)]
+    leaves = escapes_checked = redex_free = 0
+    for (t, depth, fuel), sig in itertools.product(inputs, ALL_SIGS):
+        clear_caches()
+        oracles.clear_caches_per_call()
+        ours.clear()
+        try:
+            bohm_tree(sig, t, depth, fuel)
+        except ValueError:
+            continue
+        index = meaningless._index
+        cls, free, live = index.classes.cls, index.classes.free, index.live
+        for n, f in ours:
+            assert f == 0 or cls[n] < 0 or n in live
+        theirs.clear()
+        oracles.bohm_tree_per_call(sig, t, depth, fuel)
+        leaves += sum(n.kind in (BVAR, FVAR) for n in theirs)
+        for n, c in cls.items():
+            if c >= 0:
+                for b in range(4):
+                    assert (free[c] >= b) == rewriting.escapes(n, b)
+                    escapes_checked += 1
+        # without fuel every tree is Unknown, these ones too
+        if cls[t] >= 0 and t not in live:
+            redex_free += 1
+            for normalise in (bohm_tree, oracles.bohm_tree_per_call):
+                ap = normalise(sig, t, depth, 0)
+                assert render_tree(ap.tree) == "?" and ap.fuel_exhausted
+    assert leaves > 100 and redex_free > 50 and escapes_checked > 10_000, (leaves, redex_free, escapes_checked)
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,9 @@
 import random
+from collections import Counter
 
 import pytest
 
-from ilc import rewriting
+from ilc import meaningless, rewriting
 from ilc.convergence import p_limit
 from ilc.developments import descendants
 from ilc.rewriting import (
@@ -163,6 +164,38 @@ def test_a_decoded_bohm_trace_runs_its_oracle_on_the_exported_fuel():
     back = trace_decode(doc)
     assert isinstance(back.rules, BohmBot) and back.rules.fuel == 3
     assert back.strategy == tr.strategy == "leftmost-outermost"
+
+
+def test_the_bohm_oracle_is_asked_once_per_node(monkeypatch):
+    # the redex search asks about a node, contractum's check asks again, and
+    # later states share nodes: the rule system answers each node once, and
+    # the trace is the one that an oracle asked every time gives
+    real = meaningless.in_bot_instances
+    calls = Counter()
+
+    def counted(sig, n, fuel=10_000):
+        calls[n] += 1
+        return real(sig, n, fuel)
+
+    monkeypatch.setattr(meaningless, "in_bot_instances", counted)
+    fuel = 20
+    asked = every_time = 0
+    for text in (r"(\x.x x) (\x.x x) y", r"f ((\x.x x) (\x.x x)) ((\x.x) z)", r"(\x.\y.y) ((\x.x x) (\x.x x)) z"):
+        t = parse_tree(text)
+        for sig in ((0, 0, 1), (1, 0, 1), (1, 1, 1)):
+            for strategy in ("lmo", "po", "d0"):
+                meaningless.clear_caches()
+                calls.clear()
+                tr = run_strategy(rule_system("bohm", sig, fuel), strategy, t, fuel, sig=sig)
+                assert max(calls.values()) == 1
+                asked += sum(calls.values())
+                meaningless.clear_caches()
+                calls.clear()
+                oracle = BohmBot(sig, lambda n: meaningless.in_bot_instances(sig, n, fuel).is_yes, fuel)
+                want = run_strategy(oracle, strategy, t, fuel, sig=sig)
+                every_time += sum(calls.values())
+                assert trace_export(tr) == trace_export(want)
+    assert asked < every_time
 
 
 def test_bad_strategy_and_bad_position():

@@ -38,7 +38,7 @@ from ilc.trees import (
     unknown,
 )
 
-from oracles import class_table, random_graph, random_redexy_term, render_tree_recursive, substitute_recursive
+from oracles import node_index, random_graph, random_redexy_term, render_tree_recursive, substitute_recursive
 
 # index 0 occurs twice at binder depth 0, twice at depth 1 and once at 2:
 # x (x (\y. x y (x y)) (\y. \z. x))
@@ -61,7 +61,7 @@ def test_a_closed_argument_is_shared_by_all_occurrences():
     # closed, and without de Bruijn indices, so a shifted copy would be
     # isomorphic to it
     arg = app(fvar("f"), app(fvar("g"), fvar("a")))
-    out = substitute(BODY, arg, class_table(BODY, arg))
+    out = substitute(BODY, arg, node_index(BODY, arg))
     for ps in OCCURRENCES.values():
         for p in ps:
             assert node_at(out, p) is arg
@@ -69,10 +69,10 @@ def test_a_closed_argument_is_shared_by_all_occurrences():
     # a closed cyclic argument without indices too
     loop = app(fvar("g"), None)
     loop.b = loop
-    assert node_at(substitute(BODY, loop, class_table(BODY, loop)), (2, 2, 0, 0)) is loop
+    assert node_at(substitute(BODY, loop, node_index(BODY, loop)), (2, 2, 0, 0)) is loop
     # a closed finite argument with binders: its class has no free index
     ident = lam(bvar(0))
-    out = substitute(BODY, ident, class_table(BODY, ident))
+    out = substitute(BODY, ident, node_index(BODY, ident))
     for ps in OCCURRENCES.values():
         for p in ps:
             assert node_at(out, p) is ident
@@ -87,7 +87,7 @@ def test_a_closed_cyclic_argument_with_binders_gets_a_copy_per_depth():
     m0 = app(lam(m1), fvar("x"))
     m1.b = app(m1, m0)
     assert render_tree(m0, ascii_only=True) == "rec M0. (\\x0.rec M1. x0 (M1 M0)) x"
-    out = substitute(BODY, m0, class_table(BODY, m0))
+    out = substitute(BODY, m0, node_index(BODY, m0))
     copies = {}
     for depth, ps in OCCURRENCES.items():
         assert len({id(node_at(out, p)) for p in ps}) == 1
@@ -103,7 +103,7 @@ def test_a_closed_cyclic_argument_with_binders_gets_a_copy_per_depth():
 
 def test_an_open_argument_gets_one_shifted_copy_per_binder_depth():
     arg = app(lam(app(bvar(0), bvar(1))), bvar(0))  # two free uses of index 0
-    out = substitute(BODY, arg, class_table(BODY, arg))
+    out = substitute(BODY, arg, node_index(BODY, arg))
     copies = {}
     for depth, ps in OCCURRENCES.items():
         nodes = {id(node_at(out, p)) for p in ps}
@@ -113,10 +113,11 @@ def test_an_open_argument_gets_one_shifted_copy_per_binder_depth():
     assert len({id(c) for c in copies.values()}) == 3
     assert [c.b.a for c in copies.values()] == [0, 1, 2]  # the free index
     assert bisimilar(out, substitute_recursive(BODY, arg))
-    # BODY's 9 interior nodes and its 2 bound variables of index 0, arg's 6
-    # nodes at depth 0, and 5 new nodes in each of the 2 shifted copies (the
-    # lambda's own variable is shared); a copy per occurrence would add 5 more
-    assert len(reachable(out)) == 9 + 2 + 6 + 2 * 5
+    # 8 nodes for BODY's 9 interior ones (its two x y at binder depth 1 are
+    # rebuilt once), arg's 6 nodes at depth 0, 3 new interior nodes in each
+    # of the 2 shifted copies and the new variable of index 3; every other
+    # variable is the index's member of its class, 3 of them BODY's
+    assert len(reachable(out)) == 8 + 6 + 2 * 3 + 1 + 3
 
 
 def marker_graph(rng: random.Random, g):
