@@ -9,10 +9,10 @@ which stands for the omega-length reduction that repeats the cycle forever.
 Nodes are immutable once they are handed to ``run_strategy`` or to a redex
 search.  Every node mutation in the library happens inside the builder that
 allocated the node, before the builder returns it: ``trees.build``,
-``trees._tie``, ``trees.tree_of_term`` and ``NodeIndex.splice``.  A step
-only adds nodes, the spines of its reduct and context and the contractum,
-so a ``NodeIndex`` records its facts about a node once and they hold for
-the whole run.
+``trees._tie`` and ``trees.tree_of_term``.  A step only adds nodes, the
+spines of its reduct and context and the contractum, each built whole, so
+a ``NodeIndex`` records its facts about a node once and they hold for the
+whole run.
 
 A step shares what it leaves unchanged with the state before it: the
 siblings of its spines, and inside the contractum every finite subgraph
@@ -26,11 +26,11 @@ but not isomorphic, and it prints its ``rec`` binders elsewhere.  Every
 step runs on a ``NodeIndex``, a run's or, for a step taken alone, a fresh
 one, and every de Bruijn walk builds through the index of its caller.  A
 step builds its contractum, when the walk's root is finite, and the spines
-of its reduct and its context through the index's class table, bottom-up:
-a node whose children are finite is the table's member of its class if
-the table has one, so a finite node may be shared by every state, context
-and contractum of the index that holds a bisimilar subtree, while a node
-that reaches a cycle is made fresh, as a copy would be.
+of its reduct and its context bottom-up through ``NodeIndex.node``: a
+node whose children are finite is the class table's member of its class
+if the table has one, so a finite node may be shared by every state,
+context and contractum of the index that holds a bisimilar subtree, while
+a node that reaches a cycle is made fresh, as a copy would be.
 Across steps, the runs that share an index contract each finite class of
 redex once per rule tag and reuse its contractum, and a run that steps a
 state node that an earlier run stepped, at the same position, reuses that
@@ -393,10 +393,11 @@ class NodeIndex:
       ``test``, the system's ``redex_test``;
     - ``stuck``: whether it reaches a Cut or Unknown leaf.
 
-    A finite node takes the last two from its own kind and its children,
-    which finish before it.  For the new nodes that reach a cycle,
-    ``trees.reaching`` spreads them over just those nodes, seeded by each
-    node's own kind and its children seen before.
+    A node that lies on no cycle takes the last two from its own kind and
+    its children, which the index holds before it (``_facts``).  For the
+    new nodes that reach a cycle, ``trees.reaching`` spreads them over just
+    those nodes, seeded by each node's own kind and its children seen
+    before.
 
     ``try_step`` keeps two memos in the index, so that each redex is
     contracted once per index:
@@ -410,18 +411,15 @@ class NodeIndex:
       earlier run of the index, as the two runs of ``ilc join`` do while
       they coincide, gets the earlier ``Step`` itself.
 
-    ``node`` interns one node.  ``splice`` builds the spines of a step's
-    reduct and context as it does, and the de Bruijn walks (``_rewrite``)
-    build a finite root's result through it, so each new node is classed
-    and gets its facts as it is made, and a finite one that the table
-    holds already is not made at all: a finite node may be shared by every
-    state, context and contractum of the index that holds a bisimilar
-    subtree.  ``hole`` is the index's one hole node, which every context
-    holds.  The class table gains nodes only through ``add``, ``splice``
-    and the de Bruijn walks, all of which give each node its facts, so a
-    node that ``node`` takes from the table has them; ``render_trees``
-    adds the unseen nodes of the states it prints, and a run leaves none
-    unseen.
+    ``node`` is the index's one interning rule.  Every node that a step
+    makes comes through it: ``splice`` builds the spines of the reduct and
+    the context by one ``node`` call per spine node, the de Bruijn walks
+    (``_rewrite``) build a finite root's result by it, and the strictness
+    and bottom rules contract to ``hole``, the index's one hole node, which
+    every context also holds.  The class table gains nodes only through
+    ``add`` and ``node``, both of which give each node its facts, so a node
+    that ``node`` takes from the table has them; ``render_trees`` adds the
+    unseen nodes of the states it prints, and a run leaves none unseen.
 
     The facts and the memos rely on nodes never changing once indexed (see
     the module docstring).
@@ -449,19 +447,11 @@ class NodeIndex:
 
     def add(self, root: Node) -> None:
         finite, cyclic = self.classes.add(root)
-        live, stuck, test = self.live, self.stuck, self.test
+        facts = self._facts
         for n in finite:
-            k = n.kind
-            if k == APP or k == LAM:
-                a = n.a
-                b = n.b if k == APP else a
-                if a in live or b in live or test(n):
-                    live.add(n)
-                if stuck and (a in stuck or b in stuck):
-                    stuck.add(n)
-            elif k == CUT or k == UNKNOWN:
-                stuck.add(n)
+            facts(n)
         if cyclic:
+            live, stuck, test = self.live, self.stuck, self.test
             # a path from a new cyclic node stays among them or leaves them
             # for a node whose facts are final
             live |= reaching(
@@ -471,102 +461,67 @@ class NodeIndex:
             if stuck:  # else no node seen reaches a Cut or Unknown leaf
                 stuck |= reaching(cyclic, lambda n: any(c in stuck for _, c in children(n)))
 
+    def _facts(self, n: Node) -> None:
+        """Record ``live`` and ``stuck`` for a new node that lies on no
+        cycle, from its own kind and its children's facts, which the index
+        holds already."""
+        k = n.kind
+        if k == APP or k == LAM:
+            live, stuck = self.live, self.stuck
+            a, b = n.a, n.b  # b is None under a lambda
+            if a in live or b in live or self.test(n):
+                live.add(n)
+            if stuck and (a in stuck or b in stuck):
+                stuck.add(n)
+        elif k == CUT or k == UNKNOWN:
+            self.stuck.add(n)
+
     def node(self, kind: str, a, b=None) -> Node:
         """The node of ``kind`` over children ``a`` and ``b`` that the
         index holds (``a`` alone under a lambda), or the variable of
         payload ``a``, interned: the class table's member of its label and
         child classes, if it has one, is taken itself, else a new node is
-        made and classed as ``ClassTable.add`` classes it.  A node with a
-        child that reaches a cycle is made fresh, classed ``_CYCLIC`` and
-        never interned, so the ``rec`` binders of a printed state stay
-        where a copy puts them.  A new node lies on no cycle, so its
-        ``live`` and ``stuck`` facts follow from its own redex test and its
-        children's, as ``add`` takes them for a finite node.
+        made, opens its class (``ClassTable._open``) and gets its facts
+        (``_facts``).  A node with a child that reaches a cycle is made
+        fresh, classed ``_CYCLIC`` and never interned, so the ``rec``
+        binders of a printed state stay where a copy puts them.
         """
         classes = self.classes
-        cls, free = classes.cls, classes.free
+        cls = classes.cls
         if kind == APP:
             x, y = cls[a], cls[b]
             key = (APP, x, y) if x >= 0 and y >= 0 else None
         elif kind == LAM:
             x = cls[a]
             key = (LAM, x) if x >= 0 else None
-        else:  # BVAR or FVAR: a leaf, neither live nor stuck
-            x = None
+        else:  # BVAR or FVAR
             key = (kind, a)
         if key is None:
-            c = _CYCLIC
+            n = Node(kind, a, b)
+            cls[n] = _CYCLIC
         else:
             c = classes.table.get(key)
             if c is not None:
                 return classes.rep[c]
-            c = classes.table[key] = len(classes.rep)
-            if x is None:
-                free.append(a if kind == BVAR else -1)
-            elif kind == LAM:
-                free.append(free[x] - 1 if free[x] > 0 else -1)
-            else:
-                free.append(free[x] if free[x] > free[y] else free[y])
-        n = Node(kind, a, b)
-        cls[n] = c
-        if c >= 0:
-            classes.rep.append(n)
-        if x is not None:
-            live, stuck = self.live, self.stuck
-            if a in live or b in live or self.test(n):
-                live.add(n)
-            if stuck and (a in stuck or b in stuck):
-                stuck.add(n)
+            n = Node(kind, a, b)
+            classes._open(key, n)
+        self._facts(n)
         return n
 
     def splice(self, spine: list[Node], p: Position, k: int, replacement: Node) -> Node:
         """The first ``k`` nodes of a spine along ``p`` (``_spine``) built
-        again, with ``replacement`` in place of the node at ``p[:k]``; the
-        spine and the replacement are indexed.
-
-        Each node is built bottom-up over children that the index holds and
-        interned as ``node`` interns it.  The loop does ``node``'s work in
-        line: a call per spine node made ``ilc trace`` on the ``lasso``
-        workload about 5% slower.
-        """
-        cls, table, rep, free = self.classes.cls, self.classes.table, self.classes.rep, self.classes.free
-        live, stuck, test = self.live, self.stuck, self.test
+        again through ``node``, bottom-up, with ``replacement`` in place of
+        the node at ``p[:k]``; the spine and the replacement are indexed."""
+        node = self.node
         out = replacement
-        c = cls[out]
         for j in range(k - 1, -1, -1):
             i = p[j]
             if i == 0:
-                a = b = out
-                x = y = c
-                key = (LAM, c)
+                out = node(LAM, out)
+            elif i == 1:
+                out = node(APP, out, spine[j].b)
             else:
-                n = spine[j]
-                if i == 1:
-                    a, b = out, n.b
-                else:
-                    a, b = n.a, out
-                x, y = cls[a], cls[b]
-                key = (APP, x, y)
-            if x >= 0 and y >= 0:
-                c = table.get(key)
-                if c is not None:
-                    out = rep[c]
-                    continue
-                c = table[key] = len(rep)
-                if i == 0:
-                    free.append(free[x] - 1 if free[x] > 0 else -1)
-                else:
-                    free.append(free[x] if free[x] > free[y] else free[y])
-            else:
-                c = _CYCLIC
-            out = Node(LAM, a) if i == 0 else Node(APP, a, b)
-            if c >= 0:
-                rep.append(out)
-            cls[out] = c
-            if a in live or b in live or test(out):
-                live.add(out)
-            if stuck and (a in stuck or b in stuck):
-                stuck.add(out)
+                out = node(APP, spine[j].a, out)
         return out
 
     def key(self, n: Node) -> int | tuple:
@@ -822,11 +777,11 @@ def contractum(rules: RuleSystem, n: Node, tag: str, index: NodeIndex) -> Node:
     if tag == "s":
         if not isinstance(rules, (Strict, BetaStrict)) or _strict_test(rules.sig)(n) is None:
             raise NotARedex(f"no strictness redex at node of kind {n.kind}")
-        return hole()
+        return index.hole
     if tag == "bot":
         if not isinstance(rules, BohmBot) or n.kind == HOLE or not rules.oracle(n):
             raise NotARedex(f"no bottom redex at node of kind {n.kind}")
-        return hole()
+        return index.hole
     if tag == "eta":
         if n.kind != LAM or n.a.kind != APP or n.a.b.kind != BVAR or n.a.b.a != 0:
             raise NotARedex("no eta redex here")
@@ -859,8 +814,8 @@ def try_step(
     the state is added to it (nothing to do if it is there already), the
     contraction builds through it (a contractum that copies a root that
     reaches a cycle is added after), the reduct and the context are built
-    through it (``NodeIndex.splice``), and the step
-    goes through its memos (see ``NodeIndex``).  A call that names its
+    through it (``NodeIndex.splice``), and the step goes through its memos
+    (see ``NodeIndex``).  A call that names its
     ``tag`` returns the memoised step of the same state node, position, tag
     and signature, and a redex of a finite class seen before gets the
     memoised contractum.  A call without a tag takes the one that ``rules``

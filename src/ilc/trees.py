@@ -330,6 +330,10 @@ class ClassTable:
     walkers of a step (``rewriting.substitute``, ``shift``,
     ``unshift_free``) know without a walk which finite subgraphs they leave
     unchanged.  A node that reaches a cycle has no entry.
+
+    ``_open`` is the one place that opens a class and sets its ``free``
+    index: ``add`` calls it, and so does ``rewriting.NodeIndex.node``, which
+    interns a node as it is made.
     """
 
     __slots__ = ("cls", "table", "rep", "free")
@@ -343,7 +347,7 @@ class ClassTable:
     def add(self, root: Node) -> tuple[list[Node], list[Node]]:
         """The new nodes with a finite class, in postorder, and the new
         nodes that reach a cycle."""
-        cls, table, rep, free = self.cls, self.table, self.rep, self.free
+        cls, table = self.cls, self.table
         finite: list[Node] = []
         cyclic: list[Node] = []
         stack = [root]
@@ -384,18 +388,27 @@ class ClassTable:
                 key = label(n)
             c = table.get(key)
             if c is None:
-                c = table[key] = len(rep)
-                rep.append(n)
-                if k == APP:
-                    f = free[x] if free[x] > free[y] else free[y]
-                elif k == LAM:
-                    f = free[x] - 1 if free[x] > 0 else -1
-                else:
-                    f = n.a if k == BVAR else -1
-                free.append(f)
-            cls[n] = c
+                self._open(key, n)
+            else:
+                cls[n] = c
             finite.append(n)
         return finite, cyclic
+
+    def _open(self, key: tuple, n: Node) -> None:
+        """Open the class of ``key``, a label and child classes, with ``n``
+        as its member, and set its ``free`` index from the key."""
+        free = self.free
+        self.table[key] = self.cls[n] = len(self.rep)
+        self.rep.append(n)
+        k = key[0]
+        if k == APP:
+            x, y = free[key[1]], free[key[2]]
+            free.append(x if x > y else y)
+        elif k == LAM:
+            x = free[key[1]]
+            free.append(x - 1 if x > 0 else -1)
+        else:
+            free.append(key[1] if k == BVAR else -1)
 
 
 def canon(root: Node) -> tuple:

@@ -57,6 +57,7 @@ from ilc.trees import (
     tree_of_term,
 )
 from oracles import (
+    free_index_by_scan,
     loopy,
     random_graph,
     random_redexy_term,
@@ -371,19 +372,21 @@ def spliced(sig, s):
 
 def test_a_step_classes_its_spines_as_it_builds_them():
     # over runs from seeded graphs, with Cut and Unknown leaves, and loopy
-    # ones, each also applied to a Cut: after each step the index holds the
-    # reduct and the context, a finite spliced node is its class's member,
-    # and so is each finite node that the de Bruijn walks of a beta or eta
-    # contraction of a finite redex made, and the facts of every node of
+    # ones, each also applied to a Cut, and to the variable of a lambda
+    # above it, so that spine nodes have free indices: after each step the
+    # index holds the reduct and the context, a finite spliced node is its
+    # class's member, and so is each finite node that the de Bruijn walks
+    # of a beta or eta contraction of a finite redex made, each of them
+    # with the free index that a scan finds, and the facts of every node of
     # both are the whole-graph fixpoints
     made = Counter()
     starts = [*graphs(45, 8, leaves=True), *loopy(46, 24)]
-    for t in starts + [app(t, cut()) for t in starts]:
+    for t in starts + [app(t, cut()) for t in starts] + [lam(app(t, bvar(0))) for t in starts]:
         max_len = 64 if is_finite(t) else 10
         for sig in ALL_SIGS:
             for rules in (Beta(), Eta(), BetaStrict(sig)):
                 index = NodeIndex(rules)
-                cls, rep = index.classes.cls, index.classes.rep
+                cls, rep, free = index.classes.cls, index.classes.rep, index.classes.free
                 states = set()  # the nodes of the states that the index's runs stepped
                 for strategy in ("lmo", "po"):  # d0 rejects Cut/Unknown leaves
                     tr = run_strategy(rules, strategy, t, 8, max_len, sig, index=index)
@@ -394,16 +397,19 @@ def test_a_step_classes_its_spines_as_it_builds_them():
                         states |= before
                         for n in spliced(sig, s):
                             c = cls[n]
-                            assert c < 0 or rep[c] is n
+                            assert c < 0 or (rep[c] is n and free[c] == free_index_by_scan(n))
                             made["finite" if c >= 0 else "cyclic"] += 1
+                            made["with a free index"] += c >= 0 and free[c] >= 0
                             made["from the state"] += n in before
                         # a contractum, the memo's among them, holds what the
                         # walks made and subgraphs of states stepped so far
                         if s.rule in ("beta", "eta") and cls[node_at(s.before, s.position)] >= 0:
                             for n in reachable(node_at(s.after, s.position)):
                                 if n not in states:
-                                    assert rep[cls[n]] is n
+                                    c = cls[n]
+                                    assert rep[c] is n and free[c] == free_index_by_scan(n)
                                     made["made by a walk"] += 1
+                                    made["with a free index"] += free[c] >= 0
                         for root in (s.after, s.context):
                             live = redex_reachability(rules, root)
                             stuck = reaching(reachable(root), lambda n: n.kind in (CUT, UNKNOWN))
