@@ -47,7 +47,9 @@ from .rewriting import (
     Step,
     Strict,
     Trace,
+    depth0_redex,
     first_redex,
+    outermost_redexes,
     redexes,
     rule_system,
     run_strategy,

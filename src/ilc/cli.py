@@ -21,6 +21,8 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from decimal import Decimal
+from fractions import Fraction
 from typing import NamedTuple
 
 from . import convergence, developments, meaningless
@@ -217,6 +219,14 @@ def _emit(args, out, text, doc, unknown: bool) -> int:
     return EXIT_UNKNOWN if unknown else EXIT_OK
 
 
+def _fraction_text(f: Fraction) -> str:
+    """``str(f)``, but each part printed as a ``Decimal``, which takes an int
+    exactly and prints every digit: ``str`` of an int refuses more than
+    4300 digits, and a distance 2^-d has about 0.3 d of them."""
+    text = str(Decimal(f.numerator))
+    return text if f.denominator == 1 else f"{text}/{Decimal(f.denominator)}"
+
+
 def main(argv: list[str] | None = None, out=None, err=None) -> int:
     # each call starts from empty analysis state; what a call leaves stays
     # readable until the next one
@@ -287,7 +297,7 @@ def main(argv: list[str] | None = None, out=None, err=None) -> int:
 
         if args.command == "dist":
             a, b = load(args.left), load(args.right)
-            d = str(_distance(sig, a, b))
+            d = _fraction_text(_distance(sig, a, b))
             return _emit(args, out, d, {"distance": d}, False)
 
         if args.command == "order":
@@ -323,7 +333,7 @@ def main(argv: list[str] | None = None, out=None, err=None) -> int:
         if args.command == "dev":
             t = load(args.term)
             if args.all:
-                found, cut = _search(Beta(), t, POSITION_BOUND, "all", limit=_EXPLORATION_LIMIT)
+                found, cut, _ = _search(Beta(), t, POSITION_BOUND, "all", limit=_EXPLORATION_LIMIT)
                 if cut:  # the set would miss a redex, on a finite term or a cyclic one
                     raise ValueError(f"a beta redex lies past the position bound {POSITION_BOUND}")
                 positions = [p for p, _ in found]

@@ -258,7 +258,7 @@ def develop(sig: Sig, rs: RedexSet, fuel: int = 10_000) -> tuple[Trace, Node]:
 # Complete developments, denotational route (path labellings)
 
 
-def path_labels(sig: Sig, rs: RedexSet, state_limit: int = 100_000) -> Node:
+def path_labels(sig: Sig, rs: RedexSet, state_limit: int | None = None) -> Node:
     """The development result read off from paths, without rewriting.
 
     A path state is (node, environment, relative redex set).  Entering a
@@ -268,7 +268,10 @@ def path_labels(sig: Sig, rs: RedexSet, state_limit: int = 100_000) -> Node:
     Silent cycles mean a diverging path and produce bottom, as do result
     cycles that never cross a non-strict edge.  The result graph is
     ``trees.build`` over the path states, each resolved through its silent
-    edges; more than ``state_limit + 1`` states raise ``RuntimeError``.
+    edges; more than ``state_limit + 1`` states raise ``RuntimeError``.  By
+    default the limit is ten states per node of the tree, and at least
+    100 000: a development that enters each node in one environment, as on
+    an argument spine, visits one state per node.
     """
     _check_development_sig(sig)
     tags = _validate_redexes(sig, rs)
@@ -279,6 +282,8 @@ def path_labels(sig: Sig, rs: RedexSet, state_limit: int = 100_000) -> Node:
     us = frozenset(p for p in rs.positions if tags[p] == "beta")
 
     maxidx = max_bvar_indices(rs.tree)  # path states visit only its nodes
+    if state_limit is None:
+        state_limit = max(100_000, 10 * len(maxidx))
 
     def mk_state(n: Node, env: tuple, rel: frozenset) -> tuple:
         # keep just enough entries to cover the subtree's variable indices;

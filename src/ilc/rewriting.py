@@ -47,7 +47,7 @@ from dataclasses import dataclass, field
 from operator import eq, ge
 from typing import Callable
 
-from .terms import Position, Sig, acut, adepth, parse_sig, sig_str
+from .terms import Position, Sig, parse_sig, sig_str
 from .trees import (
     _CYCLIC,
     APP,
@@ -382,22 +382,29 @@ class NodeIndex:
     """Facts about the nodes of the runs that share it, under one rule
     system, each recorded once per node.
 
-    ``add(root)`` records three facts about each node below the root that
+    ``add(root)`` records four facts about each node below the root that
     the index has not seen:
 
     - its class in ``classes``, a ``trees.ClassTable``: equal classes mean
       bisimilar nodes, and a negative class a node that reaches a cycle;
       a finite class also has its largest free index, which the eta test
       and the de Bruijn walkers of a step read;
-    - ``live``: whether it reaches a redex node of the rule system, by
-      ``test``, the system's ``redex_test``;
+    - ``tags``: its rule tag, if it is itself a redex node of the rule
+      system, by ``test``, the system's ``redex_test``;
+    - ``live``: whether it reaches a redex node;
     - ``stuck``: whether it reaches a Cut or Unknown leaf.
 
-    A node that lies on no cycle takes the last two from its own kind and
+    A node that lies on no cycle takes the last three from its own kind and
     its children, which the index holds before it (``_facts``).  For the
-    new nodes that reach a cycle, ``trees.reaching`` spreads them over just
-    those nodes, seeded by each node's own kind and its children seen
-    before.
+    new nodes that reach a cycle, ``trees.reaching`` spreads ``live`` and
+    ``stuck`` over just those nodes, seeded by each node's own tag or kind
+    and its children seen before.
+
+    ``nearest(t, sig)`` adds, once per node and signature, the nearest-redex
+    fact of each live node below a finite ``t``: the least (``adepth``,
+    length) of a redex position below the node, and the child that leads
+    there, the lower child index on a tie.  That is best-first's order, so
+    ``depth0_redex`` walks down these children to its pick.
 
     ``try_step`` keeps two memos in the index, so that each redex is
     contracted once per index:
@@ -412,7 +419,7 @@ class NodeIndex:
       they coincide, gets the earlier ``Step`` itself.
 
     ``node`` is the index's one interning rule.  Every node that a step
-    makes comes through it: ``splice`` builds the spines of the reduct and
+    makes comes through it: ``try_step`` builds the spines of the reduct and
     the context by one ``node`` call per spine node, the de Bruijn walks
     (``_rewrite``) build a finite root's result by it, and the strictness
     and bottom rules contract to ``hole``, the index's one hole node, which
@@ -431,16 +438,21 @@ class NodeIndex:
     on it), and none reaches a Cut or Unknown leaf unless the start does.
     """
 
-    __slots__ = ("rules", "test", "classes", "live", "stuck", "contracta", "steps", "hole", "_canons")
+    __slots__ = (
+        "rules", "test", "classes", "tags", "live", "stuck", "contracta", "steps", "_nearest", "_canons",
+        "hole",
+    )
 
     def __init__(self, rules: RuleSystem):
         self.rules = rules
         self.classes = ClassTable()
         self.test = redex_test(rules, self.classes)
+        self.tags: dict[Node, str] = {}
         self.live: set[Node] = set()
         self.stuck: set[Node] = set()
         self.contracta: dict[tuple[int, str], Node] = {}
         self.steps: dict[Node, dict[tuple[Position, str, Sig], Step]] = {}
+        self._nearest: dict[Sig, dict[Node, tuple[int, int, int]]] = {}
         self._canons: dict[Node, tuple] = {}
         self.hole = hole()
         self.add(self.hole)
@@ -451,30 +463,62 @@ class NodeIndex:
         for n in finite:
             facts(n)
         if cyclic:
-            live, stuck, test = self.live, self.stuck, self.test
+            tags, live, stuck, test = self.tags, self.live, self.stuck, self.test
+            for n in cyclic:
+                tag = test(n)
+                if tag:
+                    tags[n] = tag
             # a path from a new cyclic node stays among them or leaves them
             # for a node whose facts are final
-            live |= reaching(
-                cyclic,
-                lambda n: test(n) is not None or any(c in live for _, c in children(n)),
-            )
+            live |= reaching(cyclic, lambda n: n in tags or any(c in live for _, c in children(n)))
             if stuck:  # else no node seen reaches a Cut or Unknown leaf
                 stuck |= reaching(cyclic, lambda n: any(c in stuck for _, c in children(n)))
 
     def _facts(self, n: Node) -> None:
-        """Record ``live`` and ``stuck`` for a new node that lies on no
-        cycle, from its own kind and its children's facts, which the index
-        holds already."""
+        """Record ``tags``, ``live`` and ``stuck`` for a new node that lies
+        on no cycle, from its own kind and its children's facts, which the
+        index holds already."""
         k = n.kind
         if k == APP or k == LAM:
             live, stuck = self.live, self.stuck
             a, b = n.a, n.b  # b is None under a lambda
-            if a in live or b in live or self.test(n):
+            tag = self.test(n)
+            if tag:
+                self.tags[n] = tag
+                live.add(n)
+            elif a in live or b in live:
                 live.add(n)
             if stuck and (a in stuck or b in stuck):
                 stuck.add(n)
         elif k == CUT or k == UNKNOWN:
             self.stuck.add(n)
+
+    def nearest(self, t: Node, sig: Sig) -> dict[Node, tuple[int, int, int]]:
+        """The nearest-redex facts under ``sig``, made for the live nodes
+        below ``t``, a finite node that the index holds: each maps to the
+        least (``adepth``, length) of a redex position below it, relative
+        to it, and the child index that the least such position starts
+        with, the lower one on a tie, or -1 at a redex node.  Each fact is
+        made once per node and signature, after its live children's, with
+        an explicit stack."""
+        best = self._nearest.setdefault(sig, {})
+        tags, live = self.tags, self.live
+        stack = [t] if t in live else []
+        while stack:
+            n = stack.pop()
+            if n in best:
+                continue
+            if n in tags:
+                best[n] = (0, 0, -1)
+                continue
+            # a live node that is no redex node has a live child
+            below = [(i, c) for i, c in children(n) if c in live]
+            todo = [c for _, c in below if c not in best]
+            if todo:
+                stack += [n, *todo]
+                continue
+            best[n] = min((best[c][0] + sig[i], best[c][1] + 1, i) for i, c in below)
+        return best
 
     def node(self, kind: str, a, b=None) -> Node:
         """The node of ``kind`` over children ``a`` and ``b`` that the
@@ -508,22 +552,6 @@ class NodeIndex:
         self._facts(n)
         return n
 
-    def splice(self, spine: list[Node], p: Position, k: int, replacement: Node) -> Node:
-        """The first ``k`` nodes of a spine along ``p`` (``_spine``) built
-        again through ``node``, bottom-up, with ``replacement`` in place of
-        the node at ``p[:k]``; the spine and the replacement are indexed."""
-        node = self.node
-        out = replacement
-        for j in range(k - 1, -1, -1):
-            i = p[j]
-            if i == 0:
-                out = node(LAM, out)
-            elif i == 1:
-                out = node(APP, out, spine[j].b)
-            else:
-                out = node(APP, spine[j].a, out)
-        return out
-
     def key(self, n: Node) -> int | tuple:
         """A key of an indexed node: equal keys iff bisimilar.  Its finite
         class, or, for a node that reaches a cycle, ``canon``, computed
@@ -552,9 +580,10 @@ def _search(
     sig: Sig | None = None,
     limit: int | None = None,
     index: NodeIndex | None = None,
-) -> tuple[list[tuple[Position, str]], bool]:
+) -> tuple[list[tuple[Position, str]], bool, list[Node] | None]:
     """The redex search behind ``redexes``, ``first_redex``,
-    ``outermost_redexes`` and ``depth0_redex``.
+    ``outermost_redexes``, and ``depth0_redex`` where its facts do not
+    answer.
 
     One walk over the positions of length <= max_len, in preorder (1 before
     2), or, given ``sig``, best-first by (``adepth``, length, position),
@@ -566,13 +595,15 @@ def _search(
     enumerate (all redexes, or best-first) reject Cut/Unknown leaves.  More
     than ``limit`` nodes visited raise ``RuntimeError``.
 
-    Returns the redexes found and whether the bound cut the walk: it
-    stopped at ``max_len`` on a node with a child that reaches a redex node
-    and that it would have entered, so a redex lies past the bound.  A
-    search for all redexes of a graph with a redex reachable from a cycle
-    is always cut.  The walk needs no guardedness: ``max_len`` ends every
-    path, also one around a cycle of strict edges, and the states of a run
-    from a guarded start are guarded anyway (see ``NodeIndex``).
+    Returns the redexes found, whether the bound cut the walk, and the
+    nodes from ``t`` to the first redex found, which the preorder walk
+    keeps (``_preorder``) and the others do not (None).  The bound cut the
+    walk if it stopped at ``max_len`` on a node with a child that reaches a
+    redex node and that it would have entered, so a redex lies past the
+    bound.  A search for all redexes of a graph with a redex reachable from
+    a cycle is always cut.  The walk needs no guardedness: ``max_len`` ends
+    every path, also one around a cycle of strict edges, and the states of
+    a run from a guarded start are guarded anyway (see ``NodeIndex``).
 
     ``index`` is a run's index for these rules that already holds ``t``;
     without one, a fresh index records the whole graph once.
@@ -587,7 +618,7 @@ def _search(
     bohm = isinstance(rules, BohmBot)
     if sig is None and not bohm:
         return _preorder(index, t, max_len, mode, limit)
-    test, live = index.test, index.live
+    tags, live = index.tags, index.live
     out: list[tuple[Position, str]] = []
     cut = False
     # a stack of (position, node), or a heap of (depth, length, position,
@@ -604,14 +635,14 @@ def _search(
             raise RuntimeError("redex search exceeded its exploration limit")
         if not bohm and n not in live:
             continue
-        tag = test(n)
+        tag = tags.get(n)
         found = [tag] if tag else []
         if bohm and n.kind != HOLE and (mode == "all" or not found) and rules.oracle(n):
             found.append("bot")
         if found:
             out += [(p, tag) for tag in found]
             if mode == "first":
-                return out, False
+                return out, False, None
             if mode == "outermost":
                 continue
         if len(p) < max_len:
@@ -624,42 +655,53 @@ def _search(
                         heapq.heappush(frontier, (d + sig[i], len(q), q, c))
         elif not cut:
             cut = any(c in live for _, c in children(n))
-    return out, cut
+    return out, cut, None
 
 
 def _preorder(
-    index: NodeIndex, t: Node, max_len: int, mode: str, limit: int
-) -> tuple[list[tuple[Position, str]], bool]:
+    index: NodeIndex, t: Node, max_len: int, mode: str, limit: int,
+    start: tuple[Position, list[Node]] | None = None,
+) -> tuple[list[tuple[Position, str]], bool, list[Node] | None]:
     """``_search`` in preorder, for rules without a bottom rule.
 
     The walk goes down the first live child in place and back up to the
     next live sibling, keeping the path as one list of child indices and
-    the nodes it leaves; a position is made only for a redex found.  It
-    visits the same nodes in the same order as the stack of positions that
-    it replaced (``search_by_positions`` in the tests), so it finds the same
-    redexes and exceeds ``limit`` at the same node.
+    the nodes it leaves; a position is made only for a redex found, and the
+    nodes from ``t`` to the first one are returned with it.  It visits the
+    same nodes in the same order as the stack of positions that it replaced
+    (``search_by_positions`` in the tests), so it finds the same redexes and
+    exceeds ``limit`` at the same node.
+
+    ``start``, a position of ``t`` and the nodes from ``t`` along it, starts
+    the walk at that position, with that path, as if it had just come down
+    to it, so it visits what a walk from ``t`` visits from there on.
+    ``run_strategy`` resumes leftmost-outermost so, at its last contraction.
     """
-    test, live = index.test, index.live
+    tags, live = index.tags, index.live
     out: list[tuple[Position, str]] = []
-    if t not in live:
-        if limit < 1:
-            raise RuntimeError("redex search exceeded its exploration limit")
-        return out, False
+    first = None  # the nodes from t to out[0]
     cut = False
-    path: list[int] = []  # the child indices from the root to n
-    up: list[Node] = []  # the node each of them leaves
-    n = t
+    if start is None:
+        path: list[int] = []  # the child indices from the root to n
+        up: list[Node] = []  # the node each of them leaves
+        n = t
+    else:
+        path, up, n = list(start[0]), start[1][:-1], start[1][-1]
     explored = 0
+    # every n but the first is live; a first n outside ``live`` has no tag
+    # and no live child, so the walk backs up from it
     while True:
         explored += 1
         if explored > limit:
             raise RuntimeError("redex search exceeded its exploration limit")
-        tag = test(n)
+        tag = tags.get(n)
         down = True
         if tag:
             out.append((tuple(path), tag))
+            if first is None:
+                first = up + [n]
             if mode == "first":
-                return out, False
+                return out, False, first
             down = mode == "all"
         if down:
             k = n.kind
@@ -687,7 +729,31 @@ def _preorder(
                 n = parent.b
                 break
         else:
-            return out, cut
+            return out, cut, first
+
+
+def _depth0(
+    rules: RuleSystem, t: Node, sig: Sig, max_len: int, index: NodeIndex
+) -> tuple[list[tuple[Position, str]], list[Node] | None]:
+    """``depth0_redex``'s pick, as a list of at most one, and the nodes
+    from ``t`` to it when the walk down the facts found it (else None)."""
+    if index.classes.cls[t] >= 0 and not isinstance(rules, BohmBot):
+        if t in index.stuck:
+            raise ValueError("redex search rejects Cut/Unknown leaves")
+        best = index.nearest(t, sig)
+        f = best.get(t)
+        if f is None:  # no redex node below t
+            return [], None
+        if f[1] <= max_len:
+            n, p, spine = t, [], [t]
+            while f[2] >= 0:
+                n = n.b if f[2] == 2 else n.a
+                p.append(f[2])
+                spine.append(n)
+                f = best[n]
+            return [(tuple(p), index.tags[n])], spine
+    found, _, spine = _search(rules, t, max_len, "first", sig, _EXPLORATION_LIMIT, index)
+    return found, spine
 
 
 def redexes(rules: RuleSystem, t: Node, max_len: int = POSITION_BOUND) -> set[tuple[Position, str]]:
@@ -703,7 +769,7 @@ def first_redex(
     rules: RuleSystem, t: Node, max_len: int = POSITION_BOUND, *, index: NodeIndex | None = None
 ) -> tuple[Position, str] | None:
     """Leftmost-outermost redex: first hit in preorder (1 before 2)."""
-    found, _ = _search(rules, t, max_len, "first", index=index)
+    found = _search(rules, t, max_len, "first", index=index)[0]
     return found[0] if found else None
 
 
@@ -718,10 +784,20 @@ def depth0_redex(
     rules: RuleSystem, t: Node, sig: Sig, max_len: int = POSITION_BOUND, *, index: NodeIndex | None = None
 ) -> tuple[Position, str] | None:
     """The redex of least depth, ties broken by length and then leftmost:
-    the least of ``redexes`` by (``adepth``, length, position), found by a
-    best-first walk that stops at the first hit, so it explores no more
-    than ``redexes`` would."""
-    found, _ = _search(rules, t, max_len, "first", sig, _EXPLORATION_LIMIT, index)
+    the least of ``redexes`` by (``adepth``, length, position).
+
+    On a finite ``t``, under rules without a bottom rule, one walk down from
+    the root reads it off the index's nearest-redex facts
+    (``NodeIndex.nearest``), with no positions built and no exploration
+    limit.  On a ``t`` that reaches a cycle, under bottom rules, and when
+    that redex lies past ``max_len``, a best-first walk (``_search``) finds
+    it, which stops at the first hit, so it explores no more than
+    ``redexes`` would.
+    """
+    if index is None:
+        index = NodeIndex(rules)
+        index.add(t)
+    found = _depth0(rules, t, sig, max_len, index)[0]
     return found[0] if found else None
 
 
@@ -737,6 +813,10 @@ class Step:
     after: Node
     context: Node  # the step's reduction context
     depth: int
+    # the nodes of ``after`` along ``position``, from its root to the
+    # contractum, which leftmost-outermost resumes its search along; None
+    # for a decoded step
+    spine: list[Node] | None = field(default=None, compare=False, repr=False)
 
 
 class NotARedex(ValueError):
@@ -804,20 +884,24 @@ def try_step(
     sig: Sig | None = None,
     *,
     index: NodeIndex | None = None,
+    spine: list[Node] | None = None,
 ) -> Step:
     """Contract the redex at ``p``.
 
     The recorded reduction context is the tree with the subtree at the
-    longest non-strict prefix of ``p`` removed.  One walk down ``p``
-    collects the spine that the reduct and the context both rebuild.  The
-    step runs on ``index``, a run's index, or a fresh ``NodeIndex(rules)``:
-    the state is added to it (nothing to do if it is there already), the
-    contraction builds through it (a contractum that copies a root that
-    reaches a cycle is added after), the reduct and the context are built
-    through it (``NodeIndex.splice``), and the step goes through its memos
-    (see ``NodeIndex``).  A call that names its
-    ``tag`` returns the memoised step of the same state node, position, tag
-    and signature, and a redex of a finite class seen before gets the
+    longest non-strict prefix of ``p`` (``acut``) removed.  ``spine`` holds
+    the nodes of ``t`` along ``p``, from ``t`` on, as a redex search that
+    walked there passes them; without it one walk down ``p`` collects them.
+    The step runs on ``index``, a run's index, or a fresh
+    ``NodeIndex(rules)``: the state is added to it (nothing to do if it is
+    there already), the contraction builds through it (a contractum that
+    copies a root that reaches a cycle is added after), and the step goes
+    through its memos (see ``NodeIndex``).  One bottom-up pass of
+    ``NodeIndex.node`` calls along the spine builds the reduct's spine, and
+    above the cut, where the lowest non-strict edge of ``p`` ends, the
+    context's, and it adds up the depth (``adepth``).  A call that names
+    its ``tag`` returns the memoised step of the same state node, position,
+    tag and signature, and a redex of a finite class seen before gets the
     memoised contractum.  A call without a tag takes the one that ``rules``
     give the node at ``p``.
     """
@@ -829,7 +913,8 @@ def try_step(
         step = done.get((p, tag, sig))
         if step is not None:
             return step
-    spine = _spine(t, p)
+    if spine is None:
+        spine = _spine(t, p)
     n = spine[-1]
     classes = index.classes
     if t not in classes.cls:
@@ -848,9 +933,30 @@ def try_step(
             index.add(reduct)
         if c >= 0:
             index.contracta[c, tag] = reduct
-    after = index.splice(spine, p, len(p), reduct)
-    context = index.splice(spine, p, len(acut(sig, p)), index.hole)
-    step = Step(t, p, tag, after, context, adepth(sig, p))
+    node = index.node
+    after = [reduct]  # the reduct's spine, bottom-up
+    context = None  # the context's spine node, from the cut up
+    depth = 0
+    for j in range(len(p) - 1, -1, -1):
+        i, m, below = p[j], spine[j], after[-1]
+        if sig[i]:
+            depth += 1
+            if context is None:
+                context = index.hole
+        if i == 0:
+            after.append(node(LAM, below))
+            if context is not None:
+                context = node(LAM, context)
+        elif i == 1:
+            after.append(node(APP, below, m.b))
+            if context is not None:
+                context = node(APP, context, m.b)
+        else:
+            after.append(node(APP, m.a, below))
+            if context is not None:
+                context = node(APP, m.a, context)
+    after.reverse()
+    step = Step(t, p, tag, after[0], index.hole if context is None else context, depth, after)
     if done is None:
         done = index.steps[t] = {}
     done[p, tag, sig] = step
@@ -1009,6 +1115,14 @@ def run_strategy(
     whose search finds no redex within ``max_len`` although the state
     still reaches one stops as ``bound``, not ``normal_form``.
 
+    A step's search hands ``try_step`` the nodes that it walked to its
+    redex: leftmost-outermost's, depth0-first's walk down the index's
+    facts, and the first of a parallel-outermost round's; a later step of
+    the round walks its position in the state that the round has reached.
+    Under Beta, Strict and BetaStrict, whose redex test reads only a node's
+    kind and its children's, leftmost-outermost searches from the root once,
+    and after each step resumes its walk at that step's position.
+
     ``index`` is an index for ``rules`` that the run shares with earlier
     runs, whose memoised steps and contracta it reuses (see ``NodeIndex``);
     without one the run makes its own.
@@ -1023,21 +1137,38 @@ def run_strategy(
     elif index.rules != rules:
         raise ValueError(f"an index for {index.rules!r} cannot run {rules!r}")
     index.add(t)
+    resumes = strategy == "leftmost-outermost" and isinstance(rules, (Beta, Strict, BetaStrict))
     pending: list[tuple[Position, str]] = []  # the redexes left to contract, last first
+    spine: list[Node] | None = None  # the nodes from the state to the next one, if walked
+    last: Step | None = None  # the run's last step
 
     def next_round(cur: Node) -> list[Step]:
+        nonlocal spine, last
         if not pending:
             if strategy == "parallel-outermost":
-                found = outermost_redexes(rules, cur, max_len, index=index)
+                found, _, spine = _search(rules, cur, max_len, "outermost", None, _EXPLORATION_LIMIT, index)
+            elif resumes and last is not None:  # cur is last.after
+                # the step rebuilt only the nodes along its position, each
+                # of the same kind but the reduct, and no redex lies left of
+                # that path: the first redex is now the parent, if the
+                # reduct made it one, or else the walk's next hit from there
+                p, spine = last.position, last.spine
+                tag = index.tags.get(spine[-2]) if p else None
+                if tag:
+                    found, spine = [(p[:-1], tag)], spine[:-1]
+                else:
+                    found, _, spine = _preorder(index, cur, max_len, "first", _NO_LIMIT, (p, spine))
             elif strategy == "leftmost-outermost":
-                found = [first_redex(rules, cur, max_len, index=index)]
+                found, _, spine = _search(rules, cur, max_len, "first", index=index)
             else:  # depth0-first: minimal depth, ties leftmost (shortlex)
-                found = [depth0_redex(rules, cur, sig, max_len, index=index)]
-            pending.extend(reversed([f for f in found if f]))
+                found, spine = _depth0(rules, cur, sig, max_len, index)
+            pending.extend(reversed(found))
         if not pending:
             return []
         p, tag = pending.pop()
-        return [try_step(rules, cur, p, tag, sig, index=index)]
+        last = try_step(rules, cur, p, tag, sig, index=index, spine=spine)
+        spine = None
+        return [last]
 
     steps, stopped, cycle_at = drive(index, t, fuel, next_round)
     if stopped == "normal_form" and (steps[-1].after if steps else t) in index.live:

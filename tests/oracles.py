@@ -21,7 +21,9 @@ that ``lub_chain`` once ran on every call as a self-check.  At the end are
 the redex test that dispatched on the rule system at every node, the redex
 search that built a position for every node it visited, the ``p_limit``
 that checked every context for guardedness, the step that copied the
-spines of its reduct and context as fresh nodes, the whole-graph redex
+spines of its reduct and context as fresh nodes, the step that walked its
+path again and spliced each spine through the index on its own, the
+best-first ``depth0_redex`` over a heap of positions, the whole-graph redex
 searches and the ``canon``-keyed ``run_strategy`` loop that
 ``rewriting.NodeIndex`` replaced, the per-node walks of
 ``developments`` that one strongly-connected-components pass replaced, and
@@ -1562,6 +1564,79 @@ def try_step_by_copy(rules, t: Node, p: Position, tag: str | None = None, sig: S
     context = replace_at(t, acut(sig, p), hole())
     return Step(t, p, tag, after, context, adepth(sig, p))
 
+
+
+def try_step_by_splice(rules, t: Node, p: Position, tag: str, sig: Sig, index: NodeIndex) -> Step:
+    """``rewriting.try_step`` as it built a step before one pass made both
+    spines: one walk down ``p`` (``_spine``), then the spines of the reduct
+    and of the context each rebuilt bottom-up by their own ``splice``
+    through ``index.node``, and the depth and the cut by ``adepth`` and
+    ``acut``.  It reads and fills the index's contracta, but not its memo
+    of steps."""
+    spine = _spine(t, p)
+    n = spine[-1]
+    classes = index.classes
+    if t not in classes.cls:
+        index.add(t)
+    c = classes.cls[n]
+    reduct = index.contracta.get((c, tag)) if c >= 0 else None
+    if reduct is None:
+        reduct = contractum(rules, n, tag, index)
+        if reduct not in classes.cls:
+            index.add(reduct)
+        if c >= 0:
+            index.contracta[c, tag] = reduct
+
+    def splice(k: int, replacement: Node) -> Node:
+        out = replacement
+        for j in range(k - 1, -1, -1):
+            i = p[j]
+            if i == 0:
+                out = index.node(LAM, out)
+            elif i == 1:
+                out = index.node(APP, out, spine[j].b)
+            else:
+                out = index.node(APP, spine[j].a, out)
+        return out
+
+    after = splice(len(p), reduct)
+    context = splice(len(acut(sig, p)), index.hole)
+    return Step(t, p, tag, after, context, adepth(sig, p))
+
+
+def depth0_redex_best_first(rules, t: Node, sig: Sig, max_len: int = 64, index=None):
+    """``rewriting.depth0_redex`` as a best-first walk over a heap of
+    (``adepth``, length, position, node), pruned by the index's ``live``
+    facts, which stops at the first hit and raises past the exploration
+    limit of 100 000 nodes, as it ran before it read the index's
+    nearest-redex facts."""
+    if index is None:
+        index = NodeIndex(rules)
+        index.add(t)
+    if t in index.stuck:
+        raise ValueError("redex search rejects Cut/Unknown leaves")
+    bohm = isinstance(rules, BohmBot)
+    test, live = index.test, index.live
+    frontier: list = [(0, 0, (), t)]
+    explored = 0
+    while frontier:
+        d, _, p, n = heapq.heappop(frontier)
+        explored += 1
+        if explored > 100_000:
+            raise RuntimeError("redex search exceeded its exploration limit")
+        if not bohm and n not in live:
+            continue
+        tag = test(n)
+        if tag:
+            return p, tag
+        if bohm and n.kind != HOLE and rules.oracle(n):
+            return p, "bot"
+        if len(p) < max_len:
+            for i, c in reversed(children(n)):
+                if bohm or c in live:
+                    q = p + (i,)
+                    heapq.heappush(frontier, (d + sig[i], len(q), q, c))
+    return None
 
 
 def redexes_whole_graph(rules, t: Node, max_len: int = 64, limit: int = 100_000) -> set:

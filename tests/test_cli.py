@@ -79,6 +79,23 @@ def test_dist_and_order():
     assert "glb: x bot" in out
 
 
+def test_dist_prints_every_digit_of_a_deep_disagreement():
+    # two nestings that first differ at depth 14 400: 2^14400 has 4335
+    # digits, more than str() of an int may print, so the digits here come
+    # from 1000-digit chunks
+    d = 14_400
+    left, right = "f (" * d + "x" + ")" * d, "f (" * d + "y" + ")" * d
+    n, chunks = 2**d, []
+    while n:
+        n, r = divmod(n, 10**1000)
+        chunks.append(r)
+    digits = str(chunks[-1]) + "".join(f"{c:01000d}" for c in reversed(chunks[:-1]))
+    assert len(digits) == 4335 and digits.startswith("6791059902906502463")
+    assert run("dist", left, right) == (0, f"1/{digits}\n", "")
+    doc = json.dumps({"distance": f"1/{digits}"})
+    assert run("dist", "--format", "json", left, right) == (0, doc + "\n", "")
+
+
 def test_join_counterexample_peak():
     code, out, _ = run("join", "--ascii", "--sig", "101", r"(\x.x y) (" + OMEGA + ")")
     assert code == 0
@@ -378,7 +395,9 @@ def test_seeded_tree_and_trace_keep_the_cli_contract():
 def test_dev_all_on_a_long_argument_spine():
     # the S-normalization and the path-label build copy the whole spine; the
     # strict-cycle check and the path states' index caps take one pass each
-    for length, sig in ((1000, "111"), (10**4, "111"), (10**4, "001")):
+    # 50 001 arguments make 100 003 path states, one per node, past the
+    # floor of 100 000 of path_labels' state limit, which grows with the tree
+    for length, sig in ((1000, "111"), (10**4, "111"), (10**4, "001"), (50_001, "111")):
         spine = "f" + " z" * length
         code, out, err = run("dev", "--all", "--ascii", "--sig", sig, spine)
         assert code == 0 and err == ""

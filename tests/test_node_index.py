@@ -3,10 +3,14 @@ walks it replaced, its redex test answers as the ``match`` on the rule
 system did, the redex search that it prunes finds what the search by
 positions found, and ``run_strategy``, which keys its lasso check and
 prunes its redex search through it, takes the same steps as the earlier loop
-that searched and keyed the whole graph on every step.  A step taken alone
-answers as the same step on a run's index does, and a step whose spines
-the index builds prints what the step that copied them printed, with
-every spliced node classed, interned and given its facts as it is made."""
+that searched and keyed the whole graph on every step.  Along those runs,
+depth0-first's pick read off the index's facts is the best-first walk's,
+leftmost-outermost's resumed pick is the search's from the root, and the
+one pass that builds a step's spines builds what two splices built.  A
+step taken alone answers as the same step on a run's index does, and a
+step whose spines the index builds prints what the step that copied them
+printed, with every spliced node classed, interned and given its facts as
+it is made."""
 
 import random
 from collections import Counter
@@ -24,6 +28,7 @@ from ilc.rewriting import (
     Strict,
     _search,
     depth0_redex,
+    first_redex,
     redex_test,
     redexes,
     run_strategy,
@@ -57,6 +62,7 @@ from ilc.trees import (
     tree_of_term,
 )
 from oracles import (
+    depth0_redex_best_first,
     free_index_by_scan,
     loopy,
     random_graph,
@@ -67,6 +73,7 @@ from oracles import (
     run_strategy_whole_graph,
     search_by_positions,
     try_step_by_copy,
+    try_step_by_splice,
     unroll,
 )
 
@@ -99,6 +106,7 @@ def test_index_facts_equal_the_whole_graph_walks():
             index.add(g)
             live = redex_reachability_by_rounds(rules, g)
             for n in reachable(g):
+                assert index.tags.get(n) == redex_tag_by_match(rules, n)
                 assert (n in index.live) == (id(n) in live)
                 assert (n in index.stuck) == has_kind(n, CUT, UNKNOWN)
                 assert (index.classes.cls[n] >= 0) == is_finite(n)
@@ -249,6 +257,46 @@ def test_run_strategy_equals_the_whole_graph_loop():
                     runs += 1
                     cycles += want.cycle_at is not None
     assert runs > 3000 and cycles > 100
+
+
+def test_the_runs_picks_and_steps_equal_the_oracles():
+    """On every state of the battery above: depth0-first's pick, read off
+    the index's facts, is the best-first walk's wherever that walk finishes
+    within its limit; each leftmost-outermost step, which the run finds by
+    resuming at the step before, contracts the redex that a search from the
+    root finds; and every step's reduct, context and depth are those of the
+    step that walked its path again and built each spine by a splice of its
+    own, as the same nodes or, where a node reaches a cycle and is made
+    fresh, as bisimilar ones."""
+    seen = Counter()
+    for t in [*graphs(23, 8), *loopy(25, 48)]:
+        max_len = 64 if is_finite(t) else 10
+        indexes = {}
+        for sig in ALL_SIGS:
+            for rules in (Beta(), Eta(), Strict(sig), BetaStrict(sig)):
+                index = indexes.setdefault(rules, NodeIndex(rules))
+                for strategy in ("lmo", "po", "d0"):
+                    tr = run_strategy(rules, strategy, t, 10, max_len, sig, index=index)
+                    for prev, s in zip([None, *tr.steps], tr.steps):
+                        want = try_step_by_splice(rules, s.before, s.position, s.rule, sig, index)
+                        assert s.depth == want.depth
+                        for got, w in ((s.after, want.after), (s.context, want.context)):
+                            assert got is w or index.key(got) == index.key(w)
+                            seen["same node" if got is w else "bisimilar"] += 1
+                        if strategy == "lmo":
+                            assert (s.position, s.rule) == first_redex(rules, s.before, max_len, index=index)
+                            if prev is not None and prev.position[:-1] == s.position:
+                                seen["lmo at the parent"] += 1
+                    for state in {s.before for s in tr.steps} | {tr.final}:
+                        try:
+                            want = depth0_redex_best_first(rules, state, sig, max_len, index)
+                        except RuntimeError:
+                            seen["limit"] += 1
+                            continue
+                        assert depth0_redex(rules, state, sig, max_len, index=index) == want
+                        finite = index.classes.cls[state] >= 0
+                        seen["finite d0" if finite else "cyclic d0"] += want is not None
+    assert min(seen.values()) > 100, seen
 
 
 def test_run_strategy_rejects_an_index_for_other_rules():
@@ -464,6 +512,35 @@ def test_depth0_pick_is_the_least_of_all_redexes():
                 assert depth0_redex(rules, g, sig, max_len) == want
                 picks += want is not None
     assert picks > 1000
+
+
+def test_depth0_first_on_a_shared_dag():
+    # D0 = (\x.x) y and Dk+1 = Dk Dk: under 111 every one of the 2^k
+    # positions above the redexes is shallower than any redex, so the
+    # best-first walk visits them all, while the facts of the k+1 nodes
+    # lead straight down to the leftmost redex at depth k; under 110 the
+    # argument edges are strict and the rightmost path has depth 0
+    def dag(k):
+        t = app(lam(bvar(0)), fvar("y"))
+        for _ in range(k):
+            t = app(t, t)
+        return t
+
+    for sig, edge in (((1, 1, 1), 1), ((1, 1, 0), 2)):
+        small = dag(12)
+        want = ((edge,) * 12, "beta")
+        assert depth0_redex(Beta(), small, sig) == depth0_redex_best_first(Beta(), small, sig) == want
+        assert depth0_redex(Beta(), dag(40), sig) == ((edge,) * 40, "beta")
+    # the best-first walk ran past its exploration limit here, so a d0 run
+    # stopped at exit 3; the facts answer at once
+    with pytest.raises(RuntimeError, match="exploration limit"):
+        depth0_redex_best_first(Beta(), dag(40), (1, 1, 1))
+    tr = run_strategy(Beta(), "d0", dag(40), 2)
+    assert [s.position for s in tr.steps] == [(1,) * 40, (1,) * 39 + (2,)]
+    # a nearest redex past the position bound leaves the pick to the
+    # best-first walk, whose limit still holds
+    with pytest.raises(RuntimeError, match="exploration limit"):
+        depth0_redex(Beta(), dag(70), (1, 1, 1))
 
 
 def test_depth0_first_on_a_cyclic_term():
