@@ -139,70 +139,70 @@ def _glb(sig: Sig, ts: list[Node]) -> tuple[Node, list[bool]]:
     """The glb of checked members, and for each member whether it equals
     the glb.
 
-    One pass collects the reachable product states; a state with a hole or
-    disagreeing labels fails, and each other state records its kind and
-    child states (every member has the children, as all share the kind).
-    A breadth-first search then follows the forced strict edges backwards
-    from the failing states, so every state that reaches one fails too, and
-    the cost is linear in the product graph.  ``trees.build`` then builds
-    the result over the product states, with a hole for each failed one, so
-    it has no depth limit.  The glb equals a member iff every failed state
-    that the build reaches has a hole in that member's slot.
+    One walk, ``trees.build``'s, expands each reachable product state once.
+    A state with a hole in some members only, or with disagreeing labels,
+    fails and becomes a hole; a state with a hole in every member is bottom
+    but no failure.  Any other state becomes a node of the members' shared
+    kind (every member has the children) and records itself as a parent of
+    each child state at a strict edge.  ``build``'s settle step then follows
+    those records backwards from the failing states, in a breadth-first
+    search linear in the product graph, so every state that reaches a
+    failure along strict edges is bottom too.  The glb equals a member iff
+    every failed state that the result reaches has a hole in that member's
+    slot.  ``equal`` reads every failed state instead, reached or not: one
+    that the result does not reach lies below a state that the backward
+    search failed, which has no hole in any slot, and the first such state
+    on a path from the root is reached, so it clears every flag anyway.
     """
-    root = tuple(ts)
-    width = len(root)
-    seen = {root}
-    stack = [root]
+    width = len(ts)
+    lazy_body, lazy_fun, lazy_arg = sig
     failing: list[tuple[Node, ...]] = []
     forced_by: dict[tuple[Node, ...], list[tuple[Node, ...]]] = {}  # strict child -> parents
-    expanded: dict[tuple[Node, ...], tuple | Node] = {}  # kept state -> ``build``'s expansion
-    while stack:
-        st = stack.pop()
-        n0 = st[0]
-        k = n0.kind
-        if k == HOLE or [n.kind for n in st].count(k) != width:
-            failing.append(st)
-            continue
-        if k == LAM:
-            body = tuple([n.a for n in st])
-            expanded[st] = (LAM, body)
-            edges: tuple = ((0, body),)
-        elif k == APP:
-            fun, arg = tuple([n.a for n in st]), tuple([n.b for n in st])
-            expanded[st] = (APP, fun, arg)
-            edges = ((1, fun), (2, arg))
-        elif [n.a for n in st].count(n0.a) != width:  # a variable: its payload is its label too
-            failing.append(st)
-            continue
-        else:
-            expanded[st] = n0  # a variable all members share
-            continue
-        for i, cs in edges:
-            if cs not in seen:
-                seen.add(cs)
-                stack.append(cs)
-            if sig[i] == 0 and [c.kind for c in cs].count(HOLE) != width:
-                forced_by.setdefault(cs, []).append(st)
-
-    failed = set(failing)
-    queue = deque(failing)
-    while queue:
-        for st in forced_by.get(queue.popleft(), ()):
-            if st not in failed:
-                failed.add(st)
-                queue.append(st)
-
-    equal = [True] * width
 
     def expand(st: tuple[Node, ...]):
-        if st in failed:
-            for j, n in enumerate(st):
-                if n.kind != HOLE:
-                    equal[j] = False
+        n0 = st[0]
+        k = n0.kind
+        if [n.kind for n in st].count(k) != width:
+            failing.append(st)
             return hole()
-        return expanded[st]
+        if k == APP:
+            fun, arg = tuple([n.a for n in st]), tuple([n.b for n in st])
+            if not lazy_fun:
+                forced_by.setdefault(fun, []).append(st)
+            if not lazy_arg:
+                forced_by.setdefault(arg, []).append(st)
+            return APP, fun, arg
+        if k == LAM:
+            body = tuple([n.a for n in st])
+            if not lazy_body:
+                forced_by.setdefault(body, []).append(st)
+            return LAM, body
+        if k == HOLE:  # bottom in every member, which forces nothing
+            return hole()
+        if [n.a for n in st].count(n0.a) != width:  # a variable: its payload is its label too
+            failing.append(st)
+            return hole()
+        return n0  # a variable all members share
 
-    return build(root, expand), equal
+    def settle() -> list[tuple[Node, ...]]:
+        """The states that the backward search fails, appended to
+        ``failing`` in the order it finds them."""
+        failed = set(failing)
+        local = len(failing)
+        for st in failing:  # the loop reaches the states it appends
+            for parent in forced_by.get(st, ()):
+                if parent not in failed:
+                    failed.add(parent)
+                    failing.append(parent)
+        return failing[local:]
+
+    g = build(tuple(ts), expand, settle)
+    equal = [True] * width
+    for st in failing:
+        for j, n in enumerate(st):
+            if n.kind != HOLE:
+                equal[j] = False
+    return g, equal
 
 
 def lub_chain(sig: Sig, ts: Sequence[Node]) -> Node:

@@ -474,19 +474,26 @@ def canon(root: Node) -> tuple:
 
 def bisimilar(s: Node, t: Node) -> bool:
     """Graph bisimulation; equality of the unfolded trees.  A node is
-    bisimilar to itself, so a pair of one node is not walked."""
-    seen: set[tuple[int, int]] = set()
+    bisimilar to itself, so a pair of one node is not walked.  A pair agrees
+    when the kinds do and, for a variable, the payloads."""
+    seen: set[tuple[Node, Node]] = set()
     stack = [(s, t)]
     while stack:
-        x, y = stack.pop()
-        if x is y or (id(x), id(y)) in seen:
+        pair = stack.pop()
+        x, y = pair
+        if x is y or pair in seen:
             continue
-        seen.add((id(x), id(y)))
-        if label(x) != label(y):
+        seen.add(pair)
+        k = x.kind
+        if k != y.kind:
             return False
-        cx, cy = children(x), children(y)
-        for (_, a), (_, b) in zip(cx, cy):
-            stack.append((a, b))
+        if k == APP:
+            stack.append((x.a, y.a))
+            stack.append((x.b, y.b))
+        elif k == LAM:
+            stack.append((x.a, y.a))
+        elif (k == BVAR or k == FVAR) and x.a != y.a:
+            return False
     return True
 
 
@@ -694,7 +701,7 @@ def positions(t: Node, max_len, edge=None):
 # Graph transformations
 
 
-def build(start, expand) -> Node:
+def build(start, expand, settle=None) -> Node:
     """The graph of the states reachable from ``start``.
 
     ``expand(state)`` returns either a finished ``Node``, which stands for
@@ -704,6 +711,12 @@ def build(start, expand) -> Node:
     node is allocated before its children are linked, so cycles among the
     states close, and the walk keeps an explicit stack, so it has no depth
     limit.
+
+    ``settle()``, if given, runs after the walk and before any child is
+    linked.  It returns expanded states that turn out to be bottom, a
+    verdict that may need the whole walk, and each of them stands for one
+    fresh hole, so the nodes that their expansions allocated drop out of
+    the result.
     """
     memo: dict = {}
     interior: list[tuple[Node, tuple]] = []  # nodes whose children are unset
@@ -721,6 +734,9 @@ def build(start, expand) -> Node:
             stack.append(out[1])
             out = node
         memo[state] = out
+    if settle is not None:
+        for state in settle():
+            memo[state] = Node(HOLE)
     for node, out in interior:
         node.a = memo[out[1]]
         if len(out) == 3:
@@ -837,31 +853,42 @@ def tree_distance(sig: Sig, s: Node, t: Node) -> Fraction:
 
 
 def _distance(sig: Sig, s: Node, t: Node) -> Fraction:
-    """``tree_distance`` of two trees already known to be guarded."""
-    # 0-1 BFS over the product graph: find the least depth of a disagreement
-    best: dict[tuple[int, int], int] = {}
+    """``tree_distance`` of two trees already known to be guarded.
+
+    A 0-1 BFS over the product graph, keyed by node pairs: an edge costs
+    its signature bit, so states leave the deque in order of depth, each
+    first at its least, and the first disagreement (of kind, or of a
+    variable's payload) is the shallowest.
+    """
+    body, fun, arg = sig
+    seen: set[tuple[Node, Node]] = set()
     queue: deque[tuple[Node, Node, int]] = deque([(s, t, 0)])
-    result: int | None = None
     while queue:
         x, y, d = queue.popleft()
-        if result is not None and d >= result:
+        key = (x, y)
+        if key in seen:
             continue
-        key = (id(x), id(y))
-        if best.get(key, 1 << 60) <= d:
-            continue
-        best[key] = d
-        if label(x) != label(y):
-            result = d if result is None else min(result, d)
-            continue
-        for (i, a), (_, b) in zip(children(x), children(y)):
-            nd = d + sig[i]
-            if sig[i] == 0:
-                queue.appendleft((a, b, nd))
+        seen.add(key)
+        k = x.kind
+        if k != y.kind:
+            return Fraction(1, 2**d)
+        if k == APP:
+            if fun:
+                queue.append((x.a, y.a, d + 1))
             else:
-                queue.append((a, b, nd))
-    if result is None:
-        return Fraction(0)
-    return Fraction(1, 2 ** result)
+                queue.appendleft((x.a, y.a, d))
+            if arg:
+                queue.append((x.b, y.b, d + 1))
+            else:
+                queue.appendleft((x.b, y.b, d))
+        elif k == LAM:
+            if body:
+                queue.append((x.a, y.a, d + 1))
+            else:
+                queue.appendleft((x.a, y.a, d))
+        elif (k == BVAR or k == FVAR) and x.a != y.a:
+            return Fraction(1, 2**d)
+    return Fraction(0)
 
 
 # ---------------------------------------------------------------------------

@@ -9,9 +9,10 @@ trees; the brute-force glb uses the named order, so it does not depend on
 ``tree_leq``.  The round-by-round graph
 fixpoints and the recursive walkers at the end are the library's earlier
 implementations of ``tree_leq`` (with a position per product state), of
-``canon``, of the backward-reachability sets, of ``glb`` (by rounds, and
-with child tuples rebuilt on every visit of a product state),
-of ``is_guarded``, of ``render_tree`` and ``render_term``, of the eight de
+``canon``, of the backward-reachability sets, of ``glb`` (by rounds,
+with child tuples rebuilt on every visit of a product state, and in two
+walks of the product graph), of the ``label``-comparing ``_distance`` and
+``bisimilar``, of ``is_guarded``, of ``render_tree`` and ``render_term``, of the eight de
 Bruijn and copying walkers (``bind_fvars`` among the fixpoints), of
 ``_mark_unstable`` and of the two recursive-descent parsers, kept as
 references for the linear, iterative versions that replaced them (the
@@ -766,6 +767,116 @@ def glb_by_rounds(sig: Sig, ts: list[Node]) -> Node:
         return new
 
     return build(root)
+
+
+def glb_two_walks(sig: Sig, ts: list[Node]) -> tuple[Node, list[bool]]:
+    """``order._glb`` as two walks of the product graph: the first collects
+    the states, their failures and their forced strict parents, and keeps
+    each kept state's expansion; a backward search fails the states that
+    reach a failure; then ``trees.build`` walks the states again, with a
+    hole for each failed one, and ``equal`` is read off the failed states
+    that this second walk reaches."""
+    root = tuple(ts)
+    width = len(root)
+    seen = {root}
+    stack = [root]
+    failing: list[tuple[Node, ...]] = []
+    forced_by: dict[tuple[Node, ...], list[tuple[Node, ...]]] = {}  # strict child -> parents
+    expanded: dict[tuple[Node, ...], tuple | Node] = {}  # kept state -> ``build``'s expansion
+    while stack:
+        st = stack.pop()
+        n0 = st[0]
+        k = n0.kind
+        if k == HOLE or [n.kind for n in st].count(k) != width:
+            failing.append(st)
+            continue
+        if k == LAM:
+            body = tuple([n.a for n in st])
+            expanded[st] = (LAM, body)
+            edges: tuple = ((0, body),)
+        elif k == APP:
+            fun, arg = tuple([n.a for n in st]), tuple([n.b for n in st])
+            expanded[st] = (APP, fun, arg)
+            edges = ((1, fun), (2, arg))
+        elif [n.a for n in st].count(n0.a) != width:  # a variable: its payload is its label too
+            failing.append(st)
+            continue
+        else:
+            expanded[st] = n0  # a variable all members share
+            continue
+        for i, cs in edges:
+            if cs not in seen:
+                seen.add(cs)
+                stack.append(cs)
+            if sig[i] == 0 and [c.kind for c in cs].count(HOLE) != width:
+                forced_by.setdefault(cs, []).append(st)
+
+    failed = set(failing)
+    queue = deque(failing)
+    while queue:
+        for st in forced_by.get(queue.popleft(), ()):
+            if st not in failed:
+                failed.add(st)
+                queue.append(st)
+
+    equal = [True] * width
+
+    def expand(st: tuple[Node, ...]):
+        if st in failed:
+            for j, n in enumerate(st):
+                if n.kind != HOLE:
+                    equal[j] = False
+            return hole()
+        return expanded[st]
+
+    return build(root, expand), equal
+
+
+def distance_by_labels(sig: Sig, s: Node, t: Node) -> Fraction:
+    """``trees._distance`` as a 0-1 BFS that compares ``label`` tuples,
+    walks ``children`` pairs and keys each product state by two ids, and
+    that runs on after a disagreement until no shallower one is queued."""
+    best: dict[tuple[int, int], int] = {}
+    queue: deque[tuple[Node, Node, int]] = deque([(s, t, 0)])
+    result: int | None = None
+    while queue:
+        x, y, d = queue.popleft()
+        if result is not None and d >= result:
+            continue
+        key = (id(x), id(y))
+        if best.get(key, 1 << 60) <= d:
+            continue
+        best[key] = d
+        if label(x) != label(y):
+            result = d if result is None else min(result, d)
+            continue
+        for (i, a), (_, b) in zip(children(x), children(y)):
+            nd = d + sig[i]
+            if sig[i] == 0:
+                queue.appendleft((a, b, nd))
+            else:
+                queue.append((a, b, nd))
+    if result is None:
+        return Fraction(0)
+    return Fraction(1, 2 ** result)
+
+
+def bisimilar_by_labels(s: Node, t: Node) -> bool:
+    """``trees.bisimilar`` comparing ``label`` tuples and walking
+    ``children`` pairs, with each pair keyed by two ids."""
+    seen: set[tuple[int, int]] = set()
+    stack = [(s, t)]
+    while stack:
+        x, y = stack.pop()
+        if x is y or (id(x), id(y)) in seen:
+            continue
+        seen.add((id(x), id(y)))
+        if label(x) != label(y):
+            return False
+        cx, cy = children(x), children(y)
+        for (_, a), (_, b) in zip(cx, cy):
+            stack.append((a, b))
+    return True
 
 
 def lub_union(ts: list[Node]) -> Node:

@@ -15,7 +15,7 @@ from ilc import cli, convergence, meaningless
 from ilc.cli import main
 from ilc.rewriting import STOP_REASONS, rule_system, run_strategy, trace_decode
 from ilc.terms import ALL_SIGS, sig_str
-from ilc.trees import bisimilar, is_guarded, parse_tree, render_tree
+from ilc.trees import bisimilar, is_guarded, parse_tree, render_tree, truncate
 
 
 def run(*argv):
@@ -390,6 +390,41 @@ def test_seeded_tree_and_trace_keep_the_cli_contract():
                 assert run(*argv, doc["tree"]) == (0, text, ""), (argv, term)
     assert {c for _, c in codes} >= {0, 2}, codes
     assert codes["tree", 0] > 50 and codes["trace", 0] > 50, codes
+    # seeded pairs under order and dist, each pair both ways and each member
+    # with itself: t <= t both ways with a glb bisimilar to t, and dist is 0
+    # on t t and symmetric; half of the second members are truncations of
+    # the first, which lie below it
+    rng = random.Random(10)
+    leq = Counter()
+    for k in range(200):
+        sig = ALL_SIGS[k % len(ALL_SIGS)]
+        t, u = oracles.random_loopy_tree(rng, sig), oracles.random_loopy_tree(rng, sig)
+        if k % 4 < 2:
+            u = truncate(sig, t, rng.randrange(1, 6))
+        a, b = render_tree(t, ascii_only=True), render_tree(u, ascii_only=True)
+        answers = {}
+        for argv in itertools.product(("order", "dist"), ((a, b), (b, a), (a, a))):
+            command, pair = argv
+            code, text, err = run(command, "--ascii", "--sig", sig_str(sig), *pair)
+            json_code, doc, json_err = run(command, "--format", "json", "--sig", sig_str(sig), *pair)
+            assert (code, json_code) == (0, 0) and err + json_err == "", (argv, sig)
+            doc = json.loads(doc)
+            if command == "dist":
+                assert text == doc["distance"] + "\n", (argv, sig)
+                answers[argv] = doc["distance"]
+                continue
+            assert text == f"left <= right: {doc['leq']}\nright <= left: {doc['geq']}\nglb: {doc['glb']}\n"
+            answers[argv] = doc["leq"], doc["geq"], doc["glb"]
+        assert answers["order", (a, a)][:2] == (True, True), (a, sig)
+        assert bisimilar(parse_tree(answers["order", (a, a)][2]), parse_tree(a)), (a, sig)
+        leq_ab, geq_ab, glb_ab = answers["order", (a, b)]
+        leq_ba, geq_ba, glb_ba = answers["order", (b, a)]
+        assert (leq_ba, geq_ba) == (geq_ab, leq_ab), (a, b, sig)
+        assert bisimilar(parse_tree(glb_ba), parse_tree(glb_ab)), (a, b, sig)
+        assert answers["dist", (a, a)] == "0", (a, sig)
+        assert answers["dist", (a, b)] == answers["dist", (b, a)], (a, b, sig)
+        leq[leq_ab, geq_ab] += 1
+    assert min(leq[False, True], leq[False, False]) > 30, leq
 
 
 def test_dev_all_on_a_long_argument_spine():

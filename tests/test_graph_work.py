@@ -1,7 +1,9 @@
 """The linear per-step graph work and ``glb`` agree with the round-by-round
 fixpoints they replaced, and ``compare`` with ``tree_leq`` both ways and the
-earlier ``glb``; every state of an ``is_active`` run stays guarded, and its
-redex keys equal those of the naming walk they replaced; a class's free
+earlier ``glb``; the one-walk ``glb``, which expands each product state
+once, the tree distance and ``bisimilar`` agree with the two-walk ``glb``
+and the label-comparing walks they replaced; every state of an
+``is_active`` run stays guarded, and its redex keys equal those of the naming walk they replaced; a class's free
 index equals a scan; the iterative ``is_guarded`` and ``render_tree``, the
 eight walkers built on ``trees.transform`` and ``_mark_unstable`` agree with
 the recursive versions they replaced, and the de Bruijn walkers print and
@@ -19,10 +21,11 @@ import math
 import random
 import sys
 from collections import Counter
+from fractions import Fraction
 
 import pytest
 
-from ilc import developments, meaningless
+from ilc import developments, meaningless, order
 from ilc.developments import _bound_var_positions, _unguarded_to_hole
 from ilc.meaningless import _collapsible, is_stable
 from ilc.order import _check_inputs, _mark_unstable, compare, glb, liminf_approx, tree_leq
@@ -46,8 +49,10 @@ from ilc.trees import (
     CUT,
     FVAR,
     HOLE,
+    LAM,
     UNKNOWN,
     ClassTable,
+    _distance,
     app,
     bind_fvars,
     bisimilar,
@@ -80,6 +85,7 @@ from oracles import (
     substitute_by_transform,
     unshift_free_by_transform,
     bind_fvars_by_rounds,
+    bisimilar_by_labels,
     check_inputs_per_member,
     bot_positions_by_queue,
     bound_var_positions_dfs,
@@ -87,10 +93,12 @@ from oracles import (
     close_subtree_recursive,
     collapsible_by_rounds,
     depth0_positions_by_layers,
+    distance_by_labels,
     dom_positions_by_queue,
     free_index_by_scan,
     glb_by_rounds,
     glb_by_tuples,
+    glb_two_walks,
     is_guarded_by_walks,
     is_stable_by_paths,
     loopy,
@@ -332,6 +340,135 @@ def test_compare_equals_tree_leq_both_ways_and_the_glb():
     assert min(counts[d, v] for d in ("leq", "geq") for v in (True, False)) > 3000
     assert counts["order operations require guarded trees"] > 100
     assert counts["order operations reject Cut/Unknown leaves"] > 100
+
+
+def cycle_of(leaves: str):
+    """``rec M. \\a.a l0 (\\b.b l1 (... M))``: one lambda per leaf name, so
+    the period is the number of leaves."""
+    inner = "M"
+    for k in reversed(range(len(leaves))):
+        inner = rf"(\a{k}.a{k} {leaves[k]} {inner})"
+    return parse_tree(f"rec M. {inner}")
+
+
+# cycles of coprime periods, some bisimilar and some not
+CYCLES = [cycle_of(leaves) for leaves in ("yy", "yyy", "yyz", "yyyyy", "yzyyy", "yyyyyyy", "yyyyyyz")]
+
+
+def member_lists(seed: int, count: int):
+    """Member lists of widths 1 to 4, drawn with repeats from ``glb_inputs``'
+    graph, its unrolled copy and an unrelated graph, and from the cycles."""
+    rng = random.Random(seed)
+    for pool in glb_inputs(seed, count):
+        if len(pool) == 3:
+            for width in range(1, 5):
+                yield [rng.choice(pool) for _ in range(width)]
+    for width in range(1, 5):
+        for _ in range(20):
+            yield [rng.choice(CYCLES) for _ in range(width)]
+
+
+def glb_answer(check, glb_of, sig, ts):
+    """The glb rendered and the members equal to it, or the error message."""
+    error = member_check(check, sig, ts)
+    if error is not None:
+        return error
+    g, equal = glb_of(sig, ts)
+    return render_tree(g, ascii_only=True), equal
+
+
+def distance_answer(guarded, distance, sig, s, t):
+    if not (guarded(sig, s) and guarded(sig, t)):
+        return "unguarded"
+    return distance(sig, s, t)
+
+
+def test_glb_distance_and_bisimilar_equal_the_walks_they_replaced():
+    # a graph and its unrolled copy, each with perhaps a Cut or Unknown
+    # leaf, and random pairs of the graphs and their copies
+    rng = random.Random(62)
+    pool = [with_marker_leaves(rng, g) for g in graphs(63, 300)]
+    pairs = [(pool[k], pool[k + 1]) for k in range(0, len(pool), 3)]
+    pairs += [(rng.choice(pool), rng.choice(pool)) for _ in range(1000)]
+    verdicts = Counter()
+    for s, t in pairs:
+        verdicts[bisimilar(s, t)] += 1
+        assert bisimilar(s, t) == bisimilar_by_labels(s, t)
+    assert min(verdicts[True], verdicts[False]) > 200, verdicts
+    counts = Counter()
+    for ts in member_lists(61, 250):
+        s, t = ts[0], ts[-1]
+        for sig in ALL_SIGS:
+            got = glb_answer(_check_inputs, order._glb, sig, ts)
+            assert got == glb_answer(check_inputs_per_member, glb_two_walks, sig, ts), (sig, ts)
+            if isinstance(got, str):
+                counts[got] += 1
+            else:
+                counts["equal", all(got[1]), any(got[1])] += 1
+            d = distance_answer(is_guarded, _distance, sig, s, t)
+            assert d == distance_answer(is_guarded_by_walks, distance_by_labels, sig, s, t), (sig, s, t)
+            counts["distance", d == 0 if isinstance(d, Fraction) else d] += 1
+    assert counts["order operations require guarded trees"] > 100
+    assert min(counts["equal", a, b] for a, b in ((True, True), (False, True), (False, False))) > 100
+    assert min(counts["distance", v] for v in (True, False, "unguarded")) > 100
+    for s, t in itertools.product(CYCLES, repeat=2):
+        assert bisimilar(s, t) == bisimilar_by_labels(s, t)
+        for sig in ALL_SIGS:
+            if sig[0] or sig[2]:  # the cycle crosses lambda-body and argument edges only
+                assert _distance(sig, s, t) == distance_by_labels(sig, s, t)
+    # under 101 each lambda of a cycle lies two below the last, and its leaf
+    # two below it
+    assert _distance((1, 0, 1), CYCLES[5], CYCLES[6]) == Fraction(1, 2**14)
+    # the glb of two cycles of coprime periods p and q is a cycle of p * q
+    # lambdas
+    g, equal = order._glb((1, 1, 1), [CYCLES[3], CYCLES[5]])
+    assert sum(n.kind == LAM for n in reachable(g)) == 5 * 7 and equal == [True, True]
+
+
+def product_states(ts) -> set:
+    """The product states reachable from the members through states whose
+    members all share an interior kind."""
+    root = tuple(ts)
+    seen = {root}
+    stack = [root]
+    while stack:
+        st = stack.pop()
+        kinds = {n.kind for n in st}
+        succ = []
+        if kinds == {LAM}:
+            succ = [tuple(n.a for n in st)]
+        elif kinds == {APP}:
+            succ = [tuple(n.a for n in st), tuple(n.b for n in st)]
+        for cs in succ:
+            if cs not in seen:
+                seen.add(cs)
+                stack.append(cs)
+    return seen
+
+
+def test_glb_expands_each_reachable_product_state_once(monkeypatch):
+    expanded = Counter()
+    real = order.build
+
+    def spy(start, expand, settle=None):
+        def counted(st):
+            expanded[st] += 1
+            return expand(st)
+
+        return real(start, counted, settle)
+
+    monkeypatch.setattr(order, "build", spy)
+    settled = 0
+    for ts in member_lists(71, 100):
+        for sig in ALL_SIGS:
+            if member_check(_check_inputs, sig, ts) is not None:
+                continue
+            expanded.clear()
+            g, _ = order._glb(sig, ts)
+            assert set(expanded.values()) == {1}
+            assert set(expanded) == product_states(ts)
+            settled += g.kind == HOLE and {n.kind for n in ts} in ({LAM}, {APP})
+    assert settled > 200  # roots that only the settle step makes bottom
 
 
 def fun_chain(length: int, leaf: str):
